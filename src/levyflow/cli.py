@@ -227,7 +227,7 @@ def cmd_ensemble(args) -> int:
 
         ens = replace(ens, n_samples=args.samples)
         echo_e = dict(echo_e, M=args.samples)
-    kind = args.kind or str(echo_e.get("kind", "macro"))
+    kind = args.kind or str(echo_e["kind"])
     echo_e = dict(echo_e, kind=kind)
     if kind == "macro":
         cfg, echo_c = cfgmod.macro_config_from(sections)

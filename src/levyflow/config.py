@@ -8,6 +8,8 @@ verbatim (gamma_1, sigma_W, tau, h_x1, N_x1, ...).
 
 from __future__ import annotations
 
+import dataclasses
+
 from .drivers import CauchyModulatedNoise, GaussianNoise, SwitchingNoise
 from .errors import ConfigInvalid
 from .grids import Grid
@@ -49,6 +51,11 @@ def parse_config_text(text: str):
             current = line[1:-1].strip()
             if not current:
                 raise ConfigInvalid(f"line {lineno}: empty section name")
+            if current not in SECTION_DEFAULTS:
+                raise ConfigInvalid(
+                    f"line {lineno}: unknown section [{current}]; "
+                    f"choose from {sorted(SECTION_DEFAULTS)}"
+                )
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -97,74 +104,74 @@ def load_config_file(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# schemas: defaults live here; a config file overrides by key
+# schemas: the [macro] and [micro] defaults are read off MacroConfig and
+# MicroConfig, the others live here; a config file overrides by key
 # ---------------------------------------------------------------------------
 
-MACRO_DEFAULTS = {
-    "N": 150,
-    "tau": 0.1,
-    "h_x1": 0.1,
-    "h_x2": 0.1,
-    "N_x1": 21,
-    "N_x2": 21,
-    "gamma_1": 0.005,
-    "gamma_2": 0.05,
-    "gamma_3": 0.015,
-    "sigma_W": 0.131,
-    "sigma_H": 0.0008,
-    "gamma_C": 0.00035,
-    "gamma_g": 0.0007,
-    "gamma_h": 0.0037,
-    "gamma_f": 0.0082,
-    "a": 1.0,
-    "a_1": 0.6,
-    "a_2": 0.9,
-    "qwiener_modes": 4,
-    "solver_tol": 1e-10,
-    "scheme_literal": False,
-    "h0_amp": 0.2,
-    "h0_sigma": 0.3,
-    "c0_amp": 1.0,
-    "c0_sigma": 0.25,
-    "n0_smooth_sigma": 0.25,
-    "ic_seed": 171717,
+_NOISE_LAWS = {
+    "gaussian": GaussianNoise,
+    "switching": SwitchingNoise,
+    "cauchy_modulated": CauchyModulatedNoise,
 }
 
-MICRO_DEFAULTS = {
-    "M": 2500,
-    "N": 25,
-    "tau": 0.05,
-    "noise": "gaussian",
-    "h_1": 0.3,
-    "h_2": 1.6,
-    "h_3": 3.2,
-    "efflux_rate": 3.6,
-    "buffering_rate": 0.45,
-    "production_rate": 8.1,
-    "vascular_uptake": 0.3,
-    "field_coupling": 0.02,
-    "gamma": 0.4,
-    "taxis_sign": 1.0,
-    "noise_scale": 1.0,
-    "deposit_bandwidth": 0.04,
-    "grid_points": 41,
-    "domain_length": 1.0,
-    "lattice_lo": 0.28,
-    "lattice_hi": 0.72,
-    "proton_init": 1.0,
-    "acid_amp": 3.0,
-    "acid_sigma": 0.27,
-    "tissue_lo": 0.5,
-    "tissue_hi": 1.0,
-    "tissue_smooth_sigma": 0.06,
-    "ic_seed": 424242,
+# published parameter-table name -> dataclass field, where the two differ
+_MACRO_ALIASES = {"N": "n_steps"}
+_MICRO_ALIASES = {
+    "M": "n_particles",
+    "N": "n_steps",
+    "h_1": "kill_low",
+    "h_2": "kill_high",
+    "h_3": "kill_acid",
+    "gamma": "tissue_decay",
 }
+# fields set from code only, never from a config file
+_CODE_ONLY_FIELDS = {"solver_max_iterations"}
+
+
+def _file_defaults(cls, aliases, published) -> dict:
+    """Published name -> default for every file key of the dataclass ``cls``.
+
+    ``published`` maps each field that is not a plain scalar (the grid, the
+    noise law) to a function turning its default into published entries.
+    """
+    default = cls()
+    names = {field_name: name for name, field_name in aliases.items()}
+    out = {}
+    for f in dataclasses.fields(cls):
+        value = getattr(default, f.name)
+        if f.name in published:
+            out.update(published[f.name](value))
+        elif f.name not in _CODE_ONLY_FIELDS:
+            out[names.get(f.name, f.name)] = value
+    return out
+
+
+def _build(cls, scalars: dict, aliases, **fields):
+    """``cls`` from resolved published scalars plus already built fields."""
+    return cls(**{aliases.get(name, name): v for name, v in scalars.items()}, **fields)
+
+
+MACRO_DEFAULTS = _file_defaults(MacroConfig, _MACRO_ALIASES, {
+    "grid": lambda g: {
+        "h_x1": g.spacings[0], "h_x2": g.spacings[1],
+        "N_x1": g.shape[0], "N_x2": g.shape[1],
+    },
+})
+
+MICRO_DEFAULTS = _file_defaults(MicroConfig, _MICRO_ALIASES, {
+    "noise": lambda law: {
+        "noise": {cls: name for name, cls in _NOISE_LAWS.items()}[type(law)],
+    },
+    "grid": lambda g: {"grid_points": g.shape[0], "domain_length": g.lengths[0]},
+})
 
 ENSEMBLE_DEFAULTS = {
-    "M": 500,
+    "M": EnsembleConfig().n_samples,
     "kind": "macro",
+    # the published snapshot steps; EnsembleConfig's empty default keeps
+    # only the initial and final states
     "snapshot_steps": (0, 50, 100, 150),
-    "export_samples": (),
+    "export_samples": EnsembleConfig().export_sample_ids,
 }
 
 SYMBOL_DEFAULTS = {
@@ -186,11 +193,21 @@ REPORT_DEFAULTS = {
     "levels": (0.2, 0.5, 0.8),
 }
 
-_NOISE_NAMES = {
-    "gaussian": GaussianNoise,
-    "switching": SwitchingNoise,
-    "cauchy_modulated": CauchyModulatedNoise,
+SECTION_DEFAULTS = {
+    "macro": MACRO_DEFAULTS,
+    "micro": MICRO_DEFAULTS,
+    "ensemble": ENSEMBLE_DEFAULTS,
+    "symbol": SYMBOL_DEFAULTS,
+    "fracheck": FRACHECK_DEFAULTS,
+    "report": REPORT_DEFAULTS,
 }
+
+
+def _integral(value) -> int:
+    """``value`` as an int; booleans and non-integral numbers are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
 
 
 def resolve_section(name: str, defaults: dict, sections: dict):
@@ -207,8 +224,8 @@ def resolve_section(name: str, defaults: dict, sections: dict):
             if isinstance(default, bool):
                 if not isinstance(value, bool):
                     raise ValueError(value)
-            elif isinstance(default, int) and not isinstance(value, bool):
-                value = int(value)
+            elif isinstance(default, int):
+                value = _integral(value)
             elif isinstance(default, float):
                 value = float(value)
         except (TypeError, ValueError) as exc:
@@ -217,94 +234,48 @@ def resolve_section(name: str, defaults: dict, sections: dict):
     return resolved
 
 
-def _as_tuple(value):
-    if isinstance(value, (tuple, list)):
-        return tuple(value)
-    return (value,)
+def _tuple_of(convert, section: str, key: str, value) -> tuple:
+    """A comma-list value as a tuple of ``convert``-ed items; empty items
+    are dropped, so an empty value is the empty tuple."""
+    items = value if isinstance(value, (tuple, list)) else (value,)
+    try:
+        return tuple(convert(v) for v in items if v != "")
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"[{section}] {key}: cannot interpret {value!r}") from exc
 
 
 def macro_config_from(sections) -> tuple:
     """Returns (MacroConfig, resolved mapping for the echo)."""
     r = resolve_section("macro", MACRO_DEFAULTS, sections)
-    grid = Grid(
-        (r["h_x1"] * r["N_x1"], r["h_x2"] * r["N_x2"]),
-        (r["N_x1"], r["N_x2"]),
-    )
-    cfg = MacroConfig(
-        grid=grid,
-        tau=float(r["tau"]),
-        n_steps=int(r["N"]),
-        gamma_1=float(r["gamma_1"]),
-        gamma_2=float(r["gamma_2"]),
-        gamma_3=float(r["gamma_3"]),
-        sigma_W=float(r["sigma_W"]),
-        sigma_H=float(r["sigma_H"]),
-        gamma_C=float(r["gamma_C"]),
-        gamma_g=float(r["gamma_g"]),
-        gamma_h=float(r["gamma_h"]),
-        gamma_f=float(r["gamma_f"]),
-        a=float(r["a"]),
-        a_1=float(r["a_1"]),
-        a_2=float(r["a_2"]),
-        qwiener_modes=int(r["qwiener_modes"]),
-        solver_tol=float(r["solver_tol"]),
-        scheme_literal=bool(r["scheme_literal"]),
-        h0_amp=float(r["h0_amp"]),
-        h0_sigma=float(r["h0_sigma"]),
-        c0_amp=float(r["c0_amp"]),
-        c0_sigma=float(r["c0_sigma"]),
-        n0_smooth_sigma=float(r["n0_smooth_sigma"]),
-        ic_seed=int(r["ic_seed"]),
-    )
-    return cfg, r
+    scalars = dict(r)
+    shape = (scalars.pop("N_x1"), scalars.pop("N_x2"))
+    spacing = (scalars.pop("h_x1"), scalars.pop("h_x2"))
+    grid = Grid((spacing[0] * shape[0], spacing[1] * shape[1]), shape)
+    return _build(MacroConfig, scalars, _MACRO_ALIASES, grid=grid), r
 
 
 def micro_config_from(sections) -> tuple:
     r = resolve_section("micro", MICRO_DEFAULTS, sections)
-    noise_name = str(r["noise"])
-    if noise_name not in _NOISE_NAMES:
+    scalars = dict(r)
+    noise_name = str(scalars.pop("noise"))
+    if noise_name not in _NOISE_LAWS:
         raise ConfigInvalid(
-            f"unknown noise {noise_name!r}; choose from {sorted(_NOISE_NAMES)}"
+            f"unknown noise {noise_name!r}; choose from {sorted(_NOISE_LAWS)}"
         )
-    n = int(r["grid_points"])
-    cfg = MicroConfig(
-        n_particles=int(r["M"]),
-        n_steps=int(r["N"]),
-        tau=float(r["tau"]),
-        noise=_NOISE_NAMES[noise_name](),
-        kill_low=float(r["h_1"]),
-        kill_high=float(r["h_2"]),
-        kill_acid=float(r["h_3"]),
-        efflux_rate=float(r["efflux_rate"]),
-        buffering_rate=float(r["buffering_rate"]),
-        production_rate=float(r["production_rate"]),
-        vascular_uptake=float(r["vascular_uptake"]),
-        field_coupling=float(r["field_coupling"]),
-        tissue_decay=float(r["gamma"]),
-        taxis_sign=float(r["taxis_sign"]),
-        noise_scale=float(r["noise_scale"]),
-        deposit_bandwidth=float(r["deposit_bandwidth"]),
-        grid=Grid((float(r["domain_length"]),) * 2, (n, n)),
-        lattice_lo=float(r["lattice_lo"]),
-        lattice_hi=float(r["lattice_hi"]),
-        proton_init=float(r["proton_init"]),
-        acid_amp=float(r["acid_amp"]),
-        acid_sigma=float(r["acid_sigma"]),
-        tissue_lo=float(r["tissue_lo"]),
-        tissue_hi=float(r["tissue_hi"]),
-        tissue_smooth_sigma=float(r["tissue_smooth_sigma"]),
-        ic_seed=int(r["ic_seed"]),
-    )
+    n = scalars.pop("grid_points")
+    grid = Grid((scalars.pop("domain_length"),) * 2, (n, n))
+    cfg = _build(MicroConfig, scalars, _MICRO_ALIASES,
+                 noise=_NOISE_LAWS[noise_name](), grid=grid)
     return cfg, r
 
 
 def ensemble_config_from(sections, base_seed: int, workers: int) -> tuple:
     r = resolve_section("ensemble", ENSEMBLE_DEFAULTS, sections)
     cfg = EnsembleConfig(
-        n_samples=int(r["M"]),
+        n_samples=r["M"],
         base_seed=base_seed,
-        snapshot_steps=tuple(int(s) for s in _as_tuple(r["snapshot_steps"]) if s != ""),
-        export_sample_ids=tuple(int(s) for s in _as_tuple(r["export_samples"]) if s != ""),
+        snapshot_steps=_tuple_of(_integral, "ensemble", "snapshot_steps", r["snapshot_steps"]),
+        export_sample_ids=_tuple_of(_integral, "ensemble", "export_samples", r["export_samples"]),
         workers=workers,
     )
     return cfg, r
@@ -316,15 +287,14 @@ def symbol_params_from(sections) -> dict:
 
 def fracheck_params_from(sections) -> dict:
     r = resolve_section("fracheck", FRACHECK_DEFAULTS, sections)
-    r["resolutions"] = tuple(int(v) for v in _as_tuple(r["resolutions"]))
-    r["exponents"] = tuple(float(v) for v in _as_tuple(r["exponents"]))
-    r["modes"] = tuple(int(v) for v in _as_tuple(r["modes"]))
+    for key, convert in (("resolutions", _integral), ("exponents", float), ("modes", _integral)):
+        r[key] = _tuple_of(convert, "fracheck", key, r[key])
     return r
 
 
 def report_params_from(sections) -> dict:
     r = resolve_section("report", REPORT_DEFAULTS, sections)
-    r["levels"] = tuple(float(v) for v in _as_tuple(r["levels"]))
+    r["levels"] = _tuple_of(float, "report", "levels", r["levels"])
     return r
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .drivers import RngStream
 from .errors import ConfigInvalid, EnsembleSampleError
-from .macro import MacroConfig, run_macro
+from .macro import MacroConfig, run_macro, snapshot_set
 from .micro import MicroConfig, run_micro, survival_fraction
 
 
@@ -92,29 +92,35 @@ def welford_merge(partials):
 
 
 # ---------------------------------------------------------------------------
-# per-sample runners (top level so worker processes can pickle them)
+# per-sample runner (top level so worker processes can pickle it)
 # ---------------------------------------------------------------------------
 
 
-def _macro_sample(args):
-    cfg, base_seed, sample_id, snapshot_steps = args
-    rng = RngStream(base_seed, sample_id)
-    snapshots, stats = run_macro(cfg, rng, snapshot_steps=snapshot_steps)
-    stack = np.stack([np.stack([s.h, s.c, s.n]) for s in snapshots])
-    return sample_id, stack, stats.clamp_events, stats.max_residual
+@dataclass
+class SampleRecord:
+    """What one sample contributes: the fields that enter the moments, the
+    values kept when the sample is exported, and its diagnostics."""
+
+    fields: np.ndarray
+    export: np.ndarray
+    clamp_events: int
+    max_residual: float = 0.0
+    survival: float | None = None
 
 
-def _micro_sample(args):
-    cfg, base_seed, sample_id = args
+def _run_sample(args) -> SampleRecord:
+    kind, cfg, base_seed, sample_id, snapshot_steps = args
     rng = RngStream(base_seed, sample_id)
+    if kind == "macro":
+        snapshots, stats = run_macro(cfg, rng, snapshot_steps=snapshot_steps)
+        stack = np.stack([np.stack([s.h, s.c, s.n]) for s in snapshots])
+        return SampleRecord(stack, stack, stats.clamp_events, stats.max_residual)
     state, alive_series = run_micro(cfg, rng)
-    fields = np.stack([state.acid, state.tissue])
-    return (
-        sample_id,
-        survival_fraction(state, cfg.n_particles),
-        fields,
-        state.clamp_events,
-        np.asarray(alive_series),
+    return SampleRecord(
+        fields=np.stack([state.acid, state.tissue]),
+        export=np.asarray(alive_series),
+        clamp_events=state.clamp_events,
+        survival=survival_fraction(state, cfg.n_particles),
     )
 
 
@@ -154,71 +160,50 @@ def _map_samples(fn, payloads, workers):
 def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
     """Run ``ens.n_samples`` independent simulations and stream the moments.
 
-    A failing sample aborts the whole ensemble; the raised error names the
-    seed pair needed to replay it.  Accumulation order is fixed by sample
-    id, so results do not depend on worker count or scheduling.
+    The inputs are checked before any sample starts.  A failing sample
+    aborts the whole ensemble; the raised error names the seed pair needed
+    to replay it.  Accumulation order is fixed by sample id, so results do
+    not depend on worker count or scheduling.
     """
-    if kind not in ("micro", "macro"):
+    config_type = {"macro": MacroConfig, "micro": MicroConfig}.get(kind)
+    if config_type is None:
         raise ConfigInvalid(f"unknown ensemble kind {kind!r}")
+    if not isinstance(cfg, config_type):
+        raise ConfigInvalid(f"{kind} ensemble needs a {config_type.__name__}")
+    export = set(ens.export_sample_ids)
+    outside = sorted(i for i in export if not 0 <= i < ens.n_samples)
+    if outside:
+        raise ConfigInvalid(
+            f"export sample ids outside [0, {ens.n_samples}): {outside}"
+        )
+    steps = tuple(ens.snapshot_steps)
+    if kind == "macro":
+        # run_macro keeps snapshots in step order, once per distinct step
+        steps = tuple(sorted(snapshot_set(cfg, steps or (0, cfg.n_steps))))
+
     acc = WelfordAccumulator()
     stats = EnsembleStats(
         kind=kind,
         n_samples=ens.n_samples,
-        snapshot_steps=tuple(ens.snapshot_steps),
+        snapshot_steps=steps,
         mean=None,
         variance=None,
         moments=None,
     )
-    export = set(ens.export_sample_ids)
-
-    if kind == "macro":
-        if not isinstance(cfg, MacroConfig):
-            raise ConfigInvalid("macro ensemble needs a MacroConfig")
-        steps = tuple(ens.snapshot_steps) or (0, cfg.n_steps)
-        stats.snapshot_steps = steps
-        payloads = [(cfg, ens.base_seed, i, steps) for i in range(ens.n_samples)]
-        results = {}
-        next_id = 0
-        try:
-            for sample_id, stack, clamps, residual in _map_samples(
-                _macro_sample, payloads, ens.workers
-            ):
-                results[sample_id] = (stack, clamps, residual)
-                while next_id in results:
-                    stack_i, clamps_i, residual_i = results.pop(next_id)
-                    acc.add(stack_i)
-                    stats.clamp_events += clamps_i
-                    stats.max_residual = max(stats.max_residual, residual_i)
-                    if next_id in export:
-                        stats.exported[next_id] = stack_i
-                    next_id += 1
-        except Exception as exc:  # noqa: BLE001 - context added, then re-raised
-            if isinstance(exc, EnsembleSampleError):
-                raise
-            raise EnsembleSampleError(ens.base_seed, next_id, exc) from exc
-    else:
-        if not isinstance(cfg, MicroConfig):
-            raise ConfigInvalid("micro ensemble needs a MicroConfig")
-        payloads = [(cfg, ens.base_seed, i) for i in range(ens.n_samples)]
-        results = {}
-        next_id = 0
-        try:
-            for sample_id, survival, fields, clamps, alive in _map_samples(
-                _micro_sample, payloads, ens.workers
-            ):
-                results[sample_id] = (survival, fields, clamps, alive)
-                while next_id in results:
-                    surv_i, fields_i, clamps_i, alive_i = results.pop(next_id)
-                    acc.add(fields_i)
-                    stats.survival_samples.append(surv_i)
-                    stats.clamp_events += clamps_i
-                    if next_id in export:
-                        stats.exported[next_id] = alive_i
-                    next_id += 1
-        except Exception as exc:  # noqa: BLE001
-            if isinstance(exc, EnsembleSampleError):
-                raise
-            raise EnsembleSampleError(ens.base_seed, next_id, exc) from exc
+    payloads = [(kind, cfg, ens.base_seed, i, steps) for i in range(ens.n_samples)]
+    try:
+        # map yields in submission order, so records arrive by sample id
+        for sample_id, record in enumerate(_map_samples(_run_sample, payloads, ens.workers)):
+            acc.add(record.fields)
+            stats.clamp_events += record.clamp_events
+            stats.max_residual = max(stats.max_residual, record.max_residual)
+            if record.survival is not None:
+                stats.survival_samples.append(record.survival)
+            if sample_id in export:
+                stats.exported[sample_id] = record.export
+    except Exception as exc:  # noqa: BLE001 - context added, then re-raised
+        # every record before the failing one has been consumed
+        raise EnsembleSampleError(ens.base_seed, acc.count, exc) from exc
 
     stats.mean = acc.mean
     stats.variance = acc.variance()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BetaOutOfRange, EmptyGrid, ExponentOutOfRange
-from .grids import Grid, GridField, require_same_grid
+from .grids import Grid, GridField, laplacian5, require_same_grid
 from .symbols import SymbolSpec, _as_points
 
 _TAIL_REMAINDER = 1e-6
@@ -166,12 +166,7 @@ def spectral_oracle(grid: Grid, p: float, f: GridField) -> GridField:
 def standard_laplacian(grid: Grid, f: GridField) -> GridField:
     """Classical second-difference Laplacian, for the p -> 2 consistency check."""
     require_same_grid(f.grid, grid)
-    v = f.values
-    out = np.zeros_like(v)
-    for axis in range(grid.ndim):
-        d = grid.spacings[axis]
-        out += (np.roll(v, -1, axis=axis) + np.roll(v, 1, axis=axis) - 2.0 * v) / d**2
-    return GridField(grid, out)
+    return GridField(grid, laplacian5(f.values, grid))
 
 
 # ---------------------------------------------------------------------------

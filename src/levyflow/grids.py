@@ -97,3 +97,57 @@ class GridField:
 def require_same_grid(a: Grid, b: Grid):
     if a != b:
         raise GridMismatch(f"grids differ: {a} vs {b}")
+
+
+# ---------------------------------------------------------------------------
+# periodic stencils and smoothers shared by the field solvers
+# ---------------------------------------------------------------------------
+
+
+def laplacian5(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Classical second-difference Laplacian (the 5-point stencil in 2D)."""
+    out = np.zeros_like(values)
+    for axis in range(grid.ndim):
+        d = grid.spacings[axis]
+        out += (np.roll(values, -1, axis=axis) + np.roll(values, 1, axis=axis)
+                - 2.0 * values) / d**2
+    return out
+
+
+def centered_difference(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """Second-order centred first derivative along ``axis``."""
+    d = grid.spacings[axis]
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * d)
+
+
+def wrapped_gaussian_bump(grid: Grid, amp, sigma) -> np.ndarray:
+    """Gaussian bump centred in a 2D box, summed over the eight neighbouring
+    periodic images so that it is continuous across the boundary."""
+    xs, ys = grid.meshes()
+    lx, ly = grid.lengths
+    cx, cy = 0.5 * lx, 0.5 * ly
+    out = np.zeros(grid.shape)
+    for ix in (-1, 0, 1):
+        for iy in (-1, 0, 1):
+            out += np.exp(
+                -((xs - cx + ix * lx) ** 2 + (ys - cy + iy * ly) ** 2) / (2 * sigma**2)
+            )
+    return amp * out
+
+
+def periodic_gaussian_blur(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
+    """Convolve with a periodized Gaussian normalized to unit mass."""
+    if sigma <= 0:
+        return values.copy()
+    axes_kernels = []
+    for axis in range(grid.ndim):
+        x = grid.axis_coords(axis)
+        lx = grid.lengths[axis]
+        dist = np.minimum(x, lx - x)
+        axes_kernels.append(np.exp(-(dist**2) / (2 * sigma**2)))
+    if grid.ndim == 1:
+        kern = axes_kernels[0]
+    else:
+        kern = np.outer(axes_kernels[0], axes_kernels[1])
+    kern /= kern.sum()
+    return np.fft.ifftn(np.fft.fftn(values) * np.fft.fftn(kern)).real

@@ -22,23 +22,6 @@ class SolveResult:
     iterations: int
 
 
-@dataclass
-class LinearSystem:
-    """An assembled implicit step: operator application, right-hand side,
-    and after solving, the solution with its relative residual."""
-
-    apply: object
-    rhs: np.ndarray
-    solution: np.ndarray | None = None
-    residual: float | None = None
-
-    def solve(self, tol: float, max_iterations: int) -> SolveResult:
-        res = bicgstab(self.apply, self.rhs, tol, max_iterations)
-        self.solution = res.solution
-        self.residual = res.residual
-        return res
-
-
 def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResult:
     """Solve ``A x = b`` for a matrix-free operator to relative residual tol.
 

@@ -24,9 +24,9 @@ import numpy as np
 from .drivers import ProtonIndexDriver, QWienerSpec, RngStream, sample_qwiener_increment
 from .errors import ConfigInvalid, InvariantViolation
 from .fracops import FracLapOperator
-from .grids import Grid, GridField
+from .grids import (Grid, GridField, centered_difference, laplacian5,
+                    periodic_gaussian_blur, wrapped_gaussian_bump)
 from .linsolve import bicgstab
-from .micro import periodic_gaussian_blur
 
 _CLAMP_TOL = 1e-12
 
@@ -120,19 +120,6 @@ def _clamp(values: np.ndarray, stats: MacroRunStats | None) -> np.ndarray:
     return values
 
 
-def _bump(grid: Grid, amp, sigma):
-    xs, ys = grid.meshes()
-    lx, ly = grid.lengths
-    out = np.zeros(grid.shape)
-    for ix in (-1, 0, 1):
-        for iy in (-1, 0, 1):
-            out += np.exp(
-                -((xs - 0.5 * lx + ix * lx) ** 2 + (ys - 0.5 * ly + iy * ly) ** 2)
-                / (2 * sigma**2)
-            )
-    return amp * out
-
-
 def macro_init(cfg: MacroConfig) -> MacroState:
     ic_rng = RngStream(cfg.ic_seed, 0)
     raw = ic_rng.uniform(cfg.grid.shape)
@@ -140,8 +127,8 @@ def macro_init(cfg: MacroConfig) -> MacroState:
     lo, hi = smooth.min(), smooth.max()
     smooth = (smooth - lo) / (hi - lo) if hi > lo else np.zeros_like(smooth)
     return MacroState(
-        h=_bump(cfg.grid, cfg.h0_amp, cfg.h0_sigma),
-        c=_bump(cfg.grid, cfg.c0_amp, cfg.c0_sigma),
+        h=wrapped_gaussian_bump(cfg.grid, cfg.h0_amp, cfg.h0_sigma),
+        c=wrapped_gaussian_bump(cfg.grid, cfg.c0_amp, cfg.c0_sigma),
         n=0.5 + 0.5 * smooth,
         alpha_value=cfg.alpha_driver().alpha_of_h(0.0),
     )
@@ -150,20 +137,6 @@ def macro_init(cfg: MacroConfig) -> MacroState:
 # ---------------------------------------------------------------------------
 # difference helpers
 # ---------------------------------------------------------------------------
-
-
-def _laplacian5(values: np.ndarray, grid: Grid) -> np.ndarray:
-    out = np.zeros_like(values)
-    for axis in range(grid.ndim):
-        d = grid.spacings[axis]
-        out += (np.roll(values, -1, axis=axis) + np.roll(values, 1, axis=axis)
-                - 2.0 * values) / d**2
-    return out
-
-
-def _centered(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    d = grid.spacings[axis]
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * d)
 
 
 def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -202,13 +175,13 @@ def step_h(state: MacroState, cfg: MacroConfig, rng: RngStream,
     qspec = QWienerSpec(cfg.qwiener_modes)
     noise = sample_qwiener_increment(qspec, grid, tau, rng).values
     f_weight = state.c / (1.0 + state.c)
-    slopes = [_centered(state.c, grid, axis) for axis in range(grid.ndim)]
+    slopes = [centered_difference(state.c, grid, axis) for axis in range(grid.ndim)]
 
     def apply_op(x):
         adv = np.zeros_like(x)
         for axis, slope in enumerate(slopes):
-            adv += slope * _centered(x, grid, axis)
-        return x - tau * cfg.sigma_H * _laplacian5(x, grid) - tau * cfg.gamma_f * f_weight * adv
+            adv += slope * centered_difference(x, grid, axis)
+        return x - tau * cfg.sigma_H * laplacian5(x, grid) - tau * cfg.gamma_f * f_weight * adv
 
     rhs = (state.h
            + tau * cfg.gamma_1 * state.h * (1.0 - state.h)
@@ -268,6 +241,15 @@ def macro_step(state: MacroState, cfg: MacroConfig, rng: RngStream,
     return MacroState(h_new, c_new, n_new, state.t + cfg.tau, state.step + 1, alpha)
 
 
+def snapshot_set(cfg: MacroConfig, snapshot_steps) -> set:
+    """The distinct step indices to keep; each must lie in [0, n_steps]."""
+    wanted = set(int(s) for s in snapshot_steps)
+    bad = [s for s in wanted if s < 0 or s > cfg.n_steps]
+    if bad:
+        raise ConfigInvalid(f"snapshot steps out of range: {sorted(bad)}")
+    return wanted
+
+
 def run_macro(cfg: MacroConfig, rng: RngStream, snapshot_steps=None,
               initial_state: MacroState | None = None):
     """Run the full scheme; returns (snapshots, stats).
@@ -277,10 +259,7 @@ def run_macro(cfg: MacroConfig, rng: RngStream, snapshot_steps=None,
     """
     if snapshot_steps is None:
         snapshot_steps = [0, cfg.n_steps]
-    wanted = set(int(s) for s in snapshot_steps)
-    bad = [s for s in wanted if s < 0 or s > cfg.n_steps]
-    if bad:
-        raise ConfigInvalid(f"snapshot steps out of range: {sorted(bad)}")
+    wanted = snapshot_set(cfg, snapshot_steps)
 
     state = macro_init(cfg) if initial_state is None else initial_state.copy()
     stats = MacroRunStats()

@@ -17,7 +17,8 @@ import numpy as np
 
 from .drivers import GaussianNoise, RngStream, draw_noise
 from .errors import ConfigInvalid, NoAliveParticles
-from .grids import Grid, GridField
+from .grids import (Grid, GridField, centered_difference, periodic_gaussian_blur,
+                    wrapped_gaussian_bump)
 
 
 @dataclass(frozen=True)
@@ -114,47 +115,9 @@ def scatter_add(field_values: np.ndarray, grid: Grid, positions, amounts):
         np.add.at(field_values, (i, j), w * amounts)
 
 
-def tissue_gradient(grid: Grid, tissue: np.ndarray):
-    dx, dy = grid.spacings
-    gx = (np.roll(tissue, -1, axis=0) - np.roll(tissue, 1, axis=0)) / (2 * dx)
-    gy = (np.roll(tissue, -1, axis=1) - np.roll(tissue, 1, axis=1)) / (2 * dy)
-    return gx, gy
-
-
 # ---------------------------------------------------------------------------
 # initial conditions
 # ---------------------------------------------------------------------------
-
-
-def _wrapped_gaussian_bump(grid: Grid, amp, sigma):
-    xs, ys = grid.meshes()
-    lx, ly = grid.lengths
-    cx, cy = 0.5 * lx, 0.5 * ly
-    out = np.zeros(grid.shape)
-    for ix in (-1, 0, 1):
-        for iy in (-1, 0, 1):
-            out += np.exp(
-                -((xs - cx + ix * lx) ** 2 + (ys - cy + iy * ly) ** 2) / (2 * sigma**2)
-            )
-    return amp * out
-
-
-def periodic_gaussian_blur(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
-    """Convolve with a periodized Gaussian normalized to unit mass."""
-    if sigma <= 0:
-        return values.copy()
-    axes_kernels = []
-    for axis in range(grid.ndim):
-        x = grid.axis_coords(axis)
-        lx = grid.lengths[axis]
-        dist = np.minimum(x, lx - x)
-        axes_kernels.append(np.exp(-(dist**2) / (2 * sigma**2)))
-    if grid.ndim == 1:
-        kern = axes_kernels[0]
-    else:
-        kern = np.outer(axes_kernels[0], axes_kernels[1])
-    kern /= kern.sum()
-    return np.fft.ifftn(np.fft.fftn(values) * np.fft.fftn(kern)).real
 
 
 def micro_init(cfg: MicroConfig) -> MicroState:
@@ -175,7 +138,7 @@ def micro_init(cfg: MicroConfig) -> MicroState:
         velocities=np.zeros((m, 2)),
         protons=np.full(m, cfg.proton_init),
         alive=np.ones(m, dtype=bool),
-        acid=_wrapped_gaussian_bump(cfg.grid, cfg.acid_amp, cfg.acid_sigma),
+        acid=wrapped_gaussian_bump(cfg.grid, cfg.acid_amp, cfg.acid_sigma),
         tissue=tissue,
     )
 
@@ -205,9 +168,9 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
     tissue = state.tissue.copy()
     clamps = state.clamp_events
 
-    gx, gy = tissue_gradient(state.grid, tissue)
     grad = np.column_stack(
-        [gather(gx, state.grid, pos), gather(gy, state.grid, pos)]
+        [gather(centered_difference(tissue, state.grid, axis), state.grid, pos)
+         for axis in (0, 1)]
     )
     kicks = cfg.noise_scale * np.asarray(draw_noise(cfg.noise, rng, tau, size=(m, 2)))
     vel[a] += cfg.taxis_sign * grad[a] * tau + kicks[a]

@@ -3,6 +3,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from levyflow.cli import main
 from levyflow.formats import read_grid_binary, render_pgm, write_grid_binary
@@ -120,6 +121,22 @@ def test_config_parse_failure_exit_2(tmp_path):
     assert _run("--config", str(bad), "--out", str(tmp_path / "o"), "macro") == 2
     missing = tmp_path / "missing.cfg"
     assert _run("--config", str(missing), "--out", str(tmp_path / "o"), "macro") == 2
+
+
+@pytest.mark.parametrize("text, argv, problem", [
+    ("[macr]\nN = 2\n", ["macro"], "unknown section [macr]"),
+    ("[macro]\nN_x1 = 21.7\n", ["macro"], "N_x1"),
+    ("[macro]\nN = 2\n\n[ensemble]\nsnapshot_steps = 0, 200\n",
+     ["ensemble", "--kind", "macro", "--samples", "2"], "snapshot steps out of range"),
+    ("[ensemble]\nexport_samples = 0, 5\n",
+     ["ensemble", "--kind", "micro", "--samples", "2"], "export sample ids"),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text)
+    assert _run("--config", str(cfgfile), "--workers", "1", "--out", str(tmp_path / "o"),
+                *argv) == 2
+    assert problem in capsys.readouterr().err
 
 
 def test_manifest_reproducibility(tmp_path):

@@ -1,9 +1,14 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from levyflow.config import (
     ENSEMBLE_DEFAULTS,
     MACRO_DEFAULTS,
     MICRO_DEFAULTS,
+    SECTION_DEFAULTS,
+    _parse_scalar,
     ensemble_config_from,
     fracheck_params_from,
     macro_config_from,
@@ -11,6 +16,7 @@ from levyflow.config import (
     parse_config_text,
     render_config,
     resolve_section,
+    symbol_params_from,
 )
 from levyflow.drivers import CauchyModulatedNoise, SwitchingNoise
 from levyflow.errors import ConfigInvalid
@@ -47,6 +53,34 @@ def test_parse_errors():
         parse_config_text("[s]\nnot a pair\n")
     with pytest.raises(ConfigInvalid):
         parse_config_text("[]\n")
+    with pytest.raises(ConfigInvalid, match=r"unknown section \[macr\]"):
+        parse_config_text("[macr]\nN = 20\n")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("macro", "N_x1", 21.7),
+    ("macro", "qwiener_modes", 4.9),
+    ("macro", "N", True),
+    ("symbol", "points", float("inf")),
+    ("ensemble", "snapshot_steps", (0, 50.5)),
+    ("fracheck", "modes", (1, 2.5)),
+    ("fracheck", "exponents", ("x",)),
+])
+def test_non_integral_and_unreadable_values_rejected(section, key, value):
+    resolvers = {
+        "macro": macro_config_from,
+        "symbol": symbol_params_from,
+        "ensemble": lambda s: ensemble_config_from(s, 1, 1),
+        "fracheck": fracheck_params_from,
+    }
+    with pytest.raises(ConfigInvalid, match=key):
+        resolvers[section]({section: {key: value}})
+
+
+def test_integral_floats_accepted_for_integer_keys():
+    cfg, echo = macro_config_from({"macro": {"N_x1": 21.0, "qwiener_modes": 4.0}})
+    assert cfg.grid.shape == (21, 21) and cfg.qwiener_modes == 4
+    assert echo["N_x1"] == 21 and isinstance(echo["N_x1"], int)
 
 
 def test_render_parse_round_trip():
@@ -105,3 +139,53 @@ def test_fracheck_params_normalized():
     params = fracheck_params_from({"fracheck": {"resolutions": "64"}})
     assert params["resolutions"] == (64,)
     assert params["exponents"] == (0.5, 1.0, 1.5)
+
+
+def _documented_defaults():
+    """{section: {key: default}} read from the key tables of docs/config.md.
+
+    A row may name several keys with one shared default or one default
+    each (`a`, `a_1`, `a_2` | 1.0, 0.6, 0.9); a single key with several
+    values is a list default.
+    """
+    text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+    documented = {}
+    section = None
+    for line in text.splitlines():
+        heading = re.match(r"## `\[(\w+)\]`$", line)
+        if heading:
+            section = heading.group(1)
+            continue
+        if not line.startswith("|"):
+            continue
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if cells[0] in SECTION_DEFAULTS:  # the shared table: section | key | default
+            section, cells = cells[0], cells[1:]
+        elif not cells[0].startswith("`"):  # header or rule
+            continue
+        keys = re.findall(r"`(\w+)`", cells[0])
+        raw = cells[1]
+        if raw.startswith("`"):
+            values = (raw.split("`")[1],)
+        elif raw == "(empty)":
+            values = ((),)
+        else:
+            values = tuple(_parse_scalar(v) for v in raw.split(","))
+        if len(keys) == 1 and len(values) > 1:
+            values = (values,)
+        if len(values) == 1:
+            values = values * len(keys)
+        assert len(keys) == len(values), line
+        for key, value in zip(keys, values):
+            assert key not in documented.setdefault(section, {}), (section, key)
+            documented[section][key] = value
+    return documented
+
+
+def test_docs_tables_match_defaults():
+    documented = _documented_defaults()
+    assert set(documented) == set(SECTION_DEFAULTS)
+    for section, defaults in SECTION_DEFAULTS.items():
+        assert documented[section] == defaults, section
+        for key, value in defaults.items():
+            assert type(documented[section][key]) is type(value), (section, key)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from levyflow import ensemble
 from levyflow.drivers import RngStream
 from levyflow.ensemble import (
     EnsembleConfig,
@@ -9,7 +10,7 @@ from levyflow.ensemble import (
     welford_merge,
 )
 from levyflow.errors import ConfigInvalid, EnsembleSampleError
-from levyflow.macro import MacroConfig
+from levyflow.macro import MacroConfig, run_macro
 from levyflow.micro import MicroConfig, run_micro, survival_fraction
 
 SMALL_MACRO = MacroConfig(n_steps=8)
@@ -129,11 +130,35 @@ def test_export_sample_ids():
 def test_sample_failure_aborts_with_seed():
     # an unsolvable configuration: zero iterations allowed with diffusion on
     bad = MacroConfig(n_steps=1, solver_max_iterations=1, solver_tol=1e-16)
-    ens = EnsembleConfig(n_samples=2, base_seed=99)
-    with pytest.raises(EnsembleSampleError) as err:
-        run_ensemble("macro", bad, ens)
-    assert err.value.base_seed == 99
-    assert err.value.sample_index == 0
+    for workers in (1, 2):
+        ens = EnsembleConfig(n_samples=2, base_seed=99, workers=workers)
+        with pytest.raises(EnsembleSampleError) as err:
+            run_ensemble("macro", bad, ens)
+        assert err.value.base_seed == 99
+        assert err.value.sample_index == 0
+
+
+@pytest.mark.parametrize("kind, cfg, ens", [
+    ("macro", SMALL_MACRO, EnsembleConfig(n_samples=2, snapshot_steps=(0, 200))),
+    ("macro", SMALL_MACRO, EnsembleConfig(n_samples=2, snapshot_steps=(-1,))),
+    ("macro", SMALL_MACRO, EnsembleConfig(n_samples=2, export_sample_ids=(2,))),
+    ("micro", SMALL_MICRO, EnsembleConfig(n_samples=2, export_sample_ids=(-1,))),
+])
+def test_bad_input_rejected_before_any_sample(monkeypatch, kind, cfg, ens):
+    def no_samples(*args, **kwargs):
+        raise AssertionError("a sample started")
+
+    monkeypatch.setattr(ensemble, "_map_samples", no_samples)
+    with pytest.raises(ConfigInvalid):
+        run_ensemble(kind, cfg, ens)
+
+
+def test_unsorted_snapshot_steps_keep_their_labels():
+    ens = EnsembleConfig(n_samples=1, base_seed=7, snapshot_steps=(8, 0, 8))
+    stats = run_ensemble("macro", SMALL_MACRO, ens)
+    assert stats.snapshot_steps == (0, 8)
+    snapshots, _ = run_macro(SMALL_MACRO, RngStream(7, 0), snapshot_steps=(0,))
+    assert np.array_equal(stats.mean[0, 1], snapshots[0].c)
 
 
 def test_kind_config_mismatch():

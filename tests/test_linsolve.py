@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from levyflow.errors import SolverDiverged
-from levyflow.linsolve import LinearSystem, bicgstab
+from levyflow.linsolve import bicgstab
 
 
 def _dense_system(seed, n=60):
@@ -54,10 +54,3 @@ def test_divergence_reported():
     with pytest.raises(SolverDiverged):
         bicgstab(lambda x: a @ x, b + 1.0, tol=1e-14, max_iterations=1, x0=np.zeros_like(b))
 
-
-def test_linear_system_wrapper():
-    a, b = _dense_system(6)
-    system = LinearSystem(apply=lambda x: a @ x, rhs=b)
-    res = system.solve(1e-11, 600)
-    assert system.residual == res.residual <= 1e-11
-    assert np.allclose(system.solution, np.linalg.solve(a, b), atol=1e-7)

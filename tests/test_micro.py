@@ -3,7 +3,7 @@ import pytest
 
 from levyflow.drivers import RngStream
 from levyflow.errors import ConfigInvalid, NoAliveParticles
-from levyflow.grids import Grid
+from levyflow.grids import Grid, periodic_gaussian_blur
 from levyflow.micro import (
     MicroConfig,
     MicroState,
@@ -12,7 +12,6 @@ from levyflow.micro import (
     gather,
     micro_init,
     micro_step,
-    periodic_gaussian_blur,
     run_micro,
     scatter_add,
     survival_fraction,
