@@ -219,6 +219,18 @@ def cmd_macro(args) -> int:
     return EXIT_OK
 
 
+def _write_macro_stacks(out: Path, grid: Grid, steps, named_stacks) -> list:
+    """One LVF1 file ``{name}_{H,C,N}_step{step:04d}.lvf`` per snapshot and
+    field of each (name, stack) pair; a stack is indexed [snapshot, field]."""
+    paths = []
+    for si, step in enumerate(steps):
+        for fi, label in enumerate(("H", "C", "N")):
+            for name, stack in named_stacks:
+                f = grid_field_from_values(grid, stack[si, fi])
+                paths.append(write_grid_binary(out / f"{name}_{label}_step{step:04d}.lvf", f))
+    return paths
+
+
 def cmd_ensemble(args) -> int:
     sections = _load_sections(args)
     ens, echo_e = cfgmod.ensemble_config_from(sections, args.seed, args.workers)
@@ -237,15 +249,14 @@ def cmd_ensemble(args) -> int:
         echo = cfgmod.echo_sections(ensemble=echo_e, micro=echo_c)
     out = _out_dir(args)
     stats = run_ensemble(kind, cfg, ens)
-    paths = []
+    exported = [(f"sample{i:04d}", values) for i, values in sorted(stats.exported.items())]
     if kind == "macro":
-        for si, step in enumerate(stats.snapshot_steps):
-            for fi, label in enumerate(("H", "C", "N")):
-                mean_f = grid_field_from_values(cfg.grid, stats.mean[si, fi])
-                var_f = grid_field_from_values(cfg.grid, stats.variance[si, fi])
-                paths.append(write_grid_binary(out / f"mean_{label}_step{step:04d}.lvf", mean_f))
-                paths.append(write_grid_binary(out / f"var_{label}_step{step:04d}.lvf", var_f))
+        steps = stats.snapshot_steps
+        paths = _write_macro_stacks(out, cfg.grid, steps,
+                                    [("mean", stats.mean), ("var", stats.variance)])
+        paths += _write_macro_stacks(out, cfg.grid, steps, exported)
     else:
+        paths = []
         rows = [(i, s) for i, s in enumerate(stats.survival_samples)]
         paths.append(write_csv(out / "survival_samples.csv", ["sample", "survival"], rows))
         paths.append(
@@ -260,6 +271,9 @@ def cmd_ensemble(args) -> int:
             var_f = grid_field_from_values(cfg.grid, stats.variance[fi])
             paths.append(write_grid_binary(out / f"mean_{label}.lvf", mean_f))
             paths.append(write_grid_binary(out / f"var_{label}.lvf", var_f))
+        for stem, alive in exported:
+            paths.append(write_csv(out / f"{stem}_alive.csv", ["step", "alive"],
+                                   list(enumerate(alive.tolist()))))
     manifest = _manifest(args.seed, echo)
     _finish(manifest, out, paths)
     print(f"ensemble: {ens.n_samples} {kind} samples with {args.workers} worker(s)")

@@ -244,9 +244,25 @@ def _tuple_of(convert, section: str, key: str, value) -> tuple:
         raise ConfigInvalid(f"[{section}] {key}: cannot interpret {value!r}") from exc
 
 
+def _require(ok: bool, section: str, key: str, rule: str):
+    """Refuse a value the grid, the operator or the noise cannot be built from."""
+    if not ok:
+        raise ConfigInvalid(f"[{section}] {key}: {rule}")
+
+
 def macro_config_from(sections) -> tuple:
     """Returns (MacroConfig, resolved mapping for the echo)."""
     r = resolve_section("macro", MACRO_DEFAULTS, sections)
+    modes = r["qwiener_modes"]
+    _require(modes >= 1, "macro", "qwiener_modes", f"need at least 1 mode, got {modes}")
+    for axis in ("x1", "x2"):
+        n, h = r[f"N_{axis}"], r[f"h_{axis}"]
+        _require(h > 0, "macro", f"h_{axis}", f"spacing must be positive, got {h}")
+        _require(n >= 3, "macro", f"N_{axis}",
+                 f"need at least 3 nodes for the fractional operator, got {n}")
+        _require(2 * modes <= n, "macro", "qwiener_modes",
+                 f"{modes} modes exceed the Nyquist limit of N_{axis} = {n} "
+                 f"(at most {n // 2})")
     scalars = dict(r)
     shape = (scalars.pop("N_x1"), scalars.pop("N_x2"))
     spacing = (scalars.pop("h_x1"), scalars.pop("h_x2"))
@@ -262,8 +278,10 @@ def micro_config_from(sections) -> tuple:
         raise ConfigInvalid(
             f"unknown noise {noise_name!r}; choose from {sorted(_NOISE_LAWS)}"
         )
-    n = scalars.pop("grid_points")
-    grid = Grid((scalars.pop("domain_length"),) * 2, (n, n))
+    n, length = scalars.pop("grid_points"), scalars.pop("domain_length")
+    _require(n >= 2, "micro", "grid_points", f"need at least 2 nodes per axis, got {n}")
+    _require(length > 0, "micro", "domain_length", f"must be positive, got {length}")
+    grid = Grid((length,) * 2, (n, n))
     cfg = _build(MicroConfig, scalars, _MICRO_ALIASES,
                  noise=_NOISE_LAWS[noise_name](), grid=grid)
     return cfg, r
@@ -289,6 +307,13 @@ def fracheck_params_from(sections) -> dict:
     r = resolve_section("fracheck", FRACHECK_DEFAULTS, sections)
     for key, convert in (("resolutions", _integral), ("exponents", float), ("modes", _integral)):
         r[key] = _tuple_of(convert, "fracheck", key, r[key])
+    _require(all(m >= 3 for m in r["resolutions"]), "fracheck", "resolutions",
+             f"each needs at least 3 points for the operator's cutoff, got {r['resolutions']}")
+    _require(all(0 < p < 2 for p in r["exponents"]), "fracheck", "exponents",
+             f"each must lie in (0, 2), got {r['exponents']}")
+    _require(all(k >= 1 for k in r["modes"]), "fracheck", "modes",
+             f"each must be at least 1, got {r['modes']}")
+    _require(r["length"] > 0, "fracheck", "length", f"must be positive, got {r['length']}")
     return r
 
 

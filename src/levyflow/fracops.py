@@ -2,10 +2,12 @@
 
 The production operator is the splitting scheme: a singular second-difference
 part with coefficient ``c / ((2 - p) h^p)`` plus a quadrature of the integral
-tail, wrapped periodically.  Everything it produces approximates the
-*generator* ``-(-Laplace)^{p/2}`` (negative semidefinite); the spectral
-oracle applies the exact Fourier multiplier ``-|xi|^p`` and serves as ground
-truth in the acceptance comparisons.
+tail, wrapped periodically (Huang & Oberman, SIAM J. Numer. Anal. 52, 2014).
+The wrapped kernel is circulant, so the operator is applied and inverted as a
+Fourier multiplier made of the kernel's own eigenvalues.  Everything it
+produces approximates the *generator* ``-(-Laplace)^{p/2}`` (negative
+semidefinite); the spectral oracle applies the exact Fourier multiplier
+``-|xi|^p`` and serves as ground truth in the acceptance comparisons.
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ def default_tail_nodes(p: float, h: float, axis_points: int) -> int:
 def _axis_kernel(axis_points: int, spacing: float, p: float, cutoff_steps: int, n_tail: int):
     """Periodic difference kernel of the 1D operator along one axis.
 
-    Returns (offsets, weights, far) such that
+    Returns (kernel, far), ``kernel`` a dense length-M array with
+    ``kernel[0] = 0``, such that
 
-        (A f)[k] = sum_j weights[j] * (f[(k + offsets[j]) % M] - f[k])
+        (A f)[k] = sum_o kernel[o] * (f[(k + o) % M] - f[k])
                    + far * (mean(f) - f[k]).
 
     The tail uses product-trapezoid weights: the increment is interpolated
@@ -86,53 +89,82 @@ def _axis_kernel(axis_points: int, spacing: float, p: float, cutoff_steps: int, 
     np.add.at(kernel, (-i * cutoff_steps) % m, w)
     far = 2.0 * c1 * (n_tail * h) ** (-p) / p
     kernel[0] = 0.0  # offsets that wrap onto the center contribute nothing
-    nz = np.nonzero(kernel)[0]
-    return nz, kernel[nz], far
+    return kernel, far
+
+
+def _axis_symbol(kernel: np.ndarray, far: float) -> np.ndarray:
+    """Eigenvalues of the circulant 1D operator on the FFT modes 0..M-1.
+
+    The kernel is symmetric, so its DFT is real: mode k has eigenvalue
+    ``Re FFT(kernel)_k - sum(kernel) - far * [k != 0]`` (the mean of a
+    nonzero mode vanishes).
+    """
+    lam = np.fft.fft(kernel).real - kernel.sum() - far
+    lam[0] = 0.0
+    return lam
 
 
 @dataclass
 class FracLapOperator:
-    """Matrix-free ``-(-Laplace)^{p/2}`` on a periodic grid.
+    """``-(-Laplace)^{p/2}`` on a periodic grid, diagonal in Fourier space.
 
     In 2D the operator is the sum of the two per-axis 1D operators
     (dimension splitting); the isotropic 2D integral is intentionally not
-    used, matching the per-axis update scheme of the macro solver.
+    used, matching the per-axis update scheme of the macro solver.  Each
+    per-axis kernel is circulant, so the build stores the operator's real
+    eigenvalues on the ``rfftn`` grid: applying it and solving
+    ``(I - shift A) x = b`` are each one FFT pair.
     """
 
     grid: Grid
     exponent: float
     cutoff_steps: int = 1
     n_tail: int | None = None
-    _axes: list = field(init=False, repr=False)
+    _symbol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.exponent < 2.0:
             raise ExponentOutOfRange(f"exponent must lie in (0,2), got {self.exponent}")
         if self.cutoff_steps < 1:
             raise ExponentOutOfRange("cutoff must be at least one grid step")
-        self._axes = []
-        for axis in range(self.grid.ndim):
+        ndim = self.grid.ndim
+        self._symbol = np.zeros(())
+        for axis in range(ndim):
             m = self.grid.shape[axis]
             if 2 * self.cutoff_steps >= m:
                 raise ExponentOutOfRange("cutoff radius too large for the grid")
             d = self.grid.spacings[axis]
             h = self.cutoff_steps * d
             n_tail = self.n_tail or default_tail_nodes(self.exponent, h, m)
-            self._axes.append(_axis_kernel(m, d, self.exponent, self.cutoff_steps, n_tail))
+            lam = _axis_symbol(*_axis_kernel(m, d, self.exponent, self.cutoff_steps, n_tail))
+            if axis == ndim - 1:  # rfftn keeps the nonnegative half of the last axis
+                lam = lam[: m // 2 + 1]
+            shape = [1] * ndim
+            shape[axis] = lam.size
+            self._symbol = self._symbol + lam.reshape(shape)
 
     @property
     def cutoff_radius(self) -> float:
         return self.cutoff_steps * self.grid.spacings[0]
 
+    def _multiply(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+        axes = tuple(range(self.grid.ndim))
+        spectrum = np.fft.rfftn(values, axes=axes)
+        return np.fft.irfftn(multiplier * spectrum, s=values.shape, axes=axes)
+
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(values)
-        for axis, (offsets, weights, far) in enumerate(self._axes):
-            mean_ax = values.mean(axis=axis, keepdims=True)
-            acc = far * (mean_ax - values)
-            for off, w in zip(offsets, weights):
-                acc += w * (np.roll(values, -int(off), axis=axis) - values)
-            out += acc
-        return out
+        return self._multiply(values, self._symbol)
+
+    def solve_shifted(self, b: np.ndarray, shift: float) -> np.ndarray:
+        """Exact solution of ``(I - shift A) x = b``.
+
+        ``A`` is negative semidefinite, so any ``shift >= 0`` gives a
+        nonsingular system.  ``shift == 0`` returns a copy of ``b``, bit
+        for bit.
+        """
+        if shift == 0:
+            return b.copy()
+        return self._multiply(b, 1.0 / (1.0 - shift * self._symbol))
 
     def apply(self, f: GridField) -> GridField:
         require_same_grid(f.grid, self.grid)

@@ -1,9 +1,11 @@
-"""Matrix-free BiCGSTAB for the implicit field updates.
+"""Matrix-free BiCGSTAB for the implicit proton-index update.
 
-The implicit systems of the macro solver are nonsymmetric (advection and
-taxis couplings), which rules out plain conjugate gradients.  All systems
-are small and strongly diagonally dominant, so an unpreconditioned
-stabilized bi-conjugate gradient iteration converges in a handful of steps.
+The H-step system of the macro solver is nonsymmetric (advection by the
+cell-density gradient), which rules out plain conjugate gradients.  It is
+small and strongly diagonally dominant, so an unpreconditioned stabilized
+bi-conjugate gradient iteration converges in a handful of steps.  (The
+C-step's fractional system is circulant and is solved exactly by FFT in
+``fracops``.)
 """
 
 from __future__ import annotations

@@ -139,19 +139,83 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     assert problem in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, command, key", [
+    ("[macro]\nN_x1 = 1\n", "macro", "N_x1"),
+    ("[macro]\nh_x1 = -0.1\n", "macro", "h_x1"),
+    ("[macro]\nN_x1 = 4\n", "macro", "qwiener_modes"),
+    ("[macro]\nqwiener_modes = 0\n", "macro", "qwiener_modes"),
+    ("[micro]\ngrid_points = 1\n", "micro", "grid_points"),
+    ("[micro]\ndomain_length = 0\n", "micro", "domain_length"),
+    ("[fracheck]\nresolutions = 1\n", "fracheck", "resolutions"),
+    ("[fracheck]\nresolutions = 2\n", "fracheck", "resolutions"),
+    ("[fracheck]\nlength = 0\n", "fracheck", "length"),
+    ("[fracheck]\nexponents = 0.5, 2.0\n", "fracheck", "exponents"),
+    ("[fracheck]\nmodes = 0\n", "fracheck", "modes"),
+])
+def test_bad_grid_keys_exit_2(tmp_path, capsys, text, command, key):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text)
+    assert _run("--config", str(cfgfile), "--out", str(tmp_path / "o"), command) == 2
+    assert f"] {key}:" in capsys.readouterr().err
+
+
+def _manifest_digests(out):
+    data = json.loads((out / "manifest.json").read_text())
+    return {e["path"]: e["sha256"] for e in data["outputs"]}
+
+
+def test_ensemble_exports_requested_samples(tmp_path):
+    from levyflow.config import macro_config_from, micro_config_from, parse_config_text
+    from levyflow.drivers import RngStream
+    from levyflow.macro import run_macro
+    from levyflow.micro import run_micro
+
+    text = ("[macro]\nN = 4\n\n[micro]\nM = 200\nN = 5\n\n"
+            "[ensemble]\nsnapshot_steps = 0, 4\nexport_samples = 0, 2\n")
+    cfgfile = tmp_path / "e.cfg"
+    cfgfile.write_text(text)
+    sections = parse_config_text(text)
+    macro_cfg, _ = macro_config_from(sections)
+    micro_cfg, _ = micro_config_from(sections)
+    for kind in ("macro", "micro"):
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"{kind}{workers}"
+            assert _run("--config", str(cfgfile), "--seed", "17", "--workers", str(workers),
+                        "--out", str(out), "ensemble", "--kind", kind, "--samples", "3") == 0
+            runs[workers] = _manifest_digests(out)
+        assert runs[1] == runs[2]
+        out = tmp_path / f"{kind}1"
+        assert not list(out.glob("sample0001_*"))
+        for sample in (0, 2):
+            stem = f"sample{sample:04d}"
+            rng = RngStream(17, sample)
+            if kind == "macro":
+                snaps, _ = run_macro(macro_cfg, rng, snapshot_steps=[0, 4])
+                for snap in snaps:
+                    for label in ("H", "C", "N"):
+                        name = f"{stem}_{label}_step{snap.step:04d}.lvf"
+                        assert name in runs[1]
+                        values, _ = read_grid_binary(out / name)
+                        assert np.array_equal(values, getattr(snap, label.lower()))
+            else:
+                _, alive = run_micro(micro_cfg, rng)
+                name = f"{stem}_alive.csv"
+                assert name in runs[1]
+                rows = _read_csv(out / name)
+                assert rows[0] == ["step", "alive"]
+                assert [(int(a), int(b)) for a, b in rows[1:]] == list(enumerate(alive))
+
+
 def test_manifest_reproducibility(tmp_path):
     cfgfile = tmp_path / "e.cfg"
     cfgfile.write_text("[macro]\nN = 4\n\n[ensemble]\nsnapshot_steps = 4\n")
-
-    def digests(out):
-        data = json.loads((out / "manifest.json").read_text())
-        return {e["path"]: e["sha256"] for e in data["outputs"]}
 
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):
         assert _run("--config", str(cfgfile), "--seed", "31", "--workers", "1",
                     "--out", str(out), "ensemble", "--samples", "2") == 0
-    assert digests(out1) == digests(out2)
+    assert _manifest_digests(out1) == _manifest_digests(out2)
 
 
 def test_manifest_config_echo_reparses(tmp_path):

@@ -11,14 +11,17 @@ from levyflow.errors import (
 )
 from levyflow.fracops import (
     FracLapOperator,
+    _axis_kernel,
     alpha_resolvent_holder_check,
     apply_frac_laplacian,
+    default_tail_nodes,
     frac_constant,
     multiplier_lipschitz_check,
     spectral_oracle,
     standard_laplacian,
 )
 from levyflow.grids import Grid, GridField
+from levyflow.linsolve import bicgstab
 from levyflow.symbols import QuadraticSymbol
 
 GRID_1D = Grid((1.0,), (128,))
@@ -154,6 +157,59 @@ def test_oracle_trivials():
         f = GridField(grid, np.cos(2 * np.pi * k * x))
         lam = spectral_oracle(grid, 2.0, f).values[0] / f.values[0]
         assert lam == pytest.approx(-((2 * math.pi * k) ** 2), rel=1e-10)
+
+
+def _roll_apply(op, values):
+    """Reference apply: the per-axis kernel summed tap by tap with np.roll."""
+    out = np.zeros_like(values)
+    for axis in range(op.grid.ndim):
+        m = op.grid.shape[axis]
+        d = op.grid.spacings[axis]
+        n_tail = op.n_tail or default_tail_nodes(op.exponent, op.cutoff_steps * d, m)
+        kernel, far = _axis_kernel(m, d, op.exponent, op.cutoff_steps, n_tail)
+        acc = far * (values.mean(axis=axis, keepdims=True) - values)
+        for off in np.nonzero(kernel)[0]:
+            acc += kernel[off] * (np.roll(values, -int(off), axis=axis) - values)
+        out += acc
+    return out
+
+
+SPECTRAL_CASES = [
+    (GRID_1D, 1),
+    (Grid((1.0,), (45,)), 2),
+    (Grid((2.1, 2.1), (21, 21)), 1),
+    (GRID_2D, 1),  # anisotropic: unequal lengths, counts and spacings
+]
+
+
+@pytest.mark.parametrize("grid, cutoff", SPECTRAL_CASES, ids=["1d", "1d-odd", "2d", "2d-aniso"])
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 1.8])
+def test_spectral_apply_matches_tap_sum(grid, cutoff, p):
+    op = FracLapOperator(grid, p, cutoff_steps=cutoff)
+    rng = np.random.Generator(np.random.Philox(key=[11, 0]))
+    values = rng.standard_normal(grid.shape)
+    ref = _roll_apply(op, values)
+    assert np.linalg.norm(op.apply_values(values) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("p", [1.2, 1.8])
+def test_solve_shifted_matches_bicgstab(grid, p):
+    op = FracLapOperator(grid, p)
+    shift = 1e-3  # keeps BiCGSTAB clear of breakdown at its tight tolerance
+    b = np.random.Generator(np.random.Philox(key=[6, 0])).standard_normal(grid.shape)
+
+    def apply_op(x):
+        return x - shift * op.apply_values(x)
+
+    x = op.solve_shifted(b, shift)
+    residual = np.linalg.norm(b - apply_op(x)) / np.linalg.norm(b)
+    assert residual <= 1e-13
+    ref = bicgstab(apply_op, b, tol=1e-13).solution
+    assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
+    # a zero shift is the identity, bit for bit, and returns a copy
+    same = op.solve_shifted(b, 0.0)
+    assert np.array_equal(same, b) and same is not b
 
 
 def test_grid_mismatch():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyflow.drivers import RngStream
-from levyflow.errors import ConfigInvalid
+from levyflow.errors import ConfigInvalid, SolverDiverged
 from levyflow.grids import Grid
 from levyflow.macro import (
     MacroConfig,
@@ -20,7 +20,7 @@ from levyflow.macro import (
 )
 
 # bitwise regression anchor for the shipped default configuration
-GOLDEN_FINAL_SHA256 = "ec987d821b861195a8b7d25e253f281372de4200890ddb38f9dd634966d01617"
+GOLDEN_FINAL_SHA256 = "e7a3772141cb2bba42b448c21e6aee1b9b8166a13794146cc522db11bad1e16f"
 
 
 def _uniform_state(cfg, h=0.5, c=0.5, n=0.8):
@@ -93,6 +93,17 @@ def test_step_c_trivials_and_conservation():
     out, _ = step_c(state, cfg, state.h, state.n)
     assert out.sum() == pytest.approx(state.c.sum(), rel=1e-8)
     assert not np.allclose(out, state.c)
+
+
+def test_step_c_checks_its_residual_against_solver_tol():
+    cfg = MacroConfig()
+    state = macro_init(cfg)
+    stats = MacroRunStats()
+    step_c(state, cfg, state.h, state.n, stats)
+    assert 0.0 < stats.max_residual <= 1e-13
+    assert stats.total_iterations == 0
+    with pytest.raises(SolverDiverged):
+        step_c(state, MacroConfig(solver_tol=1e-300), state.h, state.n)
 
 
 def test_flux_divergence_telescopes():
