@@ -16,7 +16,6 @@ from .drivers import (
     QWienerSpec,
     RngStream,
     SwitchingNoise,
-    alpha_of_h,
     bridge_value,
     draw_noise,
     sample_qwiener_increment,
@@ -25,7 +24,6 @@ from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble, welford_merge
 from .fracops import (
     FracLapOperator,
     alpha_resolvent_holder_check,
-    apply_frac_laplacian,
     frac_constant,
     multiplier_lipschitz_check,
     spectral_oracle,
@@ -44,16 +42,10 @@ from .micro import (
 )
 from .symbols import (
     AffinePowerBernstein,
-    CompoundPoissonSymbol,
     ComposedSymbol,
     DiscreteJumpLaw,
-    DriftQuadraticSymbol,
     GaussianJumpLaw,
-    IdentityBernstein,
     LevyQuadruple,
-    PoissonSymbol,
-    PowerBernstein,
-    QuadraticSymbol,
     ScaledSymbol,
     ShiftedSymbol,
     StableSymbol,
@@ -61,7 +53,6 @@ from .symbols import (
     characteristic_function,
     compose_symbols,
     driven_symbol,
-    eval_symbol,
     generator_symbol_table,
     growth_bound_constant,
 )

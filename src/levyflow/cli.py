@@ -30,7 +30,6 @@ from .errors import (
 )
 from .formats import (
     RunManifest,
-    grid_field_from_values,
     read_grid_binary,
     write_contour_csv,
     write_csv,
@@ -226,7 +225,7 @@ def _write_macro_stacks(out: Path, grid: Grid, steps, named_stacks) -> list:
     for si, step in enumerate(steps):
         for fi, label in enumerate(("H", "C", "N")):
             for name, stack in named_stacks:
-                f = grid_field_from_values(grid, stack[si, fi])
+                f = GridField(grid, stack[si, fi])
                 paths.append(write_grid_binary(out / f"{name}_{label}_step{step:04d}.lvf", f))
     return paths
 
@@ -267,8 +266,8 @@ def cmd_ensemble(args) -> int:
             )
         )
         for fi, label in enumerate(("acid", "tissue")):
-            mean_f = grid_field_from_values(cfg.grid, stats.mean[fi])
-            var_f = grid_field_from_values(cfg.grid, stats.variance[fi])
+            mean_f = GridField(cfg.grid, stats.mean[fi])
+            var_f = GridField(cfg.grid, stats.variance[fi])
             paths.append(write_grid_binary(out / f"mean_{label}.lvf", mean_f))
             paths.append(write_grid_binary(out / f"var_{label}.lvf", var_f))
         for stem, alive in exported:

@@ -300,7 +300,10 @@ def ensemble_config_from(sections, base_seed: int, workers: int) -> tuple:
 
 
 def symbol_params_from(sections) -> dict:
-    return resolve_section("symbol", SYMBOL_DEFAULTS, sections)
+    r = resolve_section("symbol", SYMBOL_DEFAULTS, sections)
+    _require(r["points"] >= 1, "symbol", "points", f"need at least 1 probe point, got {r['points']}")
+    _require(r["xi_max"] > 0, "symbol", "xi_max", f"must be positive, got {r['xi_max']}")
+    return r
 
 
 def fracheck_params_from(sections) -> dict:

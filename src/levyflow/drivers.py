@@ -250,10 +250,6 @@ class ProtonIndexDriver:
         return out
 
 
-def alpha_of_h(driver: ProtonIndexDriver, h):
-    return driver.alpha_of_h(h)
-
-
 # ---------------------------------------------------------------------------
 # Q-Wiener field increments
 # ---------------------------------------------------------------------------

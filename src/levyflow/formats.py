@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigInvalid
-from .grids import Grid, GridField
+from .grids import GridField
 
 
 def fmt17(value) -> str:
@@ -182,7 +182,3 @@ def verify_manifest(path) -> bool:
         if sha256_file(base / entry["path"]) != entry["sha256"]:
             return False
     return True
-
-
-def grid_field_from_values(grid: Grid, values) -> GridField:
-    return GridField(grid, np.asarray(values))

@@ -129,23 +129,23 @@ class FracLapOperator:
             raise ExponentOutOfRange("cutoff must be at least one grid step")
         ndim = self.grid.ndim
         self._symbol = np.zeros(())
+        axis_symbols = {}  # one kernel per distinct (points, spacing)
         for axis in range(ndim):
             m = self.grid.shape[axis]
             if 2 * self.cutoff_steps >= m:
                 raise ExponentOutOfRange("cutoff radius too large for the grid")
             d = self.grid.spacings[axis]
-            h = self.cutoff_steps * d
-            n_tail = self.n_tail or default_tail_nodes(self.exponent, h, m)
-            lam = _axis_symbol(*_axis_kernel(m, d, self.exponent, self.cutoff_steps, n_tail))
+            if (m, d) not in axis_symbols:
+                h = self.cutoff_steps * d
+                n_tail = self.n_tail or default_tail_nodes(self.exponent, h, m)
+                kernel, far = _axis_kernel(m, d, self.exponent, self.cutoff_steps, n_tail)
+                axis_symbols[m, d] = _axis_symbol(kernel, far)
+            lam = axis_symbols[m, d]
             if axis == ndim - 1:  # rfftn keeps the nonnegative half of the last axis
                 lam = lam[: m // 2 + 1]
             shape = [1] * ndim
             shape[axis] = lam.size
             self._symbol = self._symbol + lam.reshape(shape)
-
-    @property
-    def cutoff_radius(self) -> float:
-        return self.cutoff_steps * self.grid.spacings[0]
 
     def _multiply(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
         axes = tuple(range(self.grid.ndim))
@@ -169,10 +169,6 @@ class FracLapOperator:
     def apply(self, f: GridField) -> GridField:
         require_same_grid(f.grid, self.grid)
         return GridField(self.grid, self.apply_values(f.values))
-
-
-def apply_frac_laplacian(op: FracLapOperator, f: GridField) -> GridField:
-    return op.apply(f)
 
 
 def spectral_oracle(grid: Grid, p: float, f: GridField) -> GridField:

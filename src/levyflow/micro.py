@@ -85,7 +85,22 @@ class MicroState:
 # ---------------------------------------------------------------------------
 
 
-def _corner_weights(grid: Grid, positions):
+@dataclass(frozen=True)
+class BilinearStencil:
+    """Corner indices and bilinear weights of a set of positions; indexing
+    with a mask gives the stencil of the masked positions."""
+
+    corners: tuple  # four (i, j) index-array pairs
+    weights: tuple  # four weight arrays
+
+    def __getitem__(self, mask) -> BilinearStencil:
+        return BilinearStencil(
+            tuple((i[mask], j[mask]) for i, j in self.corners),
+            tuple(w[mask] for w in self.weights),
+        )
+
+
+def bilinear_stencil(grid: Grid, positions) -> BilinearStencil:
     mx, my = grid.shape
     dx, dy = grid.spacings
     fx = positions[:, 0] / dx
@@ -98,20 +113,18 @@ def _corner_weights(grid: Grid, positions):
     wy = fy - np.floor(fy)
     corners = ((i0, j0), (i1, j0), (i0, j1), (i1, j1))
     weights = ((1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy)
-    return corners, weights
+    return BilinearStencil(corners, weights)
 
 
-def gather(field_values: np.ndarray, grid: Grid, positions) -> np.ndarray:
-    corners, weights = _corner_weights(grid, positions)
-    out = np.zeros(positions.shape[0])
-    for (i, j), w in zip(corners, weights):
+def gather(field_values: np.ndarray, stencil: BilinearStencil) -> np.ndarray:
+    out = np.zeros(stencil.weights[0].shape[0])
+    for (i, j), w in zip(stencil.corners, stencil.weights):
         out += w * field_values[i, j]
     return out
 
 
-def scatter_add(field_values: np.ndarray, grid: Grid, positions, amounts):
-    corners, weights = _corner_weights(grid, positions)
-    for (i, j), w in zip(corners, weights):
+def scatter_add(field_values: np.ndarray, stencil: BilinearStencil, amounts):
+    for (i, j), w in zip(stencil.corners, stencil.weights):
         np.add.at(field_values, (i, j), w * amounts)
 
 
@@ -168,15 +181,18 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
     tissue = state.tissue.copy()
     clamps = state.clamp_events
 
+    # the bilinear stencil of the positions before the move and after it
+    before = bilinear_stencil(state.grid, pos)
     grad = np.column_stack(
-        [gather(centered_difference(tissue, state.grid, axis), state.grid, pos)
-         for axis in (0, 1)]
+        [gather(centered_difference(tissue, state.grid, axis), before) for axis in (0, 1)]
     )
     kicks = cfg.noise_scale * np.asarray(draw_noise(cfg.noise, rng, tau, size=(m, 2)))
     vel[a] += cfg.taxis_sign * grad[a] * tau + kicks[a]
     pos[a] = np.mod(pos[a] + vel[a] * tau, np.asarray(state.grid.lengths))
+    after = bilinear_stencil(state.grid, pos)
+    after_alive = after[a]
 
-    acid_at = gather(acid, state.grid, pos)
+    acid_at = gather(acid, after)
     efflux = cfg.efflux_rate * protons / (1.0 + acid_at)
     buffering = cfg.buffering_rate * protons
     production = cfg.production_rate / (1.0 + protons)
@@ -187,7 +203,7 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
 
     # extracellular side: efflux arrives, the vasculature clears
     acid_rate = cfg.field_coupling * (efflux - cfg.vascular_uptake * acid_at)
-    scatter_add(acid, state.grid, pos[a], tau * acid_rate[a])
+    scatter_add(acid, after_alive, tau * acid_rate[a])
     neg = acid < 0
     clamps += int(np.count_nonzero(neg))
     acid[neg] = 0.0
@@ -195,10 +211,10 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
     # tissue decays where particles sit; the exact integrating factor keeps
     # it positive no matter how many particles share a cell
     exposure = np.zeros_like(tissue)
-    scatter_add(exposure, state.grid, pos[a], tau * cfg.tissue_decay * acid_at[a])
+    scatter_add(exposure, after_alive, tau * cfg.tissue_decay * acid_at[a])
     tissue *= np.exp(-exposure)
 
-    acid_now = gather(acid, state.grid, pos)
+    acid_now = gather(acid, after)
     killed = (protons < cfg.kill_low) | (protons > cfg.kill_high) | (
         acid_now > cfg.kill_acid
     )

@@ -10,6 +10,9 @@ Conventions used throughout the package:
   ``psi(xi) = a + i(b, xi) + (xi, Q xi)/2
             + integral_{y != 0} (1 - e^{i(xi,y)} + i(xi,y)/(1+|y|^2)) nu(dy)``;
 
+* every drift + diffusion + compound Poisson symbol is one
+  ``TripleSymbol``, and every Bernstein function used for subordination is
+  one ``AffinePowerBernstein`` ``c0 + c1 * lam**alpha``;
 * stable symbols store the *spectral* exponent ``p`` in (0, 2), i.e.
   ``psi(xi) = scale * |xi|**p``.  Callers working with a fractional power
   ``alpha`` of the (negative) Laplacian should pass ``p = 2 * alpha``.
@@ -112,12 +115,6 @@ class DiscreteJumpLaw:
     def dim(self):
         return len(self.points[0])
 
-    def char_fn(self, xi):
-        pts = np.asarray(self.points)
-        pr = np.asarray(self.probs)
-        phases = np.asarray(xi) @ pts.T
-        return complex(np.sum(pr * np.exp(1j * phases)))
-
     def char_fn_many(self, points):
         pts = np.asarray(self.points)
         pr = np.asarray(self.probs)
@@ -141,10 +138,6 @@ class GaussianJumpLaw:
     @property
     def dim(self):
         return len(self.mean)
-
-    def char_fn(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return cmath.exp(1j * float(xi @ np.asarray(self.mean)) - 0.5 * self.sd**2 * float(xi @ xi))
 
     def char_fn_many(self, points):
         m = np.asarray(self.mean)
@@ -311,32 +304,6 @@ def symmetric_stable_measure(p: float, scale: float = 1.0) -> StableTailMeasure:
     return StableTailMeasure(p, scale / (2.0 * kp), side="symmetric")
 
 
-@dataclass(frozen=True)
-class CompoundPoissonMeasure(LevyMeasureSpec):
-    """``nu = intensity * mu`` for a probability jump law ``mu``."""
-
-    intensity: float
-    jumps: object
-
-    def __post_init__(self):
-        if self.intensity < 0:
-            raise UnsupportedMeasure("intensity must be nonnegative")
-
-    def compensated_integral(self, xi):
-        if isinstance(self.jumps, DiscreteJumpLaw):
-            atoms = AtomMeasure(
-                self.jumps.points,
-                tuple(self.intensity * p for p in self.jumps.probs),
-            )
-            return atoms.compensated_integral(xi)
-        raise UnsupportedMeasure(
-            "compensated integral only available for discrete jump laws"
-        )
-
-    def uncompensated_integral(self, xi):
-        return self.intensity * (1.0 - self.jumps.char_fn(xi))
-
-
 # ---------------------------------------------------------------------------
 # the quadruple
 # ---------------------------------------------------------------------------
@@ -385,34 +352,12 @@ class LevyQuadruple:
 # ---------------------------------------------------------------------------
 
 
-class BernsteinSpec:
-    def __call__(self, lam):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class IdentityBernstein(BernsteinSpec):
-    def __call__(self, lam):
-        return np.asarray(lam, dtype=float)
+class AffinePowerBernstein:
+    """``lam -> c0 + c1 * lam**alpha`` with c0, c1 >= 0 and alpha in (0, 1].
 
-
-@dataclass(frozen=True)
-class PowerBernstein(BernsteinSpec):
-    """``lam -> lam**alpha`` with alpha in (0, 1)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ExponentOutOfRange("Bernstein power must lie in (0,1)")
-
-    def __call__(self, lam):
-        return np.power(np.asarray(lam, dtype=float), self.alpha)
-
-
-@dataclass(frozen=True)
-class AffinePowerBernstein(BernsteinSpec):
-    """``lam -> c0 + c1 * lam**alpha`` with c0, c1 >= 0 and alpha in (0, 1)."""
+    ``(0, 1, 1)`` is the identity and ``(0, 1, alpha)`` the pure power.
+    """
 
     c0: float
     c1: float
@@ -421,8 +366,8 @@ class AffinePowerBernstein(BernsteinSpec):
     def __post_init__(self):
         if self.c0 < 0 or self.c1 < 0:
             raise ExponentOutOfRange("affine coefficients must be nonnegative")
-        if not 0.0 < self.alpha < 1.0:
-            raise ExponentOutOfRange("Bernstein power must lie in (0,1)")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ExponentOutOfRange("Bernstein power must lie in (0,1]")
 
     def __call__(self, lam):
         return self.c0 + self.c1 * np.power(np.asarray(lam, dtype=float), self.alpha)
@@ -462,59 +407,6 @@ def _as_points(points, d):
 
 
 @dataclass(frozen=True)
-class QuadraticSymbol(SymbolSpec):
-    """Diffusion symbol ``psi(xi) = (xi, Q xi) / 2``."""
-
-    q_matrix: tuple
-
-    def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.q_matrix, dtype=float))
-        LevyQuadruple(0.0, np.zeros(q.shape[0]), q, ZeroMeasure())  # validates Q
-        object.__setattr__(self, "q_matrix", tuple(map(tuple, q)))
-
-    @property
-    def d(self):
-        return len(self.q_matrix)
-
-    def evaluate_many(self, points):
-        pts = _as_points(points, self.d)
-        q = np.asarray(self.q_matrix)
-        return (0.5 * np.sum((pts @ q) * pts, axis=1)).astype(complex)
-
-    def quadruple(self):
-        return LevyQuadruple(0.0, np.zeros(self.d), self.q_matrix, ZeroMeasure())
-
-
-@dataclass(frozen=True)
-class DriftQuadraticSymbol(SymbolSpec):
-    """Brownian motion with drift: ``psi(xi) = -i(b, xi) + (xi, Q xi)/2``."""
-
-    drift: tuple
-    q_matrix: tuple
-
-    def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.drift, dtype=float))
-        q = np.atleast_2d(np.asarray(self.q_matrix, dtype=float))
-        LevyQuadruple(0.0, b, q, ZeroMeasure())
-        object.__setattr__(self, "drift", tuple(b))
-        object.__setattr__(self, "q_matrix", tuple(map(tuple, q)))
-
-    @property
-    def d(self):
-        return len(self.drift)
-
-    def evaluate_many(self, points):
-        pts = _as_points(points, self.d)
-        b = np.asarray(self.drift)
-        q = np.asarray(self.q_matrix)
-        return -1j * (pts @ b) + 0.5 * np.sum((pts @ q) * pts, axis=1)
-
-    def quadruple(self):
-        # in the compensated representation the linear term carries -drift
-        return LevyQuadruple(0.0, tuple(-v for v in self.drift), self.q_matrix, ZeroMeasure())
-
-
-@dataclass(frozen=True)
 class StableSymbol(SymbolSpec):
     """Rotation invariant stable symbol ``psi(xi) = scale * |xi|**p``.
 
@@ -550,80 +442,31 @@ class StableSymbol(SymbolSpec):
 
 
 @dataclass(frozen=True)
-class PoissonSymbol(SymbolSpec):
-    """Unit-jump Poisson symbol ``psi(xi) = rate * (1 - e^{i xi})`` on the line."""
-
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ExponentOutOfRange("rate must be nonnegative")
-
-    @property
-    def d(self):
-        return 1
-
-    def evaluate_many(self, points):
-        pts = _as_points(points, 1)
-        return self.rate * (1.0 - np.exp(1j * pts[:, 0]))
-
-    def quadruple(self):
-        # the compensator of the unit atom contributes i*xi*rate/2, cancelled
-        # by a linear term with b = -rate/2
-        return LevyQuadruple(
-            0.0, (-self.rate / 2.0,), ((0.0,),), AtomMeasure(((1.0,),), (self.rate,))
-        )
-
-
-@dataclass(frozen=True)
-class CompoundPoissonSymbol(SymbolSpec):
-    """``psi(xi) = rate * (1 - char_fn_jumps(xi))``."""
-
-    rate: float
-    jumps: object
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ExponentOutOfRange("rate must be nonnegative")
-
-    @property
-    def d(self):
-        return self.jumps.dim
-
-    def evaluate_many(self, points):
-        pts = _as_points(points, self.d)
-        return self.rate * (1.0 - self.jumps.char_fn_many(pts))
-
-    def quadruple(self):
-        if not isinstance(self.jumps, DiscreteJumpLaw):
-            raise UnsupportedMeasure("quadruple needs a discrete jump law")
-        pts = np.asarray(self.jumps.points)
-        pr = np.asarray(self.jumps.probs)
-        # cancel the compensator of each atom
-        b = -self.rate * (pr[:, None] * pts / (1.0 + np.sum(pts * pts, axis=1))[:, None]).sum(axis=0)
-        return LevyQuadruple(
-            0.0,
-            tuple(b),
-            tuple(map(tuple, np.zeros((self.d, self.d)))),
-            AtomMeasure(self.jumps.points, tuple(self.rate * pr)),
-        )
-
-
-@dataclass(frozen=True)
 class TripleSymbol(SymbolSpec):
-    """Drift + diffusion + compound Poisson jumps in one symbol."""
+    """Levy-Khintchine symbol of drift, diffusion and compound Poisson jumps,
+
+    ``psi(xi) = -i(b, xi) + (xi, Q xi)/2 + rate * (1 - phi_jumps(xi))``
+
+    with ``phi_jumps`` the characteristic function of the jump law
+    (``DiscreteJumpLaw`` or ``GaussianJumpLaw``).  Without jumps
+    (``rate == 0``) the law is not needed.
+    """
 
     drift: tuple
     q_matrix: tuple
-    rate: float
-    jumps: object
+    rate: float = 0.0
+    jumps: object = None
 
     def __post_init__(self):
         b = np.atleast_1d(np.asarray(self.drift, dtype=float))
         q = np.atleast_2d(np.asarray(self.q_matrix, dtype=float))
-        LevyQuadruple(0.0, b, q, ZeroMeasure())
+        LevyQuadruple(0.0, b, q, ZeroMeasure())  # validates b and Q
         if self.rate < 0:
             raise ExponentOutOfRange("rate must be nonnegative")
+        if self.rate > 0 and self.jumps is None:
+            raise UnsupportedMeasure("a positive rate needs a jump law")
+        if self.jumps is not None and self.jumps.dim != b.size:
+            raise DimensionMismatch("jump law and drift must have the same dimension")
         object.__setattr__(self, "drift", tuple(b))
         object.__setattr__(self, "q_matrix", tuple(map(tuple, q)))
 
@@ -633,13 +476,26 @@ class TripleSymbol(SymbolSpec):
 
     def evaluate_many(self, points):
         pts = _as_points(points, self.d)
-        smooth = DriftQuadraticSymbol(self.drift, self.q_matrix).evaluate_many(pts)
-        return smooth + self.rate * (1.0 - self.jumps.char_fn_many(pts))
+        b = np.asarray(self.drift)
+        q = np.asarray(self.q_matrix)
+        vals = -1j * (pts @ b) + 0.5 * np.sum((pts @ q) * pts, axis=1)
+        if self.rate:
+            vals = vals + self.rate * (1.0 - self.jumps.char_fn_many(pts))
+        return vals
 
     def quadruple(self):
-        jump_part = CompoundPoissonSymbol(self.rate, self.jumps).quadruple()
-        b = np.asarray(jump_part.b) - np.asarray(self.drift)
-        return LevyQuadruple(0.0, tuple(b), self.q_matrix, jump_part.nu)
+        """``(0, -b - rate * sum_j p_j y_j / (1 + |y_j|^2), Q, rate * p)``: the
+        linear term carries -drift and cancels the compensator of each atom."""
+        b = -np.asarray(self.drift)
+        if not self.rate:
+            return LevyQuadruple(0.0, tuple(b), self.q_matrix, ZeroMeasure())
+        if not isinstance(self.jumps, DiscreteJumpLaw):
+            raise UnsupportedMeasure("quadruple needs a discrete jump law")
+        y = np.asarray(self.jumps.points)
+        p = np.asarray(self.jumps.probs)
+        b = b - self.rate * (p[:, None] * y / (1.0 + np.sum(y * y, axis=1))[:, None]).sum(axis=0)
+        nu = AtomMeasure(self.jumps.points, tuple(self.rate * p))
+        return LevyQuadruple(0.0, tuple(b), self.q_matrix, nu)
 
 
 def _require_real(spec: SymbolSpec, where: str):
@@ -656,7 +512,7 @@ def _require_real(spec: SymbolSpec, where: str):
 class ComposedSymbol(SymbolSpec):
     """Subordinated symbol ``outer(inner(xi))`` for a Bernstein outer part."""
 
-    outer: BernsteinSpec
+    outer: AffinePowerBernstein
     inner: SymbolSpec
 
     def __post_init__(self):
@@ -719,11 +575,6 @@ class ShiftedSymbol(SymbolSpec):
 # ---------------------------------------------------------------------------
 
 
-def eval_symbol(spec: SymbolSpec, xi) -> complex:
-    """Evaluate ``psi(xi)``; raises DimensionMismatch on wrong-length xi."""
-    return spec.evaluate(xi)
-
-
 def characteristic_function(spec: SymbolSpec, xi, t: float) -> complex:
     """``exp(-t * psi(xi))`` with t >= 0."""
     if t < 0:
@@ -731,12 +582,12 @@ def characteristic_function(spec: SymbolSpec, xi, t: float) -> complex:
     return cmath.exp(-t * spec.evaluate(xi))
 
 
-def compose_symbols(outer: BernsteinSpec, inner: SymbolSpec) -> SymbolSpec:
+def compose_symbols(outer: AffinePowerBernstein, inner: SymbolSpec) -> SymbolSpec:
     """Compose a Bernstein function with a real nonnegative symbol.
 
     The identity composition returns the inner symbol unchanged.
     """
-    if isinstance(outer, IdentityBernstein):
+    if (outer.c0, outer.c1, outer.alpha) == (0, 1, 1):
         _require_real(inner, "compose_symbols")
         return inner
     return ComposedSymbol(outer, inner)
@@ -781,11 +632,15 @@ def generator_symbol_table():
     Names are stable identifiers: ``bm_drift``, ``poisson``,
     ``compound_poisson``, ``full_triple``, ``alpha_stable``.
     """
+    unit_jump = DiscreteJumpLaw(points=(1.0,), probs=(1.0,))
     sym_jumps = DiscreteJumpLaw(points=(-1.0, 1.0), probs=(0.5, 0.5))
     return [
-        ("bm_drift", DriftQuadraticSymbol(drift=(1.0, -0.5), q_matrix=((1.0, 0.2), (0.2, 0.5)))),
-        ("poisson", PoissonSymbol(rate=2.0)),
-        ("compound_poisson", CompoundPoissonSymbol(rate=1.5, jumps=sym_jumps)),
+        ("bm_drift", TripleSymbol(drift=(1.0, -0.5), q_matrix=((1.0, 0.2), (0.2, 0.5)))),
+        ("poisson", TripleSymbol(drift=(0.0,), q_matrix=((0.0,),), rate=2.0, jumps=unit_jump)),
+        (
+            "compound_poisson",
+            TripleSymbol(drift=(0.0,), q_matrix=((0.0,),), rate=1.5, jumps=sym_jumps),
+        ),
         (
             "full_triple",
             TripleSymbol(drift=(0.5,), q_matrix=((1.0,),), rate=1.0, jumps=sym_jumps),

@@ -32,7 +32,7 @@ from levyflow.linsolve import bicgstab
 from levyflow.macro import MacroConfig, MacroState, macro_init, macro_step, MacroRunStats, run_macro
 from levyflow.micro import MicroConfig
 from levyflow.symbols import (
-    QuadraticSymbol,
+    TripleSymbol,
     default_probe_points,
     generator_symbol_table,
     growth_bound_constant,
@@ -254,7 +254,7 @@ def test_ac7_transport_oracle():
 
 def test_ac8_multiplier_bounds():
     start = time.time()
-    psi = QuadraticSymbol(((2.0,),))  # |xi|^2
+    psi = TripleSymbol(drift=(0.0,), q_matrix=((2.0,),))  # |xi|^2
 
     def radial(hi):
         return np.geomspace(1e-3, hi, 600)[:, None]

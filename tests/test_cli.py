@@ -151,11 +151,15 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     ("[fracheck]\nlength = 0\n", "fracheck", "length"),
     ("[fracheck]\nexponents = 0.5, 2.0\n", "fracheck", "exponents"),
     ("[fracheck]\nmodes = 0\n", "fracheck", "modes"),
+    ("[symbol]\npoints = 0\n", "symbol", "points"),
+    ("[symbol]\npoints = -5\n", "symbol --name poisson", "points"),
+    ("[symbol]\nxi_max = -1\n", "symbol", "xi_max"),
+    ("[symbol]\nxi_max = 0\n", "symbol --name bm_drift", "xi_max"),
 ])
 def test_bad_grid_keys_exit_2(tmp_path, capsys, text, command, key):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(text)
-    assert _run("--config", str(cfgfile), "--out", str(tmp_path / "o"), command) == 2
+    assert _run("--config", str(cfgfile), "--out", str(tmp_path / "o"), *command.split()) == 2
     assert f"] {key}:" in capsys.readouterr().err
 
 

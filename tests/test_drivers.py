@@ -13,7 +13,6 @@ from levyflow.drivers import (
     QWienerSpec,
     RngStream,
     SwitchingNoise,
-    alpha_of_h,
     bridge_value,
     cauchy_modulated_increment,
     draw_noise,
@@ -169,17 +168,17 @@ def test_bridge_driver_errors():
 
 def test_alpha_of_h_values():
     d = ProtonIndexDriver(1.0, 0.6, 0.9)
-    assert alpha_of_h(d, 0.0) == pytest.approx(0.6)
-    assert alpha_of_h(d, 1e12) == pytest.approx(0.9, abs=1e-9)
-    assert alpha_of_h(d, 1.0) == pytest.approx(0.75)
-    assert alpha_of_h(d, -3.0) == pytest.approx(0.6)  # clamped
+    assert d.alpha_of_h(0.0) == pytest.approx(0.6)
+    assert d.alpha_of_h(1e12) == pytest.approx(0.9, abs=1e-9)
+    assert d.alpha_of_h(1.0) == pytest.approx(0.75)
+    assert d.alpha_of_h(-3.0) == pytest.approx(0.6)  # clamped
 
 
 @given(st.floats(-5, 50), st.floats(-5, 50))
 @settings(max_examples=100, deadline=None)
 def test_alpha_of_h_monotone_and_bounded(h1, h2):
     d = ProtonIndexDriver(1.3, 0.55, 0.95)
-    a1, a2 = alpha_of_h(d, h1), alpha_of_h(d, h2)
+    a1, a2 = d.alpha_of_h(h1), d.alpha_of_h(h2)
     assert 0.55 <= a1 <= 0.95
     if max(h1, 0.0) < max(h2, 0.0):
         assert a1 <= a2
@@ -273,7 +272,7 @@ def test_bridge_driven_symbol_family_is_lipschitz_bounded():
     """End-to-end: bridge-driven scale values frozen at two times feed the
     multiplier bound check of the driver-indexed symbol family."""
     from levyflow.fracops import multiplier_lipschitz_check
-    from levyflow.symbols import StableSymbol, driven_symbol, eval_symbol
+    from levyflow.symbols import StableSymbol, driven_symbol
 
     rng = RngStream(88, 0)
     driver = BridgeDriver(
@@ -287,8 +286,8 @@ def test_bridge_driven_symbol_family_is_lipschitz_bounded():
     # the frozen family members are real, nonnegative, and equal 1 at 0
     for b in (b1, b2):
         theta = driven_symbol(base, b, 1.6)
-        assert eval_symbol(theta, [0.0]).real == pytest.approx(1.0)
-        assert eval_symbol(theta, [3.0]).imag == 0.0
+        assert theta.evaluate([0.0]).real == pytest.approx(1.0)
+        assert theta.evaluate([3.0]).imag == 0.0
     report = multiplier_lipschitz_check(
         base, s=1.6, r=1.2, beta_pairs=[(b1, b2, 0.5, 2.0)],
         probe_points=np.geomspace(1e-3, 1000.0, 400)[:, None],

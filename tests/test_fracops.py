@@ -13,7 +13,6 @@ from levyflow.fracops import (
     FracLapOperator,
     _axis_kernel,
     alpha_resolvent_holder_check,
-    apply_frac_laplacian,
     default_tail_nodes,
     frac_constant,
     multiplier_lipschitz_check,
@@ -22,7 +21,7 @@ from levyflow.fracops import (
 )
 from levyflow.grids import Grid, GridField
 from levyflow.linsolve import bicgstab
-from levyflow.symbols import QuadraticSymbol
+from levyflow.symbols import TripleSymbol
 
 GRID_1D = Grid((1.0,), (128,))
 GRID_2D = Grid((1.0, 1.5), (48, 36))
@@ -216,7 +215,7 @@ def test_grid_mismatch():
     op = FracLapOperator(GRID_1D, 1.5)
     other = GridField(Grid((1.0,), (64,)), np.zeros(64))
     with pytest.raises(GridMismatch):
-        apply_frac_laplacian(op, other)
+        op.apply(other)
     with pytest.raises(GridMismatch):
         spectral_oracle(GRID_1D, 1.5, other)
 
@@ -244,7 +243,7 @@ def test_wider_cutoff_still_consistent():
 # multiplier bound checks
 # ---------------------------------------------------------------------------
 
-PSI = QuadraticSymbol(((2.0,),))  # |xi|^2 on the line
+PSI = TripleSymbol(drift=(0.0,), q_matrix=((2.0,),))  # |xi|^2 on the line
 
 
 def _radial_points(lo, hi, n):

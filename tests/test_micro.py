@@ -7,6 +7,7 @@ from levyflow.grids import Grid, periodic_gaussian_blur
 from levyflow.micro import (
     MicroConfig,
     MicroState,
+    bilinear_stencil,
     density_histogram,
     deposit_fields,
     gather,
@@ -170,7 +171,7 @@ def test_gather_scatter_adjoint_mass():
     pos = rng.random((200, 2))
     amounts = rng.random(200)
     field = np.zeros(GRID.shape)
-    scatter_add(field, GRID, pos, amounts)
+    scatter_add(field, bilinear_stencil(GRID, pos), amounts)
     assert field.sum() == pytest.approx(amounts.sum(), rel=1e-12)
 
 
@@ -178,7 +179,8 @@ def test_gather_exact_on_nodes():
     field = np.zeros(GRID.shape)
     field[3, 7] = 2.5
     dx, dy = GRID.spacings
-    assert gather(field, GRID, np.array([[3 * dx, 7 * dy]]))[0] == pytest.approx(2.5)
+    node = bilinear_stencil(GRID, np.array([[3 * dx, 7 * dy]]))
+    assert gather(field, node)[0] == pytest.approx(2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,11 @@ from levyflow.errors import (
     UnsupportedMeasure,
 )
 from levyflow.symbols import (
+    AffinePowerBernstein,
     AtomMeasure,
-    CompoundPoissonSymbol,
     DiscreteJumpLaw,
-    DriftQuadraticSymbol,
-    IdentityBernstein,
+    GaussianJumpLaw,
     LevyQuadruple,
-    PoissonSymbol,
-    PowerBernstein,
-    QuadraticSymbol,
     ScaledSymbol,
     ShiftedSymbol,
     StableSymbol,
@@ -32,28 +28,49 @@ from levyflow.symbols import (
     characteristic_function,
     compose_symbols,
     default_probe_points,
-    eval_symbol,
+    driven_symbol,
     generator_symbol_table,
     growth_bound_constant,
     subordinator_measure,
 )
 
-ALL_SPECS = [spec for _, spec in generator_symbol_table()] + [
-    QuadraticSymbol(((1.0, 0.0), (0.0, 1.0))),
-    ScaledSymbol(1.7, StableSymbol(0.8, 1.0, 1)),
-    ShiftedSymbol(StableSymbol(1.2, 1.0, 1), 1.5),
-]
+UNIT_JUMP = DiscreteJumpLaw(points=(1.0,), probs=(1.0,))
+
+
+def diffusion(*q_diagonal):
+    """``(xi, Q xi)/2`` for a diagonal Q, as a symbol without drift or jumps."""
+    return TripleSymbol(drift=(0.0,) * len(q_diagonal), q_matrix=np.diag(q_diagonal))
+
+
+def poisson(rate):
+    """Unit-jump Poisson symbol ``rate * (1 - e^{i xi})`` on the line."""
+    return TripleSymbol(drift=(0.0,), q_matrix=((0.0,),), rate=rate, jumps=UNIT_JUMP)
+
+
+# the case ids name the shape of each symbol: drift, diffusion and jump
+# symbols are all TripleSymbol instances
+_TABLE = dict(generator_symbol_table())
+ALL_SPECS = {
+    "DriftQuadraticSymbol": _TABLE["bm_drift"],
+    "PoissonSymbol": _TABLE["poisson"],
+    "CompoundPoissonSymbol": _TABLE["compound_poisson"],
+    "TripleSymbol": _TABLE["full_triple"],
+    "StableSymbol": _TABLE["alpha_stable"],
+    "QuadraticSymbol": diffusion(1.0, 1.0),
+    "ScaledSymbol": ScaledSymbol(1.7, StableSymbol(0.8, 1.0, 1)),
+    "ShiftedSymbol": ShiftedSymbol(StableSymbol(1.2, 1.0, 1), 1.5),
+}
 
 
 def test_quadratic_identity_value():
-    spec = QuadraticSymbol(((1.0, 0.0), (0.0, 1.0)))
-    assert eval_symbol(spec, (1.0, 1.0)) == pytest.approx(1.0)
+    spec = diffusion(1.0, 1.0)
+    assert spec.evaluate((1.0, 1.0)) == pytest.approx(1.0)
 
 
 def test_stable_power_law():
     spec = StableSymbol(exponent=1.5, scale=1.0, dim=1)
     for xi in (0.5, 2.0, 9.0):
-        assert eval_symbol(spec, [xi]) == pytest.approx(abs(xi) ** 1.5)
+        assert spec.evaluate([xi]) == pytest.approx(abs(xi) ** 1.5)
 
 
 def test_poisson_symbol_against_semigroup_oracle():
@@ -69,14 +86,14 @@ def test_poisson_symbol_against_semigroup_oracle():
         for k in range(12)
     )
     oracle = (1.0 - phi_h) / h
-    got = eval_symbol(PoissonSymbol(rate), [xi])
+    got = poisson(rate).evaluate([xi])
     assert got == pytest.approx(oracle, abs=1e-5)
     # the hand value at xi = pi: 2 (1 - e^{i pi}) = 4
-    assert eval_symbol(PoissonSymbol(2.0), [np.pi]) == pytest.approx(4.0, abs=1e-12)
+    assert poisson(2.0).evaluate([np.pi]) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_characteristic_function_trivials():
-    spec = QuadraticSymbol(((1.0, 0.0), (0.0, 1.0)))
+    spec = diffusion(1.0, 1.0)
     assert characteristic_function(spec, (0.3, -2.0), 0.0) == pytest.approx(1.0)
     assert characteristic_function(spec, (1.0, 0.0), 2.0) == pytest.approx(math.exp(-1.0))
     with pytest.raises(OutOfHorizon):
@@ -114,29 +131,29 @@ def test_characteristic_function_modulus_bound():
 
 def test_compose_power_half_gives_absolute_value():
     # |xi|^2 as a quadratic symbol with Q = 2I, then the square root
-    spec = compose_symbols(PowerBernstein(0.5), QuadraticSymbol(((2.0,),)))
+    spec = compose_symbols(AffinePowerBernstein(0.0, 1.0, 0.5), diffusion(2.0))
     for xi in (-3.0, 0.25, 7.0):
-        assert eval_symbol(spec, [xi]) == pytest.approx(abs(xi), rel=1e-12)
+        assert spec.evaluate([xi]) == pytest.approx(abs(xi), rel=1e-12)
 
 
 def test_compose_identity_returns_inner():
     inner = StableSymbol(1.1, 1.0, 1)
-    assert compose_symbols(IdentityBernstein(), inner) is inner
+    assert compose_symbols(AffinePowerBernstein(0.0, 1.0, 1.0), inner) is inner
 
 
 def test_compose_power_on_spectral_square():
-    spec = compose_symbols(PowerBernstein(0.75), QuadraticSymbol(((2.0,),)))
-    assert eval_symbol(spec, [2.0]) == pytest.approx(2.828427, abs=1e-6)
+    spec = compose_symbols(AffinePowerBernstein(0.0, 1.0, 0.75), diffusion(2.0))
+    assert spec.evaluate([2.0]) == pytest.approx(2.828427, abs=1e-6)
 
 
 def test_compose_rejects_complex_inner():
     with pytest.raises(NotRealValued):
-        compose_symbols(PowerBernstein(0.5), DriftQuadraticSymbol((1.0,), ((1.0,),)))
+        compose_symbols(AffinePowerBernstein(0.0, 1.0, 0.5), TripleSymbol((1.0,), ((1.0,),)))
 
 
 def test_compose_matches_pointwise_power():
     inner = StableSymbol(1.4, 0.7, 1)
-    composed = compose_symbols(PowerBernstein(0.6), inner)
+    composed = compose_symbols(AffinePowerBernstein(0.0, 1.0, 0.6), inner)
     pts = default_probe_points(1, 20.0, 101)
     direct = np.power(inner.evaluate_many(pts).real, 0.6)
     assert np.allclose(composed.evaluate_many(pts).real, direct, atol=1e-12)
@@ -144,17 +161,17 @@ def test_compose_matches_pointwise_power():
 
 def test_growth_bound_values():
     pts = default_probe_points(2, 30.0, 121)
-    assert growth_bound_constant(QuadraticSymbol(((1.0, 0.0), (0.0, 1.0))), pts) <= 0.5
+    assert growth_bound_constant(diffusion(1.0, 1.0), pts) <= 0.5
     line = default_probe_points(1, 100.0, 801)
     stable = StableSymbol(1.6, 1.0, 1)
     assert growth_bound_constant(stable, line) <= 1.0
-    poisson_bound = growth_bound_constant(PoissonSymbol(3.0), line)
+    poisson_bound = growth_bound_constant(poisson(3.0), line)
     assert 0.0 < poisson_bound <= 6.0
 
 
 def test_growth_bound_empty_grid():
     with pytest.raises(EmptyGrid):
-        growth_bound_constant(PoissonSymbol(1.0), np.empty((0, 1)))
+        growth_bound_constant(poisson(1.0), np.empty((0, 1)))
 
 
 @pytest.mark.parametrize("name,spec", generator_symbol_table())
@@ -173,13 +190,11 @@ def test_generator_table_contents():
     assert len(table) == 5
     named = dict(table)
     assert isinstance(named["alpha_stable"], StableSymbol)
-    assert isinstance(named["bm_drift"], DriftQuadraticSymbol)
-    assert isinstance(named["poisson"], PoissonSymbol)
-    assert isinstance(named["compound_poisson"], CompoundPoissonSymbol)
-    assert isinstance(named["full_triple"], TripleSymbol)
+    for name in ("bm_drift", "poisson", "compound_poisson", "full_triple"):
+        assert isinstance(named[name], TripleSymbol)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("spec", ALL_SPECS.values(), ids=ALL_SPECS.keys())
 def test_hermitian_symmetry_and_positivity(spec):
     pts = default_probe_points(spec.d, 12.0, 41)
     vals = spec.evaluate_many(pts)
@@ -188,7 +203,7 @@ def test_hermitian_symmetry_and_positivity(spec):
     assert float(vals.real.min()) >= -1e-12
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("spec", ALL_SPECS.values(), ids=ALL_SPECS.keys())
 def test_killing_constant_at_zero(spec):
     value = spec.evaluate(np.zeros(spec.d))
     expected = 1.0 if isinstance(spec, ShiftedSymbol) else 0.0
@@ -206,22 +221,24 @@ def test_hermitian_symmetry_property(x, y):
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        eval_symbol(PoissonSymbol(1.0), [1.0, 2.0])
+        poisson(1.0).evaluate([1.0, 2.0])
     with pytest.raises(DimensionMismatch):
-        eval_symbol(QuadraticSymbol(((1.0, 0.0), (0.0, 1.0))), [1.0])
+        TripleSymbol((0.0, 0.0), np.eye(2), rate=1.0, jumps=UNIT_JUMP)
+    with pytest.raises(DimensionMismatch):
+        diffusion(1.0, 1.0).evaluate([1.0])
 
 
 def test_shifted_symbol_formula():
     base = StableSymbol(1.5, 1.0, 1)
     spec = ShiftedSymbol(base, 1.2)
     xi = 3.0
-    assert eval_symbol(spec, [xi]).real == pytest.approx((1 + xi**1.5) ** 0.6)
+    assert spec.evaluate([xi]).real == pytest.approx((1 + xi**1.5) ** 0.6)
 
 
 def test_scaled_symbol():
-    base = PoissonSymbol(2.0)
-    assert eval_symbol(ScaledSymbol(0.5, base), [1.0]) == pytest.approx(
-        0.5 * eval_symbol(base, [1.0])
+    base = poisson(2.0)
+    assert ScaledSymbol(0.5, base).evaluate([1.0]) == pytest.approx(
+        0.5 * base.evaluate([1.0])
     )
     with pytest.raises(ExponentOutOfRange):
         ScaledSymbol(-1.0, base)
@@ -277,44 +294,40 @@ def test_measure_validation():
         AtomMeasure(((1.0,),), (-0.5,))
     with pytest.raises(UnsupportedMeasure):
         DiscreteJumpLaw((1.0, 2.0), (0.7, 0.7))
+    with pytest.raises(UnsupportedMeasure):
+        TripleSymbol((0.0,), ((0.0,),), rate=1.0)
     with pytest.raises(ExponentOutOfRange):
         StableSymbol(2.0, 1.0, 1)
     with pytest.raises(ExponentOutOfRange):
-        PowerBernstein(1.0)
+        AffinePowerBernstein(0.0, 1.0, 1.5)
+    with pytest.raises(ExponentOutOfRange):
+        AffinePowerBernstein(0.0, 1.0, 0.0)
 
 
 def test_compound_poisson_measure_rejects_nondiscrete_compensation():
-    from levyflow.symbols import CompoundPoissonMeasure, GaussianJumpLaw
-
-    measure = CompoundPoissonMeasure(1.0, GaussianJumpLaw((0.0,), 1.0))
+    spec = TripleSymbol((0.0,), ((0.0,),), rate=1.0, jumps=GaussianJumpLaw((0.0,), 1.0))
     with pytest.raises(UnsupportedMeasure):
-        measure.compensated_integral(np.array([1.0]))
-    # the uncompensated form works through the jump characteristic function
-    assert measure.uncompensated_integral(np.array([1.0])) == pytest.approx(
-        1.0 - np.exp(-0.5), abs=1e-12
-    )
+        spec.quadruple()
+    # the direct route works through the jump characteristic function
+    assert spec.evaluate(np.array([1.0])) == pytest.approx(1.0 - np.exp(-0.5), abs=1e-12)
 
 
 def test_affine_power_bernstein_composition():
-    from levyflow.symbols import AffinePowerBernstein
-
     outer = AffinePowerBernstein(c0=0.5, c1=2.0, alpha=0.25)
-    spec = compose_symbols(outer, QuadraticSymbol(((2.0,),)))
+    spec = compose_symbols(outer, diffusion(2.0))
     xi = 3.0
-    assert eval_symbol(spec, [xi]).real == pytest.approx(0.5 + 2.0 * (xi**2) ** 0.25)
+    assert spec.evaluate([xi]).real == pytest.approx(0.5 + 2.0 * (xi**2) ** 0.25)
     # the affine offset acts as a killing constant
-    assert eval_symbol(spec, [0.0]).real == pytest.approx(0.5)
+    assert spec.evaluate([0.0]).real == pytest.approx(0.5)
     with pytest.raises(ExponentOutOfRange):
         AffinePowerBernstein(-0.1, 1.0, 0.5)
 
 
 def test_driven_symbol_matches_resolvent_form():
-    from levyflow.symbols import driven_symbol
-
     base = StableSymbol(1.5, 1.0, 1)  # |xi|^{2 alpha} with alpha = 0.75
     theta = driven_symbol(base, driver_value=1.3, order=1.4)
     xi = 2.0
-    assert eval_symbol(theta, [xi]).real == pytest.approx(
+    assert theta.evaluate([xi]).real == pytest.approx(
         (1.0 + 1.3 * xi**1.5) ** 0.7
     )
-    assert eval_symbol(theta, [0.0]).real == pytest.approx(1.0)
+    assert theta.evaluate([0.0]).real == pytest.approx(1.0)
