@@ -20,7 +20,7 @@ from .drivers import (
     draw_noise,
     sample_qwiener_increment,
 )
-from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble, welford_merge
+from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble
 from .fracops import (
     FracLapOperator,
     alpha_resolvent_holder_check,

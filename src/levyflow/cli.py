@@ -2,7 +2,13 @@
 
 Subcommands: symbol, fracheck, micro, macro, ensemble, report.
 Global flags: --config <path>, --seed <u64>, --workers <n>, --out <dir>;
-the LEVYFLOW_OUT environment variable overrides --out.
+the LEVYFLOW_OUT environment variable overrides --out.  Command flags
+(--steps, --samples, --kind, --name) each set one config key.
+
+``main`` is the one pipeline: it loads the config, applies the command
+flags, runs the subcommand, writes ``manifest.json`` and maps a failure to
+its exit code.  A subcommand only resolves its sections, runs, writes its
+files and returns an ``Outcome``.
 
 Exit codes: 0 success; 2 config/parse/missing-input failure; 3 symbol
 evaluation error; 4 fracheck convergence failure; 5 solver divergence;
@@ -14,11 +20,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from . import config as cfgmod
 from .drivers import RngStream
 from .ensemble import run_ensemble
@@ -29,16 +36,16 @@ from .errors import (
     SolverDiverged,
 )
 from .formats import (
-    RunManifest,
     read_grid_binary,
     write_contour_csv,
     write_csv,
     write_grid_binary,
+    write_manifest,
     write_pgm,
 )
 from .fracops import FracLapOperator, spectral_oracle
 from .grids import Grid, GridField
-from .macro import run_macro, state_fields
+from .macro import default_snapshot_steps, run_macro, snapshot_stack
 from .micro import deposit_fields, run_micro, survival_fraction
 from .symbols import generator_symbol_table, growth_bound_constant
 
@@ -49,33 +56,39 @@ EXIT_CONVERGENCE = 4
 EXIT_SOLVER = 5
 EXIT_INVARIANT = 6
 
-
-def _out_dir(args) -> Path:
-    out = os.environ.get("LEVYFLOW_OUT") or args.out
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+_MACRO_FIELDS = ("H", "C", "N")
 
 
-def _load_sections(args):
-    if args.config is None:
-        return {}
-    return cfgmod.load_config_file(args.config)
+@dataclass
+class Outcome:
+    """What a subcommand hands back to ``main``: the resolved config by
+    section (the manifest's echo), the files it wrote, its summary line, and
+    ``(exit code, message)`` when the run broke a check after writing."""
+
+    echo: dict
+    paths: list
+    summary: str | None
+    failure: tuple | None = None
 
 
-def _manifest(base_seed, echo) -> RunManifest:
-    return RunManifest(
-        tool_version=__version__,
-        config_text=cfgmod.render_config(echo),
-        base_seed=base_seed,
-    )
+def _clamp_failure(clamp_events: int):
+    if clamp_events > 0:
+        return EXIT_INVARIANT, "invariant violated: positivity clamping occurred"
+    return None
 
 
-def _finish(manifest: RunManifest, out: Path, paths):
-    for p in paths:
-        manifest.add_output(p)
-    manifest.finish()
-    manifest.write(out / "manifest.json")
+def _write_stacks(out: Path, grid: Grid, labels, named_stacks, steps=(None,)) -> list:
+    """One LVF1 file ``{prefix}{label}_step{step:04d}.lvf`` per step, label
+    and (prefix, stack) pair, written in that loop order; a stack is indexed
+    [step, label].  A step of None writes ``{prefix}{label}.lvf``."""
+    paths = []
+    for si, step in enumerate(steps):
+        suffix = "" if step is None else f"_step{step:04d}"
+        for fi, label in enumerate(labels):
+            for prefix, stack in named_stacks:
+                f = GridField(grid, stack[si, fi])
+                paths.append(write_grid_binary(out / f"{prefix}{label}{suffix}.lvf", f))
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -83,47 +96,34 @@ def _finish(manifest: RunManifest, out: Path, paths):
 # ---------------------------------------------------------------------------
 
 
-def cmd_symbol(args) -> int:
-    sections = _load_sections(args)
+def cmd_symbol(sections, args, out: Path) -> Outcome:
     params = cfgmod.symbol_params_from(sections)
-    if args.name:
-        params["name"] = args.name
     table = dict(generator_symbol_table())
     name = params["name"]
     if name not in table:
-        print(f"unknown symbol name {name!r}; choose from {sorted(table)}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigInvalid(f"unknown symbol name {name!r}; choose from {sorted(table)}")
     spec = table[name]
-    out = _out_dir(args)
-    try:
-        radii = np.linspace(-float(params["xi_max"]), float(params["xi_max"]),
-                            int(params["points"]))
-        direction = np.ones(spec.d) / np.sqrt(spec.d)
-        points = radii[:, None] * direction[None, :]
-        values = spec.evaluate_many(points)
-        ratio = np.abs(values) / (1.0 + radii * radii)
-        rows = []
-        for i, r in enumerate(radii):
-            rows.append(
-                tuple(points[i]) + (float(values[i].real), float(values[i].imag),
-                                    float(ratio[i]))
-            )
-        header = [f"xi_{k+1}" for k in range(spec.d)] + ["re_psi", "im_psi", "growth_ratio"]
-        csv_path = write_csv(out / f"symbol_{name}.csv", header, rows)
-        bound = growth_bound_constant(spec, points)
-    except LevyflowError as exc:
-        print(f"symbol evaluation failed: {exc}", file=sys.stderr)
-        return EXIT_EVAL
-    manifest = _manifest(args.seed, cfgmod.echo_sections(symbol=params))
-    _finish(manifest, out, [csv_path])
-    print(f"{name}: growth bound constant {bound:.6g} over |xi| <= {params['xi_max']}")
-    return EXIT_OK
+    radii = np.linspace(-float(params["xi_max"]), float(params["xi_max"]),
+                        int(params["points"]))
+    direction = np.ones(spec.d) / np.sqrt(spec.d)
+    points = radii[:, None] * direction[None, :]
+    values = spec.evaluate_many(points)
+    ratio = np.abs(values) / (1.0 + radii * radii)
+    rows = []
+    for i, r in enumerate(radii):
+        rows.append(
+            tuple(points[i]) + (float(values[i].real), float(values[i].imag),
+                                float(ratio[i]))
+        )
+    header = [f"xi_{k+1}" for k in range(spec.d)] + ["re_psi", "im_psi", "growth_ratio"]
+    csv_path = write_csv(out / f"symbol_{name}.csv", header, rows)
+    bound = growth_bound_constant(spec, points)
+    return Outcome(cfgmod.echo_sections(symbol=params), [csv_path],
+                   f"{name}: growth bound constant {bound:.6g} over |xi| <= {params['xi_max']}")
 
 
-def cmd_fracheck(args) -> int:
-    sections = _load_sections(args)
+def cmd_fracheck(sections, args, out: Path) -> Outcome:
     params = cfgmod.fracheck_params_from(sections)
-    out = _out_dir(args)
     length = float(params["length"])
     rows = []
     monotone = True
@@ -144,26 +144,17 @@ def cmd_fracheck(args) -> int:
                     monotone = False
                 previous = err
     csv_path = write_csv(out / "fracheck.csv", ["exponent", "mode", "points", "rel_error"], rows)
-    manifest = _manifest(args.seed, cfgmod.echo_sections(fracheck=params))
-    _finish(manifest, out, [csv_path])
+    echo = cfgmod.echo_sections(fracheck=params)
     if not monotone:
-        print("fracheck: errors did not decrease monotonically", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    print(f"fracheck: {len(rows)} cases, errors decrease across the resolution ladder")
-    return EXIT_OK
+        return Outcome(echo, [csv_path], None,
+                       (EXIT_CONVERGENCE, "fracheck: errors did not decrease monotonically"))
+    return Outcome(echo, [csv_path],
+                   f"fracheck: {len(rows)} cases, errors decrease across the resolution ladder")
 
 
-def cmd_micro(args) -> int:
-    sections = _load_sections(args)
+def cmd_micro(sections, args, out: Path) -> Outcome:
     cfg, echo = cfgmod.micro_config_from(sections)
-    if args.steps is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, n_steps=args.steps)
-        echo = dict(echo, N=args.steps)
-    out = _out_dir(args)
-    rng = RngStream(args.seed, 0)
-    state, alive_series = run_micro(cfg, rng)
+    state, alive_series = run_micro(cfg, RngStream(args.seed, 0))
     rows = [
         (step, step * cfg.tau, alive, alive / cfg.n_particles)
         for step, alive in enumerate(alive_series)
@@ -172,88 +163,47 @@ def cmd_micro(args) -> int:
     acid, tissue = deposit_fields(state, cfg)
     paths.append(write_grid_binary(out / "acid_final.lvf", acid))
     paths.append(write_grid_binary(out / "tissue_final.lvf", tissue))
-    manifest = _manifest(args.seed, cfgmod.echo_sections(micro=echo))
-    _finish(manifest, out, paths)
-    print(
+    return Outcome(
+        cfgmod.echo_sections(micro=echo), paths,
         f"micro: survival {survival_fraction(state, cfg.n_particles):.4f} "
-        f"after {cfg.n_steps} steps, clamp events {state.clamp_events}"
+        f"after {cfg.n_steps} steps, clamp events {state.clamp_events}",
+        _clamp_failure(state.clamp_events),
     )
-    if state.clamp_events > 0:
-        print("invariant violated: positivity clamping occurred", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
 
 
-def cmd_macro(args) -> int:
-    sections = _load_sections(args)
+def cmd_macro(sections, args, out: Path) -> Outcome:
     cfg, echo = cfgmod.macro_config_from(sections)
-    if args.steps is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, n_steps=args.steps)
-        echo = dict(echo, N=args.steps)
-    out = _out_dir(args)
-    rng = RngStream(args.seed, 0)
-    quarters = sorted({0, cfg.n_steps // 3, (2 * cfg.n_steps) // 3, cfg.n_steps})
-    snapshots, stats = run_macro(cfg, rng, snapshot_steps=quarters)
-    paths = []
-    for snap in snapshots:
-        for label, f in zip(("H", "C", "N"), state_fields(snap, cfg.grid)):
-            paths.append(
-                write_grid_binary(out / f"{label}_step{snap.step:04d}.lvf", f)
-            )
+    snapshots, stats = run_macro(cfg, RngStream(args.seed, 0),
+                                 snapshot_steps=default_snapshot_steps(cfg.n_steps))
+    paths = _write_stacks(out, cfg.grid, _MACRO_FIELDS, [("", snapshot_stack(snapshots))],
+                          [s.step for s in snapshots])
     series = [(s.step, s.t, s.alpha_value, float(s.h.sum()), float(s.c.sum()), float(s.n.sum()))
               for s in snapshots]
     paths.append(write_csv(out / "series.csv",
                            ["step", "t", "alpha", "mass_H", "mass_C", "mass_N"], series))
-    manifest = _manifest(args.seed, cfgmod.echo_sections(macro=echo))
-    _finish(manifest, out, paths)
-    print(
+    return Outcome(
+        cfgmod.echo_sections(macro=echo), paths,
         f"macro: {cfg.n_steps} steps, max residual {stats.max_residual:.2e}, "
-        f"clamp events {stats.clamp_events}"
+        f"clamp events {stats.clamp_events}",
+        _clamp_failure(stats.clamp_events),
     )
-    if stats.clamp_events > 0:
-        print("invariant violated: positivity clamping occurred", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
 
 
-def _write_macro_stacks(out: Path, grid: Grid, steps, named_stacks) -> list:
-    """One LVF1 file ``{name}_{H,C,N}_step{step:04d}.lvf`` per snapshot and
-    field of each (name, stack) pair; a stack is indexed [snapshot, field]."""
-    paths = []
-    for si, step in enumerate(steps):
-        for fi, label in enumerate(("H", "C", "N")):
-            for name, stack in named_stacks:
-                f = GridField(grid, stack[si, fi])
-                paths.append(write_grid_binary(out / f"{name}_{label}_step{step:04d}.lvf", f))
-    return paths
-
-
-def cmd_ensemble(args) -> int:
-    sections = _load_sections(args)
+def cmd_ensemble(sections, args, out: Path) -> Outcome:
     ens, echo_e = cfgmod.ensemble_config_from(sections, args.seed, args.workers)
-    if args.samples is not None:
-        from dataclasses import replace
-
-        ens = replace(ens, n_samples=args.samples)
-        echo_e = dict(echo_e, M=args.samples)
-    kind = args.kind or str(echo_e["kind"])
-    echo_e = dict(echo_e, kind=kind)
+    kind = echo_e["kind"]
     if kind == "macro":
         cfg, echo_c = cfgmod.macro_config_from(sections)
-        echo = cfgmod.echo_sections(ensemble=echo_e, macro=echo_c)
     else:
         cfg, echo_c = cfgmod.micro_config_from(sections)
-        echo = cfgmod.echo_sections(ensemble=echo_e, micro=echo_c)
-    out = _out_dir(args)
     stats = run_ensemble(kind, cfg, ens)
-    exported = [(f"sample{i:04d}", values) for i, values in sorted(stats.exported.items())]
+    echo_e["snapshot_steps"] = stats.snapshot_steps
+    exported = [(f"sample{i:04d}_", values) for i, values in sorted(stats.exported.items())]
     if kind == "macro":
         steps = stats.snapshot_steps
-        paths = _write_macro_stacks(out, cfg.grid, steps,
-                                    [("mean", stats.mean), ("var", stats.variance)])
-        paths += _write_macro_stacks(out, cfg.grid, steps, exported)
+        paths = _write_stacks(out, cfg.grid, _MACRO_FIELDS,
+                              [("mean_", stats.mean), ("var_", stats.variance)], steps)
+        paths += _write_stacks(out, cfg.grid, _MACRO_FIELDS, exported, steps)
     else:
         paths = []
         rows = [(i, s) for i, s in enumerate(stats.survival_samples)]
@@ -265,32 +215,25 @@ def cmd_ensemble(args) -> int:
                 [(stats.survival_mean, stats.survival_stderr, stats.n_samples)],
             )
         )
-        for fi, label in enumerate(("acid", "tissue")):
-            mean_f = GridField(cfg.grid, stats.mean[fi])
-            var_f = GridField(cfg.grid, stats.variance[fi])
-            paths.append(write_grid_binary(out / f"mean_{label}.lvf", mean_f))
-            paths.append(write_grid_binary(out / f"var_{label}.lvf", var_f))
-        for stem, alive in exported:
-            paths.append(write_csv(out / f"{stem}_alive.csv", ["step", "alive"],
+        # the final acid and tissue fields, as a single step
+        paths += _write_stacks(out, cfg.grid, ("acid", "tissue"),
+                               [("mean_", stats.mean[None]), ("var_", stats.variance[None])])
+        for prefix, alive in exported:
+            paths.append(write_csv(out / f"{prefix}alive.csv", ["step", "alive"],
                                    list(enumerate(alive.tolist()))))
-    manifest = _manifest(args.seed, echo)
-    _finish(manifest, out, paths)
-    print(f"ensemble: {ens.n_samples} {kind} samples with {args.workers} worker(s)")
-    if stats.clamp_events > 0:
-        print("invariant violated: positivity clamping occurred", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    return Outcome(
+        cfgmod.echo_sections(ensemble=echo_e, **{kind: echo_c}), paths,
+        f"ensemble: {ens.n_samples} {kind} samples with {args.workers} worker(s)",
+        _clamp_failure(stats.clamp_events),
+    )
 
 
-def cmd_report(args) -> int:
-    sections = _load_sections(args)
+def cmd_report(sections, args, out: Path) -> Outcome:
     params = cfgmod.report_params_from(sections)
-    out = _out_dir(args)
     inputs = [Path(p) for p in args.snapshots]
     missing = [str(p) for p in inputs if not p.exists()]
     if not inputs or missing:
-        print(f"missing snapshot inputs: {missing or 'none given'}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigInvalid(f"missing snapshot inputs: {missing or 'none given'}")
     paths = []
     for snap in inputs:
         values, (mx, my) = read_grid_binary(snap)
@@ -301,15 +244,19 @@ def cmd_report(args) -> int:
         stem = snap.stem
         paths.append(write_pgm(out / f"{stem}.pgm", values, args.vmin, args.vmax))
         paths.append(write_contour_csv(out / f"{stem}_contours.csv", f, params["levels"]))
-    manifest = _manifest(args.seed, cfgmod.echo_sections(report=params))
-    _finish(manifest, out, paths)
-    print(f"report: rendered {len(inputs)} snapshot(s)")
-    return EXIT_OK
+    return Outcome(cfgmod.echo_sections(report=params), paths,
+                   f"report: rendered {len(inputs)} snapshot(s)")
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _key_flag(parser, flag: str, section: str, key: str, **kwargs):
+    """``flag`` sets ``[section] key``, checked and echoed like a file key."""
+    parser.add_argument(flag, dest=f"{section}.{key}", metavar=key.upper(),
+                        default=argparse.SUPPRESS, help=f"sets [{section}] {key}", **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symbol", parents=[common],
                        help="evaluate a named symbol on a frequency ray")
-    p.add_argument("--name", default=None)
+    _key_flag(p, "--name", "symbol", "name")
     p.set_defaults(fn=cmd_symbol)
 
     p = sub.add_parser("fracheck", parents=[common],
@@ -341,18 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("micro", parents=[common],
                        help="run the particle-level invasion model")
-    p.add_argument("--steps", type=int, default=None)
+    _key_flag(p, "--steps", "micro", "N", type=int)
     p.set_defaults(fn=cmd_micro)
 
     p = sub.add_parser("macro", parents=[common],
                        help="run the macroscopic field model")
-    p.add_argument("--steps", type=int, default=None)
+    _key_flag(p, "--steps", "macro", "N", type=int)
     p.set_defaults(fn=cmd_macro)
 
     p = sub.add_parser("ensemble", parents=[common],
                        help="Monte Carlo ensemble of either model")
-    p.add_argument("--kind", choices=("micro", "macro"), default=None)
-    p.add_argument("--samples", type=int, default=None)
+    _key_flag(p, "--kind", "ensemble", "kind", choices=("micro", "macro"))
+    _key_flag(p, "--samples", "ensemble", "M", type=int)
     p.set_defaults(fn=cmd_ensemble)
 
     p = sub.add_parser("report", parents=[common],
@@ -373,8 +320,10 @@ _GLOBAL_DEFAULTS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse, load the config, apply the command flags as config keys, run
+    the subcommand, write its manifest and map any failure to its exit code."""
+    args = build_parser().parse_args(argv)
+    started_at = time.time()
     # global flags use SUPPRESS so they can sit before or after the
     # subcommand without one position clobbering the other
     for key, value in _GLOBAL_DEFAULTS.items():
@@ -383,7 +332,16 @@ def main(argv=None) -> int:
     if args.workers is None:
         args.workers = os.cpu_count() or 1
     try:
-        return args.fn(args)
+        sections = {} if args.config is None else cfgmod.load_config_file(args.config)
+        for dest, value in vars(args).items():
+            section, dot, key = dest.partition(".")
+            if dot:
+                sections.setdefault(section, {})[key] = value
+        out = Path(os.environ.get("LEVYFLOW_OUT") or args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        outcome = args.fn(sections, args, out)
+        write_manifest(out / "manifest.json", cfgmod.render_config(outcome.echo),
+                       args.seed, started_at, outcome.paths)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -396,6 +354,13 @@ def main(argv=None) -> int:
     except LevyflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EVAL
+    if outcome.summary is not None:
+        print(outcome.summary)
+    if outcome.failure is None:
+        return EXIT_OK
+    code, message = outcome.failure
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -168,9 +168,7 @@ MICRO_DEFAULTS = _file_defaults(MicroConfig, _MICRO_ALIASES, {
 ENSEMBLE_DEFAULTS = {
     "M": EnsembleConfig().n_samples,
     "kind": "macro",
-    # the published snapshot steps; EnsembleConfig's empty default keeps
-    # only the initial and final states
-    "snapshot_steps": (0, 50, 100, 150),
+    "snapshot_steps": EnsembleConfig().snapshot_steps,
     "export_samples": EnsembleConfig().export_sample_ids,
 }
 

@@ -81,11 +81,12 @@ class GaussianNoise:
 
 @dataclass(frozen=True)
 class SwitchingNoise:
-    """Mixture selected per draw by a uniform variable U:
+    """Mixture selected per draw by a uniform variable U and the weights
+    (w_0, w_1, w_2), by default (0.3, 0.2, 0.5):
 
-    U in [0, .3)  -> standard normal,
-    U in [.3, .5) -> Laplace(0, 1),
-    else          -> Triangular(-4, 0, 8).
+    U in [0, w_0)         -> standard normal,
+    U in [w_0, w_0 + w_1) -> Laplace(0, 1),
+    else                  -> Triangular(-4, 0, 8).
     """
 
     weights: tuple = (0.3, 0.2, 0.5)
@@ -107,10 +108,10 @@ class CauchyModulatedNoise:
     amplitude: float = 10.0
 
 
-def switching_select(u):
+def switching_select(u, weights=SwitchingNoise.weights):
     """Law index (0 normal, 1 Laplace, 2 triangular) from the uniform draw."""
     u = np.asarray(u)
-    return np.where(u < 0.3, 0, np.where(u < 0.5, 1, 2))
+    return np.where(u < weights[0], 0, np.where(u < weights[0] + weights[1], 1, 2))
 
 
 def cauchy_modulated_increment(sigma, z, dt, amplitude=10.0):
@@ -133,7 +134,7 @@ def draw_noise(model, rng: RngStream, dt: float, size=None):
         return (model.mean + model.sd * rng.normal(size)) * root_dt
     if isinstance(model, SwitchingNoise):
         u = rng.uniform(size)
-        choice = switching_select(u)
+        choice = switching_select(u, model.weights)
         left, mode, right = model.triangular
         candidates = np.stack(
             [

@@ -14,7 +14,7 @@ import numpy as np
 
 from .drivers import RngStream
 from .errors import ConfigInvalid, EnsembleSampleError
-from .macro import MacroConfig, run_macro, snapshot_set
+from .macro import MacroConfig, default_snapshot_steps, run_macro, snapshot_set, snapshot_stack
 from .micro import MicroConfig, run_micro, survival_fraction
 
 
@@ -22,6 +22,7 @@ from .micro import MicroConfig, run_micro, survival_fraction
 class EnsembleConfig:
     n_samples: int = 500
     base_seed: int = 20240901
+    # macro steps to accumulate; empty keeps macro.default_snapshot_steps
     snapshot_steps: tuple = ()
     export_sample_ids: tuple = ()
     workers: int = 1
@@ -63,33 +64,6 @@ class WelfordAccumulator:
             return np.zeros_like(self.mean) if self.mean is not None else None
         return self.m2 / (self.count - 1)
 
-    def moments(self):
-        return self.count, self.mean, self.m2
-
-
-def welford_merge(partials):
-    """Merge (count, mean, M2) partials; equals the moments of the pooled data.
-
-    An empty or zero-count partial acts as the identity.
-    """
-    count = 0
-    mean = None
-    m2 = None
-    for c, m, s in partials:
-        if c == 0:
-            continue
-        m = np.asarray(m, dtype=float)
-        s = np.asarray(s, dtype=float)
-        if count == 0:
-            count, mean, m2 = c, m.copy(), s.copy()
-            continue
-        total = count + c
-        delta = m - mean
-        mean = mean + delta * (c / total)
-        m2 = m2 + s + delta * delta * (count * c / total)
-        count = total
-    return count, mean, m2
-
 
 # ---------------------------------------------------------------------------
 # per-sample runner (top level so worker processes can pickle it)
@@ -113,7 +87,7 @@ def _run_sample(args) -> SampleRecord:
     rng = RngStream(base_seed, sample_id)
     if kind == "macro":
         snapshots, stats = run_macro(cfg, rng, snapshot_steps=snapshot_steps)
-        stack = np.stack([np.stack([s.h, s.c, s.n]) for s in snapshots])
+        stack = snapshot_stack(snapshots)
         return SampleRecord(stack, stack, stats.clamp_events, stats.max_residual)
     state, alive_series = run_micro(cfg, rng)
     return SampleRecord(
@@ -131,7 +105,6 @@ class EnsembleStats:
     snapshot_steps: tuple
     mean: np.ndarray
     variance: np.ndarray
-    moments: tuple
     clamp_events: int = 0
     max_residual: float = 0.0
     survival_samples: list = field(default_factory=list)
@@ -179,7 +152,7 @@ def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
     steps = tuple(ens.snapshot_steps)
     if kind == "macro":
         # run_macro keeps snapshots in step order, once per distinct step
-        steps = tuple(sorted(snapshot_set(cfg, steps or (0, cfg.n_steps))))
+        steps = tuple(sorted(snapshot_set(cfg, steps or default_snapshot_steps(cfg.n_steps))))
 
     acc = WelfordAccumulator()
     stats = EnsembleStats(
@@ -188,7 +161,6 @@ def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
         snapshot_steps=steps,
         mean=None,
         variance=None,
-        moments=None,
     )
     payloads = [(kind, cfg, ens.base_seed, i, steps) for i in range(ens.n_samples)]
     try:
@@ -207,5 +179,4 @@ def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
 
     stats.mean = acc.mean
     stats.variance = acc.variance()
-    stats.moments = acc.moments()
     return stats

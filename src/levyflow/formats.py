@@ -17,11 +17,11 @@ import hashlib
 import json
 import struct
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigInvalid
 from .grids import GridField
 
@@ -141,33 +141,20 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    tool_version: str
-    config_text: str
-    base_seed: int
-    started_at: float = field(default_factory=time.time)
-    finished_at: float | None = None
-    outputs: list = field(default_factory=list)
-
-    def add_output(self, path):
-        path = Path(path)
-        self.outputs.append({"path": path.name, "sha256": sha256_file(path)})
-
-    def finish(self):
-        self.finished_at = time.time()
-
-    def write(self, path):
-        payload = {
-            "tool_version": self.tool_version,
-            "config": self.config_text,
-            "base_seed": self.base_seed,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "outputs": self.outputs,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return Path(path)
+def write_manifest(path, config_text: str, base_seed: int, started_at: float, outputs):
+    """The run manifest: tool version, config echo, base seed, the run's
+    wall-clock span (``started_at`` to now, Unix seconds) and the SHA-256
+    digest of each output file, listed in the order given."""
+    payload = {
+        "tool_version": __version__,
+        "config": config_text,
+        "base_seed": base_seed,
+        "started_at": started_at,
+        "outputs": [{"path": Path(p).name, "sha256": sha256_file(p)} for p in outputs],
+        "finished_at": time.time(),  # evaluated after the digests above
+    }
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return Path(path)
 
 
 def read_manifest(path):

@@ -26,8 +26,8 @@ import numpy as np
 from .drivers import ProtonIndexDriver, QWienerSpec, RngStream, sample_qwiener_increment
 from .errors import ConfigInvalid, InvariantViolation, SolverDiverged
 from .fracops import FracLapOperator
-from .grids import (Grid, GridField, centered_difference, laplacian5,
-                    periodic_gaussian_blur, wrapped_gaussian_bump)
+from .grids import (Grid, centered_difference, laplacian5, periodic_gaussian_blur,
+                    wrapped_gaussian_bump)
 from .linsolve import bicgstab
 
 _CLAMP_TOL = 1e-12
@@ -251,6 +251,13 @@ def macro_step(state: MacroState, cfg: MacroConfig, rng: RngStream,
     return MacroState(h_new, c_new, n_new, state.t + cfg.tau, state.step + 1, alpha)
 
 
+def default_snapshot_steps(n_steps: int) -> tuple:
+    """The snapshot steps of the ``macro`` command and of a macro ensemble
+    that names none: 0, N/3, 2N/3 and N (rounded down), each once; this is
+    (0, 50, 100, 150) at the published N = 150."""
+    return tuple(sorted({0, n_steps // 3, (2 * n_steps) // 3, n_steps}))
+
+
 def snapshot_set(cfg: MacroConfig, snapshot_steps) -> set:
     """The distinct step indices to keep; each must lie in [0, n_steps]."""
     wanted = set(int(s) for s in snapshot_steps)
@@ -283,10 +290,6 @@ def run_macro(cfg: MacroConfig, rng: RngStream, snapshot_steps=None,
     return snapshots, stats
 
 
-def state_fields(state: MacroState, grid: Grid):
-    """The three tracked fields as GridFields, in (H, C, N) order."""
-    return (
-        GridField(grid, state.h),
-        GridField(grid, state.c),
-        GridField(grid, state.n),
-    )
+def snapshot_stack(snapshots) -> np.ndarray:
+    """The H, C and N fields of the snapshots as one array indexed [snapshot, field]."""
+    return np.stack([np.stack([s.h, s.c, s.n]) for s in snapshots])

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -233,3 +234,39 @@ def test_manifest_config_echo_reparses(tmp_path):
     assert cfg.n_steps == 2
     cfg_again, _ = macro_config_from(parse_config_text(manifest["config"]))
     assert cfg == cfg_again
+
+
+def test_macro_ensemble_default_steps_match_macro_command(tmp_path):
+    from levyflow.config import parse_config_text
+
+    cfgfile = tmp_path / "e.cfg"
+    cfgfile.write_text("[macro]\nN = 12\n")
+    ens, one = tmp_path / "ens", tmp_path / "one"
+    assert _run("--config", str(cfgfile), "--workers", "1", "--out", str(ens),
+                "ensemble", "--samples", "1") == 0
+    assert _run("--out", str(one), "macro", "--steps", "12") == 0
+    ens_steps = sorted(p.name[len("mean_H_"):] for p in ens.glob("mean_H_step*.lvf"))
+    one_steps = sorted(p.name[len("H_"):] for p in one.glob("H_step*.lvf"))
+    assert ens_steps == one_steps == [f"step{s:04d}.lvf" for s in (0, 4, 8, 12)]
+    echo = parse_config_text(json.loads((ens / "manifest.json").read_text())["config"])
+    assert echo["ensemble"]["snapshot_steps"] == (0, 4, 8, 12)
+
+
+def test_manifest_time_span_covers_the_run(tmp_path, monkeypatch):
+    from levyflow import cli
+
+    seen = {}
+    run_macro = cli.run_macro
+
+    def timed_run_macro(*args, **kwargs):
+        seen["entry"] = time.time()
+        result = run_macro(*args, **kwargs)
+        seen["exit"] = time.time()
+        return result
+
+    monkeypatch.setattr(cli, "run_macro", timed_run_macro)
+    out = tmp_path / "o"
+    assert _run("--out", str(out), "macro", "--steps", "3") == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["started_at"] <= seen["entry"]
+    assert seen["exit"] <= manifest["finished_at"]

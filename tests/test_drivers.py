@@ -80,12 +80,18 @@ def test_switching_selector_partition():
 
 
 def test_switching_frequencies():
-    rng = RngStream(12, 0)
-    u = rng.uniform(100_000)
-    counts = np.bincount(switching_select(u), minlength=3) / 100_000
-    assert abs(counts[0] - 0.3) < 0.02
-    assert abs(counts[1] - 0.2) < 0.02
-    assert abs(counts[2] - 0.5) < 0.02
+    n = 100_000
+    for weights in ((0.3, 0.2, 0.5), (0.6, 0.2, 0.2)):
+        u = RngStream(12, 0).uniform(n)
+        counts = np.bincount(switching_select(u, weights), minlength=3) / n
+        assert np.all(np.abs(counts - weights) < 0.02), weights
+        # draw_noise picks by the law's own weights: replay its candidates
+        replay = RngStream(12, 0)
+        replay.uniform(n)
+        normal, laplace = replay.normal(n), replay.laplace(n)
+        draws = draw_noise(SwitchingNoise(weights=weights), RngStream(12, 0), 1.0, size=n)
+        assert abs(np.mean(draws == normal) - weights[0]) < 0.02, weights
+        assert abs(np.mean(draws == laplace) - weights[1]) < 0.02, weights
 
 
 def test_switching_weights_validated():

@@ -7,7 +7,6 @@ from levyflow.ensemble import (
     EnsembleConfig,
     WelfordAccumulator,
     run_ensemble,
-    welford_merge,
 )
 from levyflow.errors import ConfigInvalid, EnsembleSampleError
 from levyflow.macro import MacroConfig, run_macro
@@ -26,42 +25,24 @@ def test_welford_two_singletons():
     acc = WelfordAccumulator()
     acc.add(1.0)
     acc.add(3.0)
-    count, mean, m2 = acc.moments()
-    assert count == 2
-    assert mean == pytest.approx(2.0)
-    assert m2 == pytest.approx(2.0)
+    assert acc.count == 2
+    assert acc.mean == pytest.approx(2.0)
+    assert acc.m2 == pytest.approx(2.0)
     assert acc.variance() == pytest.approx(2.0)
 
 
-def test_welford_merge_identity_and_pairs():
-    merged = welford_merge([(0, None, None), (2, 2.0, 2.0)])
-    assert merged == (2, 2.0, 2.0)
-    a = WelfordAccumulator()
-    a.add(1.0)
-    b = WelfordAccumulator()
-    b.add(3.0)
-    count, mean, m2 = welford_merge([a.moments(), b.moments()])
-    assert (count, float(mean), float(m2)) == (2, 2.0, 2.0)
-
-
-def test_welford_merge_associative_against_brute_force():
+def test_welford_against_brute_force():
     rng = np.random.Generator(np.random.Philox(key=[31, 0]))
     data = rng.standard_normal(1000)
     brute_mean = data.mean()
     brute_m2 = ((data - brute_mean) ** 2).sum()
 
-    for cuts in ([100, 400], [1, 999], [250, 500, 750]):
-        parts = np.split(data, cuts)
-        partials = []
-        for part in parts:
-            acc = WelfordAccumulator()
-            for v in part:
-                acc.add(v)
-            partials.append(acc.moments())
-        count, mean, m2 = welford_merge(partials)
-        assert count == 1000
-        assert float(mean) == pytest.approx(brute_mean, rel=1e-10)
-        assert float(m2) == pytest.approx(brute_m2, rel=1e-10)
+    acc = WelfordAccumulator()
+    for v in data:
+        acc.add(v)
+    assert acc.count == 1000
+    assert float(acc.mean) == pytest.approx(brute_mean, rel=1e-10)
+    assert float(acc.m2) == pytest.approx(brute_m2, rel=1e-10)
 
 
 def test_welford_elementwise_on_arrays():

@@ -1,12 +1,12 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
 from levyflow.errors import ConfigInvalid
 from levyflow.formats import (
-    RunManifest,
     contour_points,
     fmt17,
     read_grid_binary,
@@ -15,6 +15,7 @@ from levyflow.formats import (
     verify_manifest,
     write_csv,
     write_grid_binary,
+    write_manifest,
     write_pgm,
 )
 from levyflow.grids import Grid, GridField
@@ -95,10 +96,7 @@ def test_contour_points_on_simple_ramp():
 def test_manifest_round_trip_and_verification(tmp_path):
     out = tmp_path / "file.bin"
     out.write_bytes(b"payload")
-    manifest = RunManifest(tool_version="x", config_text="[a]\nb = 1\n", base_seed=5)
-    manifest.add_output(out)
-    manifest.finish()
-    mpath = manifest.write(tmp_path / "manifest.json")
+    mpath = write_manifest(tmp_path / "manifest.json", "[a]\nb = 1\n", 5, time.time(), [out])
     data = json.loads(mpath.read_text())
     assert data["base_seed"] == 5
     assert data["outputs"][0]["sha256"] == sha256_file(out)

@@ -1,6 +1,7 @@
 """The benchmark's traced run (perfbench/tracer.py) wraps levyflow functions
 by name. A renamed or removed function would only print a warning there and
-leave its per-layer metric at 0, so this test fails on it instead."""
+leave its per-layer metric at 0, and so would a hooked name that the
+commands no longer call through; these tests fail on either instead."""
 
 import importlib.util
 import sys
@@ -22,3 +23,20 @@ def test_every_trace_hook_finds_its_function():
     with tracer.installed():
         pass
     assert tracer.missing == []
+
+
+def test_trace_hooks_fire_on_tiny_runs(tmp_path):
+    from levyflow.cli import main
+
+    cfgfile = tmp_path / "tiny.cfg"
+    cfgfile.write_text("[fracheck]\nresolutions = 16, 32\nexponents = 1.0\nmodes = 1\n\n"
+                       "[micro]\nM = 50\nN = 2\n\n[macro]\nN = 1\n")
+    tracer = _tracer_module().Tracer()
+    with tracer.installed():
+        for command in ("fracheck", "micro", "macro", "ensemble --kind macro --samples 1"):
+            out = tmp_path / command.split()[0]
+            assert main(["--config", str(cfgfile), "--workers", "1", "--out", str(out),
+                         *command.split()]) == 0, command
+    recorded = {span.name for span in tracer.spans}
+    assert {"formats.lvf_write", "formats.csv_write", "formats.sha256", "fracops.oracle",
+            "micro.deposit", "config.resolve", "ensemble.sample"} <= recorded
