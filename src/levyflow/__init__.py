@@ -15,6 +15,7 @@ from .drivers import (
     ProtonIndexDriver,
     QWienerSpec,
     RngStream,
+    StreamChunk,
     SwitchingNoise,
     bridge_value,
     draw_noise,

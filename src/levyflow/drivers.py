@@ -68,6 +68,18 @@ class RngStream:
         return self._gen.integers(low, high, size=size)
 
 
+class StreamChunk(tuple):
+    """The streams of a stack of samples, one per row, in row order.
+
+    A chunk is named by its first stream: ``stream_index`` is that
+    stream's index, the first sample id of a contiguous chunk.
+    """
+
+    @property
+    def stream_index(self) -> int:
+        return self[0].stream_index
+
+
 # ---------------------------------------------------------------------------
 # micro-model noise laws
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 Sample ``i`` always draws from stream index ``i`` of the base seed, and the
 accumulator consumes results in sample-id order no matter how many workers
 ran them, so ensemble statistics are bit-identical across worker counts.
+Macro samples run in contiguous chunks, each advanced as one stack; a
+sample's bits do not depend on the chunk it ran in.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import RngStream
+from .drivers import RngStream, StreamChunk
 from .errors import ConfigInvalid, EnsembleSampleError
 from .macro import MacroConfig, default_snapshot_steps, run_macro, snapshot_set, snapshot_stack
 from .micro import MicroConfig, run_micro, survival_fraction
@@ -66,8 +68,11 @@ class WelfordAccumulator:
 
 
 # ---------------------------------------------------------------------------
-# per-sample runner (top level so worker processes can pickle it)
+# chunk runner (top level so worker processes can pickle it)
 # ---------------------------------------------------------------------------
+
+# Largest chunk of samples a worker runs as one stack.
+MAX_CHUNK = 64
 
 
 @dataclass
@@ -82,20 +87,44 @@ class SampleRecord:
     survival: float | None = None
 
 
-def _run_sample(args) -> SampleRecord:
-    kind, cfg, base_seed, sample_id, snapshot_steps = args
-    rng = RngStream(base_seed, sample_id)
+def _run_chunk(args) -> list:
+    """The record of each sample of a contiguous chunk of sample ids, or the
+    error that stopped it, in id order.
+
+    Macro samples advance together as one stack; a failed sample is
+    dropped from it and the others run to the end.
+    """
+    kind, cfg, base_seed, first, count, snapshot_steps = args
     if kind == "macro":
-        snapshots, stats = run_macro(cfg, rng, snapshot_steps=snapshot_steps)
-        stack = snapshot_stack(snapshots)
-        return SampleRecord(stack, stack, stats.clamp_events, stats.max_residual)
-    state, alive_series = run_micro(cfg, rng)
-    return SampleRecord(
-        fields=np.stack([state.acid, state.tissue]),
-        export=np.asarray(alive_series),
-        clamp_events=state.clamp_events,
-        survival=survival_fraction(state, cfg.n_particles),
-    )
+        streams = StreamChunk(RngStream(base_seed, i) for i in range(first, first + count))
+        snapshots, stats = run_macro(cfg, streams, snapshot_steps=snapshot_steps)
+        if len(stats.errors) == count:
+            return [stats.errors[k] for k in range(count)]
+        per_sample = np.ascontiguousarray(np.moveaxis(snapshot_stack(snapshots), 2, 0))
+        return [stats.errors.get(k) or SampleRecord(per_sample[k], per_sample[k],
+                                                   int(stats.clamps[k]), float(stats.residuals[k]))
+                for k in range(count)]
+    records = []
+    for sample_id in range(first, first + count):
+        try:
+            state, alive_series = run_micro(cfg, RngStream(base_seed, sample_id))
+        except Exception as exc:  # noqa: BLE001 - reported for this id by run_ensemble
+            records.append(exc)
+            continue
+        records.append(SampleRecord(
+            fields=np.stack([state.acid, state.tissue]),
+            export=np.asarray(alive_series),
+            clamp_events=state.clamp_events,
+            survival=survival_fraction(state, cfg.n_particles),
+        ))
+    return records
+
+
+def _chunks(n_samples: int, workers: int) -> list:
+    """(first id, count) of each chunk: ceil(n_samples / workers) ids, at
+    most MAX_CHUNK, so every worker has work and none holds a huge stack."""
+    size = min(-(-n_samples // workers), MAX_CHUNK)
+    return [(first, min(size, n_samples - first)) for first in range(0, n_samples, size)]
 
 
 @dataclass
@@ -122,6 +151,8 @@ class EnsembleStats:
 
 
 def _map_samples(fn, payloads, workers):
+    """``fn`` over the payloads in order, on at most one process per payload."""
+    workers = min(workers, len(payloads))
     if workers == 1:
         for payload in payloads:
             yield fn(payload)
@@ -133,10 +164,12 @@ def _map_samples(fn, payloads, workers):
 def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
     """Run ``ens.n_samples`` independent simulations and stream the moments.
 
-    The inputs are checked before any sample starts.  A failing sample
-    aborts the whole ensemble; the raised error names the seed pair needed
-    to replay it.  Accumulation order is fixed by sample id, so results do
-    not depend on worker count or scheduling.
+    The inputs are checked before any sample starts.  Each worker runs one
+    contiguous chunk of sample ids at a time.  A failing sample aborts the
+    whole ensemble; the raised error names the lowest failing sample id and
+    the seed pair needed to replay it.  Accumulation order is fixed by
+    sample id, so results do not depend on worker count, chunking or
+    scheduling.
     """
     config_type = {"macro": MacroConfig, "micro": MicroConfig}.get(kind)
     if config_type is None:
@@ -162,10 +195,14 @@ def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
         mean=None,
         variance=None,
     )
-    payloads = [(kind, cfg, ens.base_seed, i, steps) for i in range(ens.n_samples)]
+    payloads = [(kind, cfg, ens.base_seed, first, count, steps)
+                for first, count in _chunks(ens.n_samples, ens.workers)]
     try:
-        # map yields in submission order, so records arrive by sample id
-        for sample_id, record in enumerate(_map_samples(_run_sample, payloads, ens.workers)):
+        # map yields chunks in submission order, so records arrive by sample id
+        chunks = _map_samples(_run_chunk, payloads, ens.workers)
+        for sample_id, record in enumerate(r for chunk in chunks for r in chunk):
+            if isinstance(record, Exception):
+                raise record
             acc.add(record.fields)
             stats.clamp_events += record.clamp_events
             stats.max_residual = max(stats.max_residual, record.max_residual)

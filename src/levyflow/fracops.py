@@ -113,7 +113,12 @@ class FracLapOperator:
     used, matching the per-axis update scheme of the macro solver.  Each
     per-axis kernel is circulant, so the build stores the operator's real
     eigenvalues on the ``rfftn`` grid: applying it and solving
-    ``(I - shift A) x = b`` are each one FFT pair.
+    ``(I - shift A) x = b`` are each one FFT pair over the trailing grid
+    axes.
+
+    ``exponent`` may also be a 1-D array, one exponent per sample of a
+    stack: the eigenvalues then carry a leading sample axis and act on
+    ``(S, *grid.shape)`` stacks, each sample with its own exponent.
     """
 
     grid: Grid
@@ -123,34 +128,41 @@ class FracLapOperator:
     _symbol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 < self.exponent < 2.0:
+        exponents = np.asarray(self.exponent, dtype=float)
+        if not all(0.0 < p < 2.0 for p in exponents.ravel().tolist()):
             raise ExponentOutOfRange(f"exponent must lie in (0,2), got {self.exponent}")
         if self.cutoff_steps < 1:
             raise ExponentOutOfRange("cutoff must be at least one grid step")
+        if any(2 * self.cutoff_steps >= m for m in self.grid.shape):
+            raise ExponentOutOfRange("cutoff radius too large for the grid")
+        symbols = np.array([self._eigenvalues(p) for p in exponents.ravel().tolist()])
+        self._symbol = symbols.reshape(exponents.shape + symbols.shape[1:])
+
+    def _eigenvalues(self, p: float) -> np.ndarray:
+        """The operator's eigenvalues at exponent ``p`` on the ``rfftn`` grid."""
         ndim = self.grid.ndim
-        self._symbol = np.zeros(())
+        symbol = np.zeros(())
         axis_symbols = {}  # one kernel per distinct (points, spacing)
         for axis in range(ndim):
             m = self.grid.shape[axis]
-            if 2 * self.cutoff_steps >= m:
-                raise ExponentOutOfRange("cutoff radius too large for the grid")
             d = self.grid.spacings[axis]
             if (m, d) not in axis_symbols:
                 h = self.cutoff_steps * d
-                n_tail = self.n_tail or default_tail_nodes(self.exponent, h, m)
-                kernel, far = _axis_kernel(m, d, self.exponent, self.cutoff_steps, n_tail)
+                n_tail = self.n_tail or default_tail_nodes(p, h, m)
+                kernel, far = _axis_kernel(m, d, p, self.cutoff_steps, n_tail)
                 axis_symbols[m, d] = _axis_symbol(kernel, far)
             lam = axis_symbols[m, d]
             if axis == ndim - 1:  # rfftn keeps the nonnegative half of the last axis
                 lam = lam[: m // 2 + 1]
             shape = [1] * ndim
             shape[axis] = lam.size
-            self._symbol = self._symbol + lam.reshape(shape)
+            symbol = symbol + lam.reshape(shape)
+        return symbol
 
     def _multiply(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        axes = tuple(range(self.grid.ndim))
+        axes = tuple(range(-self.grid.ndim, 0))
         spectrum = np.fft.rfftn(values, axes=axes)
-        return np.fft.irfftn(multiplier * spectrum, s=values.shape, axes=axes)
+        return np.fft.irfftn(multiplier * spectrum, s=self.grid.shape, axes=axes)
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         return self._multiply(values, self._symbol)

@@ -6,11 +6,17 @@ small and strongly diagonally dominant, so an unpreconditioned stabilized
 bi-conjugate gradient iteration converges in a handful of steps.  (The
 C-step's fractional system is circulant and is solved exactly by FFT in
 ``fracops``.)
+
+The solver advances a stack of independent systems in lockstep, one
+system per row of the stack, each with its own scalars (rho, alpha,
+omega).  Every norm and dot product is a per-row reduction, so a
+system's bits do not depend on how many others share its stack; a single
+system is a stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,69 +26,136 @@ from .errors import SolverDiverged
 @dataclass
 class SolveResult:
     solution: np.ndarray
-    residual: float
-    iterations: int
+    residual: float  # largest true relative residual over the solved systems
+    iterations: int  # iterations summed over the systems
+    residuals: np.ndarray | None = None  # per system; nan where it failed
+    iteration_counts: np.ndarray | None = None  # per system
+    failures: dict = field(default_factory=dict)  # row -> SolverDiverged
 
 
-def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResult:
+def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``u`` with the same row of ``v``; each
+    row is its own reduction, independent of the number of rows."""
+    return np.einsum("si,si->s", u, v)
+
+
+def row_norm(u: np.ndarray) -> np.ndarray:
+    return np.sqrt(row_dot(u, u))
+
+
+def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None,
+             batched=False) -> SolveResult:
     """Solve ``A x = b`` for a matrix-free operator to relative residual tol.
 
     Raises :class:`SolverDiverged` when the target residual is not met
     within ``max_iterations`` (default 10 * problem size) or on breakdown.
+
+    With ``batched``, ``b`` stacks independent systems along its first
+    axis and ``apply_op`` must act on each row of a stack on its own.  A
+    system is frozen once it converges; one that fails does not raise but
+    keeps its initial guess and is listed in ``failures`` with its error.
     """
+    if not batched:
+        b = np.asarray(b, dtype=float)
+        res = bicgstab(lambda x: apply_op(x[0])[None], b[None], tol, max_iterations,
+                       None if x0 is None else np.asarray(x0, dtype=float)[None], True)
+        if res.failures:
+            raise res.failures[0]
+        return SolveResult(res.solution[0], res.residual, res.iterations,
+                           res.residuals, res.iteration_counts)
+
     b = np.asarray(b, dtype=float)
     shape = b.shape
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return SolveResult(np.zeros(shape), 0.0, 0)
+    rows = b.reshape(shape[0], -1)
+    n_sys = rows.shape[0]
     if max_iterations is None:
-        max_iterations = 10 * b.size
+        max_iterations = 10 * rows.shape[1]
 
-    x = b.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = b - apply_op(x)
-    if float(np.linalg.norm(r)) / b_norm <= tol:
-        return SolveResult(x, float(np.linalg.norm(r)) / b_norm, 0)
-    r_hat = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros(shape)
-    p = np.zeros(shape)
+    def op(x):
+        return apply_op(x.reshape(shape)).reshape(n_sys, -1)
 
-    for k in range(1, max_iterations + 1):
-        rho_new = float(np.vdot(r_hat, r))
-        if rho_new == 0.0:
-            raise SolverDiverged("BiCGSTAB breakdown: rho = 0")
-        if k == 1:
-            p = r.copy()
-        else:
-            beta = (rho_new / rho) * (alpha / omega)
-            p = r + beta * (p - omega * v)
-        rho = rho_new
-        v = apply_op(p)
-        denom = float(np.vdot(r_hat, v))
-        if denom == 0.0:
-            raise SolverDiverged("BiCGSTAB breakdown: (r_hat, v) = 0")
-        alpha = rho / denom
-        s = r - alpha * v
-        if float(np.linalg.norm(s)) / b_norm <= tol:
-            x_try = x + alpha * p
-            true_res = float(np.linalg.norm(b - apply_op(x_try))) / b_norm
-            if true_res <= tol:
-                return SolveResult(x_try, true_res, k)
-        t = apply_op(s)
-        tt = float(np.vdot(t, t))
-        if tt == 0.0:
-            raise SolverDiverged("BiCGSTAB breakdown: t = 0")
-        omega = float(np.vdot(t, s)) / tt
-        x = x + alpha * p + omega * s
-        r = s - omega * t
-        if float(np.linalg.norm(r)) / b_norm <= tol:
-            true_res = float(np.linalg.norm(b - apply_op(x))) / b_norm
-            if true_res <= tol:
-                return SolveResult(x, true_res, k)
-        if omega == 0.0:
-            raise SolverDiverged("BiCGSTAB breakdown: omega = 0")
+    b_norm = row_norm(rows)
+    zero = b_norm == 0.0
+    scale = np.where(zero, 1.0, b_norm)
+    x = rows.copy() if x0 is None else np.array(x0, dtype=float).reshape(n_sys, -1)
+    x[zero] = 0.0
+    solution = x.copy()
+    residuals = np.zeros(n_sys)
+    counts = np.zeros(n_sys, dtype=np.int64)
+    failures = {}
+    active = ~zero
 
-    final = float(np.linalg.norm(b - apply_op(x))) / b_norm
-    raise SolverDiverged(
-        f"no convergence in {max_iterations} iterations (residual {final:.3e})"
+    def finish(done, values, res, k):
+        """Freeze the systems in ``done`` at ``values`` after k iterations."""
+        solution[done] = values[done]
+        residuals[done] = res[done]
+        counts[done] = k
+        active[done] = False
+
+    def fail(failed, message):
+        if failed.any():
+            for row in np.flatnonzero(failed):
+                failures[int(row)] = SolverDiverged(message(row))
+                residuals[row] = np.nan
+            active[failed] = False
+
+    # frozen and failed rows keep being carried through the arithmetic,
+    # where they may divide by zero; only active rows are ever read
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = rows - op(x)
+        res = row_norm(r) / scale
+        finish(active & (res <= tol), x, res, 0)
+        fail(active & ~np.isfinite(res), lambda row: "BiCGSTAB breakdown: non-finite residual")
+        r_hat = r.copy()
+        rho, alpha, omega = np.ones(n_sys), np.ones(n_sys), np.ones(n_sys)
+        v, p = np.zeros_like(rows), np.zeros_like(rows)
+
+        for k in range(1, max_iterations + 1):
+            if not active.any():
+                break
+            rho_new = row_dot(r_hat, r)
+            fail(active & (rho_new == 0.0), lambda row: "BiCGSTAB breakdown: rho = 0")
+            if k == 1:
+                p = r.copy()
+            else:
+                beta = (rho_new / rho) * (alpha / omega)
+                p = r + beta[:, None] * (p - omega[:, None] * v)
+            rho = rho_new
+            v = op(p)
+            denom = row_dot(r_hat, v)
+            fail(active & (denom == 0.0), lambda row: "BiCGSTAB breakdown: (r_hat, v) = 0")
+            alpha = rho / denom
+            s = r - alpha[:, None] * v
+            check = active & (row_norm(s) / scale <= tol)
+            if check.any():
+                x_try = x + alpha[:, None] * p
+                true_res = row_norm(rows - op(x_try)) / scale
+                finish(check & (true_res <= tol), x_try, true_res, k)
+            t = op(s)
+            tt = row_dot(t, t)
+            fail(active & (tt == 0.0), lambda row: "BiCGSTAB breakdown: t = 0")
+            omega = row_dot(t, s) / tt
+            x = x + alpha[:, None] * p + omega[:, None] * s
+            r = s - omega[:, None] * t
+            res = row_norm(r) / scale
+            fail(active & ~np.isfinite(res), lambda row: "BiCGSTAB breakdown: non-finite residual")
+            check = active & (res <= tol)
+            if check.any():
+                true_res = row_norm(rows - op(x)) / scale
+                finish(check & (true_res <= tol), x, true_res, k)
+            fail(active & (omega == 0.0), lambda row: "BiCGSTAB breakdown: omega = 0")
+
+        if active.any():
+            final = row_norm(rows - op(x)) / scale
+            fail(active, lambda row: f"no convergence in {max_iterations} iterations "
+                                     f"(residual {final[row]:.3e})")
+
+    solved = np.isfinite(residuals)
+    return SolveResult(
+        solution.reshape(shape),
+        float(residuals[solved].max()) if solved.any() else 0.0,
+        int(counts.sum()),
+        residuals,
+        counts,
+        failures,
     )

@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import ProtonIndexDriver, QWienerSpec, RngStream, sample_qwiener_increment
-from .errors import ConfigInvalid, InvariantViolation, SolverDiverged
+from .drivers import (ProtonIndexDriver, QWienerSpec, RngStream, StreamChunk,
+                      sample_qwiener_increment)
+from .errors import ConfigInvalid, InvariantViolation, LevyflowError, SolverDiverged
 from .fracops import FracLapOperator
 from .grids import (Grid, centered_difference, laplacian5, periodic_gaussian_blur,
-                    wrapped_gaussian_bump)
-from .linsolve import bicgstab
+                    periodic_shift, wrapped_gaussian_bump)
+from .linsolve import bicgstab, row_norm
 
 _CLAMP_TOL = 1e-12
 
@@ -86,39 +87,79 @@ class MacroConfig:
 
 @dataclass
 class MacroState:
+    """The fields of one sample, shape ``grid.shape``, or of a stack of
+    samples, shape ``(S, *grid.shape)`` with one exponent per sample."""
+
     h: np.ndarray
     c: np.ndarray
     n: np.ndarray
     t: float = 0.0
     step: int = 0
-    alpha_value: float = float("nan")
-
-    def copy(self):
-        return MacroState(self.h.copy(), self.c.copy(), self.n.copy(),
-                          self.t, self.step, self.alpha_value)
+    alpha_value: float | np.ndarray = float("nan")
 
 
-@dataclass
 class MacroRunStats:
-    clamp_events: int = 0
-    max_residual: float = 0.0
-    total_iterations: int = 0
-    alpha_min: float = float("inf")
-    alpha_max: float = -float("inf")
+    """Diagnostics of a run of S samples, kept per sample.
 
-    def absorb_solve(self, residual, iterations):
-        self.max_residual = max(self.max_residual, residual)
-        self.total_iterations += iterations
+    ``rows`` maps each row of the stack being advanced to its sample, so a
+    sample keeps its entries when a failed sample before it is dropped;
+    ``errors`` holds the error of each dropped sample.
+    """
+
+    def __init__(self, samples: int = 1):
+        self.clamps = np.zeros(samples, dtype=np.int64)
+        self.residuals = np.zeros(samples)
+        self.rows = np.arange(samples)
+        self.errors = {}
+        self.total_iterations = 0
+        self.alpha_min = float("inf")
+        self.alpha_max = -float("inf")
+
+    @property
+    def clamp_events(self) -> int:
+        return int(self.clamps.sum())
+
+    @property
+    def max_residual(self) -> float:
+        return float(self.residuals.max())
+
+    def absorb_clamps(self, counts):
+        self.clamps[self.rows] += np.reshape(counts, -1)
+
+    def absorb_solve(self, residuals, iterations):
+        self.residuals[self.rows] = np.maximum(self.residuals[self.rows],
+                                               np.reshape(residuals, -1))
+        self.total_iterations += int(iterations)
 
     def absorb_alpha(self, alpha):
-        self.alpha_min = min(self.alpha_min, alpha)
-        self.alpha_max = max(self.alpha_max, alpha)
+        self.alpha_min = min(self.alpha_min, float(np.min(alpha)))
+        self.alpha_max = max(self.alpha_max, float(np.max(alpha)))
+
+    def drop(self, failures: dict) -> np.ndarray:
+        """Record the errors of the failed rows and return the rows to keep."""
+        for row, error in failures.items():
+            self.errors[int(self.rows[row])] = error
+        keep = np.array([r for r in range(self.rows.size) if r not in failures], dtype=int)
+        self.rows = self.rows[keep]
+        return keep
 
 
-def _clamp(values: np.ndarray, stats: MacroRunStats | None) -> np.ndarray:
+def _per_sample(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """A field or a stack of fields as one row per sample."""
+    return values.reshape(-1, grid.node_count)
+
+
+def _fail(failures: dict | None, row: int, error: Exception):
+    """Note the first error of a stack row; with nowhere to note it, raise."""
+    if failures is None:
+        raise error
+    failures.setdefault(row, error)
+
+
+def _clamp(values: np.ndarray, grid: Grid, stats: MacroRunStats | None) -> np.ndarray:
     neg = values < 0.0
     if stats is not None:
-        stats.clamp_events += int(np.count_nonzero(values < -_CLAMP_TOL))
+        stats.absorb_clamps(np.count_nonzero(_per_sample(values, grid) < -_CLAMP_TOL, axis=1))
     values[neg] = 0.0
     return values
 
@@ -145,14 +186,16 @@ def macro_init(cfg: MacroConfig) -> MacroState:
 def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     """Conservative discretization of div(coef * grad u): per axis,
     ``((coef_k+1 + coef_k)(u_k+1 - u_k) + (coef_k-1 + coef_k)(u_k-1 - u_k)) / (2 d^2)``.
-    Telescopes to zero total, so the coupling conserves mass exactly."""
+    Telescopes to zero total, so the coupling conserves mass exactly.  Acts
+    on the trailing grid axes, like the stencils in ``grids``."""
     out = np.zeros_like(u)
     for axis in range(grid.ndim):
         d = grid.spacings[axis]
-        up = np.roll(u, -1, axis=axis) - u
-        dn = np.roll(u, 1, axis=axis) - u
-        cup = np.roll(coef, -1, axis=axis) + coef
-        cdn = np.roll(coef, 1, axis=axis) + coef
+        a = axis - grid.ndim
+        up = periodic_shift(u, -1, a) - u
+        dn = periodic_shift(u, 1, a) - u
+        cup = periodic_shift(coef, -1, a) + coef
+        cdn = periodic_shift(coef, 1, a) + coef
         out += (cup * up + cdn * dn) / (2.0 * d**2)
     return out
 
@@ -160,6 +203,12 @@ def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the three substeps
 # ---------------------------------------------------------------------------
+#
+# Each substep advances one sample (``rng`` an RngStream, fields of the grid
+# shape) or a stack (``rng`` a StreamChunk, fields (S, *grid.shape)).  A
+# sample that fails raises, unless a ``failures`` map is given: then its
+# row and error are noted there and the row is carried, on finite values,
+# to the end of the step, for the caller to drop.
 
 
 def step_n(state: MacroState, cfg: MacroConfig, stats: MacroRunStats | None = None):
@@ -167,16 +216,23 @@ def step_n(state: MacroState, cfg: MacroConfig, stats: MacroRunStats | None = No
     under ``scheme_literal``."""
     sign = 1.0 if cfg.scheme_literal else -1.0
     n_new = state.n + sign * cfg.tau * cfg.gamma_3 * (state.c + state.h) * state.n
-    return _clamp(n_new, stats)
+    return _clamp(n_new, cfg.grid, stats)
 
 
-def step_h(state: MacroState, cfg: MacroConfig, rng: RngStream,
-           stats: MacroRunStats | None = None):
+def step_h(state: MacroState, cfg: MacroConfig, rng: RngStream | StreamChunk,
+           stats: MacroRunStats | None = None, failures: dict | None = None):
     """Implicit advection-diffusion solve for the proton index."""
     grid = cfg.grid
     tau = cfg.tau
     qspec = QWienerSpec(cfg.qwiener_modes)
-    noise = sample_qwiener_increment(qspec, grid, tau, rng).values
+    draws = []
+    for row, stream in enumerate([rng] if isinstance(rng, RngStream) else rng):
+        try:
+            draws.append(sample_qwiener_increment(qspec, grid, tau, stream).values)
+        except LevyflowError as exc:
+            _fail(failures, row, exc)
+            draws.append(np.zeros(grid.shape))
+    noise = np.reshape(draws, state.h.shape)
     f_weight = state.c / (1.0 + state.c)
     slopes = [centered_difference(state.c, grid, axis) for axis in range(grid.ndim)]
 
@@ -190,24 +246,30 @@ def step_h(state: MacroState, cfg: MacroConfig, rng: RngStream,
            + tau * cfg.gamma_1 * state.h * (1.0 - state.h)
            + cfg.sigma_W * state.h * noise)
     max_iter = cfg.solver_max_iterations or 10 * grid.node_count
-    res = bicgstab(apply_op, rhs, cfg.solver_tol, max_iter, x0=rhs)
+    stack = rhs.reshape((-1,) + grid.shape)
+    res = bicgstab(apply_op, stack, cfg.solver_tol, max_iter, x0=stack, batched=True)
+    for row, error in res.failures.items():
+        _fail(failures, row, error)
     if stats is not None:
-        stats.absorb_solve(res.residual, res.iterations)
-    return _clamp(res.solution, stats)
+        stats.absorb_solve(res.residuals, res.iterations)
+    return _clamp(res.solution.reshape(rhs.shape), grid, stats)
 
 
 def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.ndarray,
-           stats: MacroRunStats | None = None):
+           stats: MacroRunStats | None = None, failures: dict | None = None):
     """Implicit fractional-diffusion solve for the cancer density.
 
     The spectral exponent is p = 2 * alpha(mean H), refreshed every step
-    from the freshly updated proton index.  The fractional operator is
-    diagonal under the FFT, so the system is solved exactly rather than
-    iterated; its true relative residual must still meet ``solver_tol``.
+    from the freshly updated proton index, per sample.  The fractional
+    operator is diagonal under the FFT, so the system is solved exactly
+    rather than iterated; each sample's true relative residual must still
+    meet ``solver_tol``.
     """
     grid = cfg.grid
     tau = cfg.tau
-    alpha = cfg.alpha_driver().alpha_of_h(float(h_new.mean()))
+    lead = h_new.shape[: h_new.ndim - grid.ndim]
+    h_mean = _per_sample(h_new, grid).sum(axis=1) / grid.node_count
+    alpha = cfg.alpha_driver().alpha_of_h(h_mean.reshape(lead))
     frac = FracLapOperator(grid, 2.0 * alpha)
 
     hapto_coef = cfg.gamma_g * n_new * state.c / (1.0 + (state.c + state.n) ** 2)
@@ -226,28 +288,30 @@ def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.nda
     shift = tau * cfg.gamma_C
     c_new = frac.solve_shifted(rhs, shift)
     # the solve is exact up to rounding; its true residual is still measured
-    rhs_norm = float(np.linalg.norm(rhs))
-    miss = rhs - (c_new - shift * frac.apply_values(c_new))
-    residual = float(np.linalg.norm(miss)) / rhs_norm if rhs_norm else 0.0
-    if not residual <= cfg.solver_tol:
-        raise SolverDiverged(
-            f"C-step residual {residual:.3e} above solver_tol {cfg.solver_tol:.3e}"
-        )
+    rhs_norm = row_norm(_per_sample(rhs, grid))
+    miss = row_norm(_per_sample(rhs - (c_new - shift * frac.apply_values(c_new)), grid))
+    residual = np.divide(miss, rhs_norm, out=np.zeros_like(miss), where=rhs_norm != 0.0)
+    for row in np.flatnonzero(~(residual <= cfg.solver_tol)):
+        _fail(failures, int(row), SolverDiverged(
+            f"C-step residual {residual[row]:.3e} above solver_tol {cfg.solver_tol:.3e}"))
     if stats is not None:
         stats.absorb_solve(residual, 0)
         stats.absorb_alpha(alpha)
-    return _clamp(c_new, stats), alpha
+    return _clamp(c_new, grid, stats), alpha
 
 
-def macro_step(state: MacroState, cfg: MacroConfig, rng: RngStream,
-               stats: MacroRunStats | None = None) -> MacroState:
+def macro_step(state: MacroState, cfg: MacroConfig, rng: RngStream | StreamChunk,
+               stats: MacroRunStats | None = None, failures: dict | None = None) -> MacroState:
     n_new = step_n(state, cfg, stats)
-    h_new = step_h(state, cfg, rng, stats)
-    c_new, alpha = step_c(state, cfg, h_new, n_new, stats)
-    if not cfg.scheme_literal and np.any(n_new > state.n + 1e-12):
-        raise InvariantViolation("tissue monotonicity: N increased")
-    if not cfg.a_1 <= alpha <= cfg.a_2:
-        raise InvariantViolation("exponent left its configured window")
+    h_new = step_h(state, cfg, rng, stats, failures)
+    c_new, alpha = step_c(state, cfg, h_new, n_new, stats, failures)
+    if not cfg.scheme_literal:
+        grew = np.any(_per_sample(n_new, cfg.grid) > _per_sample(state.n, cfg.grid) + 1e-12, axis=1)
+        for row in np.flatnonzero(grew):
+            _fail(failures, int(row), InvariantViolation("tissue monotonicity: N increased"))
+    inside = (cfg.a_1 <= alpha) & (alpha <= cfg.a_2)
+    for row in np.flatnonzero(np.logical_not(inside)):
+        _fail(failures, int(row), InvariantViolation("exponent left its configured window"))
     return MacroState(h_new, c_new, n_new, state.t + cfg.tau, state.step + 1, alpha)
 
 
@@ -267,29 +331,67 @@ def snapshot_set(cfg: MacroConfig, snapshot_steps) -> set:
     return wanted
 
 
-def run_macro(cfg: MacroConfig, rng: RngStream, snapshot_steps=None,
+def run_macro(cfg: MacroConfig, rng: RngStream | StreamChunk, snapshot_steps=None,
               initial_state: MacroState | None = None):
     """Run the full scheme; returns (snapshots, stats).
 
     ``snapshot_steps`` lists the step indices to keep (0 = initial state);
     by default only the initial and final states are kept.
+
+    ``rng`` is one RngStream for a single run, whose snapshots hold fields
+    of the grid shape and whose failure raises.  A StreamChunk of S streams
+    runs S samples in lockstep, one per stack row, all from the same
+    initial state; a single run is a chunk of one.  A chunk's snapshots
+    hold ``(S, *grid.shape)`` fields, and a sample that fails is dropped
+    from the stack, its error kept in ``stats.errors`` and its later
+    snapshot rows NaN, while the others run to the end.
     """
     if snapshot_steps is None:
         snapshot_steps = [0, cfg.n_steps]
     wanted = snapshot_set(cfg, snapshot_steps)
 
-    state = macro_init(cfg) if initial_state is None else initial_state.copy()
-    stats = MacroRunStats()
+    single = isinstance(rng, RngStream)
+    streams = StreamChunk([rng]) if single else rng
+    samples = len(streams)
+    first = macro_init(cfg) if initial_state is None else initial_state
+    state = MacroState(
+        *(np.broadcast_to(f, (samples,) + cfg.grid.shape).copy() for f in (first.h, first.c, first.n)),
+        first.t, first.step, np.broadcast_to(first.alpha_value, (samples,)).copy())
+    stats = MacroRunStats(samples)
+
+    def snapshot():
+        """The state with one row per sample of the chunk."""
+        out = []
+        for values in (state.h, state.c, state.n, state.alpha_value):
+            full = np.full((samples,) + values.shape[1:], np.nan)
+            full[stats.rows] = values
+            out.append(full)
+        return MacroState(*out[:3], state.t, state.step, out[3])
+
     snapshots = []
     if 0 in wanted:
-        snapshots.append(state.copy())
+        snapshots.append(snapshot())
     for _ in range(cfg.n_steps):
-        state = macro_step(state, cfg, rng, stats)
+        failures = {}
+        state = macro_step(state, cfg, streams, stats, failures)
+        if failures:
+            keep = stats.drop(failures)
+            if keep.size == 0:
+                break
+            state = MacroState(state.h[keep], state.c[keep], state.n[keep],
+                               state.t, state.step, state.alpha_value[keep])
+            streams = StreamChunk(streams[k] for k in keep)
         if state.step in wanted:
-            snapshots.append(state.copy())
+            snapshots.append(snapshot())
+    if single:
+        if stats.errors:
+            raise stats.errors[0]
+        snapshots = [MacroState(s.h[0], s.c[0], s.n[0], s.t, s.step, float(s.alpha_value[0]))
+                     for s in snapshots]
     return snapshots, stats
 
 
 def snapshot_stack(snapshots) -> np.ndarray:
-    """The H, C and N fields of the snapshots as one array indexed [snapshot, field]."""
+    """The H, C and N fields of the snapshots as one array indexed [snapshot,
+    field], then [sample] for the snapshots of a stack."""
     return np.stack([np.stack([s.h, s.c, s.n]) for s in snapshots])

@@ -5,6 +5,7 @@ from levyflow import ensemble
 from levyflow.drivers import RngStream
 from levyflow.ensemble import (
     EnsembleConfig,
+    SampleRecord,
     WelfordAccumulator,
     run_ensemble,
 )
@@ -117,6 +118,69 @@ def test_sample_failure_aborts_with_seed():
             run_ensemble("macro", bad, ens)
         assert err.value.base_seed == 99
         assert err.value.sample_index == 0
+
+
+def test_lockstep_failure_names_the_failing_sample(monkeypatch):
+    """Sample 5 fails at its first step, in the middle of a chunk of 8:
+    the ensemble names sample 5, and the chunk runs the other samples to
+    the end, each bit for bit as it runs alone."""
+    normal = RngStream.normal
+
+    def nan_for_stream_5(self, size=None):
+        draws = normal(self, size)
+        return np.full_like(draws, np.nan) if self.stream_index == 5 else draws
+
+    monkeypatch.setattr(RngStream, "normal", nan_for_stream_5)
+    with pytest.raises(EnsembleSampleError) as err:
+        run_ensemble("macro", SMALL_MACRO, EnsembleConfig(n_samples=8, base_seed=13, workers=1))
+    assert err.value.sample_index == 5
+
+    steps = (0, 8)
+    chunk = ensemble._run_chunk(("macro", SMALL_MACRO, 13, 0, 8, steps))
+    assert [isinstance(r, SampleRecord) for r in chunk] == [True] * 5 + [False] + [True] * 2
+    (alone,) = ensemble._run_chunk(("macro", SMALL_MACRO, 13, 6, 1, steps))
+    assert chunk[6].fields.tobytes() == alone.fields.tobytes()
+
+
+def test_pool_never_larger_than_the_chunk_count(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads, chunksize=1):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+    cfg = MacroConfig(n_steps=1)
+    run_ensemble("macro", cfg, EnsembleConfig(n_samples=2, snapshot_steps=(1,), workers=8))
+    run_ensemble("macro", cfg, EnsembleConfig(n_samples=5, snapshot_steps=(1,), workers=2))
+    run_ensemble("macro", cfg, EnsembleConfig(n_samples=1, snapshot_steps=(1,), workers=4))
+    assert started == [2, 2]  # the single chunk runs in this process
+
+
+def test_chunk_size_does_not_change_a_bit():
+    """50 samples run as chunks of 1, 7 and 50 give byte-identical records
+    and moments: a sample's bits do not depend on the stack it ran in."""
+    cfg = MacroConfig(n_steps=10)
+    runs = []
+    for size in (1, 7, 50):
+        records = []
+        for first in range(0, 50, size):
+            records += ensemble._run_chunk(("macro", cfg, 17, first, min(size, 50 - first), (0, 10)))
+        acc = WelfordAccumulator()
+        for record in records:
+            acc.add(record.fields)
+        runs.append(([(r.fields.tobytes(), r.clamp_events, r.max_residual) for r in records],
+                     acc.mean.tobytes(), acc.variance().tobytes()))
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("kind, cfg, ens", [

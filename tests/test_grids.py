@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyflow.errors import GridMismatch
-from levyflow.grids import Grid, GridField, require_same_grid
+from levyflow.grids import Grid, GridField, periodic_shift, require_same_grid
 
 GRID = Grid((2.0, 1.0), (8, 4))
 
@@ -59,3 +59,12 @@ def test_field_copy_and_total():
 def test_require_same_grid():
     with pytest.raises(GridMismatch):
         require_same_grid(GRID, Grid((2.0, 1.0), (8, 8)))
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 6), (3, 5, 6)])
+def test_periodic_shift_is_np_roll(shape):
+    values = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    for axis in range(-len(shape), len(shape)):
+        for shift in (1, -1, 2):
+            assert np.array_equal(periodic_shift(values, shift, axis),
+                                  np.roll(values, shift, axis=axis))

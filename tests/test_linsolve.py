@@ -54,3 +54,24 @@ def test_divergence_reported():
     with pytest.raises(SolverDiverged):
         bicgstab(lambda x: a @ x, b + 1.0, tol=1e-14, max_iterations=1, x0=np.zeros_like(b))
 
+
+
+def test_stack_with_a_zero_rhs_slice():
+    """Each slice of a batched solve is its own system: a zero right-hand
+    side gives zeros in no iterations, and a nonzero slice is solved bit
+    for bit as it is alone."""
+    rng = np.random.Generator(np.random.Philox(key=[6, 0]))
+    b = rng.standard_normal((3, 9, 9))
+    b[1] = 0.0
+
+    def op(x):  # nonsymmetric, acting on the trailing axes of each slice
+        return 1.5 * x - 0.3 * np.roll(x, 1, axis=-1) - 0.2 * np.roll(x, -1, axis=-2)
+
+    res = bicgstab(op, b, 1e-12, batched=True)
+    assert np.all(res.solution[1] == 0.0)
+    assert res.residuals[1] == 0.0 and res.iteration_counts[1] == 0
+    alone = bicgstab(op, b[2], 1e-12)
+    assert res.solution[2].tobytes() == alone.solution.tobytes()
+    assert res.residuals[2] == alone.residual and res.iteration_counts[2] == alone.iterations
+    assert res.residual == res.residuals.max() <= 1e-12
+    assert res.iterations == res.iteration_counts.sum()

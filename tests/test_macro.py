@@ -20,7 +20,7 @@ from levyflow.macro import (
 )
 
 # bitwise regression anchor for the shipped default configuration
-GOLDEN_FINAL_SHA256 = "e7a3772141cb2bba42b448c21e6aee1b9b8166a13794146cc522db11bad1e16f"
+GOLDEN_FINAL_SHA256 = "300ca641c7c842b9b1419a00175dbac67b5d4fea49b6f7589c0242159792ffd8"
 
 
 def _uniform_state(cfg, h=0.5, c=0.5, n=0.8):
@@ -104,6 +104,21 @@ def test_step_c_checks_its_residual_against_solver_tol():
     assert stats.total_iterations == 0
     with pytest.raises(SolverDiverged):
         step_c(state, MacroConfig(solver_tol=1e-300), state.h, state.n)
+
+
+def test_step_c_zero_rhs_sample_has_zero_residual():
+    """The zero-norm rule holds per sample: a sample with no cancer has a
+    zero right-hand side and residual 0, next to a sample solved as usual."""
+    cfg = MacroConfig()
+    one = macro_init(cfg)
+    state = MacroState(np.stack([one.h, one.h]), np.stack([one.c, 0.0 * one.c]),
+                       np.stack([one.n, one.n]))
+    stats = MacroRunStats(2)
+    c_new, alpha = step_c(state, cfg, state.h, state.n, stats)
+    assert np.all(c_new[1] == 0.0)
+    assert stats.residuals[1] == 0.0
+    assert 0.0 < stats.residuals[0] <= 1e-13
+    assert alpha.shape == (2,)
 
 
 def test_flux_divergence_telescopes():
