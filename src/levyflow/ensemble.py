@@ -92,7 +92,9 @@ def _run_chunk(args) -> list:
     error that stopped it, in id order.
 
     Macro samples advance together as one stack; a failed sample is
-    dropped from it and the others run to the end.
+    dropped from it and the others run to the end, since a later id may
+    fail first in time.  Micro samples run one after another, so the chunk
+    stops at its first failure, which is also its lowest failing id.
     """
     kind, cfg, base_seed, first, count, snapshot_steps = args
     if kind == "macro":
@@ -110,7 +112,7 @@ def _run_chunk(args) -> list:
             state, alive_series = run_micro(cfg, RngStream(base_seed, sample_id))
         except Exception as exc:  # noqa: BLE001 - reported for this id by run_ensemble
             records.append(exc)
-            continue
+            break
         records.append(SampleRecord(
             fields=np.stack([state.acid, state.tissue]),
             export=np.asarray(alive_series),

@@ -16,7 +16,7 @@ system is a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +28,9 @@ class SolveResult:
     solution: np.ndarray
     residual: float  # largest true relative residual over the solved systems
     iterations: int  # iterations summed over the systems
-    residuals: np.ndarray | None = None  # per system; nan where it failed
-    iteration_counts: np.ndarray | None = None  # per system
-    failures: dict = field(default_factory=dict)  # row -> SolverDiverged
+    residuals: np.ndarray  # per system; nan where it failed
+    iteration_counts: np.ndarray  # per system
+    failures: dict  # row -> SolverDiverged
 
 
 def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -43,27 +43,16 @@ def row_norm(u: np.ndarray) -> np.ndarray:
     return np.sqrt(row_dot(u, u))
 
 
-def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None,
-             batched=False) -> SolveResult:
+def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResult:
     """Solve ``A x = b`` for a matrix-free operator to relative residual tol.
 
-    Raises :class:`SolverDiverged` when the target residual is not met
-    within ``max_iterations`` (default 10 * problem size) or on breakdown.
-
-    With ``batched``, ``b`` stacks independent systems along its first
-    axis and ``apply_op`` must act on each row of a stack on its own.  A
-    system is frozen once it converges; one that fails does not raise but
-    keeps its initial guess and is listed in ``failures`` with its error.
+    ``b`` stacks independent systems along its first axis (a single system
+    is a stack of one), and ``apply_op`` must act on each row of a stack on
+    its own.  A system is frozen once it converges.  One that does not meet
+    the target within ``max_iterations`` (default 10 * system size), or
+    breaks down, keeps its initial guess and is listed in ``failures`` with
+    its :class:`SolverDiverged`; nothing is raised.
     """
-    if not batched:
-        b = np.asarray(b, dtype=float)
-        res = bicgstab(lambda x: apply_op(x[0])[None], b[None], tol, max_iterations,
-                       None if x0 is None else np.asarray(x0, dtype=float)[None], True)
-        if res.failures:
-            raise res.failures[0]
-        return SolveResult(res.solution[0], res.residual, res.iterations,
-                           res.residuals, res.iteration_counts)
-
     b = np.asarray(b, dtype=float)
     shape = b.shape
     rows = b.reshape(shape[0], -1)

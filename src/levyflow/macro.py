@@ -149,13 +149,6 @@ def _per_sample(values: np.ndarray, grid: Grid) -> np.ndarray:
     return values.reshape(-1, grid.node_count)
 
 
-def _fail(failures: dict | None, row: int, error: Exception):
-    """Note the first error of a stack row; with nowhere to note it, raise."""
-    if failures is None:
-        raise error
-    failures.setdefault(row, error)
-
-
 def _clamp(values: np.ndarray, grid: Grid, stats: MacroRunStats | None) -> np.ndarray:
     neg = values < 0.0
     if stats is not None:
@@ -204,11 +197,10 @@ def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
 # the three substeps
 # ---------------------------------------------------------------------------
 #
-# Each substep advances one sample (``rng`` an RngStream, fields of the grid
-# shape) or a stack (``rng`` a StreamChunk, fields (S, *grid.shape)).  A
-# sample that fails raises, unless a ``failures`` map is given: then its
-# row and error are noted there and the row is carried, on finite values,
-# to the end of the step, for the caller to drop.
+# Each substep advances a stack of S samples, fields (S, *grid.shape), one
+# stream of a StreamChunk per row.  A sample that fails does not raise: its
+# row and first error are noted in ``failures`` and the row is carried, on
+# finite values, to the end of the step, for the caller to drop.
 
 
 def step_n(state: MacroState, cfg: MacroConfig, stats: MacroRunStats | None = None):
@@ -219,20 +211,22 @@ def step_n(state: MacroState, cfg: MacroConfig, stats: MacroRunStats | None = No
     return _clamp(n_new, cfg.grid, stats)
 
 
-def step_h(state: MacroState, cfg: MacroConfig, rng: RngStream | StreamChunk,
-           stats: MacroRunStats | None = None, failures: dict | None = None):
-    """Implicit advection-diffusion solve for the proton index."""
+def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, failures: dict,
+           stats: MacroRunStats | None = None):
+    """Implicit advection-diffusion solve for the proton index.  A sample
+    whose solve fails keeps its previous H, so step_c still sees finite
+    values."""
     grid = cfg.grid
     tau = cfg.tau
     qspec = QWienerSpec(cfg.qwiener_modes)
     draws = []
-    for row, stream in enumerate([rng] if isinstance(rng, RngStream) else rng):
+    for row, stream in enumerate(streams):
         try:
             draws.append(sample_qwiener_increment(qspec, grid, tau, stream).values)
         except LevyflowError as exc:
-            _fail(failures, row, exc)
+            failures.setdefault(row, exc)
             draws.append(np.zeros(grid.shape))
-    noise = np.reshape(draws, state.h.shape)
+    noise = np.stack(draws)
     f_weight = state.c / (1.0 + state.c)
     slopes = [centered_difference(state.c, grid, axis) for axis in range(grid.ndim)]
 
@@ -246,17 +240,18 @@ def step_h(state: MacroState, cfg: MacroConfig, rng: RngStream | StreamChunk,
            + tau * cfg.gamma_1 * state.h * (1.0 - state.h)
            + cfg.sigma_W * state.h * noise)
     max_iter = cfg.solver_max_iterations or 10 * grid.node_count
-    stack = rhs.reshape((-1,) + grid.shape)
-    res = bicgstab(apply_op, stack, cfg.solver_tol, max_iter, x0=stack, batched=True)
+    res = bicgstab(apply_op, rhs, cfg.solver_tol, max_iter, x0=rhs)
+    h_new = res.solution
     for row, error in res.failures.items():
-        _fail(failures, row, error)
+        failures.setdefault(row, error)
+        h_new[row] = state.h[row]
     if stats is not None:
         stats.absorb_solve(res.residuals, res.iterations)
-    return _clamp(res.solution.reshape(rhs.shape), grid, stats)
+    return _clamp(h_new, grid, stats)
 
 
 def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.ndarray,
-           stats: MacroRunStats | None = None, failures: dict | None = None):
+           failures: dict, stats: MacroRunStats | None = None):
     """Implicit fractional-diffusion solve for the cancer density.
 
     The spectral exponent is p = 2 * alpha(mean H), refreshed every step
@@ -267,9 +262,8 @@ def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.nda
     """
     grid = cfg.grid
     tau = cfg.tau
-    lead = h_new.shape[: h_new.ndim - grid.ndim]
     h_mean = _per_sample(h_new, grid).sum(axis=1) / grid.node_count
-    alpha = cfg.alpha_driver().alpha_of_h(h_mean.reshape(lead))
+    alpha = cfg.alpha_driver().alpha_of_h(h_mean)
     frac = FracLapOperator(grid, 2.0 * alpha)
 
     hapto_coef = cfg.gamma_g * n_new * state.c / (1.0 + (state.c + state.n) ** 2)
@@ -292,7 +286,7 @@ def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.nda
     miss = row_norm(_per_sample(rhs - (c_new - shift * frac.apply_values(c_new)), grid))
     residual = np.divide(miss, rhs_norm, out=np.zeros_like(miss), where=rhs_norm != 0.0)
     for row in np.flatnonzero(~(residual <= cfg.solver_tol)):
-        _fail(failures, int(row), SolverDiverged(
+        failures.setdefault(int(row), SolverDiverged(
             f"C-step residual {residual[row]:.3e} above solver_tol {cfg.solver_tol:.3e}"))
     if stats is not None:
         stats.absorb_solve(residual, 0)
@@ -300,18 +294,18 @@ def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.nda
     return _clamp(c_new, grid, stats), alpha
 
 
-def macro_step(state: MacroState, cfg: MacroConfig, rng: RngStream | StreamChunk,
-               stats: MacroRunStats | None = None, failures: dict | None = None) -> MacroState:
+def macro_step(state: MacroState, cfg: MacroConfig, streams: StreamChunk, failures: dict,
+               stats: MacroRunStats | None = None) -> MacroState:
     n_new = step_n(state, cfg, stats)
-    h_new = step_h(state, cfg, rng, stats, failures)
-    c_new, alpha = step_c(state, cfg, h_new, n_new, stats, failures)
+    h_new = step_h(state, cfg, streams, failures, stats)
+    c_new, alpha = step_c(state, cfg, h_new, n_new, failures, stats)
     if not cfg.scheme_literal:
         grew = np.any(_per_sample(n_new, cfg.grid) > _per_sample(state.n, cfg.grid) + 1e-12, axis=1)
         for row in np.flatnonzero(grew):
-            _fail(failures, int(row), InvariantViolation("tissue monotonicity: N increased"))
+            failures.setdefault(int(row), InvariantViolation("tissue monotonicity: N increased"))
     inside = (cfg.a_1 <= alpha) & (alpha <= cfg.a_2)
     for row in np.flatnonzero(np.logical_not(inside)):
-        _fail(failures, int(row), InvariantViolation("exponent left its configured window"))
+        failures.setdefault(int(row), InvariantViolation("exponent left its configured window"))
     return MacroState(h_new, c_new, n_new, state.t + cfg.tau, state.step + 1, alpha)
 
 
@@ -373,7 +367,7 @@ def run_macro(cfg: MacroConfig, rng: RngStream | StreamChunk, snapshot_steps=Non
         snapshots.append(snapshot())
     for _ in range(cfg.n_steps):
         failures = {}
-        state = macro_step(state, cfg, streams, stats, failures)
+        state = macro_step(state, cfg, streams, failures, stats)
         if failures:
             keep = stats.drop(failures)
             if keep.size == 0:

@@ -29,7 +29,7 @@ from levyflow.fracops import (
 )
 from levyflow.grids import Grid, GridField
 from levyflow.linsolve import bicgstab
-from levyflow.macro import MacroConfig, MacroState, macro_init, macro_step, MacroRunStats, run_macro
+from levyflow.macro import MacroConfig, MacroState, macro_init, run_macro
 from levyflow.micro import MicroConfig
 from levyflow.symbols import (
     TripleSymbol,
@@ -137,8 +137,8 @@ def test_ac4_fractional_vs_standard_spread():
     def evolve(apply_diff, n_steps):
         u = u0.copy()
         for _ in range(n_steps):
-            u = bicgstab(lambda v: v - tau * diff_coef * apply_diff(v), u,
-                         1e-12, 2560, x0=u).solution
+            u = bicgstab(lambda v: v - tau * diff_coef * apply_diff(v[0])[None], u[None],
+                         1e-12, 2560, x0=u[None]).solution[0]
         return u
 
     def laplacian(v):
@@ -203,18 +203,12 @@ def test_ac6_macro_full_scale():
     # to 1e-8 relative per step
     quiet = MacroConfig(gamma_1=0, gamma_2=0, gamma_3=0, sigma_W=0,
                         gamma_g=0, gamma_h=0, gamma_f=0)
-    state = macro_init(quiet)
-    run_stats = MacroRunStats()
-    rng = RngStream(999, 0)
-    worst_drift = 0.0
-    for _ in range(150):
-        h_prev, c_prev = state.h.sum(), state.c.sum()
-        state = macro_step(state, quiet, rng, run_stats)
-        worst_drift = max(
-            worst_drift,
-            abs(state.h.sum() - h_prev) / h_prev,
-            abs(state.c.sum() - c_prev) / c_prev,
-        )
+    steps, _ = run_macro(quiet, RngStream(999, 0), snapshot_steps=range(151))
+    worst_drift = max(
+        max(abs(now.h.sum() - prev.h.sum()) / prev.h.sum(),
+            abs(now.c.sum() - prev.c.sum()) / prev.c.sum())
+        for prev, now in zip(steps, steps[1:])
+    )
 
     # substituted property 2: noise-off run is translation equivariant
     noise_off = MacroConfig(sigma_W=0.0, n_steps=50)

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from levyflow import ensemble
+from levyflow import ensemble, macro
 from levyflow.drivers import RngStream
 from levyflow.ensemble import (
     EnsembleConfig,
@@ -9,7 +11,7 @@ from levyflow.ensemble import (
     WelfordAccumulator,
     run_ensemble,
 )
-from levyflow.errors import ConfigInvalid, EnsembleSampleError
+from levyflow.errors import ConfigInvalid, EnsembleSampleError, SolverDiverged
 from levyflow.macro import MacroConfig, run_macro
 from levyflow.micro import MicroConfig, run_micro, survival_fraction
 
@@ -134,6 +136,28 @@ def test_lockstep_failure_names_the_failing_sample(monkeypatch):
     with pytest.raises(EnsembleSampleError) as err:
         run_ensemble("macro", SMALL_MACRO, EnsembleConfig(n_samples=8, base_seed=13, workers=1))
     assert err.value.sample_index == 5
+
+    steps = (0, 8)
+    chunk = ensemble._run_chunk(("macro", SMALL_MACRO, 13, 0, 8, steps))
+    assert [isinstance(r, SampleRecord) for r in chunk] == [True] * 5 + [False] + [True] * 2
+    (alone,) = ensemble._run_chunk(("macro", SMALL_MACRO, 13, 6, 1, steps))
+    assert chunk[6].fields.tobytes() == alone.fields.tobytes()
+
+
+def test_lockstep_solver_failure_names_the_failing_sample(monkeypatch):
+    """Sample 5's H-solve fails on a non-finite right-hand side: the other
+    samples of its chunk still build their exponents and run to the end."""
+    increment = macro.sample_qwiener_increment
+
+    def nan_for_stream_5(spec, grid, dt, rng):
+        values = increment(spec, grid, dt, rng).values
+        return SimpleNamespace(values=values * np.nan if rng.stream_index == 5 else values)
+
+    monkeypatch.setattr(macro, "sample_qwiener_increment", nan_for_stream_5)
+    with pytest.raises(EnsembleSampleError) as err:
+        run_ensemble("macro", SMALL_MACRO, EnsembleConfig(n_samples=8, base_seed=13, workers=1))
+    assert err.value.sample_index == 5
+    assert isinstance(err.value.__cause__, SolverDiverged)
 
     steps = (0, 8)
     chunk = ensemble._run_chunk(("macro", SMALL_MACRO, 13, 0, 8, steps))

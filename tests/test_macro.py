@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from levyflow.drivers import RngStream
+from levyflow.drivers import RngStream, StreamChunk
 from levyflow.errors import ConfigInvalid, SolverDiverged
 from levyflow.grids import Grid
 from levyflow.macro import (
@@ -12,7 +12,6 @@ from levyflow.macro import (
     MacroState,
     flux_divergence,
     macro_init,
-    macro_step,
     run_macro,
     step_c,
     step_h,
@@ -26,6 +25,27 @@ GOLDEN_FINAL_SHA256 = "300ca641c7c842b9b1419a00175dbac67b5d4fea49b6f7589c0242159
 def _uniform_state(cfg, h=0.5, c=0.5, n=0.8):
     shape = cfg.grid.shape
     return MacroState(np.full(shape, h), np.full(shape, c), np.full(shape, n))
+
+
+def _one(state):
+    """A single-sample state as a stack of one."""
+    return MacroState(state.h[None], state.c[None], state.n[None], state.t, state.step)
+
+
+def _step_h(state, cfg):
+    """step_h on one sample, which must not fail."""
+    failures = {}
+    out = step_h(_one(state), cfg, StreamChunk([RngStream(1, 0)]), failures)
+    assert failures == {}
+    return out[0]
+
+
+def _step_c(state, cfg, stats=None):
+    """step_c on one sample, which must not fail."""
+    failures = {}
+    out, alpha = step_c(_one(state), cfg, state.h[None], state.n[None], failures, stats)
+    assert failures == {}
+    return out[0], alpha[0]
 
 
 def test_config_validation():
@@ -62,14 +82,14 @@ def test_step_n_scheme_literal_flips_sign():
 def test_step_h_identity_when_all_rates_zero():
     cfg = MacroConfig(sigma_H=0.0, gamma_f=0.0, gamma_1=0.0, sigma_W=0.0)
     state = macro_init(cfg)
-    out = step_h(state, cfg, RngStream(1, 0))
+    out = _step_h(state, cfg)
     assert np.array_equal(out, state.h)
 
 
 def test_step_h_pure_logistic_hand_value():
     cfg = MacroConfig(sigma_H=0.0, gamma_f=0.0, sigma_W=0.0)
     state = _uniform_state(cfg, h=0.5)
-    out = step_h(state, cfg, RngStream(1, 0))
+    out = _step_h(state, cfg)
     # 0.5 + 0.1 * 0.005 * 0.5 * 0.5 = 0.500125
     assert np.allclose(out, 0.500125, atol=1e-12)
 
@@ -77,7 +97,7 @@ def test_step_h_pure_logistic_hand_value():
 def test_step_h_pure_diffusion_conserves_mass():
     cfg = MacroConfig(gamma_f=0.0, gamma_1=0.0, sigma_W=0.0)
     state = macro_init(cfg)
-    out = step_h(state, cfg, RngStream(1, 0))
+    out = _step_h(state, cfg)
     assert out.sum() == pytest.approx(state.h.sum(), rel=1e-8)
     assert not np.allclose(out, state.h)  # diffusion did act
 
@@ -85,12 +105,12 @@ def test_step_h_pure_diffusion_conserves_mass():
 def test_step_c_trivials_and_conservation():
     cfg = MacroConfig(gamma_C=0.0, gamma_2=0.0, gamma_g=0.0, gamma_h=0.0)
     state = macro_init(cfg)
-    out, alpha = step_c(state, cfg, state.h, state.n)
+    out, alpha = _step_c(state, cfg)
     assert np.array_equal(out, state.c)
     assert cfg.a_1 <= alpha <= cfg.a_2
 
     cfg = MacroConfig(gamma_2=0.0, gamma_g=0.0, gamma_h=0.0)
-    out, _ = step_c(state, cfg, state.h, state.n)
+    out, _ = _step_c(state, cfg)
     assert out.sum() == pytest.approx(state.c.sum(), rel=1e-8)
     assert not np.allclose(out, state.c)
 
@@ -99,11 +119,12 @@ def test_step_c_checks_its_residual_against_solver_tol():
     cfg = MacroConfig()
     state = macro_init(cfg)
     stats = MacroRunStats()
-    step_c(state, cfg, state.h, state.n, stats)
+    _step_c(state, cfg, stats)
     assert 0.0 < stats.max_residual <= 1e-13
     assert stats.total_iterations == 0
-    with pytest.raises(SolverDiverged):
-        step_c(state, MacroConfig(solver_tol=1e-300), state.h, state.n)
+    failures = {}
+    step_c(_one(state), MacroConfig(solver_tol=1e-300), state.h[None], state.n[None], failures)
+    assert isinstance(failures[0], SolverDiverged)
 
 
 def test_step_c_zero_rhs_sample_has_zero_residual():
@@ -114,7 +135,9 @@ def test_step_c_zero_rhs_sample_has_zero_residual():
     state = MacroState(np.stack([one.h, one.h]), np.stack([one.c, 0.0 * one.c]),
                        np.stack([one.n, one.n]))
     stats = MacroRunStats(2)
-    c_new, alpha = step_c(state, cfg, state.h, state.n, stats)
+    failures = {}
+    c_new, alpha = step_c(state, cfg, state.h, state.n, failures, stats)
+    assert failures == {}
     assert np.all(c_new[1] == 0.0)
     assert stats.residuals[1] == 0.0
     assert 0.0 < stats.residuals[0] <= 1e-13
@@ -188,13 +211,9 @@ def test_full_run_invariants_and_golden_hash():
 
 def test_n_monotone_under_run():
     cfg = MacroConfig(n_steps=30)
-    state = macro_init(cfg)
-    stats = MacroRunStats()
-    rng = RngStream(4, 0)
-    for _ in range(cfg.n_steps):
-        prev = state.n.copy()
-        state = macro_step(state, cfg, rng, stats)
-        assert np.all(state.n <= prev + 1e-12)
+    steps, _ = run_macro(cfg, RngStream(4, 0), snapshot_steps=range(31))
+    for prev, now in zip(steps, steps[1:]):
+        assert np.all(now.n <= prev.n + 1e-12)
 
 
 def test_alpha_tracks_mean_h():
