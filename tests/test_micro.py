@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from levyflow.drivers import RngStream
+from levyflow.drivers import CauchyModulatedNoise, GaussianNoise, RngStream, SwitchingNoise
 from levyflow.errors import ConfigInvalid, NoAliveParticles
 from levyflow.grids import Grid, periodic_gaussian_blur
 from levyflow.micro import (
@@ -19,6 +21,15 @@ from levyflow.micro import (
 )
 
 GRID = Grid((1.0, 1.0), (41, 41))
+
+# SHA-256 of the final state of a default run (seed 20240901) per noise law:
+# positions, velocities, protons, alive, acid, tissue, the alive series as
+# int64 and clamp_events as int64
+GOLDEN_MICRO_SHA256 = {
+    "gaussian": "357228f345cf1ed03c4b358cd7b213ed2bef3b37545454a74fd0b965b34bd4c0",
+    "switching": "241a5d350c52b51743310871984c91221732a84508ce189ca00059f4b339815d",
+    "cauchy_modulated": "876871c580764f3634a6ea94b56e9d78c2d3e564673e3928c5cc4b218d677324",
+}
 
 
 def _quiet_state(positions, tissue=None, acid=None, protons=1.0):
@@ -152,6 +163,24 @@ def test_default_config_has_zero_clamps():
     cfg = MicroConfig(n_particles=800, n_steps=25)
     state, _ = run_micro(cfg, RngStream(7, 0))
     assert state.clamp_events == 0
+
+
+@pytest.mark.parametrize("law, noise", [
+    ("gaussian", GaussianNoise()),
+    ("switching", SwitchingNoise()),
+    ("cauchy_modulated", CauchyModulatedNoise()),
+])
+def test_final_state_golden_digest(law, noise):
+    state, series = run_micro(MicroConfig(noise=noise), RngStream(20240901, 0))
+    # the run must kill some particles, or the dead path goes untested
+    assert 0 < series[-1] < series[0]
+    digest = hashlib.sha256()
+    for arr in (state.positions, state.velocities, state.protons, state.alive,
+                state.acid, state.tissue):
+        digest.update(arr.tobytes())
+    digest.update(np.asarray(series, dtype=np.int64).tobytes())
+    digest.update(np.int64(state.clamp_events).tobytes())
+    assert digest.hexdigest() == GOLDEN_MICRO_SHA256[law]
 
 
 def test_survival_fraction_validation():
