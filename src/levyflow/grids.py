@@ -7,7 +7,7 @@ axis 1 is y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,8 @@ class Grid:
 
     lengths: tuple
     shape: tuple
+    # node spacing L / M per axis, derived once from lengths and shape
+    spacings: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = tuple(float(v) for v in self.lengths)
@@ -38,14 +40,12 @@ class Grid:
             raise GridMismatch("domain lengths must be positive")
         if any(m < 2 for m in shape):
             raise GridMismatch("need at least 2 nodes per axis")
+        object.__setattr__(
+            self, "spacings", tuple(L / M for L, M in zip(lengths, shape)))
 
     @property
     def ndim(self) -> int:
         return len(self.shape)
-
-    @property
-    def spacings(self) -> tuple:
-        return tuple(L / M for L, M in zip(self.lengths, self.shape))
 
     @property
     def node_count(self) -> int:

@@ -87,17 +87,12 @@ class MicroState:
 
 @dataclass(frozen=True)
 class BilinearStencil:
-    """Corner indices and bilinear weights of a set of positions; indexing
-    with a mask gives the stencil of the masked positions."""
+    """Bilinear stencil of n positions, laid out corner by corner: entry
+    ``k * n + p`` holds corner k of position p as a flat node index
+    ``i * my + j`` and its weight.  Both arrays have shape (4n,)."""
 
-    corners: tuple  # four (i, j) index-array pairs
-    weights: tuple  # four weight arrays
-
-    def __getitem__(self, mask) -> BilinearStencil:
-        return BilinearStencil(
-            tuple((i[mask], j[mask]) for i, j in self.corners),
-            tuple(w[mask] for w in self.weights),
-        )
+    flat: np.ndarray
+    weights: np.ndarray
 
 
 def bilinear_stencil(grid: Grid, positions) -> BilinearStencil:
@@ -105,27 +100,37 @@ def bilinear_stencil(grid: Grid, positions) -> BilinearStencil:
     dx, dy = grid.spacings
     fx = positions[:, 0] / dx
     fy = positions[:, 1] / dy
-    i0 = np.floor(fx).astype(int) % mx
-    j0 = np.floor(fy).astype(int) % my
-    i1 = (i0 + 1) % mx
+    floor_x = np.floor(fx)
+    floor_y = np.floor(fy)
+    i0 = floor_x.astype(int) % mx
+    j0 = floor_y.astype(int) % my
+    row0 = i0 * my
+    row1 = ((i0 + 1) % mx) * my
     j1 = (j0 + 1) % my
-    wx = fx - np.floor(fx)
-    wy = fy - np.floor(fy)
-    corners = ((i0, j0), (i1, j0), (i0, j1), (i1, j1))
-    weights = ((1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy)
-    return BilinearStencil(corners, weights)
+    wx = fx - floor_x
+    wy = fy - floor_y
+    ux = 1 - wx
+    uy = 1 - wy
+    flat = np.concatenate((row0 + j0, row1 + j0, row0 + j1, row1 + j1))
+    weights = np.concatenate((ux * uy, wx * uy, ux * wy, wx * wy))
+    return BilinearStencil(flat, weights)
 
 
 def gather(field_values: np.ndarray, stencil: BilinearStencil) -> np.ndarray:
-    out = np.zeros(stencil.weights[0].shape[0])
-    for (i, j), w in zip(stencil.corners, stencil.weights):
-        out += w * field_values[i, j]
+    n = stencil.flat.shape[0] // 4
+    terms = (stencil.weights * field_values.take(stencil.flat)).reshape(4, n)
+    out = np.zeros(n)
+    for term in terms:  # corners in order 0, 1, 2, 3
+        out += term
     return out
 
 
 def scatter_add(field_values: np.ndarray, stencil: BilinearStencil, amounts):
-    for (i, j), w in zip(stencil.corners, stencil.weights):
-        np.add.at(field_values, (i, j), w * amounts)
+    """Add ``amounts`` at the stencil in place, corner by corner and particle
+    by particle in index order."""
+    if not field_values.flags.c_contiguous:
+        raise ValueError("scatter_add needs a C-contiguous field to update in place")
+    np.add.at(field_values.reshape(-1), stencil.flat, stencil.weights * np.tile(amounts, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -166,44 +171,47 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
 
     Order: velocity (tissue-gradient drift + noise kick), position (periodic
     wrap), intracellular protons, acid and tissue at the particle
-    neighbourhoods, then the kill conditions.
+    neighbourhoods, then the kill conditions.  Only the alive particles
+    move and act; a dead particle's fields are carried over unchanged.
     """
     if state.grid != cfg.grid:
         raise ConfigInvalid("state grid does not match config grid")
     tau = cfg.tau
     m = state.positions.shape[0]
-    a = state.alive
+    idx = np.flatnonzero(state.alive)
 
-    pos = state.positions.copy()
-    vel = state.velocities.copy()
-    protons = state.protons.copy()
     acid = state.acid.copy()
     tissue = state.tissue.copy()
     clamps = state.clamp_events
 
-    # the bilinear stencil of the positions before the move and after it
+    # drawn for every particle, so the stream does not depend on the deaths
+    noise = np.asarray(draw_noise(cfg.noise, rng, tau, size=(m, 2)))
+    kicks = cfg.noise_scale * noise.take(idx, axis=0)
+
+    # the bilinear stencil of the alive positions before the move and after it
+    pos = state.positions.take(idx, axis=0)
     before = bilinear_stencil(state.grid, pos)
     grad = np.column_stack(
         [gather(centered_difference(tissue, state.grid, axis), before) for axis in (0, 1)]
     )
-    kicks = cfg.noise_scale * np.asarray(draw_noise(cfg.noise, rng, tau, size=(m, 2)))
-    vel[a] += cfg.taxis_sign * grad[a] * tau + kicks[a]
-    pos[a] = np.mod(pos[a] + vel[a] * tau, np.asarray(state.grid.lengths))
+    vel = state.velocities.take(idx, axis=0)
+    vel += cfg.taxis_sign * grad * tau + kicks
+    pos = np.mod(pos + vel * tau, np.asarray(state.grid.lengths))
     after = bilinear_stencil(state.grid, pos)
-    after_alive = after[a]
 
     acid_at = gather(acid, after)
+    protons = state.protons.take(idx)
     efflux = cfg.efflux_rate * protons / (1.0 + acid_at)
     buffering = cfg.buffering_rate * protons
     production = cfg.production_rate / (1.0 + protons)
-    protons[a] += tau * (-efflux - buffering + production)[a]
+    protons += tau * (-efflux - buffering + production)
     neg = protons < 0
-    clamps += int(np.count_nonzero(neg & a))
+    clamps += int(np.count_nonzero(neg))
     protons[neg] = 0.0
 
     # extracellular side: efflux arrives, the vasculature clears
     acid_rate = cfg.field_coupling * (efflux - cfg.vascular_uptake * acid_at)
-    scatter_add(acid, after_alive, tau * acid_rate[a])
+    scatter_add(acid, after, tau * acid_rate)
     neg = acid < 0
     clamps += int(np.count_nonzero(neg))
     acid[neg] = 0.0
@@ -211,20 +219,28 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
     # tissue decays where particles sit; the exact integrating factor keeps
     # it positive no matter how many particles share a cell
     exposure = np.zeros_like(tissue)
-    scatter_add(exposure, after_alive, tau * cfg.tissue_decay * acid_at[a])
+    scatter_add(exposure, after, tau * cfg.tissue_decay * acid_at)
     tissue *= np.exp(-exposure)
 
     acid_now = gather(acid, after)
     killed = (protons < cfg.kill_low) | (protons > cfg.kill_high) | (
         acid_now > cfg.kill_acid
     )
-    alive = a & ~killed
+
+    positions = state.positions.copy()
+    velocities = state.velocities.copy()
+    all_protons = state.protons.copy()
+    alive = state.alive.copy()
+    positions[idx] = pos
+    velocities[idx] = vel
+    all_protons[idx] = protons
+    alive[idx[killed]] = False
 
     return MicroState(
         grid=state.grid,
-        positions=pos,
-        velocities=vel,
-        protons=protons,
+        positions=positions,
+        velocities=velocities,
+        protons=all_protons,
         alive=alive,
         acid=acid,
         tissue=tissue,

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,17 @@ def test_grid_properties():
     assert GRID.spacings == (0.25, 0.25)
     assert GRID.node_count == 32
     assert np.allclose(GRID.axis_coords(1), [0.0, 0.25, 0.5, 0.75])
+
+
+def test_cached_spacings_leave_value_semantics_alone():
+    same = Grid((2, 1), (8.0, 4.0))
+    other = Grid((2.0, 1.0), (8, 8))
+    assert same == GRID and hash(same) == hash(GRID)
+    assert other != GRID
+    assert repr(GRID) == "Grid(lengths=(2.0, 1.0), shape=(8, 4))"
+    restored = pickle.loads(pickle.dumps(GRID))
+    assert restored == GRID and restored.spacings == GRID.spacings
+    assert dataclasses.replace(GRID, shape=(8, 8)).spacings == (0.25, 0.125)
 
 
 def test_grid_validation():

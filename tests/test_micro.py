@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -183,6 +184,30 @@ def test_final_state_golden_digest(law, noise):
     assert digest.hexdigest() == GOLDEN_MICRO_SHA256[law]
 
 
+def test_dead_particle_neither_moves_nor_acts():
+    cfg = MicroConfig(n_particles=64)
+    base = micro_init(cfg)
+    base.alive[5] = False
+    changed = dataclasses.replace(base, positions=base.positions.copy(),
+                                  velocities=base.velocities.copy(),
+                                  protons=base.protons.copy())
+    changed.positions[5] = [0.91, 0.07]
+    changed.velocities[5] = [5.0, -3.0]
+    changed.protons[5] = -2.0
+    s1 = micro_step(base, cfg, RngStream(9, 0))
+    s2 = micro_step(changed, cfg, RngStream(9, 0))
+    for a, b in ((s1.acid, s2.acid), (s1.tissue, s2.tissue), (s1.alive, s2.alive)):
+        assert a.tobytes() == b.tobytes()
+    assert s1.clamp_events == s2.clamp_events
+    others = np.arange(64) != 5
+    for name in ("positions", "velocities", "protons"):
+        assert getattr(s1, name)[others].tobytes() == getattr(s2, name)[others].tobytes()
+        # the dead particle's own fields are carried over as they were
+        for before, after in ((base, s1), (changed, s2)):
+            assert getattr(after, name)[5].tobytes() == getattr(before, name)[5].tobytes()
+    assert not s1.alive[5]
+
+
 def test_survival_fraction_validation():
     state = _quiet_state(np.array([[0.5, 0.5]]))
     assert survival_fraction(state, 1) == 1.0
@@ -193,6 +218,56 @@ def test_survival_fraction_validation():
 # ---------------------------------------------------------------------------
 # gather / scatter
 # ---------------------------------------------------------------------------
+
+
+def _reference_corners(grid, positions):
+    """The four (i, j) corner index pairs and bilinear weights, corner by
+    corner, in the 2-D form the flat stencil must reproduce."""
+    mx, my = grid.shape
+    dx, dy = grid.spacings
+    fx = positions[:, 0] / dx
+    fy = positions[:, 1] / dy
+    i0 = np.floor(fx).astype(int) % mx
+    j0 = np.floor(fy).astype(int) % my
+    i1 = (i0 + 1) % mx
+    j1 = (j0 + 1) % my
+    wx = fx - np.floor(fx)
+    wy = fy - np.floor(fy)
+    corners = ((i0, j0), (i1, j0), (i0, j1), (i1, j1))
+    weights = ((1 - wx) * (1 - wy), wx * (1 - wy), (1 - wx) * wy, wx * wy)
+    return corners, weights
+
+
+def test_flat_gather_scatter_keep_corner_by_corner_order():
+    # many particles in the four cells around node (0, 0), so each node
+    # sums contributions of all four corner kinds and the order shows
+    rng = np.random.Generator(np.random.Philox(key=[13, 0]))
+    dx, dy = GRID.spacings
+    m = 3000
+    offsets = rng.uniform(-1.0, 1.0, (m, 2)) * (dx, dy)
+    pos = np.mod(offsets, 1.0)
+    amounts = rng.lognormal(0.0, 3.0, m)
+    field0 = rng.lognormal(0.0, 3.0, GRID.shape)
+    corners, weights = _reference_corners(GRID, pos)
+    stencil = bilinear_stencil(GRID, pos)
+
+    expected = field0.copy()
+    for (i, j), w in zip(corners, weights):
+        np.add.at(expected, (i, j), w * amounts)
+    got = field0.copy()
+    scatter_add(got, stencil, amounts)
+    assert got.tobytes() == expected.tobytes()
+
+    expected = np.zeros(m)
+    for (i, j), w in zip(corners, weights):
+        expected += w * field0[i, j]
+    assert gather(field0, stencil).tobytes() == expected.tobytes()
+
+
+def test_scatter_add_refuses_a_field_it_cannot_update_in_place():
+    stencil = bilinear_stencil(GRID, np.array([[0.5, 0.5]]))
+    with pytest.raises(ValueError):
+        scatter_add(np.zeros((41, 82))[:, ::2], stencil, np.ones(1))
 
 
 def test_gather_scatter_adjoint_mass():
