@@ -12,6 +12,16 @@ from levyflow.grids import Grid, GridField
 
 GOLDEN_PGM_SHA256 = "0bc218a1ec0af04d428d1ed8b7a0f42d96e2e4ebe728c583e7a1362db49baecf"
 
+# fracheck.csv on the default ladder and on the 96...1536 benchmark ladder
+GOLDEN_FRACHECK_SHA256 = {
+    "default": (None, "7656c677f0635e2660902ee6d9feba4da98f711a7697fa935fae613b6fa2a6fc"),
+    "bench_ladder": (
+        "[fracheck]\nresolutions = 96, 192, 384, 768, 1536\n"
+        "exponents = 0.5, 1.0, 1.5\nmodes = 1, 2, 3\n",
+        "6219879bdd25fac0624d8bcdfc099c5690b3fdac4ea2a78c8dc58805b48c05b1",
+    ),
+}
+
 
 def _run(*argv):
     return main(list(argv))
@@ -47,6 +57,19 @@ def test_fracheck_exit_0_and_csv(tmp_path):
     rows = _read_csv(out / "fracheck.csv")
     assert rows[0] == ["exponent", "mode", "points", "rel_error"]
     assert len(rows) == 1 + 3 * 3 * 3
+
+
+@pytest.mark.parametrize("ladder", list(GOLDEN_FRACHECK_SHA256))
+def test_fracheck_csv_golden_digest(tmp_path, ladder):
+    text, golden = GOLDEN_FRACHECK_SHA256[ladder]
+    argv = ["--out", str(tmp_path / "o"), "fracheck"]
+    if text is not None:
+        cfgfile = tmp_path / "ladder.cfg"
+        cfgfile.write_text(text)
+        argv = ["--config", str(cfgfile), *argv]
+    assert _run(*argv) == 0
+    digest = hashlib.sha256((tmp_path / "o" / "fracheck.csv").read_bytes()).hexdigest()
+    assert digest == golden
 
 
 def test_macro_steps_zero_initial_snapshot_only(tmp_path):
