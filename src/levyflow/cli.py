@@ -125,24 +125,25 @@ def cmd_symbol(sections, args, out: Path) -> Outcome:
 def cmd_fracheck(sections, args, out: Path) -> Outcome:
     params = cfgmod.fracheck_params_from(sections)
     length = float(params["length"])
-    rows = []
-    monotone = True
-    for p in params["exponents"]:
-        for k in params["modes"]:
-            previous = None
-            for m in params["resolutions"]:
-                grid = Grid((length,), (m,))
-                x = grid.axis_coords(0)
-                f = GridField(grid, np.cos(2 * np.pi * k * x / length))
-                op = FracLapOperator(grid, p)
-                approx = op.apply(f)
-                exact = spectral_oracle(grid, p, f)
-                scale = float(np.max(np.abs(exact.values)))
-                err = float(np.max(np.abs(approx.values - exact.values))) / scale
-                rows.append((p, k, m, err))
-                if previous is not None and err >= previous:
-                    monotone = False
-                previous = err
+    exponents, modes, resolutions = params["exponents"], params["modes"], params["resolutions"]
+    # one operator, one apply and one oracle call per resolution, each over
+    # the (mode, exponent) table; errors[r, j, i] is resolution r, mode j,
+    # exponent i
+    errors = []
+    for m in resolutions:
+        grid = Grid((length,), (m,))
+        x = grid.axis_coords(0)
+        waves = np.array([np.cos(2 * np.pi * k * x / length) for k in modes])[:, None]
+        approx = FracLapOperator(grid, np.array(exponents)).apply_values(waves)
+        exact = spectral_oracle(grid, exponents, waves)
+        scale = np.max(np.abs(exact), axis=-1)
+        errors.append(np.max(np.abs(approx - exact), axis=-1) / scale)
+    errors = np.array(errors)
+    rows = [(p, k, m, errors[r, j, i].item())
+            for i, p in enumerate(exponents)
+            for j, k in enumerate(modes)
+            for r, m in enumerate(resolutions)]
+    monotone = not np.any(errors[1:] >= errors[:-1])
     csv_path = write_csv(out / "fracheck.csv", ["exponent", "mode", "points", "rel_error"], rows)
     echo = cfgmod.echo_sections(fracheck=params)
     if not monotone:

@@ -314,6 +314,11 @@ def fracheck_params_from(sections) -> dict:
              f"each must lie in (0, 2), got {r['exponents']}")
     _require(all(k >= 1 for k in r["modes"]), "fracheck", "modes",
              f"each must be at least 1, got {r['modes']}")
+    # a mode past the coarsest grid's Nyquist mode aliases (to a constant
+    # when the grid's point count divides it, whose oracle scale is 0)
+    _require(all(2 * k <= min(r["resolutions"]) for k in r["modes"]), "fracheck", "modes",
+             f"each must be at most half the smallest resolution "
+             f"{min(r['resolutions'])}, got {r['modes']}")
     _require(r["length"] > 0, "fracheck", "length", f"must be positive, got {r['length']}")
     return r
 

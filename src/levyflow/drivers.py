@@ -148,14 +148,10 @@ def draw_noise(model, rng: RngStream, dt: float, size=None):
         u = rng.uniform(size)
         choice = switching_select(u, model.weights)
         left, mode, right = model.triangular
-        candidates = np.stack(
-            [
-                np.asarray(rng.normal(size), dtype=float),
-                np.asarray(rng.laplace(size), dtype=float),
-                np.asarray(rng.triangular(left, mode, right, size), dtype=float),
-            ]
-        )
-        picked = np.choose(choice, candidates)
+        normal = rng.normal(size)
+        laplace = rng.laplace(size)
+        triangular = rng.triangular(left, mode, right, size)
+        picked = np.where(choice == 0, normal, np.where(choice == 1, laplace, triangular))
         if size is None:
             return float(picked) * root_dt
         return picked * root_dt

@@ -72,6 +72,15 @@ def test_fracheck_csv_golden_digest(tmp_path, ladder):
     assert digest == golden
 
 
+def test_fracheck_rising_errors_exit_4(tmp_path, capsys):
+    cfgfile = tmp_path / "down.cfg"
+    cfgfile.write_text("[fracheck]\nresolutions = 192, 96\n")
+    out = tmp_path / "o"
+    assert _run("--config", str(cfgfile), "--out", str(out), "fracheck") == 4
+    assert "did not decrease monotonically" in capsys.readouterr().err
+    assert len(_read_csv(out / "fracheck.csv")) == 1 + 3 * 3 * 2
+
+
 def test_macro_steps_zero_initial_snapshot_only(tmp_path):
     out = tmp_path / "o"
     assert _run("--out", str(out), "macro", "--steps", "0") == 0
@@ -175,6 +184,8 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     ("[fracheck]\nlength = 0\n", "fracheck", "length"),
     ("[fracheck]\nexponents = 0.5, 2.0\n", "fracheck", "exponents"),
     ("[fracheck]\nmodes = 0\n", "fracheck", "modes"),
+    ("[fracheck]\nresolutions = 3, 6\nmodes = 3\n", "fracheck", "modes"),
+    ("[fracheck]\nresolutions = 96, 8\nmodes = 1, 5\n", "fracheck", "modes"),
     ("[symbol]\npoints = 0\n", "symbol", "points"),
     ("[symbol]\npoints = -5\n", "symbol --name poisson", "points"),
     ("[symbol]\nxi_max = -1\n", "symbol", "xi_max"),

@@ -211,6 +211,41 @@ def test_solve_shifted_matches_bicgstab(grid, p):
     assert np.array_equal(same, b) and same is not b
 
 
+STACK_EXPONENTS = (0.5, 1.0, 1.5, 1.23)
+
+
+@pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
+def test_exponent_stack_rows_equal_single_exponent_calls(grid):
+    # bitwise: NumPy special-cases some scalar powers (x ** 0.5 is sqrt), so
+    # a broadcast exponent array could move bits that these rows pin down
+    op = FracLapOperator(grid, np.array(STACK_EXPONENTS))
+    stack = np.array([[_random_field(grid, 10 * k + j) for j in range(len(STACK_EXPONENTS))]
+                      for k in range(2)])
+    approx = op.apply_values(stack)
+    exact = spectral_oracle(grid, STACK_EXPONENTS, stack)
+    assert approx.shape == exact.shape == stack.shape
+    for j, p in enumerate(STACK_EXPONENTS):
+        single = FracLapOperator(grid, p)
+        assert op._symbol[j].tobytes() == single._symbol.tobytes()
+        for k in range(stack.shape[0]):
+            f = GridField(grid, stack[k, j])
+            assert approx[k, j].tobytes() == single.apply_values(stack[k, j]).tobytes()
+            assert exact[k, j].tobytes() == spectral_oracle(grid, p, f).values.tobytes()
+    # a scalar exponent acts on every field of the stack alike
+    scalar = spectral_oracle(grid, 1.23, stack)
+    assert scalar[1, 0].tobytes() == spectral_oracle(
+        grid, 1.23, GridField(grid, stack[1, 0])).values.tobytes()
+
+
+def test_oracle_exponent_validation():
+    f = GridField(GRID_1D, _random_field(GRID_1D, 1))
+    for p in (0.0, 2.5, (1.0, 2.5), (0.0, 1.0)):
+        with pytest.raises(ExponentOutOfRange):
+            spectral_oracle(GRID_1D, p, f)
+    with pytest.raises(ExponentOutOfRange):
+        spectral_oracle(GRID_1D, (1.0, 2.1), f.values[None])
+
+
 def test_grid_mismatch():
     op = FracLapOperator(GRID_1D, 1.5)
     other = GridField(Grid((1.0,), (64,)), np.zeros(64))
