@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -387,3 +388,34 @@ def test_2d_axis_plane_wave_matches_oracle_to_one_percent():
     oracle = spectral_oracle(grid, 1.0, f)
     err = np.max(np.abs(approx.values - oracle.values)) / np.max(np.abs(oracle.values))
     assert err <= 0.01
+
+
+# SHA-256 of FracLapOperator._symbol's bytes, recorded with one scalar
+# kernel, FFT and sum per exponent; a faster build must keep every bit
+GOLDEN_SYMBOL_CASES = {
+    # the 21x21 macro grid, exponents p = 2 alpha inside the alpha window
+    "macro-21x21": (Grid((2.1, 2.1), (21, 21)), (1.2345, 1.3, 1.5, 1.75)),
+    "aniso-48x36": (GRID_2D, (0.5, 1.0, 1.5, 1.23)),
+    # the fracheck benchmark ladder; p = 1.0 takes the log-moment branch
+    **{f"ladder-{m}": (Grid((1.0,), (m,)), (0.5, 1.0, 1.5)) for m in (96, 192, 384, 768, 1536)},
+    # tail node counts 640, 239 and 95: only p = 1.0 reaches the 10 * M cap
+    "mixed-tails": (Grid((1000.0,), (64,)), (1.0, 1.7, 1.9)),
+}
+GOLDEN_SYMBOL_SHA256 = {
+    "macro-21x21": "65e90f8daddb81ea50c054163781090c131a38849a6b65eff2d1b85b45f4337f",
+    "aniso-48x36": "4e145450a7c31b17d0d8c1a4eaabfb9bc21bab873d7b55d685a07f2f7df824c9",
+    "ladder-96": "98f4ba1e564315d484977cfe4b69861300ce51761438b9818548243a066bb382",
+    "ladder-192": "d312abc78e8fcddf4e226dabd77326ecdf1f5a729aca3310f155754b5bdf8643",
+    "ladder-384": "aed1cb6c5a0ea1ac37ef20bdaa958ccc4d041d935dfa602ba1e914d324d10a9f",
+    "ladder-768": "4779ddf6912b468005edff6d91eaf4b0c28b4cf1fb9d5a11d1a74f99d7b4593f",
+    "ladder-1536": "5a629c675dc5867151073d52e2d10c91472ae936560ebdeb2d014100b0b68879",
+    "mixed-tails": "202b7b3a1d3541a835d1e219d361436eec478a222288e5a492b20cb6902cc66f",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_SYMBOL_CASES))
+def test_symbol_golden_digest(case):
+    grid, exponents = GOLDEN_SYMBOL_CASES[case]
+    op = FracLapOperator(grid, np.array(exponents))
+    assert op._symbol.shape[0] == len(exponents)
+    assert hashlib.sha256(op._symbol.tobytes()).hexdigest() == GOLDEN_SYMBOL_SHA256[case]
