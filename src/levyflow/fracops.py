@@ -101,15 +101,17 @@ def _axis_kernel(axis_points: int, spacing: float, p: float, cutoff_steps: int, 
     return kernel, far
 
 
-def _axis_symbol(kernel: np.ndarray, far: float) -> np.ndarray:
-    """Eigenvalues of the circulant 1D operator on the FFT modes 0..M-1.
+def _axis_symbols(kernels: np.ndarray, fars: np.ndarray) -> np.ndarray:
+    """Eigenvalues of circulant 1D operators on the FFT modes 0..M-1, one
+    row per kernel of the ``(P, M)`` stack ``kernels``.
 
-    The kernel is symmetric, so its DFT is real: mode k has eigenvalue
+    Each kernel is symmetric, so its DFT is real: mode k has eigenvalue
     ``Re FFT(kernel)_k - sum(kernel) - far * [k != 0]`` (the mean of a
-    nonzero mode vanishes).
+    nonzero mode vanishes).  The FFT and the sum act on each row on its
+    own, so a row's bits do not depend on the stack.
     """
-    lam = np.fft.fft(kernel).real - kernel.sum() - far
-    lam[0] = 0.0
+    lam = np.fft.fft(kernels, axis=-1).real - kernels.sum(axis=-1, keepdims=True) - fars[:, None]
+    lam[:, 0] = 0.0
     return lam
 
 
@@ -129,8 +131,9 @@ class FracLapOperator:
     stack: the eigenvalues then carry a leading sample axis and act on
     ``(S, *grid.shape)`` stacks, each sample with its own exponent, or on
     any stack whose axis before the grid axes broadcasts against S.  Each
-    exponent's eigenvalues are their own scalar build, so every row is
-    bitwise the single-exponent operator's.
+    exponent's kernel is its own scalar build, and the FFT and sums over
+    the stack of kernels act row by row, so every row is bitwise the
+    single-exponent operator's.
     """
 
     grid: Grid
@@ -147,27 +150,31 @@ class FracLapOperator:
             raise ExponentOutOfRange("cutoff must be at least one grid step")
         if any(2 * self.cutoff_steps >= m for m in self.grid.shape):
             raise ExponentOutOfRange("cutoff radius too large for the grid")
-        symbols = np.array([self._eigenvalues(p) for p in exponents.ravel().tolist()])
+        symbols = self._eigenvalues(exponents.ravel().tolist())
         self._symbol = symbols.reshape(exponents.shape + symbols.shape[1:])
 
-    def _eigenvalues(self, p: float) -> np.ndarray:
-        """The operator's eigenvalues at exponent ``p`` on the ``rfftn`` grid."""
+    def _eigenvalues(self, exponents: list) -> np.ndarray:
+        """The operator's eigenvalues on the ``rfftn`` grid, one row per
+        exponent: one scalar kernel build per exponent and axis, then one
+        FFT over the stack of kernels and one broadcast sum over the axes."""
         ndim = self.grid.ndim
         symbol = np.zeros(())
-        axis_symbols = {}  # one kernel per distinct (points, spacing)
+        axis_symbols = {}  # one kernel stack per distinct (points, spacing)
         for axis in range(ndim):
             m = self.grid.shape[axis]
             d = self.grid.spacings[axis]
             if (m, d) not in axis_symbols:
                 h = self.cutoff_steps * d
-                n_tail = self.n_tail or default_tail_nodes(p, h, m)
-                kernel, far = _axis_kernel(m, d, p, self.cutoff_steps, n_tail)
-                axis_symbols[m, d] = _axis_symbol(kernel, far)
+                kernels, fars = zip(*(
+                    _axis_kernel(m, d, p, self.cutoff_steps,
+                                 self.n_tail or default_tail_nodes(p, h, m))
+                    for p in exponents))
+                axis_symbols[m, d] = _axis_symbols(np.array(kernels), np.array(fars))
             lam = axis_symbols[m, d]
             if axis == ndim - 1:  # rfftn keeps the nonnegative half of the last axis
-                lam = lam[: m // 2 + 1]
-            shape = [1] * ndim
-            shape[axis] = lam.size
+                lam = lam[:, : m // 2 + 1]
+            shape = [len(exponents)] + [1] * ndim
+            shape[1 + axis] = lam.shape[1]
             symbol = symbol + lam.reshape(shape)
         return symbol
 

@@ -26,6 +26,8 @@ class Grid:
     shape: tuple
     # node spacing L / M per axis, derived once from lengths and shape
     spacings: tuple = field(init=False, repr=False, compare=False)
+    # periodic neighbour table, built on first use by neighbour_table()
+    _neighbours: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = tuple(float(v) for v in self.lengths)
@@ -64,6 +66,19 @@ class Grid:
         if self.ndim == 1:
             return (axes[0],)
         return tuple(np.meshgrid(*axes, indexing="ij"))
+
+    def neighbour_table(self) -> np.ndarray:
+        """Flat node indices of the periodic neighbours, shape ``(2 * ndim,
+        node_count)``: row ``2a`` holds each node's successor along axis
+        ``a`` and row ``2a + 1`` its predecessor.  Built on first use and
+        kept with the grid."""
+        if self._neighbours is None:
+            nodes = np.arange(self.node_count).reshape(self.shape)
+            table = np.stack([np.roll(nodes, shift, axis).ravel()
+                              for axis in range(self.ndim) for shift in (-1, 1)])
+            table.flags.writeable = False
+            object.__setattr__(self, "_neighbours", table)
+        return self._neighbours
 
     def wrap_index(self, k, axis: int):
         """Total periodic index map ((k mod M) + M) mod M."""
@@ -108,33 +123,38 @@ def require_same_grid(a: Grid, b: Grid):
 # single field and a stack of fields (leading axes index the samples).
 
 
-def periodic_shift(values: np.ndarray, shift: int, axis: int) -> np.ndarray:
-    """``np.roll(values, shift, axis)`` for ``0 < |shift| < values.shape[axis]``.
-
-    Same values, without np.roll's general-case overhead, which costs
-    several times the copy itself on the small grids of the field solvers.
-    """
-    tail = (slice(None),) * (values.ndim - 1 - axis % values.ndim)
-    return np.concatenate((values[(..., slice(-shift, None)) + tail],
-                           values[(..., slice(None, -shift)) + tail]), axis=axis)
+def neighbours(values: np.ndarray, grid: Grid, axis: int | None = None) -> np.ndarray:
+    """The periodic neighbours of every node, gathered through the grid's
+    neighbour table in one ``np.take``: ``out[2a]`` is ``np.roll(values,
+    -1, a)`` (each node's successor along grid axis ``a``) and ``out[2a +
+    1]`` is ``np.roll(values, 1, a)``.  With ``axis`` given, only that
+    axis's pair, as ``out[0]`` and ``out[1]``."""
+    table = grid.neighbour_table()
+    if axis is not None:
+        table = table[2 * axis: 2 * axis + 2]
+    lead = values.shape[: values.ndim - grid.ndim]
+    taken = np.take(values.reshape(lead + (grid.node_count,)), table, axis=-1)
+    if lead:  # the neighbour axis goes first; a transpose is a view
+        k = len(lead)
+        taken = taken.transpose((k,) + tuple(range(k)) + (k + 1,))
+    return taken.reshape(table.shape[:1] + lead + grid.shape)
 
 
 def laplacian5(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Classical second-difference Laplacian (the 5-point stencil in 2D)."""
+    nb = neighbours(values, grid)
     out = np.zeros_like(values)
     for axis in range(grid.ndim):
         d = grid.spacings[axis]
-        a = axis - grid.ndim
-        out += (periodic_shift(values, -1, a) + periodic_shift(values, 1, a)
-                - 2.0 * values) / d**2
+        out += (nb[2 * axis] + nb[2 * axis + 1] - 2.0 * values) / d**2
     return out
 
 
 def centered_difference(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Second-order centred first derivative along grid axis ``axis``."""
     d = grid.spacings[axis]
-    a = axis - grid.ndim
-    return (periodic_shift(values, -1, a) - periodic_shift(values, 1, a)) / (2.0 * d)
+    up, down = neighbours(values, grid, axis)
+    return (up - down) / (2.0 * d)
 
 
 def wrapped_gaussian_bump(grid: Grid, amp, sigma) -> np.ndarray:

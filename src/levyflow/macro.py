@@ -27,8 +27,8 @@ from .drivers import (ProtonIndexDriver, QWienerSpec, RngStream, StreamChunk,
                       sample_qwiener_increment)
 from .errors import ConfigInvalid, InvariantViolation, LevyflowError, SolverDiverged
 from .fracops import FracLapOperator
-from .grids import (Grid, centered_difference, laplacian5, periodic_gaussian_blur,
-                    periodic_shift, wrapped_gaussian_bump)
+from .grids import (Grid, centered_difference, laplacian5, neighbours,
+                    periodic_gaussian_blur, wrapped_gaussian_bump)
 from .linsolve import bicgstab, row_norm
 
 _CLAMP_TOL = 1e-12
@@ -181,14 +181,15 @@ def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     ``((coef_k+1 + coef_k)(u_k+1 - u_k) + (coef_k-1 + coef_k)(u_k-1 - u_k)) / (2 d^2)``.
     Telescopes to zero total, so the coupling conserves mass exactly.  Acts
     on the trailing grid axes, like the stencils in ``grids``."""
+    u_nb = neighbours(u, grid)
+    coef_nb = neighbours(coef, grid)
     out = np.zeros_like(u)
     for axis in range(grid.ndim):
         d = grid.spacings[axis]
-        a = axis - grid.ndim
-        up = periodic_shift(u, -1, a) - u
-        dn = periodic_shift(u, 1, a) - u
-        cup = periodic_shift(coef, -1, a) + coef
-        cdn = periodic_shift(coef, 1, a) + coef
+        up = u_nb[2 * axis] - u
+        dn = u_nb[2 * axis + 1] - u
+        cup = coef_nb[2 * axis] + coef
+        cdn = coef_nb[2 * axis + 1] + coef
         out += (cup * up + cdn * dn) / (2.0 * d**2)
     return out
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyflow.errors import GridMismatch
-from levyflow.grids import Grid, GridField, periodic_shift, require_same_grid
+from levyflow.grids import (Grid, GridField, centered_difference, laplacian5, neighbours,
+                            require_same_grid)
+from levyflow.macro import flux_divergence
 
 GRID = Grid((2.0, 1.0), (8, 4))
 
@@ -28,6 +30,11 @@ def test_cached_spacings_leave_value_semantics_alone():
     restored = pickle.loads(pickle.dumps(GRID))
     assert restored == GRID and restored.spacings == GRID.spacings
     assert dataclasses.replace(GRID, shape=(8, 8)).spacings == (0.25, 0.125)
+    # the neighbour table is a cache: it leaves equality alone and a
+    # replaced grid builds its own
+    built = Grid((2.0, 1.0), (8, 4))
+    assert built.neighbour_table().shape == (4, 32) and built == GRID
+    assert dataclasses.replace(built, shape=(8, 8)).neighbour_table().shape == (4, 64)
 
 
 def test_grid_validation():
@@ -75,10 +82,51 @@ def test_require_same_grid():
         require_same_grid(GRID, Grid((2.0, 1.0), (8, 8)))
 
 
-@pytest.mark.parametrize("shape", [(7,), (5, 6), (3, 5, 6)])
-def test_periodic_shift_is_np_roll(shape):
-    values = np.arange(np.prod(shape), dtype=float).reshape(shape)
-    for axis in range(-len(shape), len(shape)):
-        for shift in (1, -1, 2):
-            assert np.array_equal(periodic_shift(values, shift, axis),
-                                  np.roll(values, shift, axis=axis))
+def _roll_laplacian(values, grid):
+    out = np.zeros_like(values)
+    for axis in range(grid.ndim):
+        a = axis - grid.ndim
+        out += (np.roll(values, -1, a) + np.roll(values, 1, a) - 2.0 * values) / grid.spacings[axis]**2
+    return out
+
+
+def _roll_centered_difference(values, grid, axis):
+    a = axis - grid.ndim
+    return (np.roll(values, -1, a) - np.roll(values, 1, a)) / (2.0 * grid.spacings[axis])
+
+
+def _roll_flux_divergence(coef, u, grid):
+    out = np.zeros_like(u)
+    for axis in range(grid.ndim):
+        a = axis - grid.ndim
+        up, dn = np.roll(u, -1, a) - u, np.roll(u, 1, a) - u
+        cup, cdn = np.roll(coef, -1, a) + coef, np.roll(coef, 1, a) + coef
+        out += (cup * up + cdn * dn) / (2.0 * grid.spacings[axis]**2)
+    return out
+
+
+STENCIL_GRIDS = {
+    "1d": Grid((1.0,), (16,)),
+    "1d-odd": Grid((2.5,), (7,)),
+    "2d": Grid((2.1, 2.1), (21, 21)),
+    "2d-odd-aniso": Grid((1.0, 1.5), (5, 6)),
+}
+
+
+@pytest.mark.parametrize("name", list(STENCIL_GRIDS))
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["field", "stack"])
+def test_stencils_through_neighbour_table_equal_np_roll(name, lead):
+    grid = STENCIL_GRIDS[name]
+    rng = np.random.Generator(np.random.Philox(key=[3, 0]))
+    u, coef = rng.standard_normal((2,) + lead + grid.shape)
+    nb = neighbours(u, grid)
+    for axis in range(grid.ndim):
+        a = axis - grid.ndim
+        assert np.array_equal(nb[2 * axis], np.roll(u, -1, a))
+        assert np.array_equal(nb[2 * axis + 1], np.roll(u, 1, a))
+        assert np.array_equal(neighbours(u, grid, axis), nb[2 * axis: 2 * axis + 2])
+        assert (centered_difference(u, grid, axis).tobytes()
+                == _roll_centered_difference(u, grid, axis).tobytes())
+    assert laplacian5(u, grid).tobytes() == _roll_laplacian(u, grid).tobytes()
+    assert (flux_divergence(coef, u, grid).tobytes()
+            == _roll_flux_divergence(coef, u, grid).tobytes())
