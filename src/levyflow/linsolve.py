@@ -3,15 +3,18 @@
 The H-step system of the macro solver is nonsymmetric (advection by the
 cell-density gradient), which rules out plain conjugate gradients.  It is
 small and strongly diagonally dominant, so an unpreconditioned stabilized
-bi-conjugate gradient iteration converges in a handful of steps.  (The
-C-step's fractional system is circulant and is solved exactly by FFT in
-``fracops``.)
+bi-conjugate gradient iteration converges in a handful of steps; its
+operator is the five-point stencil that ``macro.h_operator`` assembles once
+per step.  (The C-step's fractional system is circulant and is solved
+exactly by FFT in ``fracops``.)
 
 The solver advances a stack of independent systems in lockstep, one
 system per row of the stack, each with its own scalars (rho, alpha,
 omega).  Every norm and dot product is a per-row reduction, so a
 system's bits do not depend on how many others share its stack; a single
-system is a stack of one.
+system is a stack of one.  Each breakdown and convergence test is made on
+the whole stack first, and the mask of active rows it applies to is built
+only when the test hits, which it rarely does.
 """
 
 from __future__ import annotations
@@ -76,13 +79,17 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
 
     def finish(done, values, res, k):
         """Freeze the systems in ``done`` at ``values`` after k iterations."""
-        solution[done] = values[done]
-        residuals[done] = res[done]
-        counts[done] = k
-        active[done] = False
+        if done.any():
+            solution[done] = values[done]
+            residuals[done] = res[done]
+            counts[done] = k
+            active[done] = False
 
-    def fail(failed, message):
-        if failed.any():
+    def fail(hit, message):
+        """Fail the active systems where ``hit`` holds.  ``hit`` is tested on
+        the whole stack first, so the usual no-breakdown case builds no mask."""
+        if hit.any():
+            failed = active & hit
             for row in np.flatnonzero(failed):
                 failures[int(row)] = SolverDiverged(message(row))
                 residuals[row] = np.nan
@@ -94,17 +101,15 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
         r = rows - op(x)
         res = row_norm(r) / scale
         finish(active & (res <= tol), x, res, 0)
-        fail(active & ~np.isfinite(res), lambda row: "BiCGSTAB breakdown: non-finite residual")
+        fail(~np.isfinite(res), lambda row: "BiCGSTAB breakdown: non-finite residual")
         r_hat = r.copy()
-        rho, alpha, omega = np.ones(n_sys), np.ones(n_sys), np.ones(n_sys)
-        v, p = np.zeros_like(rows), np.zeros_like(rows)
 
         for k in range(1, max_iterations + 1):
             if not active.any():
                 break
             rho_new = row_dot(r_hat, r)
-            fail(active & (rho_new == 0.0), lambda row: "BiCGSTAB breakdown: rho = 0")
-            if k == 1:
+            fail(rho_new == 0.0, lambda row: "BiCGSTAB breakdown: rho = 0")
+            if k == 1:  # rho, alpha, omega and v are first set in this iteration
                 p = r.copy()
             else:
                 beta = (rho_new / rho) * (alpha / omega)
@@ -112,27 +117,27 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
             rho = rho_new
             v = op(p)
             denom = row_dot(r_hat, v)
-            fail(active & (denom == 0.0), lambda row: "BiCGSTAB breakdown: (r_hat, v) = 0")
+            fail(denom == 0.0, lambda row: "BiCGSTAB breakdown: (r_hat, v) = 0")
             alpha = rho / denom
             s = r - alpha[:, None] * v
-            check = active & (row_norm(s) / scale <= tol)
-            if check.any():
+            near = row_norm(s) / scale <= tol
+            if near.any() and (check := active & near).any():
                 x_try = x + alpha[:, None] * p
                 true_res = row_norm(rows - op(x_try)) / scale
                 finish(check & (true_res <= tol), x_try, true_res, k)
             t = op(s)
             tt = row_dot(t, t)
-            fail(active & (tt == 0.0), lambda row: "BiCGSTAB breakdown: t = 0")
+            fail(tt == 0.0, lambda row: "BiCGSTAB breakdown: t = 0")
             omega = row_dot(t, s) / tt
             x = x + alpha[:, None] * p + omega[:, None] * s
             r = s - omega[:, None] * t
             res = row_norm(r) / scale
-            fail(active & ~np.isfinite(res), lambda row: "BiCGSTAB breakdown: non-finite residual")
-            check = active & (res <= tol)
-            if check.any():
+            fail(~np.isfinite(res), lambda row: "BiCGSTAB breakdown: non-finite residual")
+            near = res <= tol
+            if near.any() and (check := active & near).any():
                 true_res = row_norm(rows - op(x)) / scale
                 finish(check & (true_res <= tol), x, true_res, k)
-            fail(active & (omega == 0.0), lambda row: "BiCGSTAB breakdown: omega = 0")
+            fail(omega == 0.0, lambda row: "BiCGSTAB breakdown: omega = 0")
 
         if active.any():
             final = row_norm(rows - op(x)) / scale

@@ -5,7 +5,9 @@ Per step (the order matters, later updates consume earlier ones):
 1. N is updated explicitly by its decay reaction;
 2. H solves an implicit advection-diffusion system with explicit logistic
    reaction and multiplicative Q-Wiener noise on the right-hand side, by
-   BiCGSTAB;
+   BiCGSTAB.  Its operator is assembled once per step as a
+   variable-coefficient five-point stencil (``h_operator``), so each apply
+   is one gather through the grid's neighbour table and one weighted sum;
 3. C solves an implicit per-axis fractional-diffusion system whose exponent
    is refreshed from the spatial mean of H, with explicit taxis fluxes and
    logistic reaction on the right-hand side.  The fractional operator is
@@ -27,8 +29,8 @@ from .drivers import (ProtonIndexDriver, QWienerSpec, RngStream, StreamChunk,
                       sample_qwiener_increment)
 from .errors import ConfigInvalid, InvariantViolation, LevyflowError, SolverDiverged
 from .fracops import FracLapOperator
-from .grids import (Grid, centered_difference, laplacian5, neighbours,
-                    periodic_gaussian_blur, wrapped_gaussian_bump)
+from .grids import (Grid, centered_difference, neighbours, periodic_gaussian_blur,
+                    wrapped_gaussian_bump)
 from .linsolve import bicgstab, row_norm
 
 _CLAMP_TOL = 1e-12
@@ -212,6 +214,39 @@ def step_n(state: MacroState, cfg: MacroConfig, stats: MacroRunStats | None = No
     return _clamp(n_new, cfg.grid, stats)
 
 
+def h_operator(c: np.ndarray, cfg: MacroConfig):
+    """The H-step's implicit operator for a stack of cell densities ``c``,
+    assembled once as a variable-coefficient five-point stencil:
+
+        x - tau sigma_H laplacian5(x) - tau gamma_f f(c) sum_a slope_a(c) D_a x,
+
+    with ``f(c) = c / (1 + c)``, ``slope_a`` the centred difference of ``c``
+    and ``D_a`` that of ``x``.  The centre weight is the scalar
+    ``1 + tau sigma_H sum_a 2 / d_a^2``; each neighbour has one weight
+    array, ``-tau sigma_H / d_a^2 -+ tau gamma_f f slope_a / (2 d_a)`` for
+    the successor and the predecessor along axis a.  The returned apply is
+    one gather through the grid's neighbour table and one weighted sum,
+    row by row, so a row's bits do not depend on the stack.
+    """
+    grid = cfg.grid
+    tau = cfg.tau
+    f_weight = c / (1.0 + c)
+    centre = 1.0 + sum(2.0 * tau * cfg.sigma_H / d**2 for d in grid.spacings)
+    weights = []
+    for axis, d in enumerate(grid.spacings):
+        diffusion = -tau * cfg.sigma_H / d**2
+        advection = (tau * cfg.gamma_f / (2.0 * d)) * f_weight * centered_difference(c, grid, axis)
+        weights += [diffusion - advection, diffusion + advection]
+    weights = np.stack(weights, axis=1).reshape(len(c), len(weights), grid.node_count)
+    table = grid.neighbour_table()
+
+    def apply_op(x):
+        flat = _per_sample(x, grid)
+        return (centre * flat + (weights * np.take(flat, table, axis=-1)).sum(axis=1)).reshape(x.shape)
+
+    return apply_op
+
+
 def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, failures: dict,
            stats: MacroRunStats | None = None):
     """Implicit advection-diffusion solve for the proton index.  A sample
@@ -228,15 +263,7 @@ def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, failures: 
             failures.setdefault(row, exc)
             draws.append(np.zeros(grid.shape))
     noise = np.stack(draws)
-    f_weight = state.c / (1.0 + state.c)
-    slopes = [centered_difference(state.c, grid, axis) for axis in range(grid.ndim)]
-
-    def apply_op(x):
-        adv = np.zeros_like(x)
-        for axis, slope in enumerate(slopes):
-            adv += slope * centered_difference(x, grid, axis)
-        return x - tau * cfg.sigma_H * laplacian5(x, grid) - tau * cfg.gamma_f * f_weight * adv
-
+    apply_op = h_operator(state.c, cfg)
     rhs = (state.h
            + tau * cfg.gamma_1 * state.h * (1.0 - state.h)
            + cfg.sigma_W * state.h * noise)
