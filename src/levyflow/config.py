@@ -9,6 +9,7 @@ verbatim (gamma_1, sigma_W, tau, h_x1, N_x1, ...).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .drivers import CauchyModulatedNoise, GaussianNoise, SwitchingNoise
 from .errors import ConfigInvalid
@@ -208,9 +209,18 @@ def _integral(value) -> int:
     return int(value)
 
 
+def _finite_float(value) -> float:
+    """``value`` as a float; nan and the infinities are refused."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return value
+
+
 def resolve_section(name: str, defaults: dict, sections: dict):
     """Defaults overridden by the file section; unknown keys rejected and
-    overrides coerced to the default's scalar type."""
+    overrides coerced to the default's scalar type (a float must be
+    finite)."""
     given = dict(sections.get(name, {}))
     unknown = set(given) - set(defaults)
     if unknown:
@@ -225,7 +235,7 @@ def resolve_section(name: str, defaults: dict, sections: dict):
             elif isinstance(default, int):
                 value = _integral(value)
             elif isinstance(default, float):
-                value = float(value)
+                value = _finite_float(value)
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"[{name}] {key}: cannot interpret {value!r}") from exc
         resolved[key] = value
@@ -251,6 +261,9 @@ def _require(ok: bool, section: str, key: str, rule: str):
 def macro_config_from(sections) -> tuple:
     """Returns (MacroConfig, resolved mapping for the echo)."""
     r = resolve_section("macro", MACRO_DEFAULTS, sections)
+    _require(r["solver_tol"] > 0, "macro", "solver_tol",
+             f"must be positive, got {r['solver_tol']}")
+    _require(r["a"] > 0, "macro", "a", f"must be positive, got {r['a']}")
     modes = r["qwiener_modes"]
     _require(modes >= 1, "macro", "qwiener_modes", f"need at least 1 mode, got {modes}")
     for axis in ("x1", "x2"):
@@ -306,7 +319,8 @@ def symbol_params_from(sections) -> dict:
 
 def fracheck_params_from(sections) -> dict:
     r = resolve_section("fracheck", FRACHECK_DEFAULTS, sections)
-    for key, convert in (("resolutions", _integral), ("exponents", float), ("modes", _integral)):
+    for key, convert in (("resolutions", _integral), ("exponents", _finite_float),
+                         ("modes", _integral)):
         r[key] = _tuple_of(convert, "fracheck", key, r[key])
     _require(all(m >= 3 for m in r["resolutions"]), "fracheck", "resolutions",
              f"each needs at least 3 points for the operator's cutoff, got {r['resolutions']}")
@@ -325,7 +339,7 @@ def fracheck_params_from(sections) -> dict:
 
 def report_params_from(sections) -> dict:
     r = resolve_section("report", REPORT_DEFAULTS, sections)
-    r["levels"] = _tuple_of(float, "report", "levels", r["levels"])
+    r["levels"] = _tuple_of(_finite_float, "report", "levels", r["levels"])
     return r
 
 

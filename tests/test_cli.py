@@ -190,6 +190,13 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     ("[symbol]\npoints = -5\n", "symbol --name poisson", "points"),
     ("[symbol]\nxi_max = -1\n", "symbol", "xi_max"),
     ("[symbol]\nxi_max = 0\n", "symbol --name bm_drift", "xi_max"),
+    ("[macro]\ntau = nan\n", "macro", "tau"),
+    ("[macro]\ngamma_1 = nan\n", "macro", "gamma_1"),
+    ("[macro]\nsigma_W = inf\n", "macro", "sigma_W"),
+    ("[macro]\nsolver_tol = -1\n", "macro", "solver_tol"),
+    ("[macro]\nsolver_tol = 0\n", "macro", "solver_tol"),
+    ("[macro]\na = -1\n", "macro", "a"),
+    ("[macro]\na = 0\n", "macro", "a"),
 ])
 def test_bad_grid_keys_exit_2(tmp_path, capsys, text, command, key):
     cfgfile = tmp_path / "bad.cfg"
