@@ -183,16 +183,11 @@ def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     ``((coef_k+1 + coef_k)(u_k+1 - u_k) + (coef_k-1 + coef_k)(u_k-1 - u_k)) / (2 d^2)``.
     Telescopes to zero total, so the coupling conserves mass exactly.  Acts
     on the trailing grid axes, like the stencils in ``grids``."""
-    u_nb = neighbours(u, grid)
-    coef_nb = neighbours(coef, grid)
+    flux = neighbours(u, grid) - u  # one row per neighbour, as in ``neighbours``
+    flux *= neighbours(coef, grid) + coef
     out = np.zeros_like(u)
-    for axis in range(grid.ndim):
-        d = grid.spacings[axis]
-        up = u_nb[2 * axis] - u
-        dn = u_nb[2 * axis + 1] - u
-        cup = coef_nb[2 * axis] + coef
-        cdn = coef_nb[2 * axis + 1] + coef
-        out += (cup * up + cdn * dn) / (2.0 * d**2)
+    for axis, d in enumerate(grid.spacings):
+        out += (flux[2 * axis] + flux[2 * axis + 1]) / (2.0 * d**2)
     return out
 
 
@@ -242,7 +237,11 @@ def h_operator(c: np.ndarray, cfg: MacroConfig):
 
     def apply_op(x):
         flat = _per_sample(x, grid)
-        return (centre * flat + (weights * np.take(flat, table, axis=-1)).sum(axis=1)).reshape(x.shape)
+        terms = np.take(flat, table, axis=-1)
+        terms *= weights
+        out = terms.sum(axis=1)
+        out += centre * flat
+        return out.reshape(x.shape)
 
     return apply_op
 

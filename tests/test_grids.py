@@ -86,7 +86,8 @@ def _roll_laplacian(values, grid):
     out = np.zeros_like(values)
     for axis in range(grid.ndim):
         a = axis - grid.ndim
-        out += (np.roll(values, -1, a) + np.roll(values, 1, a) - 2.0 * values) / grid.spacings[axis]**2
+        d = grid.spacings[axis]
+        out += (np.roll(values, -1, a) + np.roll(values, 1, a) - 2.0 * values) / d**2
     return out
 
 
