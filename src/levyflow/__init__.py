@@ -9,7 +9,6 @@ Carlo ensembles and verifiable numerical property checks.
 __version__ = "0.1.0"
 
 from .drivers import (
-    BridgeDriver,
     CauchyModulatedNoise,
     GaussianNoise,
     ProtonIndexDriver,
@@ -17,7 +16,6 @@ from .drivers import (
     RngStream,
     StreamChunk,
     SwitchingNoise,
-    bridge_value,
     draw_noise,
     sample_qwiener_increment,
 )
@@ -25,16 +23,17 @@ from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble
 from .fracops import (
     FracLapOperator,
     alpha_resolvent_holder_check,
+    fourier_multiply,
     frac_constant,
     multiplier_lipschitz_check,
     spectral_oracle,
+    symbol_multiplier,
 )
 from .grids import Grid, GridField
 from .macro import MacroConfig, MacroState, macro_init, macro_step, run_macro
 from .micro import (
     MicroConfig,
     MicroState,
-    density_histogram,
     deposit_fields,
     micro_init,
     micro_step,
@@ -51,7 +50,6 @@ from .symbols import (
     ShiftedSymbol,
     StableSymbol,
     TripleSymbol,
-    characteristic_function,
     compose_symbols,
     driven_symbol,
     generator_symbol_table,

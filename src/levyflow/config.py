@@ -261,6 +261,14 @@ def _require(ok: bool, section: str, key: str, rule: str):
 def macro_config_from(sections) -> tuple:
     """Returns (MacroConfig, resolved mapping for the echo)."""
     r = resolve_section("macro", MACRO_DEFAULTS, sections)
+    for key in ("gamma_1", "gamma_2", "gamma_3", "sigma_W", "sigma_H",
+                "gamma_C", "gamma_g", "gamma_h", "gamma_f"):
+        _require(r[key] >= 0, "macro", key, f"rates must be nonnegative, got {r[key]}")
+    _require(r["tau"] > 0, "macro", "tau", f"must be positive, got {r['tau']}")
+    _require(r["N"] >= 0, "macro", "N", f"must be nonnegative, got {r['N']}")
+    _require(0.5 < r["a_1"] < 1, "macro", "a_1", f"must lie in (1/2, 1), got {r['a_1']}")
+    _require(r["a_1"] < r["a_2"] < 1, "macro", "a_2",
+             f"must lie in (a_1, 1) = ({r['a_1']}, 1), got {r['a_2']}")
     _require(r["solver_tol"] > 0, "macro", "solver_tol",
              f"must be positive, got {r['solver_tol']}")
     _require(r["a"] > 0, "macro", "a", f"must be positive, got {r['a']}")
@@ -283,6 +291,11 @@ def macro_config_from(sections) -> tuple:
 
 def micro_config_from(sections) -> tuple:
     r = resolve_section("micro", MICRO_DEFAULTS, sections)
+    _require(r["M"] >= 1, "micro", "M", f"need at least 1 particle, got {r['M']}")
+    _require(r["N"] >= 0, "micro", "N", f"must be nonnegative, got {r['N']}")
+    _require(r["tau"] > 0, "micro", "tau", f"must be positive, got {r['tau']}")
+    _require(r["h_1"] < r["h_2"], "micro", "h_2",
+             f"the viability band needs h_1 < h_2, got h_1 = {r['h_1']}, h_2 = {r['h_2']}")
     scalars = dict(r)
     noise_name = str(scalars.pop("noise"))
     if noise_name not in _NOISE_LAWS:
@@ -322,6 +335,7 @@ def fracheck_params_from(sections) -> dict:
     for key, convert in (("resolutions", _integral), ("exponents", _finite_float),
                          ("modes", _integral)):
         r[key] = _tuple_of(convert, "fracheck", key, r[key])
+        _require(len(r[key]) > 0, "fracheck", key, "needs at least one value")
     _require(all(m >= 3 for m in r["resolutions"]), "fracheck", "resolutions",
              f"each needs at least 3 points for the operator's cutoff, got {r['resolutions']}")
     _require(all(0 < p < 2 for p in r["exponents"]), "fracheck", "exponents",

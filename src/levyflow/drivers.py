@@ -1,16 +1,16 @@
 """Randomness: seeded counter-based streams, the micro-model noise laws,
-the bounded scalar driver processes, and the truncated Q-Wiener sampler.
+the bounded exponent driver, and the truncated Q-Wiener sampler.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonpositiveDt, NyquistViolation, OutOfHorizon
+from .errors import NonpositiveDt, NyquistViolation
 from .grids import Grid, GridField
 
 
@@ -39,9 +39,6 @@ class RngStream:
             np.random.Philox(key=[self.base_seed, self.stream_index])
         )
 
-    def substream(self, stream_index: int) -> "RngStream":
-        return RngStream(self.base_seed, stream_index)
-
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
@@ -60,9 +57,6 @@ class RngStream:
 
     def cauchy(self, size=None):
         return self._gen.standard_cauchy(size)
-
-    def exponential(self, size=None):
-        return self._gen.exponential(1.0, size)
 
     def integers(self, low, high, size=None):
         return self._gen.integers(low, high, size=size)
@@ -163,73 +157,8 @@ def draw_noise(model, rng: RngStream, dt: float, size=None):
 
 
 # ---------------------------------------------------------------------------
-# bounded scalar drivers
+# bounded exponent driver
 # ---------------------------------------------------------------------------
-
-
-def bridge_value(start, end, horizon, t, w_t, w_end):
-    """Gaussian bridge from ``start`` to ``end`` over [0, horizon] built from
-    a Wiener path: ``((T - t) * start + T * W_t + t * (end - W_T)) / T``."""
-    if not 0.0 <= t <= horizon:
-        raise OutOfHorizon(f"t={t} outside [0, {horizon}]")
-    return ((horizon - t) * start + horizon * w_t + t * (end - w_end)) / horizon
-
-
-@dataclass
-class BridgeDriver:
-    """Bounded driver ``beta(t) = low + span * I_t / (1 + I_t)`` where ``I_t``
-    accumulates ``sin(B_s)^2`` along a bridge pinned at ``pin_start`` and
-    ``pin_end``.
-
-    The output always stays in [low, low + span).  The underlying Wiener
-    path is advanced with increments conditioned on the final value, which
-    is drawn once by :meth:`init_path`.
-    """
-
-    low: float
-    span: float
-    pin_start: float
-    pin_end: float
-    horizon: float
-    t: float = 0.0
-    integral: float = 0.0
-    w_t: float = 0.0
-    w_end: float = field(default=float("nan"))
-
-    def __post_init__(self):
-        if self.span < 0:
-            raise ValueError("span must be nonnegative")
-        if self.horizon <= 0:
-            raise OutOfHorizon("horizon must be positive")
-
-    def init_path(self, rng: RngStream) -> "BridgeDriver":
-        self.w_end = math.sqrt(self.horizon) * float(rng.normal())
-        return self
-
-    def value(self) -> float:
-        return self.low + self.span * self.integral / (1.0 + self.integral)
-
-    def bridge_at(self, t, w_t=None, w_end=None):
-        w_t = self.w_t if w_t is None else w_t
-        w_end = self.w_end if w_end is None else w_end
-        return bridge_value(self.pin_start, self.pin_end, self.horizon, t, w_t, w_end)
-
-    def step(self, dt: float, rng: RngStream) -> float:
-        """Advance ``I`` by a left-endpoint rectangle and return beta(t+dt)."""
-        if dt <= 0:
-            raise NonpositiveDt(f"dt must be positive, got {dt}")
-        if self.t + dt > self.horizon + 1e-12:
-            raise OutOfHorizon("step leaves the bridge horizon")
-        if math.isnan(self.w_end):
-            raise OutOfHorizon("call init_path(rng) before stepping")
-        b_now = self.bridge_at(self.t)
-        self.integral += math.sin(b_now) ** 2 * dt
-        remain = self.horizon - self.t
-        mean_inc = dt / remain * (self.w_end - self.w_t)
-        var_inc = dt * max(remain - dt, 0.0) / remain
-        self.w_t += mean_inc + math.sqrt(var_inc) * float(rng.normal())
-        self.t += dt
-        return self.value()
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,6 @@ class NonpositiveDt(LevyflowError):
     pass
 
 
-class OutOfHorizon(LevyflowError):
-    pass
-
-
 class NyquistViolation(LevyflowError):
     pass
 
@@ -50,10 +46,6 @@ class SolverDiverged(LevyflowError):
 
 
 class ConfigInvalid(LevyflowError):
-    pass
-
-
-class NoAliveParticles(LevyflowError):
     pass
 
 

@@ -1,4 +1,10 @@
-"""Discrete fractional Laplacian on periodic grids plus its spectral oracle.
+"""Fractional Laplacian on periodic grids, and symbols as Fourier multipliers.
+
+A symbol ``psi`` (``symbols.SymbolSpec``) is the operator ``psi(D)``: on a
+periodic grid it multiplies each Fourier mode ``e^{i(xi, x)}`` by
+``psi(xi)``.  ``symbol_multiplier`` evaluates any symbol on the grid's FFT
+lattice and ``fourier_multiply`` applies such a multiplier to a real field
+or stack of fields; every Fourier multiplier here goes through that pair.
 
 The production operator is the splitting scheme: a singular second-difference
 part with coefficient ``c / ((2 - p) h^p)`` plus a quadrature of the integral
@@ -6,20 +12,24 @@ tail, wrapped periodically (Huang & Oberman, SIAM J. Numer. Anal. 52, 2014).
 The wrapped kernel is circulant, so the operator is applied and inverted as a
 Fourier multiplier made of the kernel's own eigenvalues.  Everything it
 produces approximates the *generator* ``-(-Laplace)^{p/2}`` (negative
-semidefinite); the spectral oracle applies the exact Fourier multiplier
-``-|xi|^p`` and serves as ground truth in the acceptance comparisons.
+semidefinite); the spectral oracle applies the exact multiplier ``-psi`` of
+the stable symbol ``psi(xi) = |xi|^p`` and serves as ground truth in the
+acceptance comparisons.  The multiplier bound checks evaluate their symbol
+families through the same ``SymbolSpec`` classes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BetaOutOfRange, EmptyGrid, ExponentOutOfRange
 from .grids import Grid, GridField, laplacian5, require_same_grid
-from .symbols import SymbolSpec, _as_points
+from .symbols import (ShiftedSymbol, StableSymbol, SymbolSpec, TripleSymbol, _as_points,
+                      driven_symbol)
 
 _TAIL_REMAINDER = 1e-6
 _TAIL_CAP_FACTOR = 10
@@ -115,6 +125,45 @@ def _axis_symbols(kernels: np.ndarray, fars: np.ndarray) -> np.ndarray:
     return lam
 
 
+@lru_cache(maxsize=32)
+def _half_lattice(grid: Grid):
+    """(points, shape): the half FFT lattice of ``grid`` as an ``(n, ndim)``
+    array of angular frequencies, read-only, and its shape.  Cached per
+    grid because the oracle evaluates one symbol per exponent on it."""
+    freqs = [2.0 * math.pi * np.fft.fftfreq(m, d)
+             for m, d in zip(grid.shape[:-1], grid.spacings[:-1])]
+    freqs.append(2.0 * math.pi * np.fft.rfftfreq(grid.shape[-1], grid.spacings[-1]))
+    lattice = np.meshgrid(*freqs, indexing="ij")
+    points = np.stack([axis.ravel() for axis in lattice], axis=-1)
+    points.flags.writeable = False
+    return points, lattice[0].shape
+
+
+def symbol_multiplier(grid: Grid, spec: SymbolSpec) -> np.ndarray:
+    """``psi(xi)`` of ``spec`` on the half FFT lattice of ``grid``.
+
+    The lattice has the angular frequencies ``2 pi fftfreq`` on the leading
+    axes and only the nonnegative ones, ``2 pi rfftfreq``, on the last, so
+    the result has the shape of ``np.fft.rfftn`` of a field on ``grid``.
+    The half is enough: every symbol here satisfies ``psi(-xi) = conj
+    psi(xi)``, so ``psi(D)`` maps real fields to real fields and
+    ``fourier_multiply`` restores the other half.  ``spec.d`` must equal
+    ``grid.ndim``; the values come back complex.
+    """
+    points, shape = _half_lattice(grid)
+    return spec.evaluate_many(points).reshape(shape)
+
+
+def fourier_multiply(grid: Grid, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """``multiplier(D) values`` for a real field or stack of fields whose
+    trailing axes are ``grid``, with ``multiplier`` on the half FFT lattice
+    of ``symbol_multiplier``; a leading multiplier axis broadcasts against
+    the stack's axes before the grid axes."""
+    axes = tuple(range(-grid.ndim, 0))
+    spectrum = np.fft.rfftn(values, axes=axes)
+    return np.fft.irfftn(multiplier * spectrum, s=grid.shape, axes=axes)
+
+
 @dataclass
 class FracLapOperator:
     """``-(-Laplace)^{p/2}`` on a periodic grid, diagonal in Fourier space.
@@ -123,9 +172,8 @@ class FracLapOperator:
     (dimension splitting); the isotropic 2D integral is intentionally not
     used, matching the per-axis update scheme of the macro solver.  Each
     per-axis kernel is circulant, so the build stores the operator's real
-    eigenvalues on the ``rfftn`` grid: applying it and solving
-    ``(I - shift A) x = b`` are each one FFT pair over the trailing grid
-    axes.
+    eigenvalues on the half FFT lattice of ``symbol_multiplier``: applying
+    it and solving ``(I - shift A) x = b`` are each one ``fourier_multiply``.
 
     ``exponent`` may also be a 1-D array, one exponent per sample of a
     stack: the eigenvalues then carry a leading sample axis and act on
@@ -154,7 +202,7 @@ class FracLapOperator:
         self._symbol = symbols.reshape(exponents.shape + symbols.shape[1:])
 
     def _eigenvalues(self, exponents: list) -> np.ndarray:
-        """The operator's eigenvalues on the ``rfftn`` grid, one row per
+        """The operator's eigenvalues on the half FFT lattice, one row per
         exponent: one scalar kernel build per exponent and axis, then one
         FFT over the stack of kernels and one broadcast sum over the axes."""
         ndim = self.grid.ndim
@@ -171,20 +219,15 @@ class FracLapOperator:
                     for p in exponents))
                 axis_symbols[m, d] = _axis_symbols(np.array(kernels), np.array(fars))
             lam = axis_symbols[m, d]
-            if axis == ndim - 1:  # rfftn keeps the nonnegative half of the last axis
+            if axis == ndim - 1:  # the half lattice keeps the last axis' nonnegative modes
                 lam = lam[:, : m // 2 + 1]
             shape = [len(exponents)] + [1] * ndim
             shape[1 + axis] = lam.shape[1]
             symbol = symbol + lam.reshape(shape)
         return symbol
 
-    def _multiply(self, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-        axes = tuple(range(-self.grid.ndim, 0))
-        spectrum = np.fft.rfftn(values, axes=axes)
-        return np.fft.irfftn(multiplier * spectrum, s=self.grid.shape, axes=axes)
-
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        return self._multiply(values, self._symbol)
+        return fourier_multiply(self.grid, values, self._symbol)
 
     def solve_shifted(self, b: np.ndarray, shift: float) -> np.ndarray:
         """Exact solution of ``(I - shift A) x = b``.
@@ -195,7 +238,7 @@ class FracLapOperator:
         """
         if shift == 0:
             return b.copy()
-        return self._multiply(b, 1.0 / (1.0 - shift * self._symbol))
+        return fourier_multiply(self.grid, b, 1.0 / (1.0 - shift * self._symbol))
 
     def apply(self, f: GridField) -> GridField:
         require_same_grid(f.grid, self.grid)
@@ -203,9 +246,10 @@ class FracLapOperator:
 
 
 def spectral_oracle(grid: Grid, p, f):
-    """Exact Fourier-multiplier application of ``-|xi|^p`` (0 at the zero
-    mode).  Ground truth for the difference scheme; p = 2 reproduces the
-    spectral Laplacian.
+    """The exact generator ``-|xi|^p`` (0 at the zero mode) applied as a
+    Fourier multiplier: ``-psi(D) f`` for the stable symbol ``psi(xi) =
+    |xi|^p``, and for p = 2 the diffusion symbol with ``Q = 2I``, the
+    spectral Laplacian.  Ground truth for the difference scheme.
 
     ``f`` is a ``GridField`` on ``grid`` (a ``GridField`` comes back) or an
     array stack whose trailing axes are the grid (an array comes back).
@@ -213,8 +257,8 @@ def spectral_oracle(grid: Grid, p, f):
     multiplier a leading axis of one row per exponent, which broadcasts
     against the stack's axis just before the grid axes, so a ``(K, P,
     *grid.shape)`` or ``(K, 1, *grid.shape)`` stack gets exponent ``p[j]``
-    in row ``j``.  Each exponent's power is its own scalar-exponent call, so
-    every row is bitwise the single-exponent result.
+    in row ``j``.  Each row is its own symbol evaluation, so every row is
+    bitwise the single-exponent result.
     """
     exponents = np.asarray(p, dtype=float)
     if not all(0.0 < q <= 2.0 for q in exponents.ravel().tolist()):
@@ -222,20 +266,18 @@ def spectral_oracle(grid: Grid, p, f):
     if isinstance(f, GridField):
         require_same_grid(f.grid, grid)
         return GridField(grid, spectral_oracle(grid, p, f.values))
-    freqs = [
-        2.0 * math.pi * np.fft.fftfreq(m, d)
-        for m, d in zip(grid.shape, grid.spacings)
-    ]
-    if grid.ndim == 1:
-        ksq = freqs[0] ** 2
-    else:
-        ksq = freqs[0][:, None] ** 2 + freqs[1][None, :] ** 2
-    mult = np.array([
-        -np.power(ksq, q / 2.0, where=ksq > 0, out=np.zeros_like(ksq))
-        for q in exponents.ravel().tolist()
-    ]).reshape(exponents.shape + ksq.shape)
-    axes = tuple(range(-grid.ndim, 0))
-    return np.fft.ifftn(mult * np.fft.fftn(f, axes=axes), axes=axes).real
+    rows = [-symbol_multiplier(grid, _power_symbol(q, grid.ndim)).real
+            for q in exponents.ravel().tolist()]
+    mult = np.array(rows).reshape(exponents.shape + rows[0].shape)
+    return fourier_multiply(grid, f, mult)
+
+
+def _power_symbol(p: float, d: int) -> SymbolSpec:
+    """``|xi|^p`` on d axes: the stable symbol, or for p = 2 (outside the
+    stable range) the diffusion symbol ``(xi, Q xi)/2`` with ``Q = 2I``."""
+    if p == 2.0:
+        return TripleSymbol(drift=(0.0,) * d, q_matrix=2.0 * np.eye(d))
+    return StableSymbol(p, dim=d)
 
 
 def standard_laplacian(grid: Grid, f: GridField) -> GridField:
@@ -276,8 +318,9 @@ def multiplier_lipschitz_check(
     beta_high: float | None = None,
     fixed_constant: float | None = None,
 ) -> MultiplierLipschitzReport:
-    """Sup of ``(1+b1 psi)^{r/2} |(1+b1 psi)^{-s/2} - (1+b2 psi)^{-s/2}|``
-    per unit of ``|b1 - b2|``, over the probe grid.
+    """Sup of ``theta_{b1,r} |1/theta_{b1,s} - 1/theta_{b2,s}|`` per unit of
+    ``|b1 - b2|`` over the probe grid, where ``theta_{b,s} = (1 + b
+    psi)^{s/2}`` is ``driven_symbol(base, b, s)``.
 
     The sup/gap ratio must stay below ``C * (beta_high/beta_low)^{r/2} /
     beta_low`` with one constant C for every pair.  Pass ``fixed_constant``
@@ -289,10 +332,11 @@ def multiplier_lipschitz_check(
     pts = _as_points(probe_points, base.d)
     if pts.shape[0] == 0:
         raise EmptyGrid("probe grid is empty")
-    psi = base.evaluate_many(pts)
-    if float(np.max(np.abs(psi.imag))) > 1e-10:
+    if float(np.max(np.abs(base.evaluate_many(pts).imag))) > 1e-10:
         raise BetaOutOfRange("base symbol must be real valued")
-    psi = np.maximum(psi.real, 0.0)
+
+    def theta(beta, order):
+        return driven_symbol(base, beta, order).evaluate_many(pts).real
 
     betas = [b for pair in beta_pairs for b in pair[:2]]
     lo = beta_low if beta_low is not None else min(betas)
@@ -308,11 +352,8 @@ def multiplier_lipschitz_check(
         if b1 == b2:
             entries.append(PairRatio(b1, b2, 0.0, 0.0))
             continue
-        weight = np.power(1.0 + b1 * psi, 0.5 * r)
-        diff = np.abs(
-            np.power(1.0 + b1 * psi, -0.5 * s) - np.power(1.0 + b2 * psi, -0.5 * s)
-        )
-        sup_m = float(np.max(weight * diff))
+        diff = np.abs(1.0 / theta(b1, s) - 1.0 / theta(b2, s))
+        sup_m = float(np.max(theta(b1, r) * diff))
         entries.append(PairRatio(b1, b2, sup_m, sup_m / abs(b1 - b2)))
     bound_scale = (hi / lo) ** (0.5 * r) / lo
     sup_ratio = max(e.ratio for e in entries) if entries else 0.0
@@ -339,7 +380,9 @@ def alpha_resolvent_holder_check(
     Evaluates ``(1+|xi|^2)^{eta/2} * | |xi|^{-2 a1} - |xi|^{-2 a2} |`` on the
     radial probe grid (away from 0; the ratio diverges as |xi| -> 0, which
     is why callers must exclude a neighbourhood of the origin) and reports
-    sup / |a1 - a2| per pair.
+    sup / |a1 - a2| per pair.  ``|xi|^{-2a}`` is the inverse of the stable
+    symbol of exponent 2a, and the weight (eta > 0) is the shifted symbol of
+    ``|xi|^2``.
     """
     radii = np.asarray(probe_radii, dtype=float)
     if radii.size == 0:
@@ -347,6 +390,7 @@ def alpha_resolvent_holder_check(
     if np.any(radii <= 0):
         raise ExponentOutOfRange("probe radii must be positive (0 is singular)")
     lo, hi = window
+    weight = _radial(ShiftedSymbol(_power_symbol(2.0, 1), weight_exponent), radii)
     entries = []
     for a1, a2 in exponent_pairs:
         for a in (a1, a2):
@@ -355,8 +399,8 @@ def alpha_resolvent_holder_check(
         if a1 == a2:
             entries.append(PairRatio(a1, a2, 0.0, 0.0))
             continue
-        weight = np.power(1.0 + radii * radii, 0.5 * weight_exponent)
-        diff = np.abs(np.power(radii, -2.0 * a1) - np.power(radii, -2.0 * a2))
+        diff = np.abs(1.0 / _radial(StableSymbol(2.0 * a1), radii)
+                      - 1.0 / _radial(StableSymbol(2.0 * a2), radii))
         sup_m = float(np.max(weight * diff))
         entries.append(PairRatio(a1, a2, sup_m, sup_m / abs(a1 - a2)))
     ratios = [e.ratio for e in entries]
@@ -365,3 +409,8 @@ def alpha_resolvent_holder_check(
         max(ratios) if ratios else 0.0,
         all(np.isfinite(r) for r in ratios),
     )
+
+
+def _radial(spec: SymbolSpec, radii: np.ndarray) -> np.ndarray:
+    """Real part of a one-dimensional symbol at the radii."""
+    return spec.evaluate_many(radii[:, None]).real

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import GaussianNoise, RngStream, draw_noise
-from .errors import ConfigInvalid, NoAliveParticles
+from .errors import ConfigInvalid
 from .grids import (Grid, GridField, centered_difference, periodic_gaussian_blur,
                     wrapped_gaussian_bump)
 
@@ -282,16 +282,3 @@ def deposit_fields(state: MicroState, cfg: MicroConfig):
     tissue = periodic_gaussian_blur(state.tissue, state.grid, cfg.deposit_bandwidth)
     return GridField(state.grid, acid), GridField(state.grid, tissue)
 
-
-def density_histogram(state: MicroState, grid: Grid) -> GridField:
-    """Normalized position histogram of the alive particles (sums to 1)."""
-    if state.alive_count() == 0:
-        raise NoAliveParticles("no alive particles to bin")
-    pos = state.positions[state.alive]
-    mx, my = grid.shape
-    dx, dy = grid.spacings
-    i = np.floor(pos[:, 0] / dx).astype(int) % mx
-    j = np.floor(pos[:, 1] / dy).astype(int) % my
-    counts = np.zeros(grid.shape)
-    np.add.at(counts, (i, j), 1.0)
-    return GridField(grid, counts / counts.sum())

@@ -31,7 +31,6 @@ from .errors import (
     EmptyGrid,
     ExponentOutOfRange,
     NotRealValued,
-    OutOfHorizon,
     UnsupportedMeasure,
 )
 
@@ -575,13 +574,6 @@ class ShiftedSymbol(SymbolSpec):
 # ---------------------------------------------------------------------------
 
 
-def characteristic_function(spec: SymbolSpec, xi, t: float) -> complex:
-    """``exp(-t * psi(xi))`` with t >= 0."""
-    if t < 0:
-        raise OutOfHorizon(f"time must be nonnegative, got {t}")
-    return cmath.exp(-t * spec.evaluate(xi))
-
-
 def compose_symbols(outer: AffinePowerBernstein, inner: SymbolSpec) -> SymbolSpec:
     """Compose a Bernstein function with a real nonnegative symbol.
 
@@ -597,10 +589,9 @@ def driven_symbol(base: SymbolSpec, driver_value: float, order: float) -> Shifte
     """Snapshot of a driver-indexed symbol family:
     ``(1 + driver_value * psi_base(xi))**(order/2)``.
 
-    ``driver_value`` is one sample of a bounded scalar process (a bridge
-    functional or the proton-index map), so freezing it at two times and
-    comparing the resulting multipliers is exactly what the Lipschitz
-    check consumes.
+    ``driver_value`` is one sample of a bounded scalar process, so freezing
+    it at two times and comparing the resulting multipliers is exactly what
+    ``fracops.multiplier_lipschitz_check`` evaluates.
     """
     return ShiftedSymbol(ScaledSymbol(driver_value, base), order)
 

@@ -14,11 +14,11 @@ GOLDEN_PGM_SHA256 = "0bc218a1ec0af04d428d1ed8b7a0f42d96e2e4ebe728c583e7a1362db49
 
 # fracheck.csv on the default ladder and on the 96...1536 benchmark ladder
 GOLDEN_FRACHECK_SHA256 = {
-    "default": (None, "7656c677f0635e2660902ee6d9feba4da98f711a7697fa935fae613b6fa2a6fc"),
+    "default": (None, "a245fe9f7d620df2f63a6753d9bcccf86c8cea9f57a60da9ebf24f8b062deeb4"),
     "bench_ladder": (
         "[fracheck]\nresolutions = 96, 192, 384, 768, 1536\n"
         "exponents = 0.5, 1.0, 1.5\nmodes = 1, 2, 3\n",
-        "6219879bdd25fac0624d8bcdfc099c5690b3fdac4ea2a78c8dc58805b48c05b1",
+        "98fb155b47cc8ab38578b18d7ce6839b8dd9d11fb10ef84fb6256153f3ad3e19",
     ),
 }
 
@@ -163,6 +163,17 @@ def test_config_parse_failure_exit_2(tmp_path):
      ["ensemble", "--kind", "macro", "--samples", "2"], "snapshot steps out of range"),
     ("[ensemble]\nexport_samples = 0, 5\n",
      ["ensemble", "--kind", "micro", "--samples", "2"], "export sample ids"),
+    ("[macro]\ngamma_1 = -1\n", ["macro"], "[macro] gamma_1: rates must be nonnegative"),
+    ("[macro]\nsigma_W = -0.1\n", ["macro"], "[macro] sigma_W:"),
+    ("[macro]\ntau = 0\n", ["macro"], "[macro] tau: must be positive"),
+    ("[macro]\nN = -1\n", ["macro"], "[macro] N: must be nonnegative"),
+    ("[macro]\na_1 = 0.4\n", ["macro"], "[macro] a_1:"),
+    ("[macro]\na_2 = 0.5\n", ["macro"], "[macro] a_2:"),
+    ("[micro]\nM = 0\n", ["micro"], "[micro] M: need at least 1 particle"),
+    ("[micro]\nN = -2\n", ["micro"], "[micro] N:"),
+    ("[micro]\ntau = 0\n", ["micro"], "[micro] tau:"),
+    ("[micro]\nh_1 = 2.0\n", ["micro"], "[micro] h_2: the viability band"),
+    ("[micro]\nM = 0\n", ["ensemble", "--kind", "micro", "--samples", "2"], "[micro] M:"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     cfgfile = tmp_path / "bad.cfg"
@@ -184,6 +195,8 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     ("[fracheck]\nlength = 0\n", "fracheck", "length"),
     ("[fracheck]\nexponents = 0.5, 2.0\n", "fracheck", "exponents"),
     ("[fracheck]\nmodes = 0\n", "fracheck", "modes"),
+    ("[fracheck]\nexponents =\n", "fracheck", "exponents"),
+    ("[fracheck]\nresolutions =\n", "fracheck", "resolutions"),
     ("[fracheck]\nresolutions = 3, 6\nmodes = 3\n", "fracheck", "modes"),
     ("[fracheck]\nresolutions = 96, 8\nmodes = 1, 5\n", "fracheck", "modes"),
     ("[symbol]\npoints = 0\n", "symbol", "points"),

@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyflow.drivers import (
-    BridgeDriver,
     CauchyModulatedNoise,
     GaussianNoise,
     ProtonIndexDriver,
     QWienerSpec,
     RngStream,
     SwitchingNoise,
-    bridge_value,
     cauchy_modulated_increment,
     draw_noise,
     qwiener_pointwise_variance,
     sample_qwiener_increment,
     switching_select,
 )
-from levyflow.errors import NonpositiveDt, NyquistViolation, OutOfHorizon
+from levyflow.errors import NonpositiveDt, NyquistViolation
 from levyflow.grids import Grid
 
 
@@ -40,10 +38,6 @@ def test_distinct_streams_decorrelated():
     b = RngStream(987, 1).normal(10_000)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
     assert a.tobytes() != b.tobytes()
-
-
-def test_substream():
-    assert RngStream(5, 0).substream(9).normal(4).tobytes() == RngStream(5, 9).normal(4).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -121,55 +115,8 @@ def test_switching_draw_shapes():
 
 
 # ---------------------------------------------------------------------------
-# bounded drivers
+# the exponent driver
 # ---------------------------------------------------------------------------
-
-
-def test_bridge_value_pins_endpoints():
-    w_t, w_end = 0.37, -0.81
-    assert bridge_value(2.0, 5.0, 4.0, 0.0, 0.0, w_end) == pytest.approx(2.0)
-    assert bridge_value(2.0, 5.0, 4.0, 4.0, w_end, w_end) == pytest.approx(5.0)
-    # zero Wiener path at the midpoint gives the average of the pins
-    assert bridge_value(2.0, 5.0, 4.0, 2.0, 0.0, 0.0) == pytest.approx(3.5)
-    with pytest.raises(OutOfHorizon):
-        bridge_value(2.0, 5.0, 4.0, 4.5, w_t, w_end)
-
-
-def test_bridge_driver_value_map():
-    d = BridgeDriver(low=1.0, span=2.0, pin_start=0.5, pin_end=1.5, horizon=1.0)
-    assert d.value() == pytest.approx(1.0)  # I = 0
-    d.integral = 1.0
-    assert d.value() == pytest.approx(2.0)  # 1 + 2 * (1/2)
-    d.integral = 1e12
-    assert d.value() == pytest.approx(3.0, abs=1e-9)  # saturation at low + span
-
-
-def test_bridge_driver_bounds_over_many_steps():
-    rng = RngStream(21, 0)
-    d = BridgeDriver(low=1.5, span=1.0, pin_start=0.3, pin_end=0.8, horizon=10.0).init_path(rng)
-    dt = 10.0 / 100_000
-    last = d.value()
-    for _ in range(100_000):
-        beta = d.step(dt, rng)
-        assert 1.5 <= beta < 2.5
-        assert beta >= last - 1e-15  # I_t accumulates, so beta never decreases
-        last = beta
-    # the conditioned path hits its drawn endpoint (up to accumulated rounding
-    # of 1e5 conditioned increments)
-    assert d.w_t == pytest.approx(d.w_end, abs=1e-4)
-    assert d.bridge_at(d.horizon) == pytest.approx(d.pin_end, abs=1e-4)
-
-
-def test_bridge_driver_errors():
-    rng = RngStream(22, 0)
-    d = BridgeDriver(low=0.0, span=1.0, pin_start=0.0, pin_end=0.0, horizon=1.0)
-    with pytest.raises(OutOfHorizon):
-        d.step(0.1, rng)  # path not initialized
-    d.init_path(rng)
-    with pytest.raises(NonpositiveDt):
-        d.step(0.0, rng)
-    with pytest.raises(OutOfHorizon):
-        d.step(1.5, rng)
 
 
 def test_alpha_of_h_values():
@@ -273,31 +220,3 @@ def test_qwiener_1d_variant():
     expected = lam2 * math.sqrt(2.0) * np.cos(2 * np.pi * 2 * x)
     assert np.allclose(g.values, expected, atol=1e-14)
 
-
-def test_bridge_driven_symbol_family_is_lipschitz_bounded():
-    """End-to-end: bridge-driven scale values frozen at two times feed the
-    multiplier bound check of the driver-indexed symbol family."""
-    from levyflow.fracops import multiplier_lipschitz_check
-    from levyflow.symbols import StableSymbol, driven_symbol
-
-    rng = RngStream(88, 0)
-    driver = BridgeDriver(
-        low=1.1, span=0.8, pin_start=0.4, pin_end=0.9, horizon=2.0
-    ).init_path(rng)
-    betas = []
-    for _ in range(200):
-        betas.append(driver.step(0.01, rng))
-    b1, b2 = betas[49], betas[199]
-    base = StableSymbol(1.5, 1.0, 1)
-    # the frozen family members are real, nonnegative, and equal 1 at 0
-    for b in (b1, b2):
-        theta = driven_symbol(base, b, 1.6)
-        assert theta.evaluate([0.0]).real == pytest.approx(1.0)
-        assert theta.evaluate([3.0]).imag == 0.0
-    report = multiplier_lipschitz_check(
-        base, s=1.6, r=1.2, beta_pairs=[(b1, b2, 0.5, 2.0)],
-        probe_points=np.geomspace(1e-3, 1000.0, 400)[:, None],
-        beta_low=1.1, beta_high=1.9,
-    )
-    assert report.satisfied
-    assert np.isfinite(report.sup_ratio)

@@ -15,14 +15,16 @@ from levyflow.fracops import (
     _axis_kernel,
     alpha_resolvent_holder_check,
     default_tail_nodes,
+    fourier_multiply,
     frac_constant,
     multiplier_lipschitz_check,
     spectral_oracle,
     standard_laplacian,
+    symbol_multiplier,
 )
 from levyflow.grids import Grid, GridField
 from levyflow.linsolve import bicgstab
-from levyflow.symbols import TripleSymbol
+from levyflow.symbols import StableSymbol, TripleSymbol, driven_symbol
 
 GRID_1D = Grid((1.0,), (128,))
 GRID_2D = Grid((1.0, 1.5), (48, 36))
@@ -238,6 +240,83 @@ def test_exponent_stack_rows_equal_single_exponent_calls(grid):
         grid, 1.23, GridField(grid, stack[1, 0])).values.tobytes()
 
 
+def _half_lattice_radius(grid):
+    """|xi| on the half FFT lattice, built with np.fft.rfftfreq and fftfreq
+    independently of symbol_multiplier's mesh."""
+    if grid.ndim == 1:
+        return 2 * np.pi * np.abs(np.fft.rfftfreq(grid.shape[0], grid.spacings[0]))
+    kx = 2 * np.pi * np.fft.fftfreq(grid.shape[0], grid.spacings[0])
+    ky = 2 * np.pi * np.fft.rfftfreq(grid.shape[1], grid.spacings[1])
+    return np.hypot(kx[:, None], ky[None, :])
+
+
+LATTICE_GRIDS = [GRID_1D, Grid((1.0,), (45,)), GRID_2D]
+
+
+@pytest.mark.parametrize("grid", LATTICE_GRIDS, ids=["1d", "1d-odd", "2d-aniso"])
+def test_symbol_multiplier_is_the_symbol_on_the_lattice(grid):
+    radius = _half_lattice_radius(grid)
+    half_shape = np.fft.rfftn(np.zeros(grid.shape)).shape
+    for p in (0.5, 1.0, 1.5):
+        mult = symbol_multiplier(grid, StableSymbol(p, dim=grid.ndim))
+        assert mult.shape == half_shape
+        assert np.allclose(mult, radius**p, rtol=1e-13, atol=0.0)
+    square = TripleSymbol(drift=(0.0,) * grid.ndim, q_matrix=2.0 * np.eye(grid.ndim))
+    assert np.allclose(symbol_multiplier(grid, square), radius**2, rtol=1e-13, atol=0.0)
+
+
+def test_symbol_multiplier_drift_is_a_derivative():
+    # the generator -psi(D) of psi(xi) = -i b xi is b d/dx; the half lattice
+    # carries the complex symbol because psi(-xi) = conj psi(xi)
+    grid = Grid((2.0,), (45,))
+    x = grid.axis_coords(0)
+    k = 2 * np.pi * 3 / 2.0
+    drift = -symbol_multiplier(grid, TripleSymbol(drift=(0.7,), q_matrix=((0.0,),)))
+    out = fourier_multiply(grid, np.sin(k * x), drift)
+    assert np.allclose(out, 0.7 * k * np.cos(k * x), atol=1e-12)
+
+
+def test_operator_applies_through_the_shared_multiply():
+    op = FracLapOperator(GRID_2D, 1.3)
+    values = _random_field(GRID_2D, 8)
+    assert op.apply_values(values).tobytes() == fourier_multiply(
+        GRID_2D, values, op._symbol).tobytes()
+
+
+def _complex_fft_oracle(grid, p, values):
+    """Reference oracle, independent of the symbol classes: ``-|xi|^p`` as
+    a power of ``|xi|^2`` on the full lattice, one complex FFT pair, real
+    part."""
+    freqs = [2.0 * math.pi * np.fft.fftfreq(m, d) for m, d in zip(grid.shape, grid.spacings)]
+    if grid.ndim == 1:
+        ksq = freqs[0] ** 2
+    else:
+        ksq = freqs[0][:, None] ** 2 + freqs[1][None, :] ** 2
+    mult = -np.power(ksq, p / 2.0, where=ksq > 0, out=np.zeros_like(ksq))
+    axes = tuple(range(-grid.ndim, 0))
+    return np.fft.ifftn(mult * np.fft.fftn(values, axes=axes), axes=axes).real
+
+
+def test_oracle_matches_the_complex_fft_oracle():
+    # rounding-level agreement: the symbol takes |xi|^p as sqrt then power,
+    # the reference as a power of |xi|^2, and the FFT pairs differ; the
+    # FFT's rounding in the top modes, scaled by |xi|^p, dominates at M = 1536
+    field = np.random.Generator(np.random.Philox(key=[23, 0])).standard_normal(GRID_2D.shape)
+    for p in (0.5, 1.23, 2.0):
+        ref = _complex_fft_oracle(GRID_2D, p, field)
+        got = spectral_oracle(GRID_2D, p, field)
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+    # the fracheck benchmark's largest rung, as one stacked call like fracheck's
+    ladder = Grid((1.0,), (1536,))
+    x = ladder.axis_coords(0)
+    exponents, modes = (0.5, 1.0, 1.5), (1, 2, 3)
+    waves = np.array([np.cos(2 * np.pi * k * x) for k in modes])[:, None]
+    got = spectral_oracle(ladder, exponents, waves)
+    ref = np.array([[_complex_fft_oracle(ladder, p, wave[0]) for p in exponents]
+                    for wave in waves])
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
 def test_oracle_exponent_validation():
     f = GridField(GRID_1D, _random_field(GRID_1D, 1))
     for p in (0.0, 2.5, (1.0, 2.5), (0.0, 1.0)):
@@ -348,6 +427,22 @@ def test_multiplier_validation():
         )
     with pytest.raises(EmptyGrid):
         multiplier_lipschitz_check(PSI, 2.0, 1.5, [(1.0, 1.1, 0, 0)], np.empty((0, 1)))
+
+
+def test_multiplier_check_on_a_stable_base():
+    # frozen members of the driver-indexed stable family are real and equal
+    # 1 at xi = 0, and a pair of them passes with its own fitted constant
+    base = StableSymbol(1.5, 1.0, 1)
+    for beta in (1.2, 1.7):
+        theta = driven_symbol(base, beta, 1.6)
+        assert theta.evaluate([0.0]).real == pytest.approx(1.0)
+        assert theta.evaluate([3.0]).imag == 0.0
+    report = multiplier_lipschitz_check(
+        base, s=1.6, r=1.2, beta_pairs=[(1.2, 1.7, 0.5, 2.0)],
+        probe_points=_radial_points(1e-3, 1000.0, 400), beta_low=1.1, beta_high=1.9,
+    )
+    assert report.satisfied
+    assert 0.0 < report.sup_ratio < np.inf
 
 
 def test_resolvent_identical_pair_zero():

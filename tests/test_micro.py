@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from levyflow.drivers import CauchyModulatedNoise, GaussianNoise, RngStream, SwitchingNoise
-from levyflow.errors import ConfigInvalid, NoAliveParticles
+from levyflow.errors import ConfigInvalid
 from levyflow.grids import Grid, periodic_gaussian_blur
 from levyflow.micro import (
     MicroConfig,
     MicroState,
     bilinear_stencil,
-    density_histogram,
     deposit_fields,
     gather,
     micro_init,
@@ -317,29 +316,3 @@ def test_deposit_point_mass_spreads_to_unit_bump():
     assert out.max() < 1.0
     assert out[20, 20] == out.max()
 
-
-def test_density_histogram_point_mass_and_normalization():
-    dx, dy = GRID.spacings
-    state = _quiet_state(np.array([[5 * dx + 0.25 * dx, 9 * dy + 0.5 * dy]] * 7))
-    hist = density_histogram(state, GRID)
-    assert hist.values.sum() == pytest.approx(1.0)
-    assert hist.values[5, 9] == pytest.approx(1.0)
-
-
-def test_density_histogram_uniform_concentration():
-    rng = np.random.Generator(np.random.Philox(key=[12, 0]))
-    m = 40_000
-    grid = Grid((1.0, 1.0), (10, 10))
-    state = _quiet_state(rng.random((m, 2)))
-    hist = density_histogram(state, grid)
-    per_bin = 1.0 / 100
-    # multinomial concentration: 3 / sqrt(count per bin) on the relative error
-    tol = 3.0 / np.sqrt(m * per_bin)
-    assert np.all(np.abs(hist.values - per_bin) / per_bin <= tol)
-
-
-def test_density_histogram_requires_alive():
-    state = _quiet_state(np.array([[0.5, 0.5]]))
-    state.alive[:] = False
-    with pytest.raises(NoAliveParticles):
-        density_histogram(state, GRID)

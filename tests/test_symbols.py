@@ -11,7 +11,6 @@ from levyflow.errors import (
     EmptyGrid,
     ExponentOutOfRange,
     NotRealValued,
-    OutOfHorizon,
     UnsupportedMeasure,
 )
 from levyflow.symbols import (
@@ -25,7 +24,6 @@ from levyflow.symbols import (
     StableSymbol,
     TripleSymbol,
     ZeroMeasure,
-    characteristic_function,
     compose_symbols,
     default_probe_points,
     driven_symbol,
@@ -92,21 +90,15 @@ def test_poisson_symbol_against_semigroup_oracle():
     assert poisson(2.0).evaluate([np.pi]) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_characteristic_function_trivials():
-    spec = diffusion(1.0, 1.0)
-    assert characteristic_function(spec, (0.3, -2.0), 0.0) == pytest.approx(1.0)
-    assert characteristic_function(spec, (1.0, 0.0), 2.0) == pytest.approx(math.exp(-1.0))
-    with pytest.raises(OutOfHorizon):
-        characteristic_function(spec, (1.0, 0.0), -0.5)
-
-
 def test_characteristic_function_against_subordinated_brownian_mc():
     """Monte Carlo oracle: Brownian motion (generator = Laplacian) time
-    changed by the alpha-subordinator has symbol |xi|^{2 alpha}."""
+    changed by the alpha-subordinator has symbol |xi|^{2 alpha}, so its
+    characteristic function at t = 1 is exp(-psi(xi)) with the stable
+    symbol of exponent 2 alpha."""
     alpha, xi, n = 0.75, 2.0, 500_000
     rng = RngStream(2024, 0)
     u = rng.uniform(n) * np.pi
-    e = rng.exponential(n)
+    e = rng.generator.exponential(1.0, n)
     a = (
         np.sin(alpha * u) ** alpha
         * np.sin((1 - alpha) * u) ** (1 - alpha)
@@ -116,17 +108,9 @@ def test_characteristic_function_against_subordinated_brownian_mc():
     z = np.sqrt(2.0 * subordinator) * rng.normal(n)
     mc = float(np.cos(xi * z).mean())
     spec = StableSymbol(exponent=2 * alpha, scale=1.0, dim=1)
-    exact = characteristic_function(spec, [xi], 1.0).real
+    exact = math.exp(-spec.evaluate([xi]).real)
     assert exact == pytest.approx(math.exp(-(2.0**1.5)))
     assert mc == pytest.approx(exact, abs=2.5e-3)
-
-
-def test_characteristic_function_modulus_bound():
-    pts = default_probe_points(1, 5.0, 41)
-    for _, spec in generator_symbol_table():
-        for row in pts[:: 8]:
-            xi = np.resize(row, spec.d)
-            assert abs(characteristic_function(spec, xi, 0.7)) <= 1.0 + 1e-12
 
 
 def test_compose_power_half_gives_absolute_value():
