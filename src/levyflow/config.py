@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 from .drivers import CauchyModulatedNoise, GaussianNoise, SwitchingNoise
 from .errors import ConfigInvalid
@@ -289,13 +290,38 @@ def macro_config_from(sections) -> tuple:
     return _build(MacroConfig, scalars, _MACRO_ALIASES, grid=grid), r
 
 
+# NumPy refuses an array of sys.maxsize (2^63 - 1) bytes or more.  A micro
+# step's largest arrays hold 32 bytes per particle (the four int64 corner
+# indices of its stencil) and 32 bytes per grid node (the four int64 entries
+# of the neighbour table).
+_MAX_PARTICLES = sys.maxsize // 32
+_MAX_MICRO_POINTS = math.isqrt(sys.maxsize // 32)
+
+
+def _gaussian_width_ok(sigma: float) -> bool:
+    """Whether ``exp(-d^2 / (2 sigma^2))`` can be formed: ``2 sigma^2`` must
+    be a positive finite float, so about 1.6e-162 <= |sigma| <= 9.4e153."""
+    try:
+        return 0 < 2 * sigma**2 < math.inf
+    except OverflowError:
+        return False
+
+
 def micro_config_from(sections) -> tuple:
     r = resolve_section("micro", MICRO_DEFAULTS, sections)
     _require(r["M"] >= 1, "micro", "M", f"need at least 1 particle, got {r['M']}")
+    _require(r["M"] <= _MAX_PARTICLES, "micro", "M",
+             f"at most {_MAX_PARTICLES} particles fit NumPy's array size limit")
     _require(r["N"] >= 0, "micro", "N", f"must be nonnegative, got {r['N']}")
     _require(r["tau"] > 0, "micro", "tau", f"must be positive, got {r['tau']}")
     _require(r["h_1"] < r["h_2"], "micro", "h_2",
              f"the viability band needs h_1 < h_2, got h_1 = {r['h_1']}, h_2 = {r['h_2']}")
+    _require(_gaussian_width_ok(r["acid_sigma"]), "micro", "acid_sigma",
+             f"2 acid_sigma^2 must be a positive finite float, got {r['acid_sigma']}")
+    for key in ("tissue_smooth_sigma", "deposit_bandwidth"):  # <= 0 smooths nothing
+        _require(r[key] <= 0 or _gaussian_width_ok(r[key]), "micro", key,
+                 f"must be <= 0 (no smoothing) or have 2 {key}^2 a positive finite "
+                 f"float, got {r[key]}")
     scalars = dict(r)
     noise_name = str(scalars.pop("noise"))
     if noise_name not in _NOISE_LAWS:
@@ -304,6 +330,8 @@ def micro_config_from(sections) -> tuple:
         )
     n, length = scalars.pop("grid_points"), scalars.pop("domain_length")
     _require(n >= 2, "micro", "grid_points", f"need at least 2 nodes per axis, got {n}")
+    _require(n <= _MAX_MICRO_POINTS, "micro", "grid_points",
+             f"at most {_MAX_MICRO_POINTS} nodes per axis fit NumPy's array size limit")
     _require(length > 0, "micro", "domain_length", f"must be positive, got {length}")
     grid = Grid((length,) * 2, (n, n))
     cfg = _build(MicroConfig, scalars, _MICRO_ALIASES,

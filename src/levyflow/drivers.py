@@ -114,10 +114,12 @@ class CauchyModulatedNoise:
     amplitude: float = 10.0
 
 
-def switching_select(u, weights=SwitchingNoise.weights):
-    """Law index (0 normal, 1 Laplace, 2 triangular) from the uniform draw."""
-    u = np.asarray(u)
-    return np.where(u < weights[0], 0, np.where(u < weights[0] + weights[1], 1, 2))
+def switching_pick(u, weights, normal, laplace, triangular):
+    """The switching law's value per draw, picked from the candidates by the
+    uniform selector ``u``: ``normal`` where U < w_0, ``laplace`` where
+    w_0 <= U < w_0 + w_1, else ``triangular``."""
+    return np.where(u < weights[0], normal,
+                    np.where(u < weights[0] + weights[1], laplace, triangular))
 
 
 def cauchy_modulated_increment(sigma, z, dt, amplitude=10.0):
@@ -140,12 +142,10 @@ def draw_noise(model, rng: RngStream, dt: float, size=None):
         return (model.mean + model.sd * rng.normal(size)) * root_dt
     if isinstance(model, SwitchingNoise):
         u = rng.uniform(size)
-        choice = switching_select(u, model.weights)
-        left, mode, right = model.triangular
         normal = rng.normal(size)
         laplace = rng.laplace(size)
-        triangular = rng.triangular(left, mode, right, size)
-        picked = np.where(choice == 0, normal, np.where(choice == 1, laplace, triangular))
+        triangular = rng.triangular(*model.triangular, size)
+        picked = switching_pick(u, model.weights, normal, laplace, triangular)
         if size is None:
             return float(picked) * root_dt
         return picked * root_dt

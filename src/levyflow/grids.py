@@ -28,6 +28,8 @@ class Grid:
     spacings: tuple = field(init=False, repr=False, compare=False)
     # periodic neighbour table, built on first use by neighbour_table()
     _neighbours: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # node indices 0..M-1 per axis, built on first use by wrap_index()
+    _axis_nodes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = tuple(float(v) for v in self.lengths)
@@ -81,9 +83,23 @@ class Grid:
         return self._neighbours
 
     def wrap_index(self, k, axis: int):
-        """Total periodic index map ((k mod M) + M) mod M."""
+        """The periodic node index ``k mod M`` along ``axis`` of every int
+        ``k``, negatives included.
+
+        A wrap-mode ``take`` on the axis's node indices gives the integer
+        modulo without an integer division.  Its cost grows with how many
+        periods ``k`` lies from the box, so indices more than one period
+        outside are first reduced with ``%``."""
+        if self._axis_nodes is None:
+            nodes = tuple(np.arange(m) for m in self.shape)
+            for v in nodes:
+                v.flags.writeable = False
+            object.__setattr__(self, "_axis_nodes", nodes)
+        k = np.asarray(k)
         m = self.shape[axis]
-        return (np.asarray(k) % m + m) % m
+        if k.size and (k.min() < -m or k.max() >= 2 * m):
+            k = k % m
+        return self._axis_nodes[axis].take(k, mode="wrap")
 
 
 @dataclass

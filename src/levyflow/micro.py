@@ -96,17 +96,18 @@ class BilinearStencil:
 
 
 def bilinear_stencil(grid: Grid, positions) -> BilinearStencil:
-    mx, my = grid.shape
+    my = grid.shape[1]
     dx, dy = grid.spacings
     fx = positions[:, 0] / dx
     fy = positions[:, 1] / dy
     floor_x = np.floor(fx)
     floor_y = np.floor(fy)
-    i0 = floor_x.astype(int) % mx
-    j0 = floor_y.astype(int) % my
-    row0 = i0 * my
-    row1 = ((i0 + 1) % mx) * my
-    j1 = (j0 + 1) % my
+    ix = floor_x.astype(int)
+    iy = floor_y.astype(int)
+    row0 = grid.wrap_index(ix, 0) * my
+    row1 = grid.wrap_index(ix + 1, 0) * my
+    j0 = grid.wrap_index(iy, 1)
+    j1 = grid.wrap_index(iy + 1, 1)
     wx = fx - floor_x
     wy = fy - floor_y
     ux = 1 - wx
@@ -130,7 +131,19 @@ def scatter_add(field_values: np.ndarray, stencil: BilinearStencil, amounts):
     by particle in index order."""
     if not field_values.flags.c_contiguous:
         raise ValueError("scatter_add needs a C-contiguous field to update in place")
-    np.add.at(field_values.reshape(-1), stencil.flat, stencil.weights * np.tile(amounts, 4))
+    np.add.at(field_values.reshape(-1), stencil.flat,
+              (stencil.weights.reshape(4, -1) * amounts).reshape(-1))
+
+
+# one particle's (x, y) pair of float64, moved as raw bytes
+_ROW = np.dtype((np.void, 16))
+
+
+def _set_rows(dst: np.ndarray, idx, rows: np.ndarray):
+    """``dst[idx] = rows`` for C-contiguous (n, 2) float arrays.  Moving each
+    row as one 16-byte item copies the same bits in a fraction of the time
+    a fancy row assignment takes."""
+    dst.view(_ROW)[:, 0][idx] = rows.view(_ROW)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +244,8 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
     velocities = state.velocities.copy()
     all_protons = state.protons.copy()
     alive = state.alive.copy()
-    positions[idx] = pos
-    velocities[idx] = vel
+    _set_rows(positions, idx, pos)
+    _set_rows(velocities, idx, vel)
     all_protons[idx] = protons
     alive[idx[killed]] = False
 

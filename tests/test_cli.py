@@ -174,6 +174,20 @@ def test_config_parse_failure_exit_2(tmp_path):
     ("[micro]\ntau = 0\n", ["micro"], "[micro] tau:"),
     ("[micro]\nh_1 = 2.0\n", ["micro"], "[micro] h_2: the viability band"),
     ("[micro]\nM = 0\n", ["ensemble", "--kind", "micro", "--samples", "2"], "[micro] M:"),
+    # finite values past what a float or a NumPy array can hold
+    ("[micro]\ndeposit_bandwidth = 1e308\n", ["micro"], "[micro] deposit_bandwidth:"),
+    ("[micro]\nacid_sigma = 1e308\n", ["micro"], "[micro] acid_sigma:"),
+    ("[micro]\ntissue_smooth_sigma = 1e308\n", ["micro"], "[micro] tissue_smooth_sigma:"),
+    ("[micro]\ngrid_points = 1e308\n", ["micro"], "[micro] grid_points:"),
+    ("[micro]\nM = 1e308\n", ["micro"], "[micro] M:"),
+    ("[micro]\nM = 1e308\n", ["ensemble", "--kind", "micro", "--samples", "2"], "[micro] M:"),
+    # the first value past each limit, and widths whose 2 sigma^2 is 0
+    ("[micro]\ngrid_points = 536870912\n", ["micro"], "[micro] grid_points: at most"),
+    ("[micro]\nM = 288230376151711744\n", ["micro"], "[micro] M: at most"),
+    ("[micro]\nacid_sigma = 0\n", ["micro"], "[micro] acid_sigma:"),
+    ("[micro]\nacid_sigma = 1e-300\n", ["micro"], "[micro] acid_sigma:"),
+    ("[micro]\ntissue_smooth_sigma = 1e-300\n", ["micro"], "[micro] tissue_smooth_sigma:"),
+    ("[micro]\ndeposit_bandwidth = 1e-300\n", ["micro"], "[micro] deposit_bandwidth:"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     cfgfile = tmp_path / "bad.cfg"

@@ -129,6 +129,19 @@ def test_noise_names():
     assert isinstance(cfg.noise, CauchyModulatedNoise)
 
 
+def test_micro_limits_accept_their_edge_values():
+    # widths <= 0 smooth nothing; sizes up to NumPy's array limit resolve
+    cfg, _ = micro_config_from({"micro": {
+        "deposit_bandwidth": 0.0, "tissue_smooth_sigma": -1.0, "acid_sigma": -0.27,
+        "M": 2**58 - 1}})
+    assert cfg.deposit_bandwidth == 0.0 and cfg.n_particles == 2**58 - 1
+    cfg, _ = micro_config_from({"micro": {"acid_sigma": 9.4e153, "grid_points": 2**29 - 1}})
+    assert cfg.grid.shape == (2**29 - 1,) * 2
+    for key, value in (("acid_sigma", 9.5e153), ("M", 2**58), ("grid_points", 2**29)):
+        with pytest.raises(ConfigInvalid, match=f"\\[micro\\] {key}:"):
+            micro_config_from({"micro": {key: value}})
+
+
 def test_grid_built_from_table_keys():
     cfg, _ = macro_config_from({"macro": {"h_x1": 0.2, "N_x1": 10, "h_x2": 0.1, "N_x2": 30}})
     assert cfg.grid.shape == (10, 30)

@@ -16,7 +16,7 @@ from levyflow.drivers import (
     draw_noise,
     qwiener_pointwise_variance,
     sample_qwiener_increment,
-    switching_select,
+    switching_pick,
 )
 from levyflow.errors import NonpositiveDt, NyquistViolation
 from levyflow.grids import Grid
@@ -64,20 +64,30 @@ def test_gaussian_unit_variance_large_sample():
 
 
 def test_switching_selector_partition():
-    # forced uniform values pick the documented laws
-    assert switching_select(0.1) == 0  # gaussian branch
-    assert switching_select(0.29999) == 0
-    assert switching_select(0.3) == 1  # laplace branch
-    assert switching_select(0.49) == 1
-    assert switching_select(0.5) == 2  # triangular branch
-    assert switching_select(0.99) == 2
+    # sentinel candidates name the law each forced uniform value picks
+    def picked(u, weights=SwitchingNoise.weights):
+        u = np.asarray(u, dtype=float)
+        return switching_pick(u, weights, np.full(u.shape, 0.0), np.full(u.shape, 1.0),
+                              np.full(u.shape, 2.0)).tolist()
+
+    below = np.nextafter(0.3, 0.0)
+    assert picked([0.0, 0.1, below]) == [0, 0, 0]  # gaussian branch
+    assert picked([0.3, 0.49]) == [1, 1]  # laplace branch, from U = w_0
+    assert picked([0.3 + 0.2, 0.99]) == [2, 2]  # triangular branch, from U = w_0 + w_1
+    # non-default weights move both boundaries
+    weights = (0.6, 0.25, 0.15)
+    assert picked([np.nextafter(0.6, 0.0), 0.6, np.nextafter(0.85, 0.0), 0.6 + 0.25],
+                  weights) == [0, 1, 1, 2]
+    # a scalar selector picks a scalar
+    assert float(switching_pick(0.1, weights, -1.0, 1.0, 2.0)) == -1.0
 
 
 def test_switching_frequencies():
     n = 100_000
     for weights in ((0.3, 0.2, 0.5), (0.6, 0.2, 0.2)):
         u = RngStream(12, 0).uniform(n)
-        counts = np.bincount(switching_select(u, weights), minlength=3) / n
+        laws = switching_pick(u, weights, np.zeros(n), np.ones(n), np.full(n, 2.0))
+        counts = np.bincount(laws.astype(int), minlength=3) / n
         assert np.all(np.abs(counts - weights) < 0.02), weights
         # draw_noise picks by the law's own weights: replay its candidates
         replay = RngStream(12, 0)

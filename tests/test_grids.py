@@ -35,6 +35,9 @@ def test_cached_spacings_leave_value_semantics_alone():
     built = Grid((2.0, 1.0), (8, 4))
     assert built.neighbour_table().shape == (4, 32) and built == GRID
     assert dataclasses.replace(built, shape=(8, 8)).neighbour_table().shape == (4, 64)
+    # so is the node index that wrap_index takes from
+    assert int(built.wrap_index(9, 1)) == 1 and built == GRID
+    assert int(dataclasses.replace(built, shape=(8, 8)).wrap_index(9, 1)) == 1
 
 
 def test_grid_validation():
@@ -48,12 +51,20 @@ def test_grid_validation():
         Grid((1.0, 1.0, 1.0), (4, 4, 4))
 
 
-@given(st.integers(-10_000, 10_000))
+@given(st.integers(-10_000, 10_000),
+       st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-20, 20), min_size=1, max_size=40))
 @settings(max_examples=200, deadline=None)
-def test_wrap_index_total(k):
+def test_wrap_index_total(k, ks):
     wrapped = int(GRID.wrap_index(k, 0))
     assert 0 <= wrapped < 8
     assert (k - wrapped) % 8 == 0
+    # arrays of negative and large int64 indices, along both axes: the
+    # integer modulo, whether or not they lie within a period of the box
+    ks = np.array(ks, dtype=np.int64)
+    for axis, m in enumerate(GRID.shape):
+        assert GRID.wrap_index(ks, axis).tolist() == (ks % m).tolist()
+        near = np.arange(-2 * m, 3 * m)
+        assert GRID.wrap_index(near, axis).tolist() == (near % m).tolist()
 
 
 def test_field_shape_and_finiteness_guards():

@@ -263,6 +263,29 @@ def test_flat_gather_scatter_keep_corner_by_corner_order():
     assert gather(field0, stencil).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("grid", [GRID, Grid((2.0, 0.5), (8, 5))], ids=["square", "oblong"])
+def test_stencil_wraps_like_the_integer_modulo(grid):
+    # positions inside the box, below it, exactly at L, in [L, 2L), far
+    # outside it and not finite: flat indices and weights equal those of
+    # the % formula bit for bit
+    lx, ly = grid.lengths
+    rng = np.random.Generator(np.random.Philox(key=[17, 0]))
+    inside = rng.random((50, 2)) * (lx, ly)
+    offsets = [0.0, -lx, lx, -3.0 * lx, 1e6 * lx, -1e12 * lx]
+    shifted = [inside + (sx, sy * ly / lx) for sx in offsets for sy in offsets]
+    edges = np.array([[lx, ly], [0.0, ly], [lx, 0.0], [-0.0, np.nextafter(ly, 0.0)],
+                      [np.nextafter(lx, 3.0 * lx), 1.5 * ly], [-1e-300, 2.0 * ly],
+                      [np.nan, 0.5 * ly], [0.5 * lx, np.inf], [-np.inf, np.nan]])
+    pos = np.concatenate(shifted + [edges])
+    with np.errstate(invalid="ignore"):
+        corners, weights = _reference_corners(grid, pos)
+        stencil = bilinear_stencil(grid, pos)
+    my = grid.shape[1]
+    flat = np.concatenate([i * my + j for i, j in corners])
+    assert stencil.flat.tobytes() == flat.tobytes()
+    assert stencil.weights.tobytes() == np.concatenate(weights).tobytes()
+
+
 def test_scatter_add_refuses_a_field_it_cannot_update_in_place():
     stencil = bilinear_stencil(GRID, np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError):

@@ -33,10 +33,20 @@ def test_trace_hooks_fire_on_tiny_runs(tmp_path):
                        "[micro]\nM = 50\nN = 2\n\n[macro]\nN = 1\n")
     tracer = _tracer_module().Tracer()
     with tracer.installed():
-        for command in ("fracheck", "micro", "macro", "ensemble --kind macro --samples 1"):
-            out = tmp_path / command.split()[0]
+        for command in ("fracheck", "micro", "macro", "ensemble --kind macro --samples 1",
+                        "ensemble --kind micro --samples 1"):
+            out = tmp_path / "_".join(command.split()[:3])
             assert main(["--config", str(cfgfile), "--workers", "1", "--out", str(out),
                          *command.split()]) == 0, command
     recorded = {span.name for span in tracer.spans}
     assert {"formats.lvf_write", "formats.csv_write", "formats.sha256", "fracops.oracle",
             "micro.deposit", "config.resolve", "ensemble.sample"} <= recorded
+    # the micro hooks fire within a micro ensemble sample, as in the
+    # benchmark's micro-laws workload
+    def chain(span):
+        while span.parent >= 0:
+            span = tracer.spans[span.parent]
+            yield span.name
+
+    in_sample = {span.name for span in tracer.spans if "ensemble.sample" in chain(span)}
+    assert {"micro.step", "micro.gather", "micro.scatter", "drivers.noise"} <= in_sample
