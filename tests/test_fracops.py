@@ -486,15 +486,21 @@ def test_2d_axis_plane_wave_matches_oracle_to_one_percent():
 
 
 # SHA-256 of FracLapOperator._symbol's bytes, recorded with one scalar
-# kernel, FFT and sum per exponent; a faster build must keep every bit
+# kernel, FFT and sum per exponent; a faster build must keep every bit.
+# Each case is (grid, exponents, FracLapOperator keyword options).
 GOLDEN_SYMBOL_CASES = {
     # the 21x21 macro grid, exponents p = 2 alpha inside the alpha window
-    "macro-21x21": (Grid((2.1, 2.1), (21, 21)), (1.2345, 1.3, 1.5, 1.75)),
-    "aniso-48x36": (GRID_2D, (0.5, 1.0, 1.5, 1.23)),
+    "macro-21x21": (Grid((2.1, 2.1), (21, 21)), (1.2345, 1.3, 1.5, 1.75), {}),
+    "aniso-48x36": (GRID_2D, (0.5, 1.0, 1.5, 1.23), {}),
     # the fracheck benchmark ladder; p = 1.0 takes the log-moment branch
-    **{f"ladder-{m}": (Grid((1.0,), (m,)), (0.5, 1.0, 1.5)) for m in (96, 192, 384, 768, 1536)},
+    **{f"ladder-{m}": (Grid((1.0,), (m,)), (0.5, 1.0, 1.5), {}) for m in (96, 192, 384, 768, 1536)},
     # tail node counts 640, 239 and 95: only p = 1.0 reaches the 10 * M cap
-    "mixed-tails": (Grid((1000.0,), (64,)), (1.0, 1.7, 1.9)),
+    "mixed-tails": (Grid((1000.0,), (64,)), (1.0, 1.7, 1.9), {}),
+    # offsets 2i wrap onto every other node (gcd 2); tails of 960 nodes
+    # (the cap) and 110 nodes (not a whole number of 48-node periods)
+    "cutoff2-96": (Grid((1000.0,), (96,)), (0.5, 1.0, 1.2345, 1.8), {"cutoff_steps": 2}),
+    # an explicit tail shorter than one period of the grid
+    "short-tail-64": (Grid((1.0,), (64,)), (0.5, 1.0, 1.5), {"n_tail": 40}),
 }
 GOLDEN_SYMBOL_SHA256 = {
     "macro-21x21": "65e90f8daddb81ea50c054163781090c131a38849a6b65eff2d1b85b45f4337f",
@@ -505,12 +511,14 @@ GOLDEN_SYMBOL_SHA256 = {
     "ladder-768": "4779ddf6912b468005edff6d91eaf4b0c28b4cf1fb9d5a11d1a74f99d7b4593f",
     "ladder-1536": "5a629c675dc5867151073d52e2d10c91472ae936560ebdeb2d014100b0b68879",
     "mixed-tails": "202b7b3a1d3541a835d1e219d361436eec478a222288e5a492b20cb6902cc66f",
+    "cutoff2-96": "fee759aa6a9db5c0f345e859d500bb1bde7d9194798d6c9366e0075ec20e8b02",
+    "short-tail-64": "c8a6e2946b2b6e51e26f64922ae6c12200541daf32d77c2f013ad342b9f98aa3",
 }
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_SYMBOL_CASES))
 def test_symbol_golden_digest(case):
-    grid, exponents = GOLDEN_SYMBOL_CASES[case]
-    op = FracLapOperator(grid, np.array(exponents))
+    grid, exponents, options = GOLDEN_SYMBOL_CASES[case]
+    op = FracLapOperator(grid, np.array(exponents), **options)
     assert op._symbol.shape[0] == len(exponents)
     assert hashlib.sha256(op._symbol.tobytes()).hexdigest() == GOLDEN_SYMBOL_SHA256[case]
