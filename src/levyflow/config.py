@@ -14,6 +14,7 @@ import sys
 
 from .drivers import CauchyModulatedNoise, GaussianNoise, SwitchingNoise
 from .errors import ConfigInvalid
+from .fracops import _TAIL_CAP_FACTOR
 from .grids import Grid
 from .macro import MacroConfig
 from .micro import MicroConfig
@@ -275,9 +276,18 @@ def macro_config_from(sections) -> tuple:
     _require(r["a"] > 0, "macro", "a", f"must be positive, got {r['a']}")
     modes = r["qwiener_modes"]
     _require(modes >= 1, "macro", "qwiener_modes", f"need at least 1 mode, got {modes}")
+    for key in ("h0_sigma", "c0_sigma"):
+        _require(_gaussian_width_ok(r[key]), "macro", key,
+                 f"2 {key}^2 must be a positive finite float, got {r[key]}")
+    _require(r["n0_smooth_sigma"] <= 0 or _gaussian_width_ok(r["n0_smooth_sigma"]),
+             "macro", "n0_smooth_sigma",
+             f"must be <= 0 (no smoothing) or have 2 n0_smooth_sigma^2 a positive finite "
+             f"float, got {r['n0_smooth_sigma']}")
     for axis in ("x1", "x2"):
         n, h = r[f"N_{axis}"], r[f"h_{axis}"]
         _require(h > 0, "macro", f"h_{axis}", f"spacing must be positive, got {h}")
+        _require(0 < h * h < math.inf, "macro", f"h_{axis}",
+                 f"spacing must have h_{axis}^2 a positive finite float, got {h}")
         _require(n >= 3, "macro", f"N_{axis}",
                  f"need at least 3 nodes for the fractional operator, got {n}")
         _require(2 * modes <= n, "macro", "qwiener_modes",
@@ -333,6 +343,11 @@ def micro_config_from(sections) -> tuple:
     _require(n <= _MAX_MICRO_POINTS, "micro", "grid_points",
              f"at most {_MAX_MICRO_POINTS} nodes per axis fit NumPy's array size limit")
     _require(length > 0, "micro", "domain_length", f"must be positive, got {length}")
+    lo, hi = r["lattice_lo"], r["lattice_hi"]
+    _require(lo >= 0, "micro", "lattice_lo",
+             f"the initial lattice must lie in the box [0, domain_length], got {lo}")
+    _require(lo <= hi <= length, "micro", "lattice_hi",
+             f"need lattice_lo <= lattice_hi <= domain_length = {length}, got {hi}")
     grid = Grid((length,) * 2, (n, n))
     cfg = _build(MicroConfig, scalars, _MICRO_ALIASES,
                  noise=_NOISE_LAWS[noise_name](), grid=grid)
@@ -358,6 +373,11 @@ def symbol_params_from(sections) -> dict:
     return r
 
 
+# Spacings h past these bounds take the kernel's h^(+-p), the oracle's
+# |xi|^p up to (pi / h)^p, or their sums over the grid out of float range.
+_MIN_SPACING, _MAX_SPACING = 1e-100, 1e100
+
+
 def fracheck_params_from(sections) -> dict:
     r = resolve_section("fracheck", FRACHECK_DEFAULTS, sections)
     for key, convert in (("resolutions", _integral), ("exponents", _finite_float),
@@ -376,6 +396,18 @@ def fracheck_params_from(sections) -> dict:
              f"each must be at most half the smallest resolution "
              f"{min(r['resolutions'])}, got {r['modes']}")
     _require(r["length"] > 0, "fracheck", "length", f"must be positive, got {r['length']}")
+    # NumPy refuses an array of sys.maxsize bytes or more.  The largest
+    # arrays hold, per resolution M and with P exponents and K modes, the P
+    # rows of up to 10 * M tail weights of the kernel build and the K x P
+    # approximations of M points, 8 bytes per value.
+    rows = len(r["exponents"]) * max(len(r["modes"]), _TAIL_CAP_FACTOR)
+    _require(all(m <= sys.maxsize // (8 * rows) for m in r["resolutions"]), "fracheck",
+             "resolutions", f"at most {sys.maxsize // (8 * rows)} points each fit NumPy's "
+             f"array size limit with these exponents and modes, got {r['resolutions']}")
+    _require(all(_MIN_SPACING <= r["length"] / m <= _MAX_SPACING for m in r["resolutions"]),
+             "fracheck", "length",
+             f"length / resolution must lie in [{_MIN_SPACING}, {_MAX_SPACING}] for every "
+             f"resolution, got length {r['length']}")
     return r
 
 

@@ -53,62 +53,113 @@ def frac_constant(d: int, p: float) -> float:
 
 def default_tail_nodes(p: float, h: float, axis_points: int) -> int:
     """Tail node count: truncate once the omitted remainder is below
-    ``1e-6 * ||f||_inf``, capped at 10 * M nodes."""
-    need = (2.0 / (_TAIL_REMAINDER * p)) ** (1.0 / p)
-    return int(min(max(math.ceil(need / h), 2), _TAIL_CAP_FACTOR * axis_points))
+    ``1e-6 * ||f||_inf``, capped at 10 * M nodes.  A count past every float
+    (a tiny ``p`` or ``h``) is past the cap too."""
+    cap = _TAIL_CAP_FACTOR * axis_points
+    try:
+        nodes = math.ceil((2.0 / (_TAIL_REMAINDER * p)) ** (1.0 / p) / h)
+    except (OverflowError, ZeroDivisionError):
+        return cap
+    return min(max(nodes, 2), cap)
 
 
-def _panel_power_gaps(y: np.ndarray, q: float) -> np.ndarray:
-    """``a^q - b^q`` for the panels ``[a, b]`` between consecutive nodes
-    ``y``, taking one power per node.  The powers are freed on return: held
-    alongside the kernel's other temporaries at 10 * M tail nodes they cost
-    more in page faults than the halved power count saves."""
-    powers = y**q
-    return powers[:-1] - powers[1:]
+@lru_cache(maxsize=32)
+def _tail_nodes(n_tail: int, h: float) -> np.ndarray:
+    """The tail quadrature nodes ``i * h`` for i = 1..n_tail, read-only;
+    cached because every macro step rebuilds its operator on the same ones."""
+    y = np.arange(1, n_tail + 1) * h
+    y.flags.writeable = False
+    return y
 
 
-def _axis_kernel(axis_points: int, spacing: float, p: float, cutoff_steps: int, n_tail: int):
-    """Periodic difference kernel of the 1D operator along one axis.
+@lru_cache(maxsize=32)
+def _fold_bins(axis_points: int, cutoff_steps: int) -> np.ndarray:
+    """The offsets ``i * cutoff_steps % M`` of the tail nodes i = 1..period,
+    read-only, where ``period = M / gcd(cutoff_steps, M)``: node i + period
+    lands where node i does, and node period on the centre."""
+    period = axis_points // math.gcd(cutoff_steps, axis_points)
+    bins = np.arange(1, period + 1) * cutoff_steps % axis_points
+    bins.flags.writeable = False
+    return bins
 
-    Returns (kernel, far), ``kernel`` a dense length-M array with
-    ``kernel[0] = 0``, such that
 
-        (A f)[k] = sum_o kernel[o] * (f[(k + o) % M] - f[k])
-                   + far * (mean(f) - f[k]).
+def _axis_kernels(axis_points: int, spacing: float, exponents: list, cutoff_steps: int,
+                  n_tails: list):
+    """Periodic difference kernels of the 1D operator along one axis, one
+    row per exponent ``exponents[r]`` with ``n_tails[r]`` tail nodes.
 
-    The tail uses product-trapezoid weights: the increment is interpolated
-    linearly between nodes i*h and integrated against y^(-1-p) exactly, so
-    the quadrature stays accurate near the singular cutoff.  Offsets wrap,
-    which realises the integral tail on the torus.  ``far`` closes the
-    truncated remainder beyond n_tail*h against the field mean.
+    Returns (kernels, fars), ``kernels`` a ``(P, M)`` stack with
+    ``kernels[:, 0] = 0``, such that row r is the operator
+
+        (A f)[k] = sum_o kernels[r, o] * (f[(k + o) % M] - f[k])
+                   + fars[r] * (mean(f) - f[k]).
+
+    The singular part is the second difference at +-h scaled by ``c /
+    ((2-p) h^p)``.  The tail uses product-trapezoid weights: the increment
+    is interpolated linearly between nodes i*h and integrated against
+    y^(-1-p) exactly, so the quadrature stays accurate near the singular
+    cutoff.  Offsets wrap, which realises the integral tail on the torus;
+    ``far`` closes the truncated remainder beyond n_tail*h against the
+    field mean.
+
+    Each row is bitwise the scalar build that adds the singular weights,
+    then every node's weight at its offset and then at its mirror offset,
+    in node order.  So each power takes one scalar exponent (NumPy may take
+    fast paths, such as sqrt for 0.5, that an array of exponents does not),
+    the constants are Python floats, and the fold adds one period of nodes
+    at a time, in node order; a shorter tail is padded with zero weights,
+    which add nothing.  The per-exponent temporaries are one tail long,
+    freed or reused in place as soon as possible: at 10 * M nodes, fresh
+    pages cost more than the arithmetic.
     """
     m = axis_points
     h = cutoff_steps * spacing
-    c1 = frac_constant(1, p)
-    kernel = np.zeros(m)
-    # singular part: second difference at +-h scaled by c / ((2-p) h^p)
-    sing = c1 / ((2.0 - p) * h**p)
-    kernel[cutoff_steps % m] += sing
-    kernel[(-cutoff_steps) % m] += sing
-    # tail: nodes i*h for i = 1..n_tail, panels between consecutive nodes
-    i = np.arange(1, n_tail + 1)
-    y = i * h
-    a, b = y[:-1], y[1:]
-    mom0 = _panel_power_gaps(y, -p) / p
-    if abs(p - 1.0) < 1e-12:
-        mom1 = np.log(b / a)
-    else:
-        mom1 = _panel_power_gaps(y, 1.0 - p) / (p - 1.0)
-    w = np.zeros(n_tail)
-    w[:-1] += (b * mom0 - mom1) / h
-    w[1:] += (mom1 - a * mom0) / h
-    w *= c1
-    offs = (i * cutoff_steps) % m
-    np.add.at(kernel, offs, w)
-    np.add.at(kernel, (-i * cutoff_steps) % m, w)
-    far = 2.0 * c1 * (n_tail * h) ** (-p) / p
-    kernel[0] = 0.0  # offsets that wrap onto the center contribute nothing
-    return kernel, far
+    n_max = max(n_tails)
+    y = _tail_nodes(n_max, h)
+    bins = _fold_bins(m, cutoff_steps)
+    period = len(bins)
+    blocks = -(-n_max // period)
+    weights = np.zeros((len(exponents), blocks, period))
+    sing, fars = [], []
+    for row, p, n in zip(weights.reshape(len(exponents), -1), exponents, n_tails):
+        a, b = y[: n - 1], y[1:n]
+        powers = y[:n] ** -p
+        mom0 = powers[:-1] - powers[1:]
+        mom0 /= p
+        if abs(p - 1.0) < 1e-12:
+            mom1 = np.log(b / a)
+        else:
+            powers = y[:n] ** (1.0 - p)
+            mom1 = powers[:-1] - powers[1:]
+            mom1 /= p - 1.0
+        del powers
+        part = b * mom0
+        part -= mom1
+        part /= h
+        row[: n - 1] += part
+        np.multiply(a, mom0, out=part)
+        np.subtract(mom1, part, out=part)
+        part /= h
+        row[1:n] += part
+        c1 = frac_constant(1, p)
+        row[:n] *= c1
+        sing.append(c1 / ((2.0 - p) * h**p))
+        fars.append(2.0 * c1 * (n * h) ** (-p) / p)
+    # 2 * cutoff_steps < M makes period >= 3, so the two singular columns differ
+    folded = np.zeros((len(exponents), period))
+    folded[:, 0] = sing  # offset +cutoff_steps, node 1's
+    folded[:, -2] = sing  # offset -cutoff_steps, node period - 1's
+    for k in range(blocks):
+        folded += weights[:, k]
+    # the mirror of node i lands on node -i's offset: within a period,
+    # positions period-2..0 on columns 0..period-2 (position period-1 is
+    # the centre's, which keeps no weight)
+    for k in range(blocks):
+        folded[:, :-1] += weights[:, k, -2::-1]
+    kernels = np.zeros((len(exponents), m))
+    kernels[:, bins] = folded
+    kernels[:, 0] = 0.0  # offsets that wrap onto the center contribute nothing
+    return kernels, np.array(fars)
 
 
 def _axis_symbols(kernels: np.ndarray, fars: np.ndarray) -> np.ndarray:
@@ -158,10 +209,19 @@ def fourier_multiply(grid: Grid, values: np.ndarray, multiplier: np.ndarray) -> 
     """``multiplier(D) values`` for a real field or stack of fields whose
     trailing axes are ``grid``, with ``multiplier`` on the half FFT lattice
     of ``symbol_multiplier``; a leading multiplier axis broadcasts against
-    the stack's axes before the grid axes."""
-    axes = tuple(range(-grid.ndim, 0))
-    spectrum = np.fft.rfftn(values, axes=axes)
-    return np.fft.irfftn(multiplier * spectrum, s=grid.shape, axes=axes)
+    the stack's axes before the grid axes.
+
+    The transforms go one axis at a time, in the order of ``rfftn`` and
+    ``irfftn`` (so with the same bits) but without their argument handling.
+    """
+    leading = range(-grid.ndim, -1)
+    spectrum = np.fft.rfft(values, axis=-1)
+    for axis in reversed(leading):
+        spectrum = np.fft.fft(spectrum, axis=axis)
+    spectrum = multiplier * spectrum
+    for axis in leading:
+        spectrum = np.fft.ifft(spectrum, axis=axis)
+    return np.fft.irfft(spectrum, n=grid.shape[-1], axis=-1)
 
 
 @dataclass
@@ -178,10 +238,10 @@ class FracLapOperator:
     ``exponent`` may also be a 1-D array, one exponent per sample of a
     stack: the eigenvalues then carry a leading sample axis and act on
     ``(S, *grid.shape)`` stacks, each sample with its own exponent, or on
-    any stack whose axis before the grid axes broadcasts against S.  Each
-    exponent's kernel is its own scalar build, and the FFT and sums over
-    the stack of kernels act row by row, so every row is bitwise the
-    single-exponent operator's.
+    any stack whose axis before the grid axes broadcasts against S.  One
+    build makes the kernels of every exponent as a stack, and each row of
+    it, the FFT over it and the sums act row by row, so every row is
+    bitwise the single-exponent operator's.
     """
 
     grid: Grid
@@ -203,8 +263,8 @@ class FracLapOperator:
 
     def _eigenvalues(self, exponents: list) -> np.ndarray:
         """The operator's eigenvalues on the half FFT lattice, one row per
-        exponent: one scalar kernel build per exponent and axis, then one
-        FFT over the stack of kernels and one broadcast sum over the axes."""
+        exponent: one stacked kernel build and one FFT over the stack per
+        distinct axis, then one broadcast sum over the axes."""
         ndim = self.grid.ndim
         symbol = np.zeros(())
         axis_symbols = {}  # one kernel stack per distinct (points, spacing)
@@ -213,11 +273,9 @@ class FracLapOperator:
             d = self.grid.spacings[axis]
             if (m, d) not in axis_symbols:
                 h = self.cutoff_steps * d
-                kernels, fars = zip(*(
-                    _axis_kernel(m, d, p, self.cutoff_steps,
-                                 self.n_tail or default_tail_nodes(p, h, m))
-                    for p in exponents))
-                axis_symbols[m, d] = _axis_symbols(np.array(kernels), np.array(fars))
+                n_tails = [self.n_tail or default_tail_nodes(p, h, m) for p in exponents]
+                kernels, fars = _axis_kernels(m, d, exponents, self.cutoff_steps, n_tails)
+                axis_symbols[m, d] = _axis_symbols(kernels, fars)
             lam = axis_symbols[m, d]
             if axis == ndim - 1:  # the half lattice keeps the last axis' nonnegative modes
                 lam = lam[:, : m // 2 + 1]

@@ -188,6 +188,19 @@ def test_config_parse_failure_exit_2(tmp_path):
     ("[micro]\nacid_sigma = 1e-300\n", ["micro"], "[micro] acid_sigma:"),
     ("[micro]\ntissue_smooth_sigma = 1e-300\n", ["micro"], "[micro] tissue_smooth_sigma:"),
     ("[micro]\ndeposit_bandwidth = 1e-300\n", ["micro"], "[micro] deposit_bandwidth:"),
+    ("[macro]\nh0_sigma = 1e308\n", ["macro"], "[macro] h0_sigma:"),
+    ("[macro]\nc0_sigma = 1e308\n", ["macro"], "[macro] c0_sigma:"),
+    ("[macro]\nn0_smooth_sigma = 1e308\n", ["macro"], "[macro] n0_smooth_sigma:"),
+    ("[macro]\nh_x1 = 1e-300\n", ["macro"], "[macro] h_x1:"),
+    ("[macro]\nh_x2 = 1e-300\n", ["macro"], "[macro] h_x2:"),
+    ("[macro]\nh_x1 = 1e300\n", ["macro"], "[macro] h_x1:"),
+    ("[fracheck]\nlength = 1e308\n", ["fracheck"], "[fracheck] length:"),
+    ("[fracheck]\nlength = 1e-300\n", ["fracheck"], "[fracheck] length:"),
+    ("[fracheck]\nresolutions = 1e308\n", ["fracheck"], "[fracheck] resolutions:"),
+    # the initial lattice must lie in the box [0, domain_length]
+    ("[micro]\nlattice_lo = -1e300\n", ["micro"], "[micro] lattice_lo:"),
+    ("[micro]\nlattice_hi = 1.5\n", ["micro"], "[micro] lattice_hi:"),
+    ("[micro]\nlattice_lo = 0.8\n", ["micro"], "[micro] lattice_hi:"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     cfgfile = tmp_path / "bad.cfg"
@@ -195,6 +208,16 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     assert _run("--config", str(cfgfile), "--workers", "1", "--out", str(tmp_path / "o"),
                 *argv) == 2
     assert problem in capsys.readouterr().err
+
+
+def test_fracheck_tiny_exponent_runs_to_a_verdict(tmp_path, capsys):
+    # the tail of p = 1e-300 outgrows every float, so it takes the 10 * M cap
+    cfgfile = tmp_path / "tiny.cfg"
+    cfgfile.write_text("[fracheck]\nexponents = 1e-300\n")
+    out = tmp_path / "o"
+    assert _run("--config", str(cfgfile), "--out", str(out), "fracheck") == 4
+    assert "did not decrease monotonically" in capsys.readouterr().err
+    assert (out / "fracheck.csv").is_file()
 
 
 @pytest.mark.parametrize("text, command, key", [

@@ -1,4 +1,5 @@
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,26 @@ def test_micro_limits_accept_their_edge_values():
     for key, value in (("acid_sigma", 9.5e153), ("M", 2**58), ("grid_points", 2**29)):
         with pytest.raises(ConfigInvalid, match=f"\\[micro\\] {key}:"):
             micro_config_from({"micro": {key: value}})
+
+
+def test_lattice_may_span_the_whole_box():
+    cfg, _ = micro_config_from({"micro": {"lattice_lo": 0.0, "lattice_hi": 2.0,
+                                          "domain_length": 2.0}})
+    assert (cfg.lattice_lo, cfg.lattice_hi) == (0.0, 2.0)
+
+
+def test_fracheck_limits_accept_their_edge_values():
+    # spacings length / M in [1e-100, 1e100] on the resolutions 4 and 8
+    for length in (8e-100 * 1.001, 4e100 * 0.999):
+        fracheck_params_from({"fracheck": {"resolutions": (4, 8), "length": length, "modes": 1}})
+    for length in (8e-100 * 0.999, 4e100 * 1.001):
+        with pytest.raises(ConfigInvalid, match="\\[fracheck\\] length:"):
+            fracheck_params_from({"fracheck": {"resolutions": (4, 8), "length": length,
+                                               "modes": 1}})
+    cap = sys.maxsize // (8 * 3 * 10)  # 3 exponents, and 10 tail rows outnumber 3 modes
+    fracheck_params_from({"fracheck": {"resolutions": (96, cap)}})
+    with pytest.raises(ConfigInvalid, match="\\[fracheck\\] resolutions:"):
+        fracheck_params_from({"fracheck": {"resolutions": (96, cap + 1)}})
 
 
 def test_grid_built_from_table_keys():

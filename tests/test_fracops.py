@@ -12,7 +12,7 @@ from levyflow.errors import (
 )
 from levyflow.fracops import (
     FracLapOperator,
-    _axis_kernel,
+    _axis_kernels,
     alpha_resolvent_holder_check,
     default_tail_nodes,
     fourier_multiply,
@@ -159,6 +159,70 @@ def test_oracle_trivials():
         f = GridField(grid, np.cos(2 * np.pi * k * x))
         lam = spectral_oracle(grid, 2.0, f).values[0] / f.values[0]
         assert lam == pytest.approx(-((2 * math.pi * k) ** 2), rel=1e-10)
+
+
+def _axis_kernel(axis_points, spacing, p, cutoff_steps, n_tail):
+    """Bitwise reference for one row of ``fracops._axis_kernels``: the
+    scalar build of one exponent's (kernel, far), which adds the singular
+    weights and then each tail weight at its wrapped offset and at the
+    mirror offset with ``np.add.at``, in node order."""
+    m = axis_points
+    h = cutoff_steps * spacing
+    c1 = frac_constant(1, p)
+    kernel = np.zeros(m)
+    sing = c1 / ((2.0 - p) * h**p)
+    kernel[cutoff_steps % m] += sing
+    kernel[(-cutoff_steps) % m] += sing
+    i = np.arange(1, n_tail + 1)
+    y = i * h
+    a, b = y[:-1], y[1:]
+    powers = y**-p
+    mom0 = (powers[:-1] - powers[1:]) / p
+    if abs(p - 1.0) < 1e-12:
+        mom1 = np.log(b / a)
+    else:
+        powers = y ** (1.0 - p)
+        mom1 = (powers[:-1] - powers[1:]) / (p - 1.0)
+    w = np.zeros(n_tail)
+    w[:-1] += (b * mom0 - mom1) / h
+    w[1:] += (mom1 - a * mom0) / h
+    w *= c1
+    np.add.at(kernel, (i * cutoff_steps) % m, w)
+    np.add.at(kernel, (-i * cutoff_steps) % m, w)
+    far = 2.0 * c1 * (n_tail * h) ** (-p) / p
+    kernel[0] = 0.0
+    return kernel, far
+
+
+def test_default_tail_nodes_past_every_float_take_the_cap():
+    assert default_tail_nodes(1e-300, 0.01, 96) == 960  # the node count overflows
+    assert default_tail_nodes(1.5, 1e-320, 96) == 960  # count / h overflows
+    assert default_tail_nodes(1.9, 1e6, 96) == 2
+
+
+# p = 0.5 and 1.0 hit NumPy's sqrt (y^(1-p)) and reciprocal (y^-p) power fast
+# paths; p = 1.0 takes the log moment
+STACK_EXPONENTS = (0.5, 1.0, 1.5, 1.2345, 1.8, 1.7, 1.9)
+
+
+@pytest.mark.parametrize("grid, cutoff, tails", [
+    (GRID_1D, 1, None),
+    (Grid((1.0,), (96,)), 2, None),  # gcd(2, 96) = 2: offsets land on every other node
+    (Grid((1.0,), (45,)), 2, None),  # odd M, gcd 1: offsets 2i visit every node
+    (Grid((1000.0,), (96,)), 2, None),  # tails of 960 nodes (the cap) and 110 (part of a period)
+    (Grid((1000.0,), (64,)), 1, None),  # tails of 640, 147, 239 and 95 nodes side by side
+    (Grid((1.0,), (48,)), 1, (5, 17, 40, 1, 5, 17, 40)),  # explicit tails, none a whole period
+    (GRID_2D, 1, None),  # anisotropic: each axis its own points and spacing
+], ids=["1d", "gcd2", "odd-cutoff2", "cap-and-partial", "mixed-tails", "explicit-tails", "aniso"])
+def test_stacked_kernels_match_scalar_reference_bitwise(grid, cutoff, tails):
+    for m, d in zip(grid.shape, grid.spacings):
+        h = cutoff * d
+        n_tails = list(tails or (default_tail_nodes(p, h, m) for p in STACK_EXPONENTS))
+        kernels, fars = _axis_kernels(m, d, list(STACK_EXPONENTS), cutoff, n_tails)
+        for row, (p, n) in enumerate(zip(STACK_EXPONENTS, n_tails)):
+            kernel, far = _axis_kernel(m, d, p, cutoff, n)
+            assert np.array_equal(kernels[row], kernel), (m, p, n)
+            assert fars[row] == far
 
 
 def _roll_apply(op, values):
