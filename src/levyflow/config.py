@@ -260,6 +260,16 @@ def _require(ok: bool, section: str, key: str, rule: str):
         raise ConfigInvalid(f"[{section}] {key}: {rule}")
 
 
+# NumPy refuses an array of sys.maxsize (2^63 - 1) bytes or more.  The
+# largest arrays hold 32 bytes per item: per particle of a micro step (the
+# four int64 corner indices of its stencil), per grid node of a micro step
+# and per sample and grid node of a macro step (the four int64 entries of
+# the neighbour table, and the H-step's four stencil weights), and per probe
+# point of the symbol command (the complex phases of a two-atom jump law).
+_MAX_ITEMS = sys.maxsize // 32
+_MAX_MICRO_POINTS = math.isqrt(_MAX_ITEMS)
+
+
 def macro_config_from(sections) -> tuple:
     """Returns (MacroConfig, resolved mapping for the echo)."""
     r = resolve_section("macro", MACRO_DEFAULTS, sections)
@@ -283,6 +293,7 @@ def macro_config_from(sections) -> tuple:
              "macro", "n0_smooth_sigma",
              f"must be <= 0 (no smoothing) or have 2 n0_smooth_sigma^2 a positive finite "
              f"float, got {r['n0_smooth_sigma']}")
+    nodes = 1
     for axis in ("x1", "x2"):
         n, h = r[f"N_{axis}"], r[f"h_{axis}"]
         _require(h > 0, "macro", f"h_{axis}", f"spacing must be positive, got {h}")
@@ -290,6 +301,9 @@ def macro_config_from(sections) -> tuple:
                  f"spacing must have h_{axis}^2 a positive finite float, got {h}")
         _require(n >= 3, "macro", f"N_{axis}",
                  f"need at least 3 nodes for the fractional operator, got {n}")
+        nodes *= n
+        _require(nodes <= _MAX_ITEMS, "macro", f"N_{axis}",
+                 f"at most {_MAX_ITEMS} grid nodes (N_x1 * N_x2) fit NumPy's array size limit")
         _require(2 * modes <= n, "macro", "qwiener_modes",
                  f"{modes} modes exceed the Nyquist limit of N_{axis} = {n} "
                  f"(at most {n // 2})")
@@ -298,14 +312,6 @@ def macro_config_from(sections) -> tuple:
     spacing = (scalars.pop("h_x1"), scalars.pop("h_x2"))
     grid = Grid((spacing[0] * shape[0], spacing[1] * shape[1]), shape)
     return _build(MacroConfig, scalars, _MACRO_ALIASES, grid=grid), r
-
-
-# NumPy refuses an array of sys.maxsize (2^63 - 1) bytes or more.  A micro
-# step's largest arrays hold 32 bytes per particle (the four int64 corner
-# indices of its stencil) and 32 bytes per grid node (the four int64 entries
-# of the neighbour table).
-_MAX_PARTICLES = sys.maxsize // 32
-_MAX_MICRO_POINTS = math.isqrt(sys.maxsize // 32)
 
 
 def _gaussian_width_ok(sigma: float) -> bool:
@@ -320,8 +326,8 @@ def _gaussian_width_ok(sigma: float) -> bool:
 def micro_config_from(sections) -> tuple:
     r = resolve_section("micro", MICRO_DEFAULTS, sections)
     _require(r["M"] >= 1, "micro", "M", f"need at least 1 particle, got {r['M']}")
-    _require(r["M"] <= _MAX_PARTICLES, "micro", "M",
-             f"at most {_MAX_PARTICLES} particles fit NumPy's array size limit")
+    _require(r["M"] <= _MAX_ITEMS, "micro", "M",
+             f"at most {_MAX_ITEMS} particles fit NumPy's array size limit")
     _require(r["N"] >= 0, "micro", "N", f"must be nonnegative, got {r['N']}")
     _require(r["tau"] > 0, "micro", "tau", f"must be positive, got {r['tau']}")
     _require(r["h_1"] < r["h_2"], "micro", "h_2",
@@ -369,6 +375,8 @@ def ensemble_config_from(sections, base_seed: int, workers: int) -> tuple:
 def symbol_params_from(sections) -> dict:
     r = resolve_section("symbol", SYMBOL_DEFAULTS, sections)
     _require(r["points"] >= 1, "symbol", "points", f"need at least 1 probe point, got {r['points']}")
+    _require(r["points"] <= _MAX_ITEMS, "symbol", "points",
+             f"at most {_MAX_ITEMS} probe points fit NumPy's array size limit")
     _require(r["xi_max"] > 0, "symbol", "xi_max", f"must be positive, got {r['xi_max']}")
     return r
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonpositiveDt, NyquistViolation
+from .errors import GridMismatch, NonpositiveDt, NyquistViolation
 from .grids import Grid, GridField
 
 
@@ -242,26 +242,48 @@ def qwiener_pointwise_variance(spec: QWienerSpec, grid: Grid, dt: float) -> np.n
 
 
 def sample_qwiener_increment(
-    spec: QWienerSpec, grid: Grid, dt: float, rng: RngStream, gaussians=None
-) -> GridField:
+    spec: QWienerSpec, grid: Grid, dt: float, rng: RngStream | StreamChunk, gaussians=None,
+    failures: dict | None = None,
+) -> GridField | np.ndarray:
     """One increment field ``sqrt(dt) * sum z_{m,n} lambda_m lambda_n e_n(x) e_m(y)``.
 
+    ``rng`` is one RngStream, for one increment as a GridField (which
+    refuses non-finite values), or a StreamChunk of S streams, for a stack
+    of increments of shape ``(S, *grid.shape)``, one per stream in row
+    order; a single draw is a stack of one.  Each stream draws its normals
+    in row order and the whole stack is projected in one matrix product,
+    which gives each row the bits of a matrix product of that row alone.
+    A stack row that is not finite is zeroed and its GridMismatch noted in
+    ``failures[row]``, a dict the caller passes with a chunk.
+
     ``gaussians`` can inject a fixed (modes, modes) (or (modes,) in 1D)
-    array in place of fresh standard normal draws.
+    array per stream in place of fresh standard normal draws.
     """
     if dt <= 0:
         raise NonpositiveDt(f"dt must be positive, got {dt}")
     _check_nyquist(spec, grid)
-    root_dt = math.sqrt(dt)
-    if grid.ndim == 1:
-        a = _basis_matrix(spec.modes, grid.lengths[0], grid.shape[0])
-        z = rng.normal(spec.modes) if gaussians is None else np.asarray(gaussians, dtype=float)
-        return GridField(grid, root_dt * (z @ a))
-    ax = _basis_matrix(spec.modes, grid.lengths[0], grid.shape[0])
-    ay = _basis_matrix(spec.modes, grid.lengths[1], grid.shape[1])
+    single = isinstance(rng, RngStream)
+    streams = (rng,) if single else rng
+    shape = (len(streams),) + (spec.modes,) * grid.ndim
     if gaussians is None:
-        z = rng.normal((spec.modes, spec.modes))  # z[m, n]
+        z = np.empty(shape)  # z[s, m, n]
+        for row, stream in enumerate(streams):
+            z[row] = stream.normal(shape[1:])
     else:
-        z = np.asarray(gaussians, dtype=float)
-    # increment[k, j] = sum_{m,n} z[m,n] (lam_n e_n(x_k)) (lam_m e_m(y_j))
-    return GridField(grid, root_dt * (ax.T @ z.T @ ay))
+        z = np.asarray(gaussians, dtype=float).reshape(shape)
+    ax = _basis_matrix(spec.modes, grid.lengths[0], grid.shape[0])
+    if grid.ndim == 1:
+        # each row a (1, modes) matrix, whose product is a vector product
+        values = (z[:, None, :] @ ax)[:, 0]
+    else:
+        ay = _basis_matrix(spec.modes, grid.lengths[1], grid.shape[1])
+        # increment[k, j] = sum_{m,n} z[m,n] (lam_n e_n(x_k)) (lam_m e_m(y_j))
+        values = ax.T @ z.transpose(0, 2, 1) @ ay
+    values *= math.sqrt(dt)
+    if single:
+        return GridField(grid, values[0])
+    finite = np.isfinite(values.reshape(len(streams), -1)).all(axis=1)
+    for row in np.flatnonzero(~finite):
+        failures.setdefault(int(row), GridMismatch("increment contains non-finite values"))
+        values[row] = 0.0
+    return values

@@ -7,11 +7,15 @@ axis 1 is y).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridMismatch
+
+# stack shapes whose neighbour tables a grid keeps
+_TABLES_KEPT = 4
 
 
 @dataclass(frozen=True)
@@ -24,10 +28,13 @@ class Grid:
 
     lengths: tuple
     shape: tuple
-    # node spacing L / M per axis, derived once from lengths and shape
+    # node spacing L / M per axis and the node count, derived once from
+    # lengths and shape
     spacings: tuple = field(init=False, repr=False, compare=False)
-    # periodic neighbour table, built on first use by neighbour_table()
-    _neighbours: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    node_count: int = field(init=False, repr=False, compare=False)
+    # periodic neighbour tables by stack shape, built on first use by
+    # neighbour_table()
+    _neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # node indices 0..M-1 per axis, built on first use by wrap_index()
     _axis_nodes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -46,17 +53,11 @@ class Grid:
             raise GridMismatch("need at least 2 nodes per axis")
         object.__setattr__(
             self, "spacings", tuple(L / M for L, M in zip(lengths, shape)))
+        object.__setattr__(self, "node_count", math.prod(shape))
 
     @property
     def ndim(self) -> int:
         return len(self.shape)
-
-    @property
-    def node_count(self) -> int:
-        n = 1
-        for m in self.shape:
-            n *= m
-        return n
 
     def axis_coords(self, axis: int) -> np.ndarray:
         d = self.spacings[axis]
@@ -69,18 +70,33 @@ class Grid:
             return (axes[0],)
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    def neighbour_table(self) -> np.ndarray:
+    def neighbour_table(self, lead: tuple = ()) -> np.ndarray:
         """Flat node indices of the periodic neighbours, shape ``(2 * ndim,
         node_count)``: row ``2a`` holds each node's successor along axis
-        ``a`` and row ``2a + 1`` its predecessor.  Built on first use and
-        kept with the grid."""
-        if self._neighbours is None:
-            nodes = np.arange(self.node_count).reshape(self.shape)
-            table = np.stack([np.roll(nodes, shift, axis).ravel()
-                              for axis in range(self.ndim) for shift in (-1, 1)])
+        ``a`` and row ``2a + 1`` its predecessor.
+
+        For a stack of fields of shape ``lead + self.shape`` seen as one
+        flat array, the table has shape ``(2 * ndim, *lead, node_count)``
+        and field ``i`` (in flat order) adds ``i * node_count`` to every
+        index, so one flat index gathers the neighbours of the whole
+        stack.  Tables are built on first use and kept with the grid, the
+        last ``_TABLES_KEPT`` stack shapes only, since a stack shrinks as
+        its samples drop."""
+        table = self._neighbours.get(lead)
+        if table is None:
+            n = self.node_count
+            if lead:
+                starts = np.arange(0, math.prod(lead) * n, n).reshape(lead + (1,))
+                table = self.neighbour_table()[(slice(None),) + (None,) * len(lead)] + starts
+            else:
+                nodes = np.arange(n).reshape(self.shape)
+                table = np.stack([np.roll(nodes, shift, axis).ravel()
+                                  for axis in range(self.ndim) for shift in (-1, 1)])
             table.flags.writeable = False
-            object.__setattr__(self, "_neighbours", table)
-        return self._neighbours
+            if len(self._neighbours) >= _TABLES_KEPT:
+                del self._neighbours[next(iter(self._neighbours))]
+            self._neighbours[lead] = table
+        return table
 
     def wrap_index(self, k, axis: int):
         """The periodic node index ``k mod M`` along ``axis`` of every int
@@ -141,19 +157,16 @@ def require_same_grid(a: Grid, b: Grid):
 
 def neighbours(values: np.ndarray, grid: Grid, axis: int | None = None) -> np.ndarray:
     """The periodic neighbours of every node, gathered through the grid's
-    neighbour table in one ``np.take``: ``out[2a]`` is ``np.roll(values,
-    -1, a)`` (each node's successor along grid axis ``a``) and ``out[2a +
-    1]`` is ``np.roll(values, 1, a)``.  With ``axis`` given, only that
-    axis's pair, as ``out[0]`` and ``out[1]``."""
-    table = grid.neighbour_table()
+    neighbour table for the stack's shape in one flat index, into a
+    C-contiguous array: ``out[2a]`` is ``np.roll(values, -1, a)`` (each
+    node's successor along grid axis ``a``) and ``out[2a + 1]`` is
+    ``np.roll(values, 1, a)``.  With ``axis`` given, only that axis's
+    pair, as ``out[0]`` and ``out[1]``."""
+    lead = values.shape[: values.ndim - grid.ndim]
+    table = grid.neighbour_table(lead)
     if axis is not None:
         table = table[2 * axis: 2 * axis + 2]
-    lead = values.shape[: values.ndim - grid.ndim]
-    taken = np.take(values.reshape(lead + (grid.node_count,)), table, axis=-1)
-    if lead:  # the neighbour axis goes first; a transpose is a view
-        k = len(lead)
-        taken = taken.transpose((k,) + tuple(range(k)) + (k + 1,))
-    return taken.reshape(table.shape[:1] + lead + grid.shape)
+    return values.reshape(-1)[table].reshape(table.shape[:-1] + grid.shape)
 
 
 def laplacian5(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -5,9 +5,11 @@ Per step (the order matters, later updates consume earlier ones):
 1. N is updated explicitly by its decay reaction;
 2. H solves an implicit advection-diffusion system with explicit logistic
    reaction and multiplicative Q-Wiener noise on the right-hand side, by
-   BiCGSTAB.  Its operator is assembled once per step as a
-   variable-coefficient five-point stencil (``h_operator``), so each apply
-   is one gather through the grid's neighbour table and one weighted sum;
+   BiCGSTAB.  The noise of the whole stack is one draw (each stream's
+   normals in row order, one projection).  The operator is assembled once
+   per step as a variable-coefficient five-point stencil (``h_operator``)
+   from one neighbour gather of C, so each apply is one gather through the
+   grid's neighbour table for the stack and one weighted sum;
 3. C solves an implicit per-axis fractional-diffusion system whose exponent
    is refreshed from the spatial mean of H, with explicit taxis fluxes and
    logistic reaction on the right-hand side.  The fractional operator is
@@ -27,10 +29,9 @@ import numpy as np
 
 from .drivers import (ProtonIndexDriver, QWienerSpec, RngStream, StreamChunk,
                       sample_qwiener_increment)
-from .errors import ConfigInvalid, InvariantViolation, LevyflowError, SolverDiverged
+from .errors import ConfigInvalid, InvariantViolation, SolverDiverged
 from .fracops import FracLapOperator
-from .grids import (Grid, centered_difference, neighbours, periodic_gaussian_blur,
-                    wrapped_gaussian_bump)
+from .grids import Grid, neighbours, periodic_gaussian_blur, wrapped_gaussian_bump
 from .linsolve import bicgstab, row_norm
 
 _CLAMP_TOL = 1e-12
@@ -152,10 +153,14 @@ def _per_sample(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _clamp(values: np.ndarray, grid: Grid, stats: MacroRunStats | None) -> np.ndarray:
+    """Set the negative values to zero in place (-0.0 and NaN stay), and
+    count those below -_CLAMP_TOL per sample.  A field with no negative
+    value, the usual case, is left as it is after one test."""
     neg = values < 0.0
-    if stats is not None:
-        stats.absorb_clamps(np.count_nonzero(_per_sample(values, grid) < -_CLAMP_TOL, axis=1))
-    values[neg] = 0.0
+    if neg.any():
+        if stats is not None:
+            stats.absorb_clamps(np.count_nonzero(_per_sample(values, grid) < -_CLAMP_TOL, axis=1))
+        values[neg] = 0.0
     return values
 
 
@@ -183,8 +188,13 @@ def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     ``((coef_k+1 + coef_k)(u_k+1 - u_k) + (coef_k-1 + coef_k)(u_k-1 - u_k)) / (2 d^2)``.
     Telescopes to zero total, so the coupling conserves mass exactly.  Acts
     on the trailing grid axes, like the stencils in ``grids``."""
-    flux = neighbours(u, grid) - u  # one row per neighbour, as in ``neighbours``
-    flux *= neighbours(coef, grid) + coef
+    # one row per neighbour, as in ``neighbours``; in place, so no
+    # temporary as large as a gather is made
+    flux = neighbours(u, grid)
+    flux -= u
+    coef_sum = neighbours(coef, grid)
+    coef_sum += coef
+    flux *= coef_sum
     out = np.zeros_like(u)
     for axis, d in enumerate(grid.spacings):
         out += (flux[2 * axis] + flux[2 * axis + 1]) / (2.0 * d**2)
@@ -227,21 +237,24 @@ def h_operator(c: np.ndarray, cfg: MacroConfig):
     tau = cfg.tau
     f_weight = c / (1.0 + c)
     centre = 1.0 + sum(2.0 * tau * cfg.sigma_H / d**2 for d in grid.spacings)
-    weights = []
+    # both slopes from one gather, whose rows then take the weights
+    weights = neighbours(c, grid)
     for axis, d in enumerate(grid.spacings):
+        up, down = weights[2 * axis], weights[2 * axis + 1]
         diffusion = -tau * cfg.sigma_H / d**2
-        advection = (tau * cfg.gamma_f / (2.0 * d)) * f_weight * centered_difference(c, grid, axis)
-        weights += [diffusion - advection, diffusion + advection]
-    weights = np.stack(weights, axis=1).reshape(len(c), len(weights), grid.node_count)
-    table = grid.neighbour_table()
+        slope = up - down  # as centered_difference
+        slope /= 2.0 * d
+        advection = (tau * cfg.gamma_f / (2.0 * d)) * f_weight
+        advection *= slope
+        np.subtract(diffusion, advection, out=up)
+        np.add(diffusion, advection, out=down)
 
     def apply_op(x):
-        flat = _per_sample(x, grid)
-        terms = np.take(flat, table, axis=-1)
+        terms = neighbours(x, grid)
         terms *= weights
-        out = terms.sum(axis=1)
-        out += centre * flat
-        return out.reshape(x.shape)
+        out = terms.sum(axis=0)
+        out += centre * x
+        return out
 
     return apply_op
 
@@ -253,15 +266,8 @@ def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, failures: 
     values."""
     grid = cfg.grid
     tau = cfg.tau
-    qspec = QWienerSpec(cfg.qwiener_modes)
-    draws = []
-    for row, stream in enumerate(streams):
-        try:
-            draws.append(sample_qwiener_increment(qspec, grid, tau, stream).values)
-        except LevyflowError as exc:
-            failures.setdefault(row, exc)
-            draws.append(np.zeros(grid.shape))
-    noise = np.stack(draws)
+    noise = sample_qwiener_increment(QWienerSpec(cfg.qwiener_modes), grid, tau, streams,
+                                     failures=failures)
     apply_op = h_operator(state.c, cfg)
     rhs = (state.h
            + tau * cfg.gamma_1 * state.h * (1.0 - state.h)

@@ -201,6 +201,14 @@ def test_config_parse_failure_exit_2(tmp_path):
     ("[micro]\nlattice_lo = -1e300\n", ["micro"], "[micro] lattice_lo:"),
     ("[micro]\nlattice_hi = 1.5\n", ["micro"], "[micro] lattice_hi:"),
     ("[micro]\nlattice_lo = 0.8\n", ["micro"], "[micro] lattice_hi:"),
+    # sizes past NumPy's array limit, and the first value past each limit
+    ("[macro]\nN_x1 = 1e308\n", ["macro"], "[macro] N_x1: at most"),
+    ("[macro]\nN_x2 = 1e308\n", ["macro"], "[macro] N_x2: at most"),
+    ("[macro]\nN_x1 = 1e308\n", ["ensemble", "--kind", "macro", "--samples", "2"],
+     "[macro] N_x1: at most"),
+    ("[symbol]\npoints = 1e308\n", ["symbol"], "[symbol] points: at most"),
+    ("[macro]\nN_x1 = 36028797018963968\nN_x2 = 8\n", ["macro"], "[macro] N_x2: at most"),
+    ("[symbol]\npoints = 288230376151711744\n", ["symbol"], "[symbol] points: at most"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     cfgfile = tmp_path / "bad.cfg"

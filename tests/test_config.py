@@ -143,6 +143,20 @@ def test_micro_limits_accept_their_edge_values():
             micro_config_from({"micro": {key: value}})
 
 
+def test_macro_grid_and_symbol_ray_accept_their_edge_sizes():
+    # up to 2^58 - 1 grid nodes or probe points resolve; one more names its key
+    limit = 2**58 - 1
+    cfg, _ = macro_config_from({"macro": {"N_x1": limit // 8, "N_x2": 8}})
+    assert cfg.grid.node_count == (limit // 8) * 8
+    assert symbol_params_from({"symbol": {"points": limit}})["points"] == limit
+    for sections, key in (({"macro": {"N_x1": limit // 8 + 1, "N_x2": 8}}, "N_x2"),
+                          ({"macro": {"N_x1": limit + 1}}, "N_x1")):
+        with pytest.raises(ConfigInvalid, match=f"\\[macro\\] {key}: at most"):
+            macro_config_from(sections)
+    with pytest.raises(ConfigInvalid, match="\\[symbol\\] points: at most"):
+        symbol_params_from({"symbol": {"points": limit + 1}})
+
+
 def test_lattice_may_span_the_whole_box():
     cfg, _ = micro_config_from({"micro": {"lattice_lo": 0.0, "lattice_hi": 2.0,
                                           "domain_length": 2.0}})

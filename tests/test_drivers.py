@@ -11,14 +11,16 @@ from levyflow.drivers import (
     ProtonIndexDriver,
     QWienerSpec,
     RngStream,
+    StreamChunk,
     SwitchingNoise,
     cauchy_modulated_increment,
     draw_noise,
+    _basis_matrix,
     qwiener_pointwise_variance,
     sample_qwiener_increment,
     switching_pick,
 )
-from levyflow.errors import NonpositiveDt, NyquistViolation
+from levyflow.errors import GridMismatch, NonpositiveDt, NyquistViolation
 from levyflow.grids import Grid
 
 
@@ -230,3 +232,57 @@ def test_qwiener_1d_variant():
     expected = lam2 * math.sqrt(2.0) * np.cos(2 * np.pi * 2 * x)
     assert np.allclose(g.values, expected, atol=1e-14)
 
+
+
+def _one_increment(spec, grid, dt, rng):
+    """One increment drawn and projected on its own: the vector product in
+    1D, the two matrix products in 2D."""
+    ax = _basis_matrix(spec.modes, grid.lengths[0], grid.shape[0])
+    if grid.ndim == 1:
+        return math.sqrt(dt) * (rng.normal(spec.modes) @ ax)
+    ay = _basis_matrix(spec.modes, grid.lengths[1], grid.shape[1])
+    return math.sqrt(dt) * (ax.T @ rng.normal((spec.modes, spec.modes)).T @ ay)
+
+
+@pytest.mark.parametrize("grid", [GRID, Grid((2.1, 1.5), (21, 15)), Grid((1.0,), (32,))],
+                         ids=["21x21", "21x15", "1d"])
+@pytest.mark.parametrize("samples", [1, 3, 8])
+def test_stacked_qwiener_draw_matches_single_draws_bitwise(grid, samples):
+    """Each row of a stacked draw, over several steps and after a row is
+    dropped, is bitwise the increment its stream draws alone, through the
+    single-stream call and through a projection of that stream's normals
+    alone; and each stream's next draw is the same either way."""
+    spec = QWienerSpec(4)
+    chunk = StreamChunk(RngStream(41, i) for i in range(samples))
+    single = [RngStream(41, i) for i in range(samples)]
+    alone = [RngStream(41, i) for i in range(samples)]
+    for step in range(5):
+        if step == 3 and len(chunk) > 1:  # drop the middle row, as run_macro does
+            keep = [k for k in range(len(chunk)) if k != len(chunk) // 2]
+            chunk = StreamChunk(chunk[k] for k in keep)
+            single, alone = [single[k] for k in keep], [alone[k] for k in keep]
+        failures = {}
+        stack = sample_qwiener_increment(spec, grid, 0.1, chunk, failures=failures)
+        assert failures == {} and stack.shape == (len(chunk),) + grid.shape
+        for row in range(len(chunk)):
+            by_call = sample_qwiener_increment(spec, grid, 0.1, single[row]).values
+            assert stack[row].tobytes() == by_call.tobytes()
+            assert stack[row].tobytes() == _one_increment(spec, grid, 0.1, alone[row]).tobytes()
+    for drawn, by_call, own in zip(chunk, single, alone):
+        assert drawn.normal(6).tobytes() == by_call.normal(6).tobytes() == own.normal(6).tobytes()
+
+
+def test_stacked_qwiener_draw_notes_a_non_finite_row():
+    """A row that is not finite fails on its own and is zeroed; a single
+    non-finite increment raises."""
+    spec = QWienerSpec(2)
+    z = np.ones((3, 2, 2))
+    z[1, 0, 1] = np.nan
+    failures = {}
+    stack = sample_qwiener_increment(spec, GRID, 0.1, StreamChunk(RngStream(1, i) for i in range(3)),
+                                     gaussians=z, failures=failures)
+    assert list(failures) == [1] and isinstance(failures[1], GridMismatch)
+    assert np.all(stack[1] == 0.0)
+    assert stack[0].tobytes() == stack[2].tobytes() and np.all(np.isfinite(stack))
+    with pytest.raises(GridMismatch):
+        sample_qwiener_increment(spec, GRID, 0.1, RngStream(1, 0), gaussians=z[1])

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -149,9 +147,11 @@ def test_lockstep_solver_failure_names_the_failing_sample(monkeypatch):
     samples of its chunk still build their exponents and run to the end."""
     increment = macro.sample_qwiener_increment
 
-    def nan_for_stream_5(spec, grid, dt, rng):
-        values = increment(spec, grid, dt, rng).values
-        return SimpleNamespace(values=values * np.nan if rng.stream_index == 5 else values)
+    def nan_for_stream_5(spec, grid, dt, streams, failures):
+        """The stacked draw, past its own finite check, with stream 5's row NaN."""
+        values = increment(spec, grid, dt, streams, failures=failures)
+        values[[stream.stream_index == 5 for stream in streams]] = np.nan
+        return values
 
     monkeypatch.setattr(macro, "sample_qwiener_increment", nan_for_stream_5)
     with pytest.raises(EnsembleSampleError) as err:

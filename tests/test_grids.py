@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyflow.errors import GridMismatch
-from levyflow.grids import (Grid, GridField, centered_difference, laplacian5, neighbours,
-                            require_same_grid)
+from levyflow.grids import (_TABLES_KEPT, Grid, GridField, centered_difference, laplacian5,
+                            neighbours, require_same_grid)
 from levyflow.macro import flux_divergence
 
 GRID = Grid((2.0, 1.0), (8, 4))
@@ -142,3 +142,34 @@ def test_stencils_through_neighbour_table_equal_np_roll(name, lead):
     assert laplacian5(u, grid).tobytes() == _roll_laplacian(u, grid).tobytes()
     assert (flux_divergence(coef, u, grid).tobytes()
             == _roll_flux_divergence(coef, u, grid).tobytes())
+
+
+@pytest.mark.parametrize("name", list(STENCIL_GRIDS))
+def test_stack_rows_equal_fields_alone_bitwise(name):
+    """Every row of a stack of lead shape (S,) or (2, S), and of a stack
+    that shrank as its samples dropped, gets from each stencil bitwise what
+    the field gets alone (lead shape ())."""
+    grid = STENCIL_GRIDS[name]
+    rng = np.random.Generator(np.random.Philox(key=[5, 0]))
+    u, coef = rng.standard_normal((2, 2, 6) + grid.shape)
+    stacks = [(u, coef), (u[0], coef[0])]
+    rows = list(range(6))
+    while len(rows) > 1:  # drop the middle row, as run_macro does, down to one
+        del rows[len(rows) // 2]
+        stacks.append((u[0, rows], coef[0, rows]))
+    for us, cs in stacks:
+        lead = us.shape[: us.ndim - grid.ndim]
+        nb = neighbours(us, grid)
+        assert nb.flags.c_contiguous and nb.shape == (2 * grid.ndim,) + us.shape
+        flux = flux_divergence(cs, us, grid)
+        for index in np.ndindex(lead):
+            alone = us[index]
+            assert nb[(slice(None),) + index].tobytes() == neighbours(alone, grid).tobytes()
+            for axis in range(grid.ndim):
+                pair = neighbours(us, grid, axis)[(slice(None),) + index]
+                assert pair.tobytes() == neighbours(alone, grid, axis).tobytes()
+                assert (centered_difference(us, grid, axis)[index].tobytes()
+                        == centered_difference(alone, grid, axis).tobytes())
+            assert flux[index].tobytes() == flux_divergence(cs[index], alone, grid).tobytes()
+    # the grid keeps the tables of its last few stack shapes only
+    assert len(grid._neighbours) <= _TABLES_KEPT

@@ -7,6 +7,7 @@ from levyflow.drivers import RngStream, StreamChunk
 from levyflow.errors import ConfigInvalid, SolverDiverged
 from levyflow.grids import Grid, centered_difference, laplacian5
 from levyflow.macro import (
+    _clamp,
     MacroConfig,
     MacroRunStats,
     MacroState,
@@ -181,6 +182,56 @@ def test_h_stencil_matches_composed_operator(name):
     for row in range(len(c)):
         single = h_operator(c[row:row + 1], cfg)(x[row:row + 1])
         assert single.tobytes() == stencil[row:row + 1].tobytes()
+
+
+@pytest.mark.parametrize("name", list(H_STENCIL_CONFIGS))
+def test_h_stencil_stack_rows_equal_fields_alone(name):
+    """The assembled H operator gives every row of a stack of lead shape
+    (S,) or (2, S), and of a stack that shrank, bitwise what the field gets
+    alone (lead shape ())."""
+    cfg = H_STENCIL_CONFIGS[name]
+    rng = np.random.Generator(np.random.Philox(key=[23, 0]))
+    c, x = rng.random((2, 2, 5) + cfg.grid.shape)
+    stacks = [(c, x), (c[0], x[0]), (c[0, [0, 2, 4]], x[0, [0, 2, 4]]), (c[0, [2]], x[0, [2]])]
+    for cs, xs in stacks:
+        out = h_operator(cs, cfg)(xs)
+        assert out.shape == xs.shape
+        for index in np.ndindex(xs.shape[:-2]):
+            alone = h_operator(cs[index], cfg)(xs[index])
+            assert out[index].tobytes() == alone.tobytes()
+
+
+def test_clamp_zeroes_negatives_and_counts_them_per_sample():
+    """Negatives become 0.0 in place while -0.0 and NaN stay, bitwise as a
+    masked assignment leaves them; values below -1e-12 count per sample,
+    into the right sample after a drop."""
+    grid = Grid((1.0, 1.0), (3, 3))
+    values = np.linspace(-1.0, 1.0, 3 * 9).reshape(3, 3, 3)
+    values[0, 0, :3] = [-0.0, np.nan, -1e-13]
+    values[2] = np.abs(values[2])
+    expected = values.copy()
+    expected[expected < 0.0] = 0.0
+    stats = MacroRunStats(4)
+    stats.drop({2: SolverDiverged("dropped")})  # rows 0, 1, 2 are samples 0, 1, 3
+    out = _clamp(values, grid, stats)
+    assert out is values and out.tobytes() == expected.tobytes()
+    assert np.signbit(out[0, 0, 0]) and np.isnan(out[0, 0, 1])
+    assert stats.clamps.tolist() == [6, 4, 0, 0]
+    # a field without negatives is left as it is, and counts nothing
+    assert _clamp(values, grid, stats).tobytes() == expected.tobytes()
+    assert stats.clamp_events == 10
+
+
+def test_run_stats_follow_their_samples_through_drops():
+    stats = MacroRunStats(3)
+    stats.absorb_solve([1e-12, 2e-12, 3e-12], 4)
+    stats.absorb_clamps([1, 0, 2])
+    assert stats.drop({0: SolverDiverged("x")}).tolist() == [1, 2]
+    stats.absorb_solve([5e-12, 1e-12], 2)
+    stats.absorb_clamps([3, 3])
+    assert stats.residuals.tolist() == [1e-12, 5e-12, 3e-12]
+    assert stats.clamps.tolist() == [1, 3, 5]
+    assert stats.total_iterations == 6 and list(stats.errors) == [0]
 
 
 def test_run_macro_zero_steps_returns_initial():
