@@ -396,6 +396,11 @@ def fracheck_params_from(sections) -> dict:
              f"each needs at least 3 points for the operator's cutoff, got {r['resolutions']}")
     _require(all(0 < p < 2 for p in r["exponents"]), "fracheck", "exponents",
              f"each must lie in (0, 2), got {r['exponents']}")
+    # the operator's constant holds Gamma(-p / 2), about -2 / p, which
+    # overflows for a subnormal p below about 1.1e-308
+    _require(all(p >= sys.float_info.min for p in r["exponents"]), "fracheck", "exponents",
+             f"each must be at least the smallest normal float {sys.float_info.min!r}, "
+             f"got {r['exponents']}")
     _require(all(k >= 1 for k in r["modes"]), "fracheck", "modes",
              f"each must be at least 1, got {r['modes']}")
     # a mode past the coarsest grid's Nyquist mode aliases (to a constant

@@ -17,7 +17,7 @@ import numpy as np
 from .drivers import RngStream, StreamChunk
 from .errors import ConfigInvalid, EnsembleSampleError
 from .macro import MacroConfig, default_snapshot_steps, run_macro, snapshot_set, snapshot_stack
-from .micro import MicroConfig, run_micro, survival_fraction
+from .micro import MicroConfig, micro_init, run_micro, survival_fraction
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,9 @@ def _run_chunk(args) -> list:
 
     Macro samples advance together as one stack; a failed sample is
     dropped from it and the others run to the end, since a later id may
-    fail first in time.  Micro samples run one after another, so the chunk
-    stops at its first failure, which is also its lowest failing id.
+    fail first in time.  Micro samples run one after another from one
+    initial state, built once per chunk, so the chunk stops at its first
+    failure, which is also its lowest failing id.
     """
     kind, cfg, base_seed, first, count, snapshot_steps = args
     if kind == "macro":
@@ -106,10 +107,15 @@ def _run_chunk(args) -> list:
         return [stats.errors.get(k) or SampleRecord(per_sample[k], per_sample[k],
                                                    int(stats.clamps[k]), float(stats.residuals[k]))
                 for k in range(count)]
+    try:
+        initial = micro_init(cfg)  # the same for every sample, and no step changes it
+    except Exception as exc:  # noqa: BLE001 - reported for the chunk's first id
+        return [exc]
     records = []
     for sample_id in range(first, first + count):
         try:
-            state, alive_series = run_micro(cfg, RngStream(base_seed, sample_id))
+            state, alive_series = run_micro(cfg, RngStream(base_seed, sample_id),
+                                            initial_state=initial)
         except Exception as exc:  # noqa: BLE001 - reported for this id by run_ensemble
             records.append(exc)
             break

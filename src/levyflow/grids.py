@@ -35,8 +35,9 @@ class Grid:
     # periodic neighbour tables by stack shape, built on first use by
     # neighbour_table()
     _neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # node indices 0..M-1 per axis, built on first use by wrap_index()
-    _axis_nodes: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # per axis, a (2, M) table of the node indices 0..M-1 and of their
+    # periodic successors, built on first use by _axis_table()
+    _axis_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = tuple(float(v) for v in self.lengths)
@@ -98,6 +99,19 @@ class Grid:
             self._neighbours[lead] = table
         return table
 
+    def _axis_table(self, axis: int) -> np.ndarray:
+        """Row 0: the node indices 0..M-1 along ``axis``; row 1: the
+        successor ``(k + 1) mod M`` of each.  Read-only, built on first use."""
+        if self._axis_tables is None:
+            tables = []
+            for m in self.shape:
+                nodes = np.arange(m)
+                table = np.stack([nodes, np.roll(nodes, -1)])
+                table.flags.writeable = False
+                tables.append(table)
+            object.__setattr__(self, "_axis_tables", tuple(tables))
+        return self._axis_tables[axis]
+
     def wrap_index(self, k, axis: int):
         """The periodic node index ``k mod M`` along ``axis`` of every int
         ``k``, negatives included.
@@ -106,16 +120,16 @@ class Grid:
         modulo without an integer division.  Its cost grows with how many
         periods ``k`` lies from the box, so indices more than one period
         outside are first reduced with ``%``."""
-        if self._axis_nodes is None:
-            nodes = tuple(np.arange(m) for m in self.shape)
-            for v in nodes:
-                v.flags.writeable = False
-            object.__setattr__(self, "_axis_nodes", nodes)
         k = np.asarray(k)
         m = self.shape[axis]
         if k.size and (k.min() < -m or k.max() >= 2 * m):
             k = k % m
-        return self._axis_nodes[axis].take(k, mode="wrap")
+        return self._axis_table(axis)[0].take(k, mode="wrap")
+
+    def successor_index(self, k, axis: int):
+        """The periodic successor ``(k + 1) mod M`` along ``axis`` of every
+        node index ``k`` in ``[0, M)``, by lookup in a cached table."""
+        return self._axis_table(axis)[1].take(k)
 
 
 @dataclass

@@ -96,25 +96,42 @@ class BilinearStencil:
 
 
 def bilinear_stencil(grid: Grid, positions) -> BilinearStencil:
+    """The stencil of ``positions`` (n, 2).  Each axis wraps its lower
+    corner once through ``Grid.wrap_index`` and looks up the upper one as
+    its periodic successor; the four corners are written into one array."""
+    n = positions.shape[0]
     my = grid.shape[1]
-    dx, dy = grid.spacings
-    fx = positions[:, 0] / dx
-    fy = positions[:, 1] / dy
-    floor_x = np.floor(fx)
-    floor_y = np.floor(fy)
-    ix = floor_x.astype(int)
-    iy = floor_y.astype(int)
-    row0 = grid.wrap_index(ix, 0) * my
-    row1 = grid.wrap_index(ix + 1, 0) * my
-    j0 = grid.wrap_index(iy, 1)
-    j1 = grid.wrap_index(iy + 1, 1)
-    wx = fx - floor_x
-    wy = fy - floor_y
-    ux = 1 - wx
-    uy = 1 - wy
-    flat = np.concatenate((row0 + j0, row1 + j0, row0 + j1, row1 + j1))
-    weights = np.concatenate((ux * uy, wx * uy, ux * wy, wx * wy))
-    return BilinearStencil(flat, weights)
+    frac = np.empty((2, n))
+    np.divide(positions.T, np.array(grid.spacings)[:, None], out=frac)
+    lower = np.floor(frac)
+    cells = lower.astype(int)
+    frac -= lower  # wx, wy
+    rest = 1 - frac  # ux, uy
+    i0 = grid.wrap_index(cells[0], 0)
+    j0 = grid.wrap_index(cells[1], 1)
+    i1 = grid.successor_index(i0, 0)
+    j1 = grid.successor_index(j0, 1)
+    i0 *= my
+    i1 *= my
+    flat = np.empty((4, n), dtype=int)
+    np.add(i0, j0, out=flat[0])
+    np.add(i1, j0, out=flat[1])
+    np.add(i0, j1, out=flat[2])
+    np.add(i1, j1, out=flat[3])
+    weights = np.empty((4, n))
+    np.multiply(rest[0], rest[1], out=weights[0])
+    np.multiply(frac[0], rest[1], out=weights[1])
+    np.multiply(rest[0], frac[1], out=weights[2])
+    np.multiply(frac[0], frac[1], out=weights[3])
+    return BilinearStencil(flat.reshape(-1), weights.reshape(-1))
+
+
+def _survivors(stencil: BilinearStencil, killed: np.ndarray) -> BilinearStencil:
+    """The stencil of the positions not ``killed``, in their order."""
+    if not killed.any():
+        return stencil
+    keep = np.concatenate((~killed,) * 4)
+    return BilinearStencil(stencil.flat[keep], stencil.weights[keep])
 
 
 def gather(field_values: np.ndarray, stencil: BilinearStencil) -> np.ndarray:
@@ -133,6 +150,37 @@ def scatter_add(field_values: np.ndarray, stencil: BilinearStencil, amounts):
         raise ValueError("scatter_add needs a C-contiguous field to update in place")
     np.add.at(field_values.reshape(-1), stencil.flat,
               (stencil.weights.reshape(4, -1) * amounts).reshape(-1))
+
+
+def wrap_positions(positions: np.ndarray, lengths) -> np.ndarray:
+    """``np.mod(positions, lengths)`` bit for bit, for (n, 2) positions.
+
+    In a square box of side L whose coordinates all lie in [-L, 2L), each
+    is shifted by at most one L: ``a + L`` below 0, ``a - L`` (exact) from
+    L on and ``a + 0.0`` between, which is what ``np.mod`` returns there,
+    down to -0.0 becoming +0.0 and an ``a + L`` that rounds to L.  Any
+    other box or coordinate (nan included) takes ``np.mod``."""
+    length = lengths[0]
+    in_range = (positions.size and all(v == length for v in lengths)
+                and positions.min() >= -length and positions.max() < 2 * length)
+    if not in_range:
+        return np.mod(positions, np.asarray(lengths))
+    shift = (positions < 0).view(np.int8) - (positions >= length).view(np.int8)
+    return positions + shift * length
+
+
+class StencilCarry:
+    """The bilinear stencil of the alive positions of the state a step
+    returned, for the next step to use as its stencil before the move.
+
+    A survivor keeps its position and its order, so the surviving columns
+    of a step's stencil after the move are bitwise a fresh build for the
+    next step.  The stencil is used only with the very state object it was
+    made for."""
+
+    def __init__(self):
+        self.state = None
+        self.stencil = None
 
 
 # one particle's (x, y) pair of float64, moved as raw bytes
@@ -179,13 +227,18 @@ def micro_init(cfg: MicroConfig) -> MicroState:
 # ---------------------------------------------------------------------------
 
 
-def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroState:
+def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream, *,
+               carry: StencilCarry | None = None) -> MicroState:
     """One explicit Euler step of the coupled particle/field dynamics.
 
     Order: velocity (tissue-gradient drift + noise kick), position (periodic
     wrap), intracellular protons, acid and tissue at the particle
     neighbourhoods, then the kill conditions.  Only the alive particles
     move and act; a dead particle's fields are carried over unchanged.
+
+    With a ``carry``, the step takes its stencil before the move from it
+    when it was made for ``state``, and leaves there the stencil of the
+    state it returns.
     """
     if state.grid != cfg.grid:
         raise ConfigInvalid("state grid does not match config grid")
@@ -203,13 +256,16 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
 
     # the bilinear stencil of the alive positions before the move and after it
     pos = state.positions.take(idx, axis=0)
-    before = bilinear_stencil(state.grid, pos)
+    if carry is not None and carry.state is state:
+        before = carry.stencil
+    else:
+        before = bilinear_stencil(state.grid, pos)
     grad = np.column_stack(
         [gather(centered_difference(tissue, state.grid, axis), before) for axis in (0, 1)]
     )
     vel = state.velocities.take(idx, axis=0)
     vel += cfg.taxis_sign * grad * tau + kicks
-    pos = np.mod(pos + vel * tau, np.asarray(state.grid.lengths))
+    pos = wrap_positions(pos + vel * tau, state.grid.lengths)
     after = bilinear_stencil(state.grid, pos)
 
     acid_at = gather(acid, after)
@@ -249,7 +305,7 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
     all_protons[idx] = protons
     alive[idx[killed]] = False
 
-    return MicroState(
+    out = MicroState(
         grid=state.grid,
         positions=positions,
         velocities=velocities,
@@ -260,6 +316,9 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
         t=state.t + tau,
         clamp_events=clamps,
     )
+    if carry is not None:
+        carry.state, carry.stencil = out, _survivors(after, killed)
+    return out
 
 
 def survival_fraction(state: MicroState, m0: int) -> float:
@@ -269,13 +328,18 @@ def survival_fraction(state: MicroState, m0: int) -> float:
     return state.alive_count() / m0
 
 
-def run_micro(cfg: MicroConfig, rng: RngStream):
+def run_micro(cfg: MicroConfig, rng: RngStream, initial_state: MicroState | None = None):
     """Run the configured number of steps; returns the final state and the
-    per-step alive counts (the count before any step first)."""
-    state = micro_init(cfg)
+    per-step alive counts (the count before any step first).
+
+    ``initial_state`` stands in for ``micro_init(cfg)``, so that samples
+    of one config can share it; no step changes the state it is given.
+    Each step hands its stencil on to the next through a carry."""
+    state = micro_init(cfg) if initial_state is None else initial_state
     alive_series = [state.alive_count()]
+    carry = StencilCarry()
     for _ in range(cfg.n_steps):
-        state = micro_step(state, cfg, rng)
+        state = micro_step(state, cfg, rng, carry=carry)
         alive_series.append(state.alive_count())
     return state, alive_series
 

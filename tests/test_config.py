@@ -171,6 +171,10 @@ def test_fracheck_limits_accept_their_edge_values():
         with pytest.raises(ConfigInvalid, match="\\[fracheck\\] length:"):
             fracheck_params_from({"fracheck": {"resolutions": (4, 8), "length": length,
                                                "modes": 1}})
+    # the smallest normal float is the smallest exponent
+    fracheck_params_from({"fracheck": {"exponents": sys.float_info.min}})
+    with pytest.raises(ConfigInvalid, match="\\[fracheck\\] exponents:"):
+        fracheck_params_from({"fracheck": {"exponents": sys.float_info.min / 2}})
     cap = sys.maxsize // (8 * 3 * 10)  # 3 exponents, and 10 tail rows outnumber 3 modes
     fracheck_params_from({"fracheck": {"resolutions": (96, cap)}})
     with pytest.raises(ConfigInvalid, match="\\[fracheck\\] resolutions:"):

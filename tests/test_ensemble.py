@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levyflow import ensemble, macro
+from levyflow import ensemble, macro, micro
 from levyflow.drivers import RngStream
 from levyflow.ensemble import (
     EnsembleConfig,
@@ -11,7 +11,7 @@ from levyflow.ensemble import (
 )
 from levyflow.errors import ConfigInvalid, EnsembleSampleError, SolverDiverged
 from levyflow.macro import MacroConfig, run_macro
-from levyflow.micro import MicroConfig, run_micro, survival_fraction
+from levyflow.micro import MicroConfig, micro_init, run_micro, survival_fraction
 
 SMALL_MACRO = MacroConfig(n_steps=8)
 SMALL_MICRO = MicroConfig(n_particles=300, n_steps=8)
@@ -205,6 +205,24 @@ def test_chunk_size_does_not_change_a_bit():
         runs.append(([(r.fields.tobytes(), r.clamp_events, r.max_residual) for r in records],
                      acc.mean.tobytes(), acc.variance().tobytes()))
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_micro_chunk_from_one_initial_state_gives_each_sample_its_own_run(monkeypatch):
+    """A micro chunk builds its initial state once and starts every sample
+    from it; each record equals the sample's own run_micro, bit for bit."""
+    built = []
+    counted = lambda cfg: built.append(1) or micro_init(cfg)  # noqa: E731
+    monkeypatch.setattr(ensemble, "micro_init", counted)
+    monkeypatch.setattr(micro, "micro_init", counted)
+    records = ensemble._run_chunk(("micro", SMALL_MICRO, 29, 4, 5, ()))
+    assert len(built) == 1
+    for sample_id, record in enumerate(records, start=4):
+        state, series = run_micro(SMALL_MICRO, RngStream(29, sample_id))
+        assert record.fields.tobytes() == np.stack([state.acid, state.tissue]).tobytes()
+        assert record.export.tolist() == series
+        assert record.clamp_events == state.clamp_events
+        assert record.survival == survival_fraction(state, SMALL_MICRO.n_particles)
+    assert len({record.fields.tobytes() for record in records}) == 5
 
 
 @pytest.mark.parametrize("kind, cfg, ens", [

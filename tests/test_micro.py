@@ -10,6 +10,7 @@ from levyflow.grids import Grid, periodic_gaussian_blur
 from levyflow.micro import (
     MicroConfig,
     MicroState,
+    StencilCarry,
     bilinear_stencil,
     deposit_fields,
     gather,
@@ -18,6 +19,7 @@ from levyflow.micro import (
     run_micro,
     scatter_add,
     survival_fraction,
+    wrap_positions,
 )
 
 GRID = Grid((1.0, 1.0), (41, 41))
@@ -207,6 +209,43 @@ def test_dead_particle_neither_moves_nor_acts():
     assert not s1.alive[5]
 
 
+LAWS = [("gaussian", GaussianNoise()), ("switching", SwitchingNoise()),
+        ("cauchy_modulated", CauchyModulatedNoise())]
+
+
+@pytest.mark.parametrize("law, noise", LAWS, ids=[law for law, _ in LAWS])
+def test_run_micro_equals_chained_steps_without_a_carried_stencil(law, noise):
+    # run_micro hands each step's stencil on to the next; chaining the
+    # public micro_step builds every stencil afresh
+    cfg = MicroConfig(n_particles=900, n_steps=25, noise=noise)
+    state, series = run_micro(cfg, RngStream(41, 3))
+    ref = micro_init(cfg)
+    rng = RngStream(41, 3)
+    ref_series = [ref.alive_count()]
+    for _ in range(cfg.n_steps):
+        ref = micro_step(ref, cfg, rng)
+        ref_series.append(ref.alive_count())
+    # particles die on more than one step, so the carry drops columns
+    assert len(set(np.diff(series))) > 2
+    assert series == ref_series
+    for name in ("positions", "velocities", "protons", "alive", "acid", "tissue"):
+        assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert (state.t, state.clamp_events) == (ref.t, ref.clamp_events)
+
+
+def test_a_carry_serves_only_the_state_it_was_made_for():
+    cfg = MicroConfig(n_particles=400)
+    carry = StencilCarry()
+    stepped = micro_step(micro_init(cfg), cfg, RngStream(8, 0), carry=carry)
+    assert carry.state is stepped
+    # the same values in another object, and that object edited in place
+    moved = dataclasses.replace(stepped, positions=stepped.positions[::-1].copy())
+    alone = micro_step(moved, cfg, RngStream(8, 1))
+    carried = micro_step(moved, cfg, RngStream(8, 1), carry=carry)
+    for name in ("positions", "velocities", "protons", "alive", "acid", "tissue"):
+        assert getattr(carried, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
 def test_survival_fraction_validation():
     state = _quiet_state(np.array([[0.5, 0.5]]))
     assert survival_fraction(state, 1) == 1.0
@@ -237,6 +276,29 @@ def _reference_corners(grid, positions):
     return corners, weights
 
 
+def _four_wrap_stencil(grid, positions):
+    """The stencil as four Grid.wrap_index calls, one per corner index."""
+    my = grid.shape[1]
+    dx, dy = grid.spacings
+    fx = positions[:, 0] / dx
+    fy = positions[:, 1] / dy
+    floor_x = np.floor(fx)
+    floor_y = np.floor(fy)
+    ix = floor_x.astype(int)
+    iy = floor_y.astype(int)
+    row0 = grid.wrap_index(ix, 0) * my
+    row1 = grid.wrap_index(ix + 1, 0) * my
+    j0 = grid.wrap_index(iy, 1)
+    j1 = grid.wrap_index(iy + 1, 1)
+    wx = fx - floor_x
+    wy = fy - floor_y
+    ux = 1 - wx
+    uy = 1 - wy
+    flat = np.concatenate((row0 + j0, row1 + j0, row0 + j1, row1 + j1))
+    weights = np.concatenate((ux * uy, wx * uy, ux * wy, wx * wy))
+    return flat, weights
+
+
 def test_flat_gather_scatter_keep_corner_by_corner_order():
     # many particles in the four cells around node (0, 0), so each node
     # sums contributions of all four corner kinds and the order shows
@@ -265,25 +327,61 @@ def test_flat_gather_scatter_keep_corner_by_corner_order():
 
 @pytest.mark.parametrize("grid", [GRID, Grid((2.0, 0.5), (8, 5))], ids=["square", "oblong"])
 def test_stencil_wraps_like_the_integer_modulo(grid):
-    # positions inside the box, below it, exactly at L, in [L, 2L), far
-    # outside it and not finite: flat indices and weights equal those of
-    # the % formula bit for bit
+    # positions inside the box, on its nodes, below it, exactly at L, in
+    # [L, 2L), far outside it and not finite: flat indices and weights
+    # equal those of the % formula and of four wrap_index calls, one per
+    # corner index, bit for bit
     lx, ly = grid.lengths
+    dx, dy = grid.spacings
     rng = np.random.Generator(np.random.Philox(key=[17, 0]))
     inside = rng.random((50, 2)) * (lx, ly)
     offsets = [0.0, -lx, lx, -3.0 * lx, 1e6 * lx, -1e12 * lx]
     shifted = [inside + (sx, sy * ly / lx) for sx in offsets for sy in offsets]
+    nodes = np.stack(np.meshgrid(np.arange(grid.shape[0] + 1) * dx,
+                                 np.arange(grid.shape[1] + 1) * dy, indexing="ij"), -1)
     edges = np.array([[lx, ly], [0.0, ly], [lx, 0.0], [-0.0, np.nextafter(ly, 0.0)],
                       [np.nextafter(lx, 3.0 * lx), 1.5 * ly], [-1e-300, 2.0 * ly],
                       [np.nan, 0.5 * ly], [0.5 * lx, np.inf], [-np.inf, np.nan]])
-    pos = np.concatenate(shifted + [edges])
-    with np.errstate(invalid="ignore"):
-        corners, weights = _reference_corners(grid, pos)
-        stencil = bilinear_stencil(grid, pos)
-    my = grid.shape[1]
-    flat = np.concatenate([i * my + j for i, j in corners])
-    assert stencil.flat.tobytes() == flat.tobytes()
-    assert stencil.weights.tobytes() == np.concatenate(weights).tobytes()
+    for pos in (np.concatenate(shifted + [nodes.reshape(-1, 2), edges]), np.empty((0, 2))):
+        with np.errstate(invalid="ignore"):
+            corners, weights = _reference_corners(grid, pos)
+            four_flat, four_weights = _four_wrap_stencil(grid, pos)
+            stencil = bilinear_stencil(grid, pos)
+        my = grid.shape[1]
+        flat = np.concatenate([i * my + j for i, j in corners])
+        assert stencil.flat.tobytes() == flat.tobytes() == four_flat.tobytes()
+        assert stencil.weights.tobytes() == np.concatenate(weights).tobytes() \
+            == four_weights.tobytes()
+
+
+@pytest.mark.parametrize("length", [1.0, 0.7, 3.0])
+def test_position_wrap_equals_np_mod(length, monkeypatch):
+    L = length
+    below = np.nextafter(L, 0.0)
+    edges = [-0.0, 0.0, L, below, -1e-18, -5e-324, -L, np.nextafter(-L, 0.0),
+             np.nextafter(2 * L, 0.0), 2 * L - below, -np.nextafter(L, 0.0) / 2]
+    rng = np.random.Generator(np.random.Philox(key=[23, 0]))
+    in_range = np.concatenate([edges, rng.uniform(-L, 0.0, 300), rng.uniform(L, 2 * L, 300),
+                               rng.uniform(0.0, L, 300), -rng.random(20) * 1e-300])
+    pos = in_range[: in_range.size // 2 * 2].reshape(-1, 2)
+    pos = np.concatenate([pos, pos[:, ::-1]])
+    expected = np.mod(pos, np.array([L, L]))
+    assert (expected == L).any() and np.signbit(pos).any()
+    # values within [-L, 2L) shift without np.mod
+    with monkeypatch.context() as m:
+        m.setattr(np, "mod", None)
+        got = wrap_positions(pos, (L, L))
+    assert got.tobytes() == expected.tobytes()
+    # past 2L or below -L, not finite, or a box that is not square: np.mod
+    for bad in (2 * L, -np.nextafter(L, 2 * L), 5e3 * L, -7e5 * L, np.nan, np.inf):
+        mixed = pos.copy()
+        mixed[17, 1] = bad
+        with np.errstate(invalid="ignore"):
+            assert wrap_positions(mixed, (L, L)).tobytes() == \
+                np.mod(mixed, np.array([L, L])).tobytes()
+    oblong = pos * (1.0, 0.5)
+    assert wrap_positions(oblong, (L, L / 2)).tobytes() == \
+        np.mod(oblong, np.array([L, L / 2])).tobytes()
 
 
 def test_scatter_add_refuses_a_field_it_cannot_update_in_place():
