@@ -197,10 +197,6 @@ def test_config_parse_failure_exit_2(tmp_path):
     ("[fracheck]\nlength = 1e308\n", ["fracheck"], "[fracheck] length:"),
     ("[fracheck]\nlength = 1e-300\n", ["fracheck"], "[fracheck] length:"),
     ("[fracheck]\nresolutions = 1e308\n", ["fracheck"], "[fracheck] resolutions:"),
-    # a subnormal exponent, whose Gamma(-p / 2) overflows
-    ("[fracheck]\nexponents = 1e-320\n", ["fracheck"], "[fracheck] exponents:"),
-    ("[fracheck]\nexponents = 1.0, 2.2250738585072009e-308\n", ["fracheck"],
-     "[fracheck] exponents: each must be at least"),
     # the initial lattice must lie in the box [0, domain_length]
     ("[micro]\nlattice_lo = -1e300\n", ["micro"], "[micro] lattice_lo:"),
     ("[micro]\nlattice_hi = 1.5\n", ["micro"], "[micro] lattice_hi:"),
@@ -212,7 +208,10 @@ def test_config_parse_failure_exit_2(tmp_path):
      "[macro] N_x1: at most"),
     ("[symbol]\npoints = 1e308\n", ["symbol"], "[symbol] points: at most"),
     ("[macro]\nN_x1 = 36028797018963968\nN_x2 = 8\n", ["macro"], "[macro] N_x2: at most"),
-    ("[symbol]\npoints = 288230376151711744\n", ["symbol"], "[symbol] points: at most"),
+    ("[symbol]\npoints = 288230376151711744\n", ["symbol"], "[symbol] points: at most"),    # a subnormal exponent, whose Gamma(-p / 2) overflows
+    ("[fracheck]\nexponents = 1e-320\n", ["fracheck"], "[fracheck] exponents:"),
+    ("[fracheck]\nexponents = 1.0, 2.2250738585072009e-308\n", ["fracheck"],
+     "[fracheck] exponents: each must be at least"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     cfgfile = tmp_path / "bad.cfg"
