@@ -41,16 +41,11 @@ from .micro import (
     survival_fraction,
 )
 from .symbols import (
-    AffinePowerBernstein,
-    ComposedSymbol,
     DiscreteJumpLaw,
-    GaussianJumpLaw,
-    LevyQuadruple,
     ScaledSymbol,
     ShiftedSymbol,
     StableSymbol,
     TripleSymbol,
-    compose_symbols,
     driven_symbol,
     generator_symbol_table,
     growth_bound_constant,

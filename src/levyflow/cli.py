@@ -12,7 +12,8 @@ files and returns an ``Outcome``.
 
 Exit codes: 0 success; 2 config/parse/missing-input failure; 3 symbol
 evaluation error; 4 fracheck convergence failure; 5 solver divergence;
-6 invariant violation (the message names the invariant).
+6 invariant violation (the message names the invariant).  A failed
+ensemble sample exits with the code of its cause.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .drivers import RngStream
 from .ensemble import run_ensemble
 from .errors import (
     ConfigInvalid,
+    EnsembleSampleError,
     InvariantViolation,
     LevyflowError,
     SolverDiverged,
@@ -55,6 +57,15 @@ EXIT_EVAL = 3
 EXIT_CONVERGENCE = 4
 EXIT_SOLVER = 5
 EXIT_INVARIANT = 6
+
+# (error class, exit code, message prefix): the first class that matches a
+# failure, or a failed ensemble sample's cause, gives its exit code
+_ERROR_EXITS = (
+    (ConfigInvalid, EXIT_CONFIG, "config error"),
+    (SolverDiverged, EXIT_SOLVER, "solver diverged"),
+    (InvariantViolation, EXIT_INVARIANT, "invariant violated"),
+    (Exception, EXIT_EVAL, "error"),
+)
 
 _MACRO_FIELDS = ("H", "C", "N")
 
@@ -343,18 +354,12 @@ def main(argv=None) -> int:
         outcome = args.fn(sections, args, out)
         write_manifest(out / "manifest.json", cfgmod.render_config(outcome.echo),
                        args.seed, started_at, outcome.paths)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverDiverged as exc:
-        print(f"solver diverged: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except InvariantViolation as exc:
-        print(f"invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except LevyflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
+        cause = exc.cause if isinstance(exc, EnsembleSampleError) else exc
+        code, prefix = next((code, prefix) for kind, code, prefix in _ERROR_EXITS
+                            if isinstance(cause, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     if outcome.summary is not None:
         print(outcome.summary)
     if outcome.failure is None:

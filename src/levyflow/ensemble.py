@@ -9,7 +9,6 @@ sample's bits do not depend on the chunk it ran in.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,6 +164,9 @@ def _map_samples(fn, payloads, workers):
         for payload in payloads:
             yield fn(payload)
         return
+    # imported here: multiprocessing is a large import that only a pool needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, payloads, chunksize=1)
 

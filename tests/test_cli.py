@@ -1,11 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levyflow
 from levyflow.cli import main
 from levyflow.formats import read_grid_binary, render_pgm, write_grid_binary
 from levyflow.grids import Grid, GridField
@@ -264,6 +269,52 @@ def test_bad_grid_keys_exit_2(tmp_path, capsys, text, command, key):
     cfgfile.write_text(text)
     assert _run("--config", str(cfgfile), "--out", str(tmp_path / "o"), *command.split()) == 2
     assert f"] {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, code, message", [
+    ("tau = 1e308", 5, "solver diverged: sample 0 failed (base_seed=12345, stream_index=0): "
+                       "SolverDiverged("),
+    ("h0_amp = -1", 6, "invariant violated: sample 0 failed (base_seed=12345, stream_index=0): "
+                       "InvariantViolation("),
+], ids=["solver_diverged", "invariant_violated"])
+# the console script runs under Python's default warning filters, which
+# print the overflow's RuntimeWarning rather than raise it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_ensemble_sample_exits_as_its_cause(tmp_path, capsys, key, code, message):
+    """An ensemble exits with the code its failing sample's own error gives
+    a single run, and the message still names the seed and sample."""
+    cfgfile = tmp_path / "fail.cfg"
+    cfgfile.write_text(f"[macro]\n{key}\nN = 3\n")
+    argv = ["--config", str(cfgfile), "--workers", "1", "--out", str(tmp_path / "o")]
+    assert _run(*argv, "macro") == code
+    capsys.readouterr()
+    assert _run(*argv, "ensemble", "--kind", "macro", "--samples", "2") == code
+    assert message in capsys.readouterr().err
+
+
+_IMPORT_PROBE = """
+import json, sys
+from levyflow import cli
+out = sys.argv[1]
+with open(out + "/tiny.cfg", "w") as fh:
+    fh.write("[micro]\\nM = 50\\nN = 2\\n")
+codes = [cli.main(["--out", out + "/f", "fracheck"]),
+         cli.main(["--config", out + "/tiny.cfg", "--workers", "1", "--out", out + "/e",
+                   "ensemble", "--kind", "micro", "--samples", "2"])]
+heavy = ("concurrent.futures.process", "multiprocessing", "numpy.polynomial")
+print(json.dumps([codes, [name for name in heavy if name in sys.modules]]))
+"""
+
+
+def test_commands_import_no_process_pool_and_no_quadrature(tmp_path):
+    """A fracheck and a one-worker ensemble in a fresh interpreter load
+    neither the process pool nor numpy.polynomial."""
+    src = str(Path(levyflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], []]
 
 
 def _manifest_digests(out):

@@ -8,6 +8,7 @@ values, values the resolvers refuse, or values past the documented limits,
 since a size in between allocates a large array and a long run takes long.
 """
 
+import concurrent.futures
 import contextlib
 import io
 import tempfile
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from levyflow import cli, ensemble
+from levyflow import cli
 from levyflow.config import (
     ENSEMBLE_DEFAULTS,
     FRACHECK_DEFAULTS,
@@ -100,7 +101,7 @@ def test_no_config_value_escapes_as_an_exception(section, data, monkeypatch):
     sections[section].update(overrides)
     text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
                    for name, values in sections.items())
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfgfile = Path(tmp) / "fuzz.cfg"

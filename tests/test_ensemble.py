@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -182,7 +184,8 @@ def test_pool_never_larger_than_the_chunk_count(monkeypatch):
         def map(self, fn, payloads, chunksize=1):
             return map(fn, payloads)
 
-    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+    # _map_samples imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = MacroConfig(n_steps=1)
     run_ensemble("macro", cfg, EnsembleConfig(n_samples=2, snapshot_steps=(1,), workers=8))
     run_ensemble("macro", cfg, EnsembleConfig(n_samples=5, snapshot_steps=(1,), workers=2))

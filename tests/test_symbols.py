@@ -14,23 +14,18 @@ from levyflow.errors import (
     UnsupportedMeasure,
 )
 from levyflow.symbols import (
-    AffinePowerBernstein,
-    AtomMeasure,
     DiscreteJumpLaw,
-    GaussianJumpLaw,
-    LevyQuadruple,
     ScaledSymbol,
     ShiftedSymbol,
     StableSymbol,
     TripleSymbol,
-    ZeroMeasure,
-    compose_symbols,
     default_probe_points,
     driven_symbol,
     generator_symbol_table,
     growth_bound_constant,
-    subordinator_measure,
 )
+
+from levy_reference import AtomMeasure, LevyQuadruple, ZeroMeasure, quadruple
 
 UNIT_JUMP = DiscreteJumpLaw(points=(1.0,), probs=(1.0,))
 
@@ -113,36 +108,6 @@ def test_characteristic_function_against_subordinated_brownian_mc():
     assert mc == pytest.approx(exact, abs=2.5e-3)
 
 
-def test_compose_power_half_gives_absolute_value():
-    # |xi|^2 as a quadratic symbol with Q = 2I, then the square root
-    spec = compose_symbols(AffinePowerBernstein(0.0, 1.0, 0.5), diffusion(2.0))
-    for xi in (-3.0, 0.25, 7.0):
-        assert spec.evaluate([xi]) == pytest.approx(abs(xi), rel=1e-12)
-
-
-def test_compose_identity_returns_inner():
-    inner = StableSymbol(1.1, 1.0, 1)
-    assert compose_symbols(AffinePowerBernstein(0.0, 1.0, 1.0), inner) is inner
-
-
-def test_compose_power_on_spectral_square():
-    spec = compose_symbols(AffinePowerBernstein(0.0, 1.0, 0.75), diffusion(2.0))
-    assert spec.evaluate([2.0]) == pytest.approx(2.828427, abs=1e-6)
-
-
-def test_compose_rejects_complex_inner():
-    with pytest.raises(NotRealValued):
-        compose_symbols(AffinePowerBernstein(0.0, 1.0, 0.5), TripleSymbol((1.0,), ((1.0,),)))
-
-
-def test_compose_matches_pointwise_power():
-    inner = StableSymbol(1.4, 0.7, 1)
-    composed = compose_symbols(AffinePowerBernstein(0.0, 1.0, 0.6), inner)
-    pts = default_probe_points(1, 20.0, 101)
-    direct = np.power(inner.evaluate_many(pts).real, 0.6)
-    assert np.allclose(composed.evaluate_many(pts).real, direct, atol=1e-12)
-
-
 def test_growth_bound_values():
     pts = default_probe_points(2, 30.0, 121)
     assert growth_bound_constant(diffusion(1.0, 1.0), pts) <= 0.5
@@ -212,6 +177,27 @@ def test_dimension_mismatch():
         diffusion(1.0, 1.0).evaluate([1.0])
 
 
+@pytest.mark.parametrize("drift, q_matrix, error, message", [
+    ((0.0, 0.0), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), DimensionMismatch,
+     "Q must be d x d for drift of length d"),
+    ((0.0, 0.0), ((1.0, 0.5), (0.0, 1.0)), DimensionMismatch, "Q must be symmetric"),
+    ((0.0, 0.0), ((1.0, 2.0), (2.0, 1.0)), ExponentOutOfRange,
+     "Q must be positive semidefinite"),
+    ((0.0, 0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), DimensionMismatch,
+     "Q must be d x d for drift of length d"),
+], ids=["non_square", "asymmetric", "not_psd", "drift_size"])
+def test_triple_symbol_rejects_a_bad_q(drift, q_matrix, error, message):
+    with pytest.raises(error) as err:
+        TripleSymbol(drift, q_matrix)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_shifted_symbol_rejects_complex_base():
+    with pytest.raises(NotRealValued):
+        ShiftedSymbol(TripleSymbol((1.0,), ((1.0,),)), 1.0)
+
+
 def test_shifted_symbol_formula():
     base = StableSymbol(1.5, 1.0, 1)
     spec = ShiftedSymbol(base, 1.2)
@@ -236,7 +222,7 @@ def test_scaled_symbol():
 @pytest.mark.parametrize("name", ["bm_drift", "poisson", "compound_poisson", "full_triple"])
 def test_quadruple_route_matches_direct_route(name):
     spec = dict(generator_symbol_table())[name]
-    quad = spec.quadruple()
+    quad = quadruple(spec)
     for raw in ([0.7, -1.3], [2.5, 0.4], [-3.0, 1.0]):
         xi = np.asarray(raw[: spec.d])
         assert quad.evaluate(xi) == pytest.approx(spec.evaluate(xi), abs=1e-11)
@@ -244,22 +230,11 @@ def test_quadruple_route_matches_direct_route(name):
 
 def test_stable_quadruple_via_measure_quadrature():
     spec = StableSymbol(1.5, 1.0, 1)
-    quad = spec.quadruple()
+    quad = quadruple(spec)
     for xi in (0.3, 2.0, 7.7):
         direct = spec.evaluate(np.array([xi]))
         via_measure = quad.evaluate(np.array([xi]))
         assert via_measure == pytest.approx(direct, rel=1e-9)
-
-
-def test_subordinator_measure_closed_form():
-    """integral (1 - e^{i xi y}) nu(dy) = (-i xi)^alpha for the standard
-    alpha-subordinator measure alpha/Gamma(1-alpha) y^{-1-alpha} dy."""
-    alpha = 0.75
-    measure = subordinator_measure(alpha)
-    for xi in (2.0, -0.7, 15.0):
-        got = measure.uncompensated_integral(xi)
-        want = abs(xi) ** alpha * np.exp(-1j * np.sign(xi) * alpha * np.pi / 2)
-        assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_quadruple_validation():
@@ -282,29 +257,6 @@ def test_measure_validation():
         TripleSymbol((0.0,), ((0.0,),), rate=1.0)
     with pytest.raises(ExponentOutOfRange):
         StableSymbol(2.0, 1.0, 1)
-    with pytest.raises(ExponentOutOfRange):
-        AffinePowerBernstein(0.0, 1.0, 1.5)
-    with pytest.raises(ExponentOutOfRange):
-        AffinePowerBernstein(0.0, 1.0, 0.0)
-
-
-def test_compound_poisson_measure_rejects_nondiscrete_compensation():
-    spec = TripleSymbol((0.0,), ((0.0,),), rate=1.0, jumps=GaussianJumpLaw((0.0,), 1.0))
-    with pytest.raises(UnsupportedMeasure):
-        spec.quadruple()
-    # the direct route works through the jump characteristic function
-    assert spec.evaluate(np.array([1.0])) == pytest.approx(1.0 - np.exp(-0.5), abs=1e-12)
-
-
-def test_affine_power_bernstein_composition():
-    outer = AffinePowerBernstein(c0=0.5, c1=2.0, alpha=0.25)
-    spec = compose_symbols(outer, diffusion(2.0))
-    xi = 3.0
-    assert spec.evaluate([xi]).real == pytest.approx(0.5 + 2.0 * (xi**2) ** 0.25)
-    # the affine offset acts as a killing constant
-    assert spec.evaluate([0.0]).real == pytest.approx(0.5)
-    with pytest.raises(ExponentOutOfRange):
-        AffinePowerBernstein(-0.1, 1.0, 0.5)
 
 
 def test_driven_symbol_matches_resolvent_form():
