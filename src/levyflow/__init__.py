@@ -23,13 +23,12 @@ from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble
 from .fracops import (
     FracLapOperator,
     alpha_resolvent_holder_check,
-    fourier_multiply,
     frac_constant,
     multiplier_lipschitz_check,
     spectral_oracle,
     symbol_multiplier,
 )
-from .grids import Grid, GridField
+from .grids import Grid, GridField, fourier_multiply
 from .macro import MacroConfig, MacroState, macro_init, macro_step, run_macro
 from .micro import (
     MicroConfig,

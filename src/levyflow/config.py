@@ -14,7 +14,6 @@ import sys
 
 from .drivers import CauchyModulatedNoise, GaussianNoise, SwitchingNoise
 from .errors import ConfigInvalid
-from .fracops import _TAIL_CAP_FACTOR
 from .grids import Grid
 from .macro import MacroConfig
 from .micro import MicroConfig
@@ -410,10 +409,10 @@ def fracheck_params_from(sections) -> dict:
              f"{min(r['resolutions'])}, got {r['modes']}")
     _require(r["length"] > 0, "fracheck", "length", f"must be positive, got {r['length']}")
     # NumPy refuses an array of sys.maxsize bytes or more.  The largest
-    # arrays hold, per resolution M and with P exponents and K modes, the P
-    # rows of up to 10 * M tail weights of the kernel build and the K x P
-    # approximations of M points, 8 bytes per value.
-    rows = len(r["exponents"]) * max(len(r["modes"]), _TAIL_CAP_FACTOR)
+    # arrays hold, per resolution M and with P exponents and K modes, the K x
+    # P approximations of M points, 8 bytes per value, and the kernel build's
+    # P complex spectra of M points, 16 bytes per value.
+    rows = len(r["exponents"]) * max(len(r["modes"]), 2)
     _require(all(m <= sys.maxsize // (8 * rows) for m in r["resolutions"]), "fracheck",
              "resolutions", f"at most {sys.maxsize // (8 * rows)} points each fit NumPy's "
              f"array size limit with these exponents and modes, got {r['resolutions']}")

@@ -3,19 +3,22 @@
 A symbol ``psi`` (``symbols.SymbolSpec``) is the operator ``psi(D)``: on a
 periodic grid it multiplies each Fourier mode ``e^{i(xi, x)}`` by
 ``psi(xi)``.  ``symbol_multiplier`` evaluates any symbol on the grid's FFT
-lattice and ``fourier_multiply`` applies such a multiplier to a real field
-or stack of fields; every Fourier multiplier here goes through that pair.
+lattice and ``grids.fourier_multiply`` applies such a multiplier to a real
+field or stack of fields; every Fourier multiplier here goes through that
+pair.
 
 The production operator is the splitting scheme: a singular second-difference
 part with coefficient ``c / ((2 - p) h^p)`` plus a quadrature of the integral
 tail, wrapped periodically (Huang & Oberman, SIAM J. Numer. Anal. 52, 2014).
-The wrapped kernel is circulant, so the operator is applied and inverted as a
-Fourier multiplier made of the kernel's own eigenvalues.  Everything it
-produces approximates the *generator* ``-(-Laplace)^{p/2}`` (negative
-semidefinite); the spectral oracle applies the exact multiplier ``-psi`` of
-the stable symbol ``psi(xi) = |xi|^p`` and serves as ground truth in the
-acceptance comparisons.  The multiplier bound checks evaluate their symbol
-families through the same ``SymbolSpec`` classes.
+The wrapped tail is summed exactly, in closed form through the Hurwitz zeta,
+so the operator has no truncation radius.  Its kernel is circulant, so the
+operator is applied and inverted as a Fourier multiplier made of the kernel's
+own eigenvalues.  Everything it produces approximates the *generator*
+``-(-Laplace)^{p/2}`` (negative semidefinite); the spectral oracle applies
+the exact multiplier ``-psi`` of the stable symbol ``psi(xi) = |xi|^p`` and
+serves as ground truth in the acceptance comparisons.  The multiplier bound
+checks evaluate their symbol families through the same ``SymbolSpec``
+classes.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BetaOutOfRange, EmptyGrid, ExponentOutOfRange
-from .grids import Grid, GridField, laplacian5, require_same_grid
+from .grids import Grid, GridField, fourier_multiply, laplacian5, require_same_grid
 from .symbols import (ShiftedSymbol, StableSymbol, SymbolSpec, TripleSymbol, _as_points,
                       driven_symbol)
 
-_TAIL_REMAINDER = 1e-6
-_TAIL_CAP_FACTOR = 10
+# Euler-Maclaurin for the Hurwitz zeta: this many leading terms summed
+# directly, then the corrections with the Bernoulli numbers B_2 .. B_16
+_ZETA_HEAD = 4
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
 def frac_constant(d: int, p: float) -> float:
@@ -51,127 +56,104 @@ def frac_constant(d: int, p: float) -> float:
     )
 
 
-def default_tail_nodes(p: float, h: float, axis_points: int) -> int:
-    """Tail node count: truncate once the omitted remainder is below
-    ``1e-6 * ||f||_inf``, capped at 10 * M nodes.  A count past every float
-    (a tiny ``p`` or ``h``) is past the cap too."""
-    cap = _TAIL_CAP_FACTOR * axis_points
-    try:
-        nodes = math.ceil((2.0 / (_TAIL_REMAINDER * p)) ** (1.0 / p) / h)
-    except (OverflowError, ZeroDivisionError):
-        return cap
-    return min(max(nodes, 2), cap)
+def _expm1_ratio(s: np.ndarray, logs) -> np.ndarray:
+    """``(x^-s - 1) / s`` from ``logs = log x``, elementwise, with its limit
+    ``-log x`` at s = 0 and no loss of digits near it."""
+    z = -s * logs
+    out = np.negative(np.broadcast_to(logs, z.shape))
+    return np.divide(np.expm1(z), s, out=out, where=s != 0.0)
 
 
 @lru_cache(maxsize=32)
-def _tail_nodes(n_tail: int, h: float) -> np.ndarray:
-    """The tail quadrature nodes ``i * h`` for i = 1..n_tail, read-only;
-    cached because every macro step rebuilds its operator on the same ones."""
-    y = np.arange(1, n_tail + 1) * h
-    y.flags.writeable = False
-    return y
+def _zeta_nodes(axis_points: int):
+    """(x, logs, powers) for the tail classes of an M-point axis, read-only:
+    ``logs[k] = log(k + a)`` for k = 0.._ZETA_HEAD at the arguments ``a =
+    q / M``, q = 1..M+2, ``x = _ZETA_HEAD + a``, and ``powers[j] = x^(-2j)``
+    for the Euler-Maclaurin corrections.  Cached because every macro step
+    rebuilds its operator on the same ones."""
+    a = np.arange(1, axis_points + 3) / axis_points
+    x = np.arange(_ZETA_HEAD + 1)[:, None] + a
+    logs = np.log(x)
+    powers = x[-1] ** -(2.0 * np.arange(len(_BERNOULLI)))[:, None]
+    for array in (x, logs, powers):
+        array.flags.writeable = False
+    return x[-1], logs, powers
 
 
-@lru_cache(maxsize=32)
-def _fold_bins(axis_points: int, cutoff_steps: int) -> np.ndarray:
-    """The offsets ``i * cutoff_steps % M`` of the tail nodes i = 1..period,
-    read-only, where ``period = M / gcd(cutoff_steps, M)``: node i + period
-    lands where node i does, and node period on the centre."""
-    period = axis_points // math.gcd(cutoff_steps, axis_points)
-    bins = np.arange(1, period + 1) * cutoff_steps % axis_points
-    bins.flags.writeable = False
-    return bins
+def _bernoulli_terms(p: float) -> list:
+    """The Euler-Maclaurin coefficients ``B_2j / (2j)! (s+1)..(s+2j-2)`` of
+    ``zeta(s, a) / s``, s = p - 1, for j = 1..8."""
+    s, rising, terms = p - 1.0, 1.0, []
+    for j, b in enumerate(_BERNOULLI, start=1):
+        terms.append(b / math.factorial(2 * j) * rising)
+        rising *= (s + (2 * j - 1)) * (s + 2 * j)
+    return terms
 
 
-def _axis_kernels(axis_points: int, spacing: float, exponents: list, cutoff_steps: int,
-                  n_tails: list):
+def _axis_kernels(axis_points: int, spacing: float, exponents: list) -> np.ndarray:
     """Periodic difference kernels of the 1D operator along one axis, one
-    row per exponent ``exponents[r]`` with ``n_tails[r]`` tail nodes.
+    row per exponent: a ``(P, M)`` stack with ``kernels[:, 0] = 0`` such
+    that row r is the operator
 
-    Returns (kernels, fars), ``kernels`` a ``(P, M)`` stack with
-    ``kernels[:, 0] = 0``, such that row r is the operator
-
-        (A f)[k] = sum_o kernels[r, o] * (f[(k + o) % M] - f[k])
-                   + fars[r] * (mean(f) - f[k]).
+        (A f)[k] = sum_o kernels[r, o] * (f[(k + o) % M] - f[k]).
 
     The singular part is the second difference at +-h scaled by ``c /
-    ((2-p) h^p)``.  The tail uses product-trapezoid weights: the increment
-    is interpolated linearly between nodes i*h and integrated against
-    y^(-1-p) exactly, so the quadrature stays accurate near the singular
-    cutoff.  Offsets wrap, which realises the integral tail on the torus;
-    ``far`` closes the truncated remainder beyond n_tail*h against the
-    field mean.
+    ((2-p) h^p)``.  The tail uses product-trapezoid weights on the nodes
+    i h, i >= 1: the increment is interpolated linearly between nodes and
+    integrated against ``c y^(-1-p)`` exactly, so the quadrature stays
+    accurate near the singular cutoff.  With ``Phi(y) = y^(1-p) / (p
+    (p-1))``, whose second derivative is y^(-1-p), node i >= 2 weighs ``c
+    h^-p (Phi(i+1) - 2 Phi(i) + Phi(i-1))``, and node 1, which keeps only
+    its right half-segment, ``c h^-p (Phi(2) - Phi(1) - Phi'(1))``.
 
-    Each row is bitwise the scalar build that adds the singular weights,
-    then every node's weight at its offset and then at its mirror offset,
-    in node order.  So each power takes one scalar exponent (NumPy may take
-    fast paths, such as sqrt for 0.5, that an array of exponents does not),
-    the constants are Python floats, and the fold adds one period of nodes
-    at a time, in node order; a shorter tail is padded with zero weights,
-    which add nothing.  The per-exponent temporaries are one tail long,
-    freed or reused in place as soon as possible: at 10 * M nodes, fresh
-    pages cost more than the arithmetic.
+    Node i lands on offset i mod M and its mirror on -i mod M, which
+    realises the integral tail on the torus.  Every node is summed: the
+    nodes jM + r, j >= 0, of each class r = 2..M+1 add up in closed form,
+    ``sum_j Phi(jM + r) = M^(1-p) zeta(p-1, r/M) / (p (p-1))`` with the
+    Hurwitz zeta, here by Euler-Maclaurin.  Only second differences in r/M
+    enter, on equally spaced arguments, so the parts of zeta constant or
+    linear in its argument are dropped; written with ``_expm1_ratio``, the
+    rest is one formula for every p, p = 1 (where Phi = -log y) included.
+    All of it is scaled by p, and ``c / p`` stays finite as p -> 0.
+
+    Each step acts on each row on its own (the sums run over the head
+    terms and the corrections, not over the stack), and the per-exponent
+    constants are Python floats, so each row is bitwise the single-exponent
+    build.
     """
     m = axis_points
-    h = cutoff_steps * spacing
-    n_max = max(n_tails)
-    y = _tail_nodes(n_max, h)
-    bins = _fold_bins(m, cutoff_steps)
-    period = len(bins)
-    blocks = -(-n_max // period)
-    weights = np.zeros((len(exponents), blocks, period))
-    sing, fars = [], []
-    for row, p, n in zip(weights.reshape(len(exponents), -1), exponents, n_tails):
-        a, b = y[: n - 1], y[1:n]
-        powers = y[:n] ** -p
-        mom0 = powers[:-1] - powers[1:]
-        mom0 /= p
-        if abs(p - 1.0) < 1e-12:
-            mom1 = np.log(b / a)
-        else:
-            powers = y[:n] ** (1.0 - p)
-            mom1 = powers[:-1] - powers[1:]
-            mom1 /= p - 1.0
-        del powers
-        part = b * mom0
-        part -= mom1
-        part /= h
-        row[: n - 1] += part
-        np.multiply(a, mom0, out=part)
-        np.subtract(mom1, part, out=part)
-        part /= h
-        row[1:n] += part
-        c1 = frac_constant(1, p)
-        row[:n] *= c1
-        sing.append(c1 / ((2.0 - p) * h**p))
-        fars.append(2.0 * c1 * (n * h) ** (-p) / p)
-    # 2 * cutoff_steps < M makes period >= 3, so the two singular columns differ
-    folded = np.zeros((len(exponents), period))
-    folded[:, 0] = sing  # offset +cutoff_steps, node 1's
-    folded[:, -2] = sing  # offset -cutoff_steps, node period - 1's
-    for k in range(blocks):
-        folded += weights[:, k]
-    # the mirror of node i lands on node -i's offset: within a period,
-    # positions period-2..0 on columns 0..period-2 (position period-1 is
-    # the centre's, which keeps no weight)
-    for k in range(blocks):
-        folded[:, :-1] += weights[:, k, -2::-1]
-    kernels = np.zeros((len(exponents), m))
-    kernels[:, bins] = folded
-    kernels[:, 0] = 0.0  # offsets that wrap onto the center contribute nothing
-    return kernels, np.array(fars)
+    p = np.array(exponents, dtype=float)[:, None]
+    s = p - 1.0
+    x, logs, powers = _zeta_nodes(m)
+    # p zeta(s, a) / (s p), less its parts constant and linear in a
+    e = _expm1_ratio(s[:, :, None], logs)
+    zeta = e[:, :-1].sum(axis=1)
+    zeta += (x / (s - 1.0) + 0.5) * e[:, -1]
+    terms = np.array([_bernoulli_terms(q) for q in exponents])[:, :, None]
+    zeta += np.exp(-p * logs[-1]) * (terms * powers).sum(axis=1)
+    # the second difference of class r = 2..M+1 lands on offset r mod M
+    kernels = np.empty((len(exponents), m))
+    kernels[:, 2:] = zeta[:, 2:m] - 2.0 * zeta[:, 1 : m - 1] + zeta[:, : m - 2]
+    kernels[:, :2] = zeta[:, m:] - 2.0 * zeta[:, m - 1 : -1] + zeta[:, m - 2 : -2]
+    kernels *= np.array([m ** (1.0 - q) for q in exponents])[:, None]
+    # node 1's half-segment and the singular part, both at offset 1
+    kernels[:, 1] += (1.0 + _expm1_ratio(s, math.log(2.0)) + p / (2.0 - p))[:, 0]
+    kernels *= np.array([frac_constant(1, q) / q * spacing**-q for q in exponents])[:, None]
+    # add each offset's mirror; offsets that wrap onto the centre contribute nothing
+    kernels[:, 1:] = kernels[:, 1:] + kernels[:, :0:-1]
+    kernels[:, 0] = 0.0
+    return kernels
 
 
-def _axis_symbols(kernels: np.ndarray, fars: np.ndarray) -> np.ndarray:
+def _axis_symbols(kernels: np.ndarray) -> np.ndarray:
     """Eigenvalues of circulant 1D operators on the FFT modes 0..M-1, one
     row per kernel of the ``(P, M)`` stack ``kernels``.
 
     Each kernel is symmetric, so its DFT is real: mode k has eigenvalue
-    ``Re FFT(kernel)_k - sum(kernel) - far * [k != 0]`` (the mean of a
-    nonzero mode vanishes).  The FFT and the sum act on each row on its
-    own, so a row's bits do not depend on the stack.
+    ``Re FFT(kernel)_k - sum(kernel)``.  The FFT and the sum act on each
+    row on its own, so a row's bits do not depend on the stack.
     """
-    lam = np.fft.fft(kernels, axis=-1).real - kernels.sum(axis=-1, keepdims=True) - fars[:, None]
+    lam = np.fft.fft(kernels, axis=-1).real - kernels.sum(axis=-1, keepdims=True)
     lam[:, 0] = 0.0
     return lam
 
@@ -205,25 +187,6 @@ def symbol_multiplier(grid: Grid, spec: SymbolSpec) -> np.ndarray:
     return spec.evaluate_many(points).reshape(shape)
 
 
-def fourier_multiply(grid: Grid, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """``multiplier(D) values`` for a real field or stack of fields whose
-    trailing axes are ``grid``, with ``multiplier`` on the half FFT lattice
-    of ``symbol_multiplier``; a leading multiplier axis broadcasts against
-    the stack's axes before the grid axes.
-
-    The transforms go one axis at a time, in the order of ``rfftn`` and
-    ``irfftn`` (so with the same bits) but without their argument handling.
-    """
-    leading = range(-grid.ndim, -1)
-    spectrum = np.fft.rfft(values, axis=-1)
-    for axis in reversed(leading):
-        spectrum = np.fft.fft(spectrum, axis=axis)
-    spectrum = multiplier * spectrum
-    for axis in leading:
-        spectrum = np.fft.ifft(spectrum, axis=axis)
-    return np.fft.irfft(spectrum, n=grid.shape[-1], axis=-1)
-
-
 @dataclass
 class FracLapOperator:
     """``-(-Laplace)^{p/2}`` on a periodic grid, diagonal in Fourier space.
@@ -231,9 +194,12 @@ class FracLapOperator:
     In 2D the operator is the sum of the two per-axis 1D operators
     (dimension splitting); the isotropic 2D integral is intentionally not
     used, matching the per-axis update scheme of the macro solver.  Each
-    per-axis kernel is circulant, so the build stores the operator's real
-    eigenvalues on the half FFT lattice of ``symbol_multiplier``: applying
-    it and solving ``(I - shift A) x = b`` are each one ``fourier_multiply``.
+    per-axis kernel splits at one grid step and sums its tail over every
+    period of the torus in closed form, so the operator depends on nothing
+    but the grid and the exponent.  The kernel is circulant, so the build
+    stores the operator's real eigenvalues on the half FFT lattice of
+    ``symbol_multiplier``: applying it and solving ``(I - shift A) x = b``
+    are each one ``fourier_multiply``.
 
     ``exponent`` may also be a 1-D array, one exponent per sample of a
     stack: the eigenvalues then carry a leading sample axis and act on
@@ -246,18 +212,14 @@ class FracLapOperator:
 
     grid: Grid
     exponent: float
-    cutoff_steps: int = 1
-    n_tail: int | None = None
     _symbol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         exponents = np.asarray(self.exponent, dtype=float)
         if not all(0.0 < p < 2.0 for p in exponents.ravel().tolist()):
             raise ExponentOutOfRange(f"exponent must lie in (0,2), got {self.exponent}")
-        if self.cutoff_steps < 1:
-            raise ExponentOutOfRange("cutoff must be at least one grid step")
-        if any(2 * self.cutoff_steps >= m for m in self.grid.shape):
-            raise ExponentOutOfRange("cutoff radius too large for the grid")
+        if any(m < 3 for m in self.grid.shape):
+            raise ExponentOutOfRange("the operator needs at least 3 points per axis")
         symbols = self._eigenvalues(exponents.ravel().tolist())
         self._symbol = symbols.reshape(exponents.shape + symbols.shape[1:])
 
@@ -272,10 +234,7 @@ class FracLapOperator:
             m = self.grid.shape[axis]
             d = self.grid.spacings[axis]
             if (m, d) not in axis_symbols:
-                h = self.cutoff_steps * d
-                n_tails = [self.n_tail or default_tail_nodes(p, h, m) for p in exponents]
-                kernels, fars = _axis_kernels(m, d, exponents, self.cutoff_steps, n_tails)
-                axis_symbols[m, d] = _axis_symbols(kernels, fars)
+                axis_symbols[m, d] = _axis_symbols(_axis_kernels(m, d, exponents))
             lam = axis_symbols[m, d]
             if axis == ndim - 1:  # the half lattice keeps the last axis' nonnegative modes
                 lam = lam[:, : m // 2 + 1]

@@ -215,6 +215,25 @@ def wrapped_gaussian_bump(grid: Grid, amp, sigma) -> np.ndarray:
     return amp * out
 
 
+def fourier_multiply(grid: Grid, values: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """``multiplier(D) values`` for a real field or stack of fields whose
+    trailing axes are ``grid``, with ``multiplier`` on the half FFT lattice
+    (the shape of ``np.fft.rfftn`` of a field on ``grid``); a leading
+    multiplier axis broadcasts against the stack's axes before the grid axes.
+
+    The transforms go one axis at a time, in the order of ``rfftn`` and
+    ``irfftn`` (so with the same bits) but without their argument handling.
+    """
+    leading = range(-grid.ndim, -1)
+    spectrum = np.fft.rfft(values, axis=-1)
+    for axis in reversed(leading):
+        spectrum = np.fft.fft(spectrum, axis=axis)
+    spectrum = multiplier * spectrum
+    for axis in leading:
+        spectrum = np.fft.ifft(spectrum, axis=axis)
+    return np.fft.irfft(spectrum, n=grid.shape[-1], axis=-1)
+
+
 def periodic_gaussian_blur(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
     """Convolve with a periodized Gaussian normalized to unit mass."""
     if sigma <= 0:
@@ -230,4 +249,4 @@ def periodic_gaussian_blur(values: np.ndarray, grid: Grid, sigma: float) -> np.n
     else:
         kern = np.outer(axes_kernels[0], axes_kernels[1])
     kern /= kern.sum()
-    return np.fft.ifftn(np.fft.fftn(values) * np.fft.fftn(kern)).real
+    return fourier_multiply(grid, values, np.fft.rfftn(kern))

@@ -15,15 +15,17 @@ from levyflow.cli import main
 from levyflow.formats import read_grid_binary, render_pgm, write_grid_binary
 from levyflow.grids import Grid, GridField
 
+BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
 GOLDEN_PGM_SHA256 = "0bc218a1ec0af04d428d1ed8b7a0f42d96e2e4ebe728c583e7a1362db49baecf"
 
 # fracheck.csv on the default ladder and on the 96...1536 benchmark ladder
 GOLDEN_FRACHECK_SHA256 = {
-    "default": (None, "a245fe9f7d620df2f63a6753d9bcccf86c8cea9f57a60da9ebf24f8b062deeb4"),
+    "default": (None, "4aab782211af0cbf7fb016b1ce1643271fdac7b971805c4d9643b3b9fc77ecd9"),
     "bench_ladder": (
         "[fracheck]\nresolutions = 96, 192, 384, 768, 1536\n"
         "exponents = 0.5, 1.0, 1.5\nmodes = 1, 2, 3\n",
-        "98fb155b47cc8ab38578b18d7ce6839b8dd9d11fb10ef84fb6256153f3ad3e19",
+        "59c5a5e44abf9c74c62d28e352d99a751a7c0044a7df8dc70a1454cef88cb92b",
     ),
 }
 
@@ -75,6 +77,28 @@ def test_fracheck_csv_golden_digest(tmp_path, ladder):
     assert _run(*argv) == 0
     digest = hashlib.sha256((tmp_path / "o" / "fracheck.csv").read_bytes()).hexdigest()
     assert digest == golden
+    if ladder == "bench_ladder":
+        # the benchmark's correctness gate: no case's error above the recorded one
+        recorded = json.loads(BENCH_REFERENCE.read_text())["fracheck"]["rel_error"]
+        rows = _read_csv(tmp_path / "o" / "fracheck.csv")[1:]
+        errors = {f"{float(p)}/{int(k)}/{int(m)}": float(e) for p, k, m, e in rows}
+        assert set(errors) == set(recorded)
+        for case, err in errors.items():
+            assert err <= recorded[case] * (1.0 + 1e-6) + 1e-12, case
+
+
+def test_fracheck_error_does_not_depend_on_the_length(tmp_path):
+    # the operator scales exactly like the symbol, h^-p against (2 pi / L)^p,
+    # so every relative error is the same on a long domain
+    errors = []
+    for length in ("1.0", "1e6"):
+        cfgfile = tmp_path / f"{length}.cfg"
+        cfgfile.write_text(f"[fracheck]\nresolutions = 96, 192, 384\nexponents = 1.5\n"
+                           f"modes = 1\nlength = {length}\n")
+        out = tmp_path / length
+        assert _run("--config", str(cfgfile), "--out", str(out), "fracheck") == 0
+        errors.append(np.array([float(r[3]) for r in _read_csv(out / "fracheck.csv")[1:]]))
+    assert np.allclose(errors[1], errors[0], rtol=1e-9, atol=0.0)
 
 
 def test_fracheck_rising_errors_exit_4(tmp_path, capsys):
@@ -227,7 +251,8 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
 
 
 def test_fracheck_tiny_exponent_runs_to_a_verdict(tmp_path, capsys):
-    # the tail of p = 1e-300 outgrows every float, so it takes the 10 * M cap
+    # at p = 1e-300 operator and oracle both take every nonzero mode to -1 (to
+    # within rounding), so the errors are rounding noise and need not fall
     cfgfile = tmp_path / "tiny.cfg"
     cfgfile.write_text("[fracheck]\nexponents = 1e-300\n")
     out = tmp_path / "o"

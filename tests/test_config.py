@@ -175,7 +175,7 @@ def test_fracheck_limits_accept_their_edge_values():
     fracheck_params_from({"fracheck": {"exponents": sys.float_info.min}})
     with pytest.raises(ConfigInvalid, match="\\[fracheck\\] exponents:"):
         fracheck_params_from({"fracheck": {"exponents": sys.float_info.min / 2}})
-    cap = sys.maxsize // (8 * 3 * 10)  # 3 exponents, and 10 tail rows outnumber 3 modes
+    cap = sys.maxsize // (8 * 3 * 3)  # 3 exponents and 3 modes
     fracheck_params_from({"fracheck": {"resolutions": (96, cap)}})
     with pytest.raises(ConfigInvalid, match="\\[fracheck\\] resolutions:"):
         fracheck_params_from({"fracheck": {"resolutions": (96, cap + 1)}})

@@ -13,16 +13,15 @@ from levyflow.errors import (
 from levyflow.fracops import (
     FracLapOperator,
     _axis_kernels,
+    _axis_symbols,
     alpha_resolvent_holder_check,
-    default_tail_nodes,
-    fourier_multiply,
     frac_constant,
     multiplier_lipschitz_check,
     spectral_oracle,
     standard_laplacian,
     symbol_multiplier,
 )
-from levyflow.grids import Grid, GridField
+from levyflow.grids import Grid, GridField, fourier_multiply
 from levyflow.linsolve import bicgstab
 from levyflow.symbols import StableSymbol, TripleSymbol, driven_symbol
 
@@ -161,18 +160,20 @@ def test_oracle_trivials():
         assert lam == pytest.approx(-((2 * math.pi * k) ** 2), rel=1e-10)
 
 
-def _axis_kernel(axis_points, spacing, p, cutoff_steps, n_tail):
-    """Bitwise reference for one row of ``fracops._axis_kernels``: the
-    scalar build of one exponent's (kernel, far), which adds the singular
-    weights and then each tail weight at its wrapped offset and at the
-    mirror offset with ``np.add.at``, in node order."""
+def _axis_kernel(axis_points, spacing, p, n_tail):
+    """Reference for one row of ``fracops._axis_kernels``: the scalar build
+    of one exponent's (kernel, far) with a tail truncated after ``n_tail``
+    nodes.  It adds the singular weights and then each product-trapezoid
+    tail weight at its wrapped offset and at the mirror offset with
+    ``np.add.at``, in node order; ``far`` closes the remainder beyond
+    ``n_tail * h`` against the field mean."""
     m = axis_points
-    h = cutoff_steps * spacing
+    h = spacing
     c1 = frac_constant(1, p)
     kernel = np.zeros(m)
     sing = c1 / ((2.0 - p) * h**p)
-    kernel[cutoff_steps % m] += sing
-    kernel[(-cutoff_steps) % m] += sing
+    kernel[1] += sing
+    kernel[-1] += sing
     i = np.arange(1, n_tail + 1)
     y = i * h
     a, b = y[:-1], y[1:]
@@ -187,71 +188,75 @@ def _axis_kernel(axis_points, spacing, p, cutoff_steps, n_tail):
     w[:-1] += (b * mom0 - mom1) / h
     w[1:] += (mom1 - a * mom0) / h
     w *= c1
-    np.add.at(kernel, (i * cutoff_steps) % m, w)
-    np.add.at(kernel, (-i * cutoff_steps) % m, w)
+    np.add.at(kernel, i % m, w)
+    np.add.at(kernel, -i % m, w)
     far = 2.0 * c1 * (n_tail * h) ** (-p) / p
     kernel[0] = 0.0
     return kernel, far
 
 
-def test_default_tail_nodes_past_every_float_take_the_cap():
-    assert default_tail_nodes(1e-300, 0.01, 96) == 960  # the node count overflows
-    assert default_tail_nodes(1.5, 1e-320, 96) == 960  # count / h overflows
-    assert default_tail_nodes(1.9, 1e6, 96) == 2
+# p = 1.0 is the limit of the closed-form tail's 1 / (p - 1)
+KERNEL_EXPONENTS = (0.5, 1.0, 1.5, 1.2345, 1.8, 1.7, 1.9)
 
 
-# p = 0.5 and 1.0 hit NumPy's sqrt (y^(1-p)) and reciprocal (y^-p) power fast
-# paths; p = 1.0 takes the log moment
-STACK_EXPONENTS = (0.5, 1.0, 1.5, 1.2345, 1.8, 1.7, 1.9)
+@pytest.mark.parametrize("m", [21, 96, 1536])
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.2345, 1.5, 1.8, 1.9999])
+def test_exact_symbols_match_long_tail_reference(m, p):
+    # the reference sums 4000 periods of the tail (400 at M = 1536) and
+    # closes the rest with far; the exact sum has no truncation at all
+    kernel, far = _axis_kernel(m, 1.0 / m, p, (400 if m == 1536 else 4000) * m)
+    ref = np.fft.fft(kernel).real - kernel.sum() - far
+    ref[0] = 0.0
+    lam = _axis_symbols(_axis_kernels(m, 1.0 / m, [p]))[0]
+    assert np.max(np.abs(lam - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("grid, cutoff, tails", [
-    (GRID_1D, 1, None),
-    (Grid((1.0,), (96,)), 2, None),  # gcd(2, 96) = 2: offsets land on every other node
-    (Grid((1.0,), (45,)), 2, None),  # odd M, gcd 1: offsets 2i visit every node
-    (Grid((1000.0,), (96,)), 2, None),  # tails of 960 nodes (the cap) and 110 (part of a period)
-    (Grid((1000.0,), (64,)), 1, None),  # tails of 640, 147, 239 and 95 nodes side by side
-    (Grid((1.0,), (48,)), 1, (5, 17, 40, 1, 5, 17, 40)),  # explicit tails, none a whole period
-    (GRID_2D, 1, None),  # anisotropic: each axis its own points and spacing
-], ids=["1d", "gcd2", "odd-cutoff2", "cap-and-partial", "mixed-tails", "explicit-tails", "aniso"])
-def test_stacked_kernels_match_scalar_reference_bitwise(grid, cutoff, tails):
+@pytest.mark.parametrize("m", [21, 96, 1536])
+def test_symbols_continuous_at_p_equal_one(m):
+    # p = 1 is the log limit of the tail's 1 / (p - 1): no branch, no lost digits
+    exact = _axis_symbols(_axis_kernels(m, 1.0 / m, [1.0]))[0]
+    near = _axis_symbols(_axis_kernels(m, 1.0 / m, [1.0 - 1e-9, 1.0 + 1e-9]))
+    assert np.max(np.abs(near - exact)) <= 1e-7 * np.max(np.abs(exact))
+
+
+# besides the unit grids: the long domains 1000 / 96 and 1000 / 64, where
+# h^-p is small, and a short grid of 48 points
+@pytest.mark.parametrize("grid", [
+    GRID_1D,
+    Grid((1000.0,), (96,)),
+    Grid((1000.0,), (64,)),
+    Grid((1.0,), (48,)),
+    GRID_2D,  # anisotropic: each axis its own points and spacing
+], ids=["1d", "cap-and-partial", "mixed-tails", "explicit-tails", "aniso"])
+def test_stacked_kernels_match_scalar_reference_bitwise(grid):
     for m, d in zip(grid.shape, grid.spacings):
-        h = cutoff * d
-        n_tails = list(tails or (default_tail_nodes(p, h, m) for p in STACK_EXPONENTS))
-        kernels, fars = _axis_kernels(m, d, list(STACK_EXPONENTS), cutoff, n_tails)
-        for row, (p, n) in enumerate(zip(STACK_EXPONENTS, n_tails)):
-            kernel, far = _axis_kernel(m, d, p, cutoff, n)
-            assert np.array_equal(kernels[row], kernel), (m, p, n)
-            assert fars[row] == far
+        kernels = _axis_kernels(m, d, list(KERNEL_EXPONENTS))
+        for row, p in enumerate(KERNEL_EXPONENTS):
+            assert np.array_equal(kernels[row], _axis_kernels(m, d, [p])[0]), (m, p)
 
 
 def _roll_apply(op, values):
     """Reference apply: the per-axis kernel summed tap by tap with np.roll."""
     out = np.zeros_like(values)
     for axis in range(op.grid.ndim):
-        m = op.grid.shape[axis]
-        d = op.grid.spacings[axis]
-        n_tail = op.n_tail or default_tail_nodes(op.exponent, op.cutoff_steps * d, m)
-        kernel, far = _axis_kernel(m, d, op.exponent, op.cutoff_steps, n_tail)
-        acc = far * (values.mean(axis=axis, keepdims=True) - values)
+        kernel = _axis_kernels(op.grid.shape[axis], op.grid.spacings[axis], [op.exponent])[0]
         for off in np.nonzero(kernel)[0]:
-            acc += kernel[off] * (np.roll(values, -int(off), axis=axis) - values)
-        out += acc
+            out += kernel[off] * (np.roll(values, -int(off), axis=axis) - values)
     return out
 
 
 SPECTRAL_CASES = [
-    (GRID_1D, 1),
-    (Grid((1.0,), (45,)), 2),
-    (Grid((2.1, 2.1), (21, 21)), 1),
-    (GRID_2D, 1),  # anisotropic: unequal lengths, counts and spacings
+    GRID_1D,
+    Grid((1.0,), (45,)),
+    Grid((2.1, 2.1), (21, 21)),
+    GRID_2D,  # anisotropic: unequal lengths, counts and spacings
 ]
 
 
-@pytest.mark.parametrize("grid, cutoff", SPECTRAL_CASES, ids=["1d", "1d-odd", "2d", "2d-aniso"])
+@pytest.mark.parametrize("grid", SPECTRAL_CASES, ids=["1d", "1d-odd", "2d", "2d-aniso"])
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 1.8])
-def test_spectral_apply_matches_tap_sum(grid, cutoff, p):
-    op = FracLapOperator(grid, p, cutoff_steps=cutoff)
+def test_spectral_apply_matches_tap_sum(grid, p):
+    op = FracLapOperator(grid, p)
     rng = np.random.Generator(np.random.Philox(key=[11, 0]))
     values = rng.standard_normal(grid.shape)
     ref = _roll_apply(op, values)
@@ -403,19 +408,7 @@ def test_frac_operator_validation():
     with pytest.raises(ExponentOutOfRange):
         FracLapOperator(GRID_1D, 2.0)
     with pytest.raises(ExponentOutOfRange):
-        FracLapOperator(GRID_1D, 1.0, cutoff_steps=0)
-    with pytest.raises(ExponentOutOfRange):
-        FracLapOperator(Grid((1.0,), (8,)), 1.0, cutoff_steps=4)
-
-
-def test_wider_cutoff_still_consistent():
-    grid = Grid((1.0,), (256,))
-    x = grid.axis_coords(0)
-    f = GridField(grid, np.cos(2 * np.pi * x))
-    approx = FracLapOperator(grid, 1.2, cutoff_steps=2).apply(f)
-    oracle = spectral_oracle(grid, 1.2, f)
-    err = np.max(np.abs(approx.values - oracle.values)) / np.max(np.abs(oracle.values))
-    assert err <= 0.05
+        FracLapOperator(Grid((1.0,), (2,)), 1.0)  # the +-h neighbours coincide
 
 
 # ---------------------------------------------------------------------------
@@ -549,40 +542,32 @@ def test_2d_axis_plane_wave_matches_oracle_to_one_percent():
     assert err <= 0.01
 
 
-# SHA-256 of FracLapOperator._symbol's bytes, recorded with one scalar
-# kernel, FFT and sum per exponent; a faster build must keep every bit.
-# Each case is (grid, exponents, FracLapOperator keyword options).
+# SHA-256 of FracLapOperator._symbol's bytes; a faster build must keep
+# every bit.  Each case is (grid, exponents).
 GOLDEN_SYMBOL_CASES = {
     # the 21x21 macro grid, exponents p = 2 alpha inside the alpha window
-    "macro-21x21": (Grid((2.1, 2.1), (21, 21)), (1.2345, 1.3, 1.5, 1.75), {}),
-    "aniso-48x36": (GRID_2D, (0.5, 1.0, 1.5, 1.23), {}),
-    # the fracheck benchmark ladder; p = 1.0 takes the log-moment branch
-    **{f"ladder-{m}": (Grid((1.0,), (m,)), (0.5, 1.0, 1.5), {}) for m in (96, 192, 384, 768, 1536)},
-    # tail node counts 640, 239 and 95: only p = 1.0 reaches the 10 * M cap
-    "mixed-tails": (Grid((1000.0,), (64,)), (1.0, 1.7, 1.9), {}),
-    # offsets 2i wrap onto every other node (gcd 2); tails of 960 nodes
-    # (the cap) and 110 nodes (not a whole number of 48-node periods)
-    "cutoff2-96": (Grid((1000.0,), (96,)), (0.5, 1.0, 1.2345, 1.8), {"cutoff_steps": 2}),
-    # an explicit tail shorter than one period of the grid
-    "short-tail-64": (Grid((1.0,), (64,)), (0.5, 1.0, 1.5), {"n_tail": 40}),
+    "macro-21x21": (Grid((2.1, 2.1), (21, 21)), (1.2345, 1.3, 1.5, 1.75)),
+    "aniso-48x36": (GRID_2D, (0.5, 1.0, 1.5, 1.23)),
+    # the fracheck benchmark ladder; p = 1.0 is the tail's log limit
+    **{f"ladder-{m}": (Grid((1.0,), (m,)), (0.5, 1.0, 1.5)) for m in (96, 192, 384, 768, 1536)},
+    # a long domain, where h^-p is small
+    "mixed-tails": (Grid((1000.0,), (64,)), (1.0, 1.7, 1.9)),
 }
 GOLDEN_SYMBOL_SHA256 = {
-    "macro-21x21": "65e90f8daddb81ea50c054163781090c131a38849a6b65eff2d1b85b45f4337f",
-    "aniso-48x36": "4e145450a7c31b17d0d8c1a4eaabfb9bc21bab873d7b55d685a07f2f7df824c9",
-    "ladder-96": "98f4ba1e564315d484977cfe4b69861300ce51761438b9818548243a066bb382",
-    "ladder-192": "d312abc78e8fcddf4e226dabd77326ecdf1f5a729aca3310f155754b5bdf8643",
-    "ladder-384": "aed1cb6c5a0ea1ac37ef20bdaa958ccc4d041d935dfa602ba1e914d324d10a9f",
-    "ladder-768": "4779ddf6912b468005edff6d91eaf4b0c28b4cf1fb9d5a11d1a74f99d7b4593f",
-    "ladder-1536": "5a629c675dc5867151073d52e2d10c91472ae936560ebdeb2d014100b0b68879",
-    "mixed-tails": "202b7b3a1d3541a835d1e219d361436eec478a222288e5a492b20cb6902cc66f",
-    "cutoff2-96": "fee759aa6a9db5c0f345e859d500bb1bde7d9194798d6c9366e0075ec20e8b02",
-    "short-tail-64": "c8a6e2946b2b6e51e26f64922ae6c12200541daf32d77c2f013ad342b9f98aa3",
+    "macro-21x21": "4a80c6cf3a3f525f148c44024ecf330500bb19a7c9265d5c2f9dccb1dae95516",
+    "aniso-48x36": "55d23e4986786a459dc0037b74eaef8d9157534c84b7f94e18b046615aec00f4",
+    "ladder-96": "8fee808f27356c33722b503e2f041f43ec847d5b760831942af6a4c8f97a54d4",
+    "ladder-192": "27787da5cbfe8b36713788e85b1902031cd5e695fce01047f123a1288dc3b491",
+    "ladder-384": "34463224da85b8a2660735dab1f7eb8f0a49f0f5832d408ac4120457fc43ba0f",
+    "ladder-768": "9f6f2667a0d4630ebb8f96c9a23c760f788499f0a3bc7fd080b0f2ff937a28ef",
+    "ladder-1536": "42900586b5ff890e881f24c80a9520355dd1b598326c28febc230709bda1444c",
+    "mixed-tails": "37a0411295ff00f9eee4e70c1e941e46167315d2cc5e1167795747e1cea4a79d",
 }
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_SYMBOL_CASES))
 def test_symbol_golden_digest(case):
-    grid, exponents, options = GOLDEN_SYMBOL_CASES[case]
-    op = FracLapOperator(grid, np.array(exponents), **options)
+    grid, exponents = GOLDEN_SYMBOL_CASES[case]
+    op = FracLapOperator(grid, np.array(exponents))
     assert op._symbol.shape[0] == len(exponents)
     assert hashlib.sha256(op._symbol.tobytes()).hexdigest() == GOLDEN_SYMBOL_SHA256[case]

@@ -21,7 +21,7 @@ from levyflow.macro import (
 )
 
 # bitwise regression anchor for the shipped default configuration
-GOLDEN_FINAL_SHA256 = "591f17570d0ce2249f341ad7711d9f86204b18ad9c0a216d79cae364a763c9f5"
+GOLDEN_FINAL_SHA256 = "bfc889f6c90094ca58f22a2395589dc5806bff90012e0427115239ac3748c993"
 
 
 def _uniform_state(cfg, h=0.5, c=0.5, n=0.8):

@@ -28,9 +28,9 @@ GRID = Grid((1.0, 1.0), (41, 41))
 # positions, velocities, protons, alive, acid, tissue, the alive series as
 # int64 and clamp_events as int64
 GOLDEN_MICRO_SHA256 = {
-    "gaussian": "357228f345cf1ed03c4b358cd7b213ed2bef3b37545454a74fd0b965b34bd4c0",
-    "switching": "241a5d350c52b51743310871984c91221732a84508ce189ca00059f4b339815d",
-    "cauchy_modulated": "876871c580764f3634a6ea94b56e9d78c2d3e564673e3928c5cc4b218d677324",
+    "gaussian": "93bb5eb277f525fb3c87cba0a93a63947547bf969dd21ba3e7f985715e24eba8",
+    "switching": "7d67722806b52b8948f2500503a3bf3afb4eb45d2beaa276255dbeeab22d2d8c",
+    "cauchy_modulated": "d3a8aadbafd413057a0081fb71ad25e6985e8074dfaf92f4b09ffdfed29066b0",
 }
 
 
