@@ -3,7 +3,7 @@
 From symbols of jump processes and their pseudo-differential operators to
 (a) a particle-level invasion model with switchable noise laws and (b) a
 macroscopic stochastic fractional reaction-diffusion system, with Monte
-Carlo ensembles and verifiable numerical property checks.
+Carlo ensembles.
 """
 
 __version__ = "0.1.0"
@@ -22,9 +22,7 @@ from .drivers import (
 from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble
 from .fracops import (
     FracLapOperator,
-    alpha_resolvent_holder_check,
     frac_constant,
-    multiplier_lipschitz_check,
     spectral_oracle,
     symbol_multiplier,
 )
@@ -41,11 +39,8 @@ from .micro import (
 )
 from .symbols import (
     DiscreteJumpLaw,
-    ScaledSymbol,
-    ShiftedSymbol,
     StableSymbol,
     TripleSymbol,
-    driven_symbol,
     generator_symbol_table,
     growth_bound_constant,
 )

@@ -126,8 +126,6 @@ _MICRO_ALIASES = {
     "h_3": "kill_acid",
     "gamma": "tissue_decay",
 }
-# fields set from code only, never from a config file
-_CODE_ONLY_FIELDS = {"solver_max_iterations"}
 
 
 def _file_defaults(cls, aliases, published) -> dict:
@@ -143,7 +141,7 @@ def _file_defaults(cls, aliases, published) -> dict:
         value = getattr(default, f.name)
         if f.name in published:
             out.update(published[f.name](value))
-        elif f.name not in _CODE_ONLY_FIELDS:
+        else:
             out[names.get(f.name, f.name)] = value
     return out
 
@@ -339,10 +337,8 @@ def micro_config_from(sections) -> tuple:
                  f"float, got {r[key]}")
     scalars = dict(r)
     noise_name = str(scalars.pop("noise"))
-    if noise_name not in _NOISE_LAWS:
-        raise ConfigInvalid(
-            f"unknown noise {noise_name!r}; choose from {sorted(_NOISE_LAWS)}"
-        )
+    _require(noise_name in _NOISE_LAWS, "micro", "noise",
+             f"unknown noise {noise_name!r}; choose from {sorted(_NOISE_LAWS)}")
     n, length = scalars.pop("grid_points"), scalars.pop("domain_length")
     _require(n >= 2, "micro", "grid_points", f"need at least 2 nodes per axis, got {n}")
     _require(n <= _MAX_MICRO_POINTS, "micro", "grid_points",
@@ -360,14 +356,28 @@ def micro_config_from(sections) -> tuple:
 
 
 def ensemble_config_from(sections, base_seed: int, workers: int) -> tuple:
+    """Returns (EnsembleConfig, resolved mapping for the echo).  The sample
+    count, the kind, the export ids and, for a macro ensemble, the snapshot
+    steps against ``[macro] N`` are checked here, before any model section
+    is built."""
     r = resolve_section("ensemble", ENSEMBLE_DEFAULTS, sections)
-    cfg = EnsembleConfig(
-        n_samples=r["M"],
-        base_seed=base_seed,
-        snapshot_steps=_tuple_of(_integral, "ensemble", "snapshot_steps", r["snapshot_steps"]),
-        export_sample_ids=_tuple_of(_integral, "ensemble", "export_samples", r["export_samples"]),
-        workers=workers,
-    )
+    n, kind = r["M"], r["kind"]
+    _require(n >= 1, "ensemble", "M", f"need at least one sample, got {n}")
+    _require(kind in ("macro", "micro"), "ensemble", "kind",
+             f"unknown ensemble kind {kind!r}; choose from ['macro', 'micro']")
+    steps = _tuple_of(_integral, "ensemble", "snapshot_steps", r["snapshot_steps"])
+    if kind == "macro":
+        n_steps = resolve_section("macro", MACRO_DEFAULTS, sections)["N"]
+        bad = sorted({s for s in steps if not 0 <= s <= n_steps})
+        # a negative N is refused with the rest of [macro], naming N
+        _require(n_steps < 0 or not bad, "ensemble", "snapshot_steps",
+                 f"snapshot steps out of range: {bad}")
+    export = _tuple_of(_integral, "ensemble", "export_samples", r["export_samples"])
+    outside = sorted({i for i in export if not 0 <= i < n})
+    _require(not outside, "ensemble", "export_samples",
+             f"export sample ids outside [0, {n}): {outside}")
+    cfg = EnsembleConfig(n_samples=n, base_seed=base_seed, snapshot_steps=steps,
+                         export_sample_ids=export, workers=workers)
     return cfg, r
 
 

@@ -13,10 +13,6 @@ class UnsupportedMeasure(LevyflowError):
     pass
 
 
-class NotRealValued(LevyflowError):
-    pass
-
-
 class EmptyGrid(LevyflowError):
     pass
 
@@ -26,10 +22,6 @@ class ExponentOutOfRange(LevyflowError):
 
 
 class GridMismatch(LevyflowError):
-    pass
-
-
-class BetaOutOfRange(LevyflowError):
     pass
 
 

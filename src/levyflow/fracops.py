@@ -16,9 +16,7 @@ operator is applied and inverted as a Fourier multiplier made of the kernel's
 own eigenvalues.  Everything it produces approximates the *generator*
 ``-(-Laplace)^{p/2}`` (negative semidefinite); the spectral oracle applies
 the exact multiplier ``-psi`` of the stable symbol ``psi(xi) = |xi|^p`` and
-serves as ground truth in the acceptance comparisons.  The multiplier bound
-checks evaluate their symbol families through the same ``SymbolSpec``
-classes.
+serves as ground truth in the acceptance comparisons.
 """
 
 from __future__ import annotations
@@ -29,10 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BetaOutOfRange, EmptyGrid, ExponentOutOfRange
-from .grids import Grid, GridField, fourier_multiply, laplacian5, require_same_grid
-from .symbols import (ShiftedSymbol, StableSymbol, SymbolSpec, TripleSymbol, _as_points,
-                      driven_symbol)
+from .errors import ExponentOutOfRange
+from .grids import Grid, GridField, fourier_multiply, require_same_grid
+from .symbols import StableSymbol, SymbolSpec, TripleSymbol
 
 # Euler-Maclaurin for the Hurwitz zeta: this many leading terms summed
 # directly, then the corrections with the Bernoulli numbers B_2 .. B_16
@@ -295,139 +292,3 @@ def _power_symbol(p: float, d: int) -> SymbolSpec:
     if p == 2.0:
         return TripleSymbol(drift=(0.0,) * d, q_matrix=2.0 * np.eye(d))
     return StableSymbol(p, dim=d)
-
-
-def standard_laplacian(grid: Grid, f: GridField) -> GridField:
-    """Classical second-difference Laplacian, for the p -> 2 consistency check."""
-    require_same_grid(f.grid, grid)
-    return GridField(grid, laplacian5(f.values, grid))
-
-
-# ---------------------------------------------------------------------------
-# multiplier bound checks for the random-symbol operator family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairRatio:
-    left: float
-    right: float
-    sup_value: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class MultiplierLipschitzReport:
-    pairs: tuple
-    sup_ratio: float
-    bound_scale: float
-    constant: float
-    satisfied: bool
-
-
-def multiplier_lipschitz_check(
-    base: SymbolSpec,
-    s: float,
-    r: float,
-    beta_pairs,
-    probe_points,
-    beta_low: float | None = None,
-    beta_high: float | None = None,
-    fixed_constant: float | None = None,
-) -> MultiplierLipschitzReport:
-    """Sup of ``theta_{b1,r} |1/theta_{b1,s} - 1/theta_{b2,s}|`` per unit of
-    ``|b1 - b2|`` over the probe grid, where ``theta_{b,s} = (1 + b
-    psi)^{s/2}`` is ``driven_symbol(base, b, s)``.
-
-    The sup/gap ratio must stay below ``C * (beta_high/beta_low)^{r/2} /
-    beta_low`` with one constant C for every pair.  Pass ``fixed_constant``
-    to verify against a previously fitted C; otherwise C is fitted as the
-    smallest constant covering all supplied pairs.
-    """
-    if not 1.0 < r <= s:
-        raise ExponentOutOfRange(f"need 1 < r <= s, got r={r}, s={s}")
-    pts = _as_points(probe_points, base.d)
-    if pts.shape[0] == 0:
-        raise EmptyGrid("probe grid is empty")
-    if float(np.max(np.abs(base.evaluate_many(pts).imag))) > 1e-10:
-        raise BetaOutOfRange("base symbol must be real valued")
-
-    def theta(beta, order):
-        return driven_symbol(base, beta, order).evaluate_many(pts).real
-
-    betas = [b for pair in beta_pairs for b in pair[:2]]
-    lo = beta_low if beta_low is not None else min(betas)
-    hi = beta_high if beta_high is not None else max(betas)
-    if lo <= 0:
-        raise BetaOutOfRange("driver range must stay positive")
-    entries = []
-    for pair in beta_pairs:
-        b1, b2 = float(pair[0]), float(pair[1])
-        for b in (b1, b2):
-            if not lo <= b <= hi:
-                raise BetaOutOfRange(f"beta value {b} outside [{lo}, {hi}]")
-        if b1 == b2:
-            entries.append(PairRatio(b1, b2, 0.0, 0.0))
-            continue
-        diff = np.abs(1.0 / theta(b1, s) - 1.0 / theta(b2, s))
-        sup_m = float(np.max(theta(b1, r) * diff))
-        entries.append(PairRatio(b1, b2, sup_m, sup_m / abs(b1 - b2)))
-    bound_scale = (hi / lo) ** (0.5 * r) / lo
-    sup_ratio = max(e.ratio for e in entries) if entries else 0.0
-    constant = fixed_constant if fixed_constant is not None else sup_ratio / bound_scale
-    satisfied = all(e.ratio <= constant * bound_scale * (1.0 + 1e-9) for e in entries)
-    return MultiplierLipschitzReport(tuple(entries), sup_ratio, bound_scale, constant, satisfied)
-
-
-@dataclass(frozen=True)
-class ResolventHolderReport:
-    pairs: tuple
-    sup_ratio: float
-    all_finite: bool
-
-
-def alpha_resolvent_holder_check(
-    exponent_pairs,
-    probe_radii,
-    weight_exponent: float = 1.0,
-    window=(0.5, 1.0),
-) -> ResolventHolderReport:
-    """Resolvent-difference bound for the exponent-driven stable family.
-
-    Evaluates ``(1+|xi|^2)^{eta/2} * | |xi|^{-2 a1} - |xi|^{-2 a2} |`` on the
-    radial probe grid (away from 0; the ratio diverges as |xi| -> 0, which
-    is why callers must exclude a neighbourhood of the origin) and reports
-    sup / |a1 - a2| per pair.  ``|xi|^{-2a}`` is the inverse of the stable
-    symbol of exponent 2a, and the weight (eta > 0) is the shifted symbol of
-    ``|xi|^2``.
-    """
-    radii = np.asarray(probe_radii, dtype=float)
-    if radii.size == 0:
-        raise EmptyGrid("probe grid is empty")
-    if np.any(radii <= 0):
-        raise ExponentOutOfRange("probe radii must be positive (0 is singular)")
-    lo, hi = window
-    weight = _radial(ShiftedSymbol(_power_symbol(2.0, 1), weight_exponent), radii)
-    entries = []
-    for a1, a2 in exponent_pairs:
-        for a in (a1, a2):
-            if not lo < a < hi:
-                raise ExponentOutOfRange(f"exponent {a} outside ({lo}, {hi})")
-        if a1 == a2:
-            entries.append(PairRatio(a1, a2, 0.0, 0.0))
-            continue
-        diff = np.abs(1.0 / _radial(StableSymbol(2.0 * a1), radii)
-                      - 1.0 / _radial(StableSymbol(2.0 * a2), radii))
-        sup_m = float(np.max(weight * diff))
-        entries.append(PairRatio(a1, a2, sup_m, sup_m / abs(a1 - a2)))
-    ratios = [e.ratio for e in entries]
-    return ResolventHolderReport(
-        tuple(entries),
-        max(ratios) if ratios else 0.0,
-        all(np.isfinite(r) for r in ratios),
-    )
-
-
-def _radial(spec: SymbolSpec, radii: np.ndarray) -> np.ndarray:
-    """Real part of a one-dimensional symbol at the radii."""
-    return spec.evaluate_many(radii[:, None]).real

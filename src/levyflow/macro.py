@@ -60,8 +60,6 @@ class MacroConfig:
     a_2: float = 0.9
     qwiener_modes: int = 4
     solver_tol: float = 1e-10
-    # BiCGSTAB cap of the H-step (None: 10 * node count); the C-step is exact
-    solver_max_iterations: int | None = None
     scheme_literal: bool = False
     # initial data (the published snapshots are figures, not data; these
     # parametrize qualitatively similar fields)
@@ -272,8 +270,7 @@ def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, failures: 
     rhs = (state.h
            + tau * cfg.gamma_1 * state.h * (1.0 - state.h)
            + cfg.sigma_W * state.h * noise)
-    max_iter = cfg.solver_max_iterations or 10 * grid.node_count
-    res = bicgstab(apply_op, rhs, cfg.solver_tol, max_iter, x0=rhs)
+    res = bicgstab(apply_op, rhs, cfg.solver_tol, x0=rhs)
     h_new = res.solution
     for row, error in res.failures.items():
         failures.setdefault(row, error)

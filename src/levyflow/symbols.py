@@ -23,11 +23,8 @@ from .errors import (
     DimensionMismatch,
     EmptyGrid,
     ExponentOutOfRange,
-    NotRealValued,
     UnsupportedMeasure,
 )
-
-_REAL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -172,73 +169,9 @@ class TripleSymbol(SymbolSpec):
         return vals
 
 
-def _require_real(spec: SymbolSpec, where: str):
-    pts = default_probe_points(spec.d, radius=8.0, per_axis=33)
-    vals = spec.evaluate_many(pts)
-    worst = float(np.max(np.abs(vals.imag)))
-    if worst > _REAL_TOL:
-        raise NotRealValued(f"{where}: symbol has imaginary part up to {worst:.3e}")
-    if float(np.min(vals.real)) < -_REAL_TOL:
-        raise NotRealValued(f"{where}: symbol is negative on the probe grid")
-
-
-@dataclass(frozen=True)
-class ScaledSymbol(SymbolSpec):
-    """``factor * psi`` for a nonnegative factor (e.g. a bounded driver value)."""
-
-    factor: float
-    base: SymbolSpec
-
-    def __post_init__(self):
-        if self.factor < 0:
-            raise ExponentOutOfRange("scaling factor must be nonnegative")
-
-    @property
-    def d(self):
-        return self.base.d
-
-    def evaluate_many(self, points):
-        return self.factor * self.base.evaluate_many(points)
-
-
-@dataclass(frozen=True)
-class ShiftedSymbol(SymbolSpec):
-    """Resolvent-type symbol ``(1 + psi_base(xi))**(s/2)`` for real bases.
-
-    Carries killing constant 1: the value at xi = 0 is 1.
-    """
-
-    base: SymbolSpec
-    order: float
-
-    def __post_init__(self):
-        if self.order <= 0:
-            raise ExponentOutOfRange("order must be positive")
-        _require_real(self.base, "shifted symbol")
-
-    @property
-    def d(self):
-        return self.base.d
-
-    def evaluate_many(self, points):
-        vals = np.maximum(self.base.evaluate_many(points).real, 0.0)
-        return np.power(1.0 + vals, 0.5 * self.order).astype(complex)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def driven_symbol(base: SymbolSpec, driver_value: float, order: float) -> ShiftedSymbol:
-    """Snapshot of a driver-indexed symbol family:
-    ``(1 + driver_value * psi_base(xi))**(order/2)``.
-
-    ``driver_value`` is one sample of a bounded scalar process, so freezing
-    it at two times and comparing the resulting multipliers is exactly what
-    ``fracops.multiplier_lipschitz_check`` evaluates.
-    """
-    return ShiftedSymbol(ScaledSymbol(driver_value, base), order)
 
 
 def growth_bound_constant(spec: SymbolSpec, probe_points) -> float:
@@ -249,17 +182,6 @@ def growth_bound_constant(spec: SymbolSpec, probe_points) -> float:
     vals = np.abs(spec.evaluate_many(pts))
     denom = 1.0 + np.sum(pts * pts, axis=1)
     return float(np.max(vals / denom))
-
-
-def default_probe_points(d: int, radius: float = 10.0, per_axis: int = 101) -> np.ndarray:
-    """Deterministic probe grid: a symmetric lattice of frequency points."""
-    line = np.linspace(-radius, radius, per_axis)
-    if d == 1:
-        return line[:, None]
-    if d == 2:
-        gx, gy = np.meshgrid(line, line, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
-    raise DimensionMismatch("probe grids implemented for d in {1, 2}")
 
 
 def generator_symbol_table():

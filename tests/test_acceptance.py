@@ -20,24 +20,20 @@ from levyflow.drivers import (
     qwiener_pointwise_variance,
 )
 from levyflow.ensemble import EnsembleConfig, run_ensemble
-from levyflow.fracops import (
-    FracLapOperator,
-    alpha_resolvent_holder_check,
-    multiplier_lipschitz_check,
-    spectral_oracle,
-    standard_laplacian,
-)
+from levyflow.fracops import FracLapOperator, spectral_oracle
 from levyflow.grids import Grid, GridField
 from levyflow.linsolve import bicgstab
 from levyflow.macro import MacroConfig, MacroState, macro_init, run_macro
 from levyflow.micro import MicroConfig
-from levyflow.symbols import (
-    TripleSymbol,
+from levyflow.symbols import TripleSymbol, generator_symbol_table, growth_bound_constant
+
+from operator_reference import (
+    alpha_resolvent_holder_check,
     default_probe_points,
-    generator_symbol_table,
-    growth_bound_constant,
+    multiplier_lipschitz_check,
+    standard_laplacian,
 )
-from levyflow.transport import (
+from transport_reference import (
     default_transport_model,
     density_to_bins,
     l1_distance,

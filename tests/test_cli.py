@@ -102,12 +102,16 @@ def test_fracheck_error_does_not_depend_on_the_length(tmp_path):
 
 
 def test_fracheck_rising_errors_exit_4(tmp_path, capsys):
-    cfgfile = tmp_path / "down.cfg"
-    cfgfile.write_text("[fracheck]\nresolutions = 192, 96\n")
-    out = tmp_path / "o"
-    assert _run("--config", str(cfgfile), "--out", str(out), "fracheck") == 4
-    assert "did not decrease monotonically" in capsys.readouterr().err
-    assert len(_read_csv(out / "fracheck.csv")) == 1 + 3 * 3 * 2
+    # a reversed ladder; and at p = 1.999 the mode-1 error rises from 1.2e-5
+    # at 192 points to 5.5e-5 at 384, far above the rounding floor
+    for name, text, cases in (("down", "resolutions = 192, 96", 3 * 3 * 2),
+                              ("steep", "exponents = 1.999", 3 * 3)):
+        cfgfile = tmp_path / f"{name}.cfg"
+        cfgfile.write_text(f"[fracheck]\n{text}\n")
+        out = tmp_path / name
+        assert _run("--config", str(cfgfile), "--out", str(out), "fracheck") == 4
+        assert "did not decrease monotonically" in capsys.readouterr().err
+        assert len(_read_csv(out / "fracheck.csv")) == 1 + cases
 
 
 def test_macro_steps_zero_initial_snapshot_only(tmp_path):
@@ -241,6 +245,17 @@ def test_config_parse_failure_exit_2(tmp_path):
     ("[fracheck]\nexponents = 1e-320\n", ["fracheck"], "[fracheck] exponents:"),
     ("[fracheck]\nexponents = 1.0, 2.2250738585072009e-308\n", ["fracheck"],
      "[fracheck] exponents: each must be at least"),
+    # keys checked past the section resolver name themselves too; the kind is
+    # checked before the section it picks
+    ("[micro]\nnoise = foo\n", ["micro"], "[micro] noise: unknown noise 'foo'"),
+    ("[symbol]\nname = foo\n", ["symbol"], "[symbol] name: unknown symbol name 'foo'"),
+    ("[ensemble]\nM = 0\n", ["ensemble"], "[ensemble] M: need at least one sample"),
+    ("[ensemble]\nkind = foo\n\n[micro]\nM = 0\n", ["ensemble"],
+     "[ensemble] kind: unknown ensemble kind 'foo'"),
+    ("[macro]\nN = 2\n\n[ensemble]\nsnapshot_steps = 999\n", ["ensemble", "--samples", "2"],
+     "[ensemble] snapshot_steps: snapshot steps out of range: [999]"),
+    ("[ensemble]\nexport_samples = 0, 5\n", ["ensemble", "--samples", "2"],
+     "[ensemble] export_samples: export sample ids outside [0, 2): [5]"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     cfgfile = tmp_path / "bad.cfg"
@@ -250,15 +265,15 @@ def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     assert problem in capsys.readouterr().err
 
 
-def test_fracheck_tiny_exponent_runs_to_a_verdict(tmp_path, capsys):
+def test_fracheck_tiny_exponent_runs_to_a_verdict(tmp_path):
     # at p = 1e-300 operator and oracle both take every nonzero mode to -1 (to
-    # within rounding), so the errors are rounding noise and need not fall
+    # within rounding), so the errors are rounding noise, which need not fall
     cfgfile = tmp_path / "tiny.cfg"
     cfgfile.write_text("[fracheck]\nexponents = 1e-300\n")
     out = tmp_path / "o"
-    assert _run("--config", str(cfgfile), "--out", str(out), "fracheck") == 4
-    assert "did not decrease monotonically" in capsys.readouterr().err
-    assert (out / "fracheck.csv").is_file()
+    assert _run("--config", str(cfgfile), "--out", str(out), "fracheck") == 0
+    errors = [float(row[3]) for row in _read_csv(out / "fracheck.csv")[1:]]
+    assert 0 < max(errors) <= 1e-12
 
 
 @pytest.mark.parametrize("text, command, key", [
@@ -331,15 +346,36 @@ print(json.dumps([codes, [name for name in heavy if name in sys.modules]]))
 """
 
 
-def test_commands_import_no_process_pool_and_no_quadrature(tmp_path):
-    """A fracheck and a one-worker ensemble in a fresh interpreter load
-    neither the process pool nor numpy.polynomial."""
+def _run_probe(script, *args):
+    """The last line ``script`` prints in a fresh interpreter, as JSON."""
     src = str(Path(levyflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0], []]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_commands_import_no_process_pool_and_no_quadrature(tmp_path):
+    """A fracheck and a one-worker ensemble in a fresh interpreter load
+    neither the process pool nor numpy.polynomial."""
+    assert _run_probe(_IMPORT_PROBE, str(tmp_path)) == [[0, 0], []]
+
+
+_MODULES_PROBE = """
+import json, sys
+from pathlib import Path
+from levyflow import cli
+package = Path(sys.modules["levyflow"].__file__).parent
+files = {f"levyflow.{path.stem}" for path in package.glob("*.py")} - {"levyflow.__init__"}
+print(json.dumps(sorted(files - set(sys.modules))))
+"""
+
+
+def test_cli_import_loads_every_module():
+    """Importing the command line loads every module file of the package, so
+    no module holds code that only the tests reach."""
+    assert _run_probe(_MODULES_PROBE) == []
 
 
 def _manifest_digests(out):

@@ -116,3 +116,4 @@ def test_no_config_value_escapes_as_an_exception(section, data, monkeypatch):
     assert code in EXIT_CODES, (code, stderr.getvalue())
     if code == 2:
         assert stderr.getvalue().startswith("config error:")
+        assert f"[{section}]" in stderr.getvalue(), stderr.getvalue()

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 
 import numpy as np
 import pytest
@@ -111,15 +112,18 @@ def test_export_sample_ids():
     assert stats.exported[1].shape == (1, 3) + SMALL_MACRO.grid.shape
 
 
-def test_sample_failure_aborts_with_seed():
-    # an unsolvable configuration: zero iterations allowed with diffusion on
-    bad = MacroConfig(n_steps=1, solver_max_iterations=1, solver_tol=1e-16)
+def test_sample_failure_aborts_with_seed(monkeypatch):
+    # an H-step allowed one iteration cannot meet solver_tol; the pool starts
+    # by fork, so its workers inherit the patch
+    monkeypatch.setattr(macro, "bicgstab", functools.partial(macro.bicgstab, max_iterations=1))
+    bad = MacroConfig(n_steps=1)
     for workers in (1, 2):
         ens = EnsembleConfig(n_samples=2, base_seed=99, workers=workers)
         with pytest.raises(EnsembleSampleError) as err:
             run_ensemble("macro", bad, ens)
         assert err.value.base_seed == 99
         assert err.value.sample_index == 0
+        assert "no convergence in 1 iterations" in str(err.value.cause)
 
 
 def test_lockstep_failure_names_the_failing_sample(monkeypatch):

@@ -10,22 +10,18 @@ from levyflow.errors import (
     DimensionMismatch,
     EmptyGrid,
     ExponentOutOfRange,
-    NotRealValued,
     UnsupportedMeasure,
 )
 from levyflow.symbols import (
     DiscreteJumpLaw,
-    ScaledSymbol,
-    ShiftedSymbol,
     StableSymbol,
     TripleSymbol,
-    default_probe_points,
-    driven_symbol,
     generator_symbol_table,
     growth_bound_constant,
 )
 
 from levy_reference import AtomMeasure, LevyQuadruple, ZeroMeasure, quadruple
+from operator_reference import default_probe_points, resolvent_symbol
 
 UNIT_JUMP = DiscreteJumpLaw(points=(1.0,), probs=(1.0,))
 
@@ -50,8 +46,7 @@ ALL_SPECS = {
     "TripleSymbol": _TABLE["full_triple"],
     "StableSymbol": _TABLE["alpha_stable"],
     "QuadraticSymbol": diffusion(1.0, 1.0),
-    "ScaledSymbol": ScaledSymbol(1.7, StableSymbol(0.8, 1.0, 1)),
-    "ShiftedSymbol": ShiftedSymbol(StableSymbol(1.2, 1.0, 1), 1.5),
+    "ScaledSymbol": StableSymbol(0.8, 1.7, 1),
 }
 
 
@@ -155,8 +150,7 @@ def test_hermitian_symmetry_and_positivity(spec):
 @pytest.mark.parametrize("spec", ALL_SPECS.values(), ids=ALL_SPECS.keys())
 def test_killing_constant_at_zero(spec):
     value = spec.evaluate(np.zeros(spec.d))
-    expected = 1.0 if isinstance(spec, ShiftedSymbol) else 0.0
-    assert value.real == pytest.approx(expected, abs=1e-12)
+    assert value.real == pytest.approx(0.0, abs=1e-12)
     assert abs(value.imag) <= 1e-12
 
 
@@ -194,24 +188,31 @@ def test_triple_symbol_rejects_a_bad_q(drift, q_matrix, error, message):
 
 
 def test_shifted_symbol_rejects_complex_base():
-    with pytest.raises(NotRealValued):
-        ShiftedSymbol(TripleSymbol((1.0,), ((1.0,),)), 1.0)
+    with pytest.raises(ValueError):
+        resolvent_symbol(TripleSymbol((1.0,), ((1.0,),)), 1.0, 1.0, default_probe_points(1))
 
 
 def test_shifted_symbol_formula():
     base = StableSymbol(1.5, 1.0, 1)
-    spec = ShiftedSymbol(base, 1.2)
     xi = 3.0
-    assert spec.evaluate([xi]).real == pytest.approx((1 + xi**1.5) ** 0.6)
+    assert resolvent_symbol(base, 1.0, 1.2, [[xi]]) == pytest.approx([(1 + xi**1.5) ** 0.6])
+    # real, even, at least 1 and equal to 1 (killing constant 1) at xi = 0
+    spec, pts = StableSymbol(1.2, 1.0, 1), default_probe_points(1, 12.0, 41)
+    vals = resolvent_symbol(spec, 1.0, 1.5, pts)
+    assert np.array_equal(vals, resolvent_symbol(spec, 1.0, 1.5, -pts))
+    assert vals.min() == vals[20] == 1.0
 
 
 def test_scaled_symbol():
-    base = poisson(2.0)
-    assert ScaledSymbol(0.5, base).evaluate([1.0]) == pytest.approx(
-        0.5 * base.evaluate([1.0])
+    # a scaled symbol is a stable symbol's scale or a jump symbol's rate
+    assert poisson(1.0).evaluate([1.0]) == pytest.approx(0.5 * poisson(2.0).evaluate([1.0]))
+    assert StableSymbol(0.8, 0.5, 1).evaluate([2.0]) == pytest.approx(
+        0.5 * StableSymbol(0.8, 1.0, 1).evaluate([2.0])
     )
     with pytest.raises(ExponentOutOfRange):
-        ScaledSymbol(-1.0, base)
+        StableSymbol(0.8, -1.0, 1)
+    with pytest.raises(ExponentOutOfRange):
+        poisson(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +262,6 @@ def test_measure_validation():
 
 def test_driven_symbol_matches_resolvent_form():
     base = StableSymbol(1.5, 1.0, 1)  # |xi|^{2 alpha} with alpha = 0.75
-    theta = driven_symbol(base, driver_value=1.3, order=1.4)
     xi = 2.0
-    assert theta.evaluate([xi]).real == pytest.approx(
-        (1.0 + 1.3 * xi**1.5) ** 0.7
-    )
-    assert theta.evaluate([0.0]).real == pytest.approx(1.0)
+    theta = resolvent_symbol(base, 1.3, 1.4, [[xi], [0.0]])
+    assert theta == pytest.approx([(1.0 + 1.3 * xi**1.5) ** 0.7, 1.0])

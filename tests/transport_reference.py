@@ -1,4 +1,5 @@
-"""Velocity-jump transport: particle ensemble and its kinetic-equation twin.
+"""Reference route of AC-7: a velocity-jump particle ensemble and its
+kinetic-equation twin.
 
 The model is a particle moving with one of finitely many velocities; at
 compound-Poisson event times the velocity index jumps by a symmetric random
@@ -9,18 +10,17 @@ transport equation
                      + rate * sum_k mu_k (p(x, v_{i-k}) - p(x, v_i)),
 
 solved here with an upwind finite-difference scheme.  The two routes are
-independent and are compared in the acceptance suite.
+independent; AC-7 compares their position histograms, and
+``tests/test_transport.py`` checks each route on its own.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import RngStream
-from .errors import ConfigInvalid
+from levyflow.drivers import RngStream
+from levyflow.errors import ConfigInvalid
 
 
 @dataclass(frozen=True)
