@@ -2,11 +2,13 @@
 
 The H-step system of the macro solver is nonsymmetric (advection by the
 cell-density gradient), which rules out plain conjugate gradients.  It is
-small and strongly diagonally dominant, so an unpreconditioned stabilized
-bi-conjugate gradient iteration converges in a handful of steps; its
-operator is the five-point stencil that ``macro.h_operator`` assembles once
-per step.  (The C-step's fractional system is circulant and is solved
-exactly by FFT in ``fracops``.)
+small and, at the published parameters, strongly diagonally dominant, so
+the H-step starts from Jacobi sweeps, then BiCGSTAB verifies or finishes:
+a system whose start already meets the tolerance is frozen by the first
+true-residual check, with no iteration.  Its operator is the five-point
+stencil that ``macro.HOperator`` assembles once per step.  (The C-step's
+fractional system is circulant and is solved exactly by FFT in
+``fracops``.)
 
 The solver advances a stack of independent systems in lockstep, one
 system per row of the stack, each with its own scalars (rho, alpha,
@@ -125,6 +127,8 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
                 x_try = x + alpha[:, None] * p
                 true_res = row_norm(rows - op(x_try)) / scale
                 finish(check & (true_res <= tol), x_try, true_res, k)
+                if not active.any():
+                    break
             t = op(s)
             tt = row_dot(t, t)
             fail(tt == 0.0, lambda row: "BiCGSTAB breakdown: t = 0")

@@ -113,10 +113,11 @@ def test_export_sample_ids():
 
 
 def test_sample_failure_aborts_with_seed(monkeypatch):
-    # an H-step allowed one iteration cannot meet solver_tol; the pool starts
-    # by fork, so its workers inherit the patch
+    # no start and no single iteration meets a solver_tol below rounding, so
+    # an H-step allowed one iteration fails; the pool starts by fork, so its
+    # workers inherit the patch
     monkeypatch.setattr(macro, "bicgstab", functools.partial(macro.bicgstab, max_iterations=1))
-    bad = MacroConfig(n_steps=1)
+    bad = MacroConfig(n_steps=1, solver_tol=1e-20)
     for workers in (1, 2):
         ens = EnsembleConfig(n_samples=2, base_seed=99, workers=workers)
         with pytest.raises(EnsembleSampleError) as err:

@@ -47,6 +47,22 @@ def test_2d_shaped_operands():
     assert np.allclose(res.solution[0], rhs / 3.0)
 
 
+def test_done_at_the_half_step_applies_no_more():
+    """A system that the half step solves stops there: one apply for the
+    initial residual, one for v and one for the true residual of x_try,
+    and none for t."""
+    calls = []
+
+    def op(x):
+        calls.append(1)
+        return 3.0 * x
+
+    res = bicgstab(op, np.ones(4)[None], tol=1e-12)
+    assert np.allclose(res.solution[0], 1.0 / 3.0)
+    assert res.iterations == 1 and res.failures == {}
+    assert len(calls) == 3
+
+
 def test_divergence_reported():
     res = bicgstab(lambda x: 0.0 * x, np.ones(4)[None], max_iterations=5)
     assert isinstance(res.failures[0], SolverDiverged)
