@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .drivers import (
     CauchyModulatedNoise,
     GaussianNoise,
-    ProtonIndexDriver,
     QWienerSpec,
     RngStream,
     StreamChunk,

@@ -1,5 +1,5 @@
 """Randomness: seeded counter-based streams, the micro-model noise laws,
-the bounded exponent driver, and the truncated Q-Wiener sampler.
+the smoothed random initial field, and the truncated Q-Wiener sampler.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatch, NonpositiveDt, NyquistViolation
-from .grids import Grid, GridField
+from .grids import Grid, GridField, periodic_gaussian_blur
 
 
 # ---------------------------------------------------------------------------
@@ -157,35 +157,17 @@ def draw_noise(model, rng: RngStream, dt: float, size=None):
 
 
 # ---------------------------------------------------------------------------
-# bounded exponent driver
+# smoothed random initial field
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProtonIndexDriver:
-    """Saturating exponent map ``alpha(H) = a1 + (a2 - a1) * aH / (1 + aH)``.
-
-    Negative arguments are clamped to zero, so the output is total and
-    always lies in [a1, a2].
-    """
-
-    sensitivity: float
-    a1: float
-    a2: float
-
-    def __post_init__(self):
-        if not self.a1 < self.a2:
-            raise ValueError("need a1 < a2")
-        if self.sensitivity <= 0:
-            raise ValueError("sensitivity must be positive")
-
-    def alpha_of_h(self, h):
-        h = np.maximum(np.asarray(h, dtype=float), 0.0)
-        x = self.sensitivity * h
-        out = self.a1 + (self.a2 - self.a1) * x / (1.0 + x)
-        if np.ndim(h) == 0:
-            return float(out)
-        return out
+def smoothed_uniform_field(grid: Grid, seed: int, sigma: float) -> np.ndarray:
+    """The uniform draws of ``RngStream(seed, 0)`` on ``grid``, blurred by a
+    periodic Gaussian of width ``sigma`` and scaled to [0, 1]; zeros if the
+    blurred field is flat."""
+    smooth = periodic_gaussian_blur(RngStream(seed, 0).uniform(grid.shape), grid, sigma)
+    lo, hi = smooth.min(), smooth.max()
+    return (smooth - lo) / (hi - lo) if hi > lo else np.zeros_like(smooth)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +200,10 @@ def _basis_matrix(modes: int, length: float, points: int) -> np.ndarray:
     """(modes, points) array of lambda_n * e_n(x_k)."""
     x = np.arange(points) * (length / points)
     n = np.arange(1, modes + 1)[:, None]
-    lam = (1.0 / (1.0 + np.arange(1, modes + 1)))[:, None]
-    return lam * np.sqrt(2.0 / length) * np.cos(2.0 * np.pi * n * x[None, :] / length)
+    lam = QWienerSpec(modes).eigenvalues()[:, None]
+    out = lam * np.sqrt(2.0 / length) * np.cos(2.0 * np.pi * n * x[None, :] / length)
+    out.flags.writeable = False
+    return out
 
 
 def _check_nyquist(spec: QWienerSpec, grid: Grid):

@@ -9,13 +9,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import GridMismatch
 
-# stack shapes whose neighbour tables a grid keeps
-_TABLES_KEPT = 4
+
+# The grid's lookup tables depend on its shape alone, so they are cached by
+# shape, shared by equal grids, and read-only.
+
+
+@lru_cache(maxsize=4)
+def _neighbour_table(shape: tuple, lead: tuple) -> np.ndarray:
+    """``Grid.neighbour_table(lead)`` for a grid of ``shape``.  Few stack
+    shapes are kept, since a stack shrinks as its samples drop."""
+    n = math.prod(shape)
+    if lead:
+        starts = np.arange(0, math.prod(lead) * n, n).reshape(lead + (1,))
+        table = _neighbour_table(shape, ())[(slice(None),) + (None,) * len(lead)] + starts
+    else:
+        nodes = np.arange(n).reshape(shape)
+        table = np.stack([np.roll(nodes, shift, axis).ravel()
+                          for axis in range(len(shape)) for shift in (-1, 1)])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=32)
+def _axis_table(m: int) -> np.ndarray:
+    """Row 0: the node indices 0..m-1 of an m-point axis; row 1: the
+    successor ``(k + 1) mod m`` of each."""
+    nodes = np.arange(m)
+    table = np.stack([nodes, np.roll(nodes, -1)])
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -32,12 +60,6 @@ class Grid:
     # lengths and shape
     spacings: tuple = field(init=False, repr=False, compare=False)
     node_count: int = field(init=False, repr=False, compare=False)
-    # periodic neighbour tables by stack shape, built on first use by
-    # neighbour_table()
-    _neighbours: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # per axis, a (2, M) table of the node indices 0..M-1 and of their
-    # periodic successors, built on first use by _axis_table()
-    _axis_tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = tuple(float(v) for v in self.lengths)
@@ -80,37 +102,8 @@ class Grid:
         flat array, the table has shape ``(2 * ndim, *lead, node_count)``
         and field ``i`` (in flat order) adds ``i * node_count`` to every
         index, so one flat index gathers the neighbours of the whole
-        stack.  Tables are built on first use and kept with the grid, the
-        last ``_TABLES_KEPT`` stack shapes only, since a stack shrinks as
-        its samples drop."""
-        table = self._neighbours.get(lead)
-        if table is None:
-            n = self.node_count
-            if lead:
-                starts = np.arange(0, math.prod(lead) * n, n).reshape(lead + (1,))
-                table = self.neighbour_table()[(slice(None),) + (None,) * len(lead)] + starts
-            else:
-                nodes = np.arange(n).reshape(self.shape)
-                table = np.stack([np.roll(nodes, shift, axis).ravel()
-                                  for axis in range(self.ndim) for shift in (-1, 1)])
-            table.flags.writeable = False
-            if len(self._neighbours) >= _TABLES_KEPT:
-                del self._neighbours[next(iter(self._neighbours))]
-            self._neighbours[lead] = table
-        return table
-
-    def _axis_table(self, axis: int) -> np.ndarray:
-        """Row 0: the node indices 0..M-1 along ``axis``; row 1: the
-        successor ``(k + 1) mod M`` of each.  Read-only, built on first use."""
-        if self._axis_tables is None:
-            tables = []
-            for m in self.shape:
-                nodes = np.arange(m)
-                table = np.stack([nodes, np.roll(nodes, -1)])
-                table.flags.writeable = False
-                tables.append(table)
-            object.__setattr__(self, "_axis_tables", tuple(tables))
-        return self._axis_tables[axis]
+        stack.  Built on first use and cached by shape."""
+        return _neighbour_table(self.shape, lead)
 
     def wrap_index(self, k, axis: int):
         """The periodic node index ``k mod M`` along ``axis`` of every int
@@ -124,12 +117,12 @@ class Grid:
         m = self.shape[axis]
         if k.size and (k.min() < -m or k.max() >= 2 * m):
             k = k % m
-        return self._axis_table(axis)[0].take(k, mode="wrap")
+        return _axis_table(m)[0].take(k, mode="wrap")
 
     def successor_index(self, k, axis: int):
         """The periodic successor ``(k + 1) mod M`` along ``axis`` of every
         node index ``k`` in ``[0, M)``, by lookup in a cached table."""
-        return self._axis_table(axis)[1].take(k)
+        return _axis_table(self.shape[axis])[1].take(k)
 
 
 @dataclass

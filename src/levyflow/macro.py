@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import (ProtonIndexDriver, QWienerSpec, RngStream, StreamChunk,
-                      sample_qwiener_increment)
+from .drivers import (QWienerSpec, RngStream, StreamChunk, sample_qwiener_increment,
+                      smoothed_uniform_field)
 from .errors import ConfigInvalid, InvariantViolation, SolverDiverged
 from .fracops import FracLapOperator
-from .grids import Grid, neighbours, periodic_gaussian_blur, wrapped_gaussian_bump
+from .grids import Grid, neighbours, wrapped_gaussian_bump
 from .linsolve import bicgstab, row_norm
 
 _CLAMP_TOL = 1e-12
@@ -89,9 +89,16 @@ class MacroConfig:
             raise ConfigInvalid("need tau > 0 and n_steps >= 0")
         if not (0.5 < self.a_1 < self.a_2 < 1.0):
             raise ConfigInvalid("exponent window must satisfy 1/2 < a_1 < a_2 < 1")
+        if not self.a > 0:
+            raise ConfigInvalid("exponent driver needs a > 0")
 
-    def alpha_driver(self) -> ProtonIndexDriver:
-        return ProtonIndexDriver(self.a, self.a_1, self.a_2)
+    def alpha_of_h(self, h):
+        """The exponent of a proton index H, or of an array of them.  A
+        negative H counts as zero, so alpha always lies in [a_1, a_2]."""
+        h = np.maximum(np.asarray(h, dtype=float), 0.0)
+        x = self.a * h
+        out = self.a_1 + (self.a_2 - self.a_1) * x / (1.0 + x)
+        return float(out) if np.ndim(h) == 0 else out
 
 
 @dataclass
@@ -136,8 +143,8 @@ class MacroRunStats:
         self.clamps[self.rows] += np.reshape(counts, -1)
 
     def absorb_solve(self, residuals, iterations):
-        self.residuals[self.rows] = np.maximum(self.residuals[self.rows],
-                                               np.reshape(residuals, -1))
+        # fmax: a failed row's nan leaves its sample's earlier residual
+        self.residuals[self.rows] = np.fmax(self.residuals[self.rows], np.reshape(residuals, -1))
         self.total_iterations += int(iterations)
 
     def absorb_alpha(self, alpha):
@@ -171,16 +178,11 @@ def _clamp(values: np.ndarray, grid: Grid, stats: MacroRunStats | None) -> np.nd
 
 
 def macro_init(cfg: MacroConfig) -> MacroState:
-    ic_rng = RngStream(cfg.ic_seed, 0)
-    raw = ic_rng.uniform(cfg.grid.shape)
-    smooth = periodic_gaussian_blur(raw, cfg.grid, cfg.n0_smooth_sigma)
-    lo, hi = smooth.min(), smooth.max()
-    smooth = (smooth - lo) / (hi - lo) if hi > lo else np.zeros_like(smooth)
     return MacroState(
         h=wrapped_gaussian_bump(cfg.grid, cfg.h0_amp, cfg.h0_sigma),
         c=wrapped_gaussian_bump(cfg.grid, cfg.c0_amp, cfg.c0_sigma),
-        n=0.5 + 0.5 * smooth,
-        alpha_value=cfg.alpha_driver().alpha_of_h(0.0),
+        n=0.5 + 0.5 * smoothed_uniform_field(cfg.grid, cfg.ic_seed, cfg.n0_smooth_sigma),
+        alpha_value=cfg.alpha_of_h(0.0),
     )
 
 
@@ -323,7 +325,7 @@ def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.nda
     grid = cfg.grid
     tau = cfg.tau
     h_mean = _per_sample(h_new, grid).sum(axis=1) / grid.node_count
-    alpha = cfg.alpha_driver().alpha_of_h(h_mean)
+    alpha = cfg.alpha_of_h(h_mean)
     frac = FracLapOperator(grid, 2.0 * alpha)
 
     hapto_coef = cfg.gamma_g * n_new * state.c / (1.0 + (state.c + state.n) ** 2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import GaussianNoise, RngStream, draw_noise
+from .drivers import GaussianNoise, RngStream, draw_noise, smoothed_uniform_field
 from .errors import ConfigInvalid
 from .grids import (Grid, GridField, centered_difference, periodic_gaussian_blur,
                     wrapped_gaussian_bump)
@@ -200,17 +200,12 @@ def _set_rows(dst: np.ndarray, idx, rows: np.ndarray):
 
 
 def micro_init(cfg: MicroConfig) -> MicroState:
-    ic_rng = RngStream(cfg.ic_seed, 0)
     m = cfg.n_particles
     side = int(np.ceil(np.sqrt(m)))
     axis = np.linspace(cfg.lattice_lo, cfg.lattice_hi, side)
     px, py = np.meshgrid(axis, axis, indexing="ij")
     positions = np.column_stack([px.ravel()[:m], py.ravel()[:m]])
-    tissue_raw = ic_rng.uniform(cfg.grid.shape)
-    tissue = periodic_gaussian_blur(tissue_raw, cfg.grid, cfg.tissue_smooth_sigma)
-    lo, hi = tissue.min(), tissue.max()
-    tissue = (tissue - lo) / (hi - lo) if hi > lo else np.zeros_like(tissue)
-    tissue = cfg.tissue_lo + (cfg.tissue_hi - cfg.tissue_lo) * tissue
+    tissue = smoothed_uniform_field(cfg.grid, cfg.ic_seed, cfg.tissue_smooth_sigma)
     return MicroState(
         grid=cfg.grid,
         positions=positions,
@@ -218,7 +213,7 @@ def micro_init(cfg: MicroConfig) -> MicroState:
         protons=np.full(m, cfg.proton_init),
         alive=np.ones(m, dtype=bool),
         acid=wrapped_gaussian_bump(cfg.grid, cfg.acid_amp, cfg.acid_sigma),
-        tissue=tissue,
+        tissue=cfg.tissue_lo + (cfg.tissue_hi - cfg.tissue_lo) * tissue,
     )
 
 

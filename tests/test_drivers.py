@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from levyflow.drivers import (
     CauchyModulatedNoise,
     GaussianNoise,
-    ProtonIndexDriver,
     QWienerSpec,
     RngStream,
     StreamChunk,
@@ -20,8 +19,9 @@ from levyflow.drivers import (
     sample_qwiener_increment,
     switching_pick,
 )
-from levyflow.errors import GridMismatch, NonpositiveDt, NyquistViolation
+from levyflow.errors import ConfigInvalid, GridMismatch, NonpositiveDt, NyquistViolation
 from levyflow.grids import Grid
+from levyflow.macro import MacroConfig
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_switching_draw_shapes():
 
 
 def test_alpha_of_h_values():
-    d = ProtonIndexDriver(1.0, 0.6, 0.9)
+    d = MacroConfig(a=1.0, a_1=0.6, a_2=0.9)
     assert d.alpha_of_h(0.0) == pytest.approx(0.6)
     assert d.alpha_of_h(1e12) == pytest.approx(0.9, abs=1e-9)
     assert d.alpha_of_h(1.0) == pytest.approx(0.75)
@@ -142,11 +142,17 @@ def test_alpha_of_h_values():
 @given(st.floats(-5, 50), st.floats(-5, 50))
 @settings(max_examples=100, deadline=None)
 def test_alpha_of_h_monotone_and_bounded(h1, h2):
-    d = ProtonIndexDriver(1.3, 0.55, 0.95)
+    d = MacroConfig(a=1.3, a_1=0.55, a_2=0.95)
     a1, a2 = d.alpha_of_h(h1), d.alpha_of_h(h2)
     assert 0.55 <= a1 <= 0.95
     if max(h1, 0.0) < max(h2, 0.0):
         assert a1 <= a2
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, float("nan")])
+def test_alpha_of_h_needs_a_positive_sensitivity(a):
+    with pytest.raises(ConfigInvalid, match="a > 0"):
+        MacroConfig(a=a)
 
 
 # ---------------------------------------------------------------------------

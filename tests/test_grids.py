@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyflow.errors import GridMismatch
-from levyflow.grids import (_TABLES_KEPT, Grid, GridField, centered_difference, laplacian5,
-                            neighbours, require_same_grid)
+from levyflow.grids import (Grid, GridField, _neighbour_table, centered_difference,
+                            laplacian5, neighbours, require_same_grid)
 from levyflow.macro import flux_divergence
 
 GRID = Grid((2.0, 1.0), (8, 4))
@@ -38,6 +38,10 @@ def test_cached_spacings_leave_value_semantics_alone():
     # so is the node index that wrap_index takes from
     assert int(built.wrap_index(9, 1)) == 1 and built == GRID
     assert int(dataclasses.replace(built, shape=(8, 8)).wrap_index(9, 1)) == 1
+    # the tables are cached by shape, so equal-shape grids share them
+    stretched = Grid((5.0, 3.0), (8, 4))
+    assert stretched.neighbour_table((3,)) is built.neighbour_table((3,))
+    assert stretched.neighbour_table() is GRID.neighbour_table()
 
 
 def test_grid_validation():
@@ -171,5 +175,6 @@ def test_stack_rows_equal_fields_alone_bitwise(name):
                 assert (centered_difference(us, grid, axis)[index].tobytes()
                         == centered_difference(alone, grid, axis).tobytes())
             assert flux[index].tobytes() == flux_divergence(cs[index], alone, grid).tobytes()
-    # the grid keeps the tables of its last few stack shapes only
-    assert len(grid._neighbours) <= _TABLES_KEPT
+    # the cache keeps the tables of the last few stack shapes only
+    info = _neighbour_table.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
