@@ -32,9 +32,11 @@ from .grids import Grid, GridField, fourier_multiply, require_same_grid
 from .symbols import StableSymbol, SymbolSpec, TripleSymbol
 
 # Euler-Maclaurin for the Hurwitz zeta: this many leading terms summed
-# directly, then the corrections with the Bernoulli numbers B_2 .. B_16
+# directly, then the corrections with the Bernoulli numbers B_2 .. B_16,
+# kept as B_2j / (2j)!
 _ZETA_HEAD = 4
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_BERNOULLI = tuple(b / math.factorial(2 * j) for j, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), start=1))
 
 
 def frac_constant(d: int, p: float) -> float:
@@ -58,19 +60,21 @@ def _expm1_ratio(s: np.ndarray, logs) -> np.ndarray:
     ``-log x`` at s = 0 and no loss of digits near it."""
     z = -s * logs
     out = np.negative(np.broadcast_to(logs, z.shape))
-    return np.divide(np.expm1(z), s, out=out, where=s != 0.0)
+    return np.divide(np.expm1(z, out=z), s, out=out, where=s != 0.0)
 
 
 @lru_cache(maxsize=32)
 def _zeta_nodes(axis_points: int):
     """(x, logs, powers) for the tail classes of an M-point axis, read-only:
-    ``logs[k] = log(k + a)`` for k = 0.._ZETA_HEAD at the arguments ``a =
-    q / M``, q = 1..M+2, ``x = _ZETA_HEAD + a``, and ``powers[j] = x^(-2j)``
-    for the Euler-Maclaurin corrections.  Cached because every macro step
-    rebuilds its operator on the same ones."""
+    ``logs`` holds ``log(k + a)`` for k = 0.._ZETA_HEAD at the arguments
+    ``a = q / M``, q = 1..M+2, flat in (k, q) order, and then ``log 2`` for
+    node 1's half-segment, so one ``_expm1_ratio`` pass serves both;
+    ``x = _ZETA_HEAD + a``, and ``powers[j] = x^(-2j)`` for the
+    Euler-Maclaurin corrections.  Cached because every macro step rebuilds
+    its operator on the same ones."""
     a = np.arange(1, axis_points + 3) / axis_points
     x = np.arange(_ZETA_HEAD + 1)[:, None] + a
-    logs = np.log(x)
+    logs = np.append(np.log(x), math.log(2.0))
     powers = x[-1] ** -(2.0 * np.arange(len(_BERNOULLI)))[:, None]
     for array in (x, logs, powers):
         array.flags.writeable = False
@@ -82,7 +86,7 @@ def _bernoulli_terms(p: float) -> list:
     ``zeta(s, a) / s``, s = p - 1, for j = 1..8."""
     s, rising, terms = p - 1.0, 1.0, []
     for j, b in enumerate(_BERNOULLI, start=1):
-        terms.append(b / math.factorial(2 * j) * rising)
+        terms.append(b * rising)
         rising *= (s + (2 * j - 1)) * (s + 2 * j)
     return terms
 
@@ -122,19 +126,25 @@ def _axis_kernels(axis_points: int, spacing: float, exponents: list) -> np.ndarr
     p = np.array(exponents, dtype=float)[:, None]
     s = p - 1.0
     x, logs, powers = _zeta_nodes(m)
-    # p zeta(s, a) / (s p), less its parts constant and linear in a
-    e = _expm1_ratio(s[:, :, None], logs)
+    # the Euler-Maclaurin corrections first, so that their (P, 8, M+2)
+    # products and the expm1 pass are never held at once
+    terms = np.array([_bernoulli_terms(q) for q in exponents])[:, :, None]
+    corrections = (terms * powers).sum(axis=1)
+    # p zeta(s, a) / (s p), less its parts constant and linear in a; the
+    # last column of the expm1 pass is node 1's half-segment term
+    ratios = _expm1_ratio(s, logs)
+    half = ratios[:, -1]
+    e = ratios[:, :-1].reshape(len(exponents), _ZETA_HEAD + 1, m + 2)
     zeta = e[:, :-1].sum(axis=1)
     zeta += (x / (s - 1.0) + 0.5) * e[:, -1]
-    terms = np.array([_bernoulli_terms(q) for q in exponents])[:, :, None]
-    zeta += np.exp(-p * logs[-1]) * (terms * powers).sum(axis=1)
+    zeta += np.exp(-p * logs[-(m + 3):-1]) * corrections  # the logs of x, before log 2
     # the second difference of class r = 2..M+1 lands on offset r mod M
     kernels = np.empty((len(exponents), m))
     kernels[:, 2:] = zeta[:, 2:m] - 2.0 * zeta[:, 1 : m - 1] + zeta[:, : m - 2]
     kernels[:, :2] = zeta[:, m:] - 2.0 * zeta[:, m - 1 : -1] + zeta[:, m - 2 : -2]
     kernels *= np.array([m ** (1.0 - q) for q in exponents])[:, None]
     # node 1's half-segment and the singular part, both at offset 1
-    kernels[:, 1] += (1.0 + _expm1_ratio(s, math.log(2.0)) + p / (2.0 - p))[:, 0]
+    kernels[:, 1] += 1.0 + half + (p / (2.0 - p))[:, 0]
     kernels *= np.array([frac_constant(1, q) / q * spacing**-q for q in exponents])[:, None]
     # add each offset's mirror; offsets that wrap onto the centre contribute nothing
     kernels[:, 1:] = kernels[:, 1:] + kernels[:, :0:-1]

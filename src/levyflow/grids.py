@@ -17,7 +17,10 @@ from .errors import GridMismatch
 
 
 # The grid's lookup tables depend on its shape alone, so they are cached by
-# shape, shared by equal grids, and read-only.
+# shape, shared by equal grids, and read-only.  Gather through a cached
+# table with ``values[table]``: ``values.take(table)`` copies a read-only
+# index array on every call (123 against 24 us for the neighbour table of a
+# 16-sample 21x21 stack on a 2-vCPU x86-64 host, NumPy 2.4).
 
 
 @lru_cache(maxsize=4)

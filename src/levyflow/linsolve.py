@@ -4,11 +4,11 @@ The H-step system of the macro solver is nonsymmetric (advection by the
 cell-density gradient), which rules out plain conjugate gradients.  It is
 small and, at the published parameters, strongly diagonally dominant, so
 the H-step starts from Jacobi sweeps, then BiCGSTAB verifies or finishes:
-a system whose start already meets the tolerance is frozen by the first
-true-residual check, with no iteration.  Its operator is the five-point
-stencil that ``macro.HOperator`` assembles once per step.  (The C-step's
-fractional system is circulant and is solved exactly by FFT in
-``fracops``.)
+a stack whose every start already meets the tolerance is returned after
+the first true-residual check, with no iteration and no solver state.
+Its operator is the five-point stencil that ``macro.HOperator`` assembles
+once per step.  (The C-step's fractional system is circulant and is
+solved exactly by FFT in ``fracops``.)
 
 The solver advances a stack of independent systems in lockstep, one
 system per row of the stack, each with its own scalars (rho, alpha,
@@ -73,11 +73,6 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
     scale = np.where(zero, 1.0, b_norm)
     x = rows.copy() if x0 is None else np.array(x0, dtype=float).reshape(n_sys, -1)
     x[zero] = 0.0
-    solution = x.copy()
-    residuals = np.zeros(n_sys)
-    counts = np.zeros(n_sys, dtype=np.int64)
-    failures = {}
-    active = ~zero
 
     def finish(done, values, res, k):
         """Freeze the systems in ``done`` at ``values`` after k iterations."""
@@ -102,6 +97,15 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = rows - op(x)
         res = row_norm(r) / scale
+        if (zero | (res <= tol)).all():  # a finished start: return it as it is
+            residuals = np.where(zero, 0.0, res)
+            return SolveResult(x.reshape(shape), float(residuals.max()), 0, residuals,
+                               np.zeros(n_sys, dtype=np.int64), {})
+        solution = x.copy()
+        residuals = np.zeros(n_sys)
+        counts = np.zeros(n_sys, dtype=np.int64)
+        failures = {}
+        active = ~zero
         finish(active & (res <= tol), x, res, 0)
         fail(~np.isfinite(res), lambda row: "BiCGSTAB breakdown: non-finite residual")
         r_hat = r.copy()

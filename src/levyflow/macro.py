@@ -195,18 +195,22 @@ def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
     """Conservative discretization of div(coef * grad u): per axis,
     ``((coef_k+1 + coef_k)(u_k+1 - u_k) + (coef_k-1 + coef_k)(u_k-1 - u_k)) / (2 d^2)``.
     Telescopes to zero total, so the coupling conserves mass exactly.  Acts
-    on the trailing grid axes, like the stencils in ``grids``."""
-    # one row per neighbour, as in ``neighbours``; in place, so no
-    # temporary as large as a gather is made
-    flux = neighbours(u, grid)
-    flux -= u
-    coef_sum = neighbours(coef, grid)
-    coef_sum += coef
-    flux *= coef_sum
-    out = np.zeros_like(u)
+    on the trailing grid axes, like the stencils in ``grids``.
+
+    Each edge flux ``F_k = (u_k+1 - u_k)(coef_k+1 + coef_k)`` is computed
+    once: the predecessor term is ``-F_k-1`` bit for bit (negation and
+    commutation are exact), so an axis adds ``(F_k - F_k-1) / (2 d^2)``."""
+    table = grid.neighbour_table(u.shape[: u.ndim - grid.ndim])
+    flat_u, flat_coef = u.reshape(-1), coef.reshape(-1)
+    out = np.zeros(table.shape[1:])  # one row of nodes per field, as the table
     for axis, d in enumerate(grid.spacings):
-        out += (flux[2 * axis] + flux[2 * axis + 1]) / (2.0 * d**2)
-    return out
+        succ, pred = table[2 * axis], table[2 * axis + 1]
+        flux = flat_u[succ] - flat_u.reshape(out.shape)
+        flux *= flat_coef[succ] + flat_coef.reshape(out.shape)
+        flux -= flux.reshape(-1)[pred]
+        flux /= 2.0 * d**2
+        out += flux
+    return out.reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +274,13 @@ class HOperator:
         out += self.centre * x
         return out
 
+    def off_diagonal_sums(self) -> np.ndarray:
+        """Each row's largest sum of absolute off-diagonal weights over its
+        nodes; the row's stencil is strictly diagonally dominant where this
+        is below ``centre``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _per_sample(np.abs(self.weights).sum(axis=0), self.grid).max(axis=1)
+
     def jacobi(self, rhs: np.ndarray, sweeps: int) -> np.ndarray:
         """``sweeps`` Jacobi sweeps from x = rhs, each x = (rhs - N x) / centre
         with N the off-diagonal part, on the rows whose stencil is strictly
@@ -282,8 +293,7 @@ class HOperator:
             for _ in range(sweeps):
                 x = rhs - self._neighbour_sum(x)
                 x /= self.centre
-            off = np.abs(self.weights).sum(axis=0)
-            loose = ~(_per_sample(off, self.grid).max(axis=1) < self.centre)
+            loose = ~(self.off_diagonal_sums() < self.centre)
         if loose.any():
             _per_sample(x, self.grid)[loose] = _per_sample(rhs, self.grid)[loose]
         return x
@@ -305,7 +315,11 @@ def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, failures: 
     res = bicgstab(apply_op, rhs, cfg.solver_tol, x0=apply_op.jacobi(rhs, _H_SWEEPS))
     h_new = res.solution
     for row, error in res.failures.items():
-        failures.setdefault(row, error)
+        off = apply_op.off_diagonal_sums()[row]
+        failures.setdefault(row, SolverDiverged(
+            f"H-step at step {state.step + 1}: {error} (largest off-diagonal weight sum "
+            f"{off:.3g} against a centre of {apply_op.centre:.3g}; the stencil is "
+            f"set by [macro] tau, sigma_H and gamma_f)"))
         h_new[row] = state.h[row]
     if stats is not None:
         stats.absorb_solve(res.residuals, res.iterations)

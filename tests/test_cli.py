@@ -332,6 +332,19 @@ def test_failed_ensemble_sample_exits_as_its_cause(tmp_path, capsys, key, code, 
     assert message in capsys.readouterr().err
 
 
+def test_h_step_breakdown_names_the_step_and_its_keys(tmp_path, capsys):
+    """A failed H-step solve exits 5 with a message that names the H-step,
+    the step, the stencil's dominance and the keys that set the stencil."""
+    cfgfile = tmp_path / "loose.cfg"
+    cfgfile.write_text("[macro]\nN = 20\ntau = 3.0\ngamma_f = 0.5\n")
+    assert _run("--config", str(cfgfile), "--seed", "7", "--out", str(tmp_path / "o"),
+                "macro") == 5
+    err = capsys.readouterr().err
+    assert "solver diverged: H-step at step 1:" in err
+    assert "off-diagonal weight sum" in err
+    assert all(key in err for key in ("[macro] tau", "sigma_H", "gamma_f"))
+
+
 _IMPORT_PROBE = """
 import json, sys
 from levyflow import cli

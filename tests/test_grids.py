@@ -149,6 +149,27 @@ def test_stencils_through_neighbour_table_equal_np_roll(name, lead):
 
 
 @pytest.mark.parametrize("name", list(STENCIL_GRIDS))
+@pytest.mark.parametrize("case", ["signed-zeros", "1e+150", "1e-150", "lead-2-S"])
+def test_edge_flux_divergence_equals_np_roll_bitwise(name, case):
+    """Each edge flux is computed once and its predecessor's is subtracted;
+    that is bitwise the two-term reference, signed zeros and ties, extreme
+    magnitudes and a (2, S) lead stack included."""
+    grid = STENCIL_GRIDS[name]
+    rng = np.random.Generator(np.random.Philox(key=[11, 0]))
+    lead = (2, 3) if case == "lead-2-S" else (3,)
+    u, coef = rng.standard_normal((2,) + lead + grid.shape)
+    if case == "signed-zeros":  # equal neighbours, +-0.0 values and coefficient sums
+        u = rng.integers(-1, 2, lead + grid.shape) * np.array([1.0, -0.0, 0.0, 2.0])[
+            rng.integers(0, 4, lead + grid.shape)]
+        coef = rng.choice([-0.0, 0.0, 1.0, -1.0], lead + grid.shape)
+    elif case != "lead-2-S":
+        scale = float(case)
+        u, coef = u * scale, coef * scale
+    assert (flux_divergence(coef, u, grid).tobytes()
+            == _roll_flux_divergence(coef, u, grid).tobytes())
+
+
+@pytest.mark.parametrize("name", list(STENCIL_GRIDS))
 def test_stack_rows_equal_fields_alone_bitwise(name):
     """Every row of a stack of lead shape (S,) or (2, S), and of a stack
     that shrank as its samples dropped, gets from each stencil bitwise what

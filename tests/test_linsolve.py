@@ -92,3 +92,55 @@ def test_stack_with_a_zero_rhs_slice():
     assert res.residuals[2] == alone.residual and res.iteration_counts[2] == alone.iterations
     assert res.residual == res.residuals.max() <= 1e-12
     assert res.iterations == res.iteration_counts.sum()
+
+
+def _mixed_op(x):  # nonsymmetric, acting on the trailing axis of each row
+    return 2.0 * x - 0.5 * np.roll(x, 1, axis=-1) + 0.25 * np.roll(x, -1, axis=-1)
+
+
+def test_finished_start_rows_equal_rows_solved_alone():
+    """A stack that mixes a finished start, a zero rhs and an unfinished
+    row takes the full path; every row still gets bitwise what it gets
+    alone, where the finished start and the zero rhs return at once."""
+    rng = np.random.Generator(np.random.Philox(key=[8, 0]))
+    b = rng.standard_normal((3, 12))
+    b[1] = 0.0
+    x0 = rng.standard_normal((3, 12))
+    x0[0] = bicgstab(_mixed_op, b[:1], 1e-13).solution[0]  # a start that meets 1e-10
+    stacked = bicgstab(_mixed_op, b, 1e-10, x0=x0)
+    assert stacked.iteration_counts[2] > 0
+    for row in range(3):
+        alone = bicgstab(_mixed_op, b[row:row + 1], 1e-10, x0=x0[row:row + 1])
+        assert stacked.solution[row].tobytes() == alone.solution[0].tobytes()
+        assert stacked.residuals[row].tobytes() == alone.residuals[0].tobytes()
+        assert stacked.iteration_counts[row] == alone.iteration_counts[0]
+        assert (row in stacked.failures) == bool(alone.failures)
+    assert stacked.iteration_counts[:2].tolist() == [0, 0]
+    assert stacked.residuals[1] == 0.0 and np.all(stacked.solution[1] == 0.0)
+
+
+def test_finished_start_applies_the_operator_once():
+    rng = np.random.Generator(np.random.Philox(key=[9, 0]))
+    b = rng.standard_normal((3, 12))
+    b[2] = 0.0
+    x0 = bicgstab(_mixed_op, b, 1e-13).solution
+    calls = []
+
+    def op(x):
+        calls.append(1)
+        return _mixed_op(x)
+
+    res = bicgstab(op, b, 1e-10, x0=x0)
+    assert len(calls) == 1
+    assert res.iterations == 0 and res.iteration_counts.tolist() == [0, 0, 0]
+    assert res.failures == {}
+    assert res.solution.tobytes() == x0.tobytes()
+    assert res.residuals[2] == 0.0 and res.residual == res.residuals.max() <= 1e-10
+
+
+def test_nan_start_still_fails_with_a_non_finite_residual():
+    x0 = np.ones((1, 6))
+    x0[0, 3] = np.nan
+    res = bicgstab(_mixed_op, np.ones((1, 6)), 1e-10, x0=x0)
+    assert "non-finite residual" in str(res.failures[0])
+    assert np.isnan(res.residuals[0]) and res.iteration_counts[0] == 0

@@ -251,11 +251,15 @@ def test_a_failed_sample_leaves_the_others_max_residual():
 
 def test_absurd_tau_fails_the_h_step_quietly():
     """A non-finite H-step fails in BiCGSTAB's first residual check, as a
-    named SolverDiverged; the sweeps before it raise no RuntimeWarning."""
+    named SolverDiverged that names the H-step, its step and the keys that
+    set the stencil; the sweeps before it raise no RuntimeWarning."""
     state = _one(macro_init(MacroConfig()))
     failures = {}
     h_new = step_h(state, MacroConfig(tau=1e308), StreamChunk([RngStream(1, 0)]), failures)
-    assert str(failures[0]) == "BiCGSTAB breakdown: non-finite residual"
+    message = str(failures[0])
+    assert isinstance(failures[0], SolverDiverged)
+    assert message.startswith("H-step at step 1: BiCGSTAB breakdown: non-finite residual (")
+    assert message.endswith("set by [macro] tau, sigma_H and gamma_f)")
     assert h_new.tobytes() == state.h.tobytes()
 
 

@@ -40,7 +40,7 @@ def test_trace_hooks_fire_on_tiny_runs(tmp_path):
                          *command.split()]) == 0, command
     recorded = {span.name for span in tracer.spans}
     assert {"formats.lvf_write", "formats.csv_write", "formats.sha256", "fracops.oracle",
-            "micro.deposit", "config.resolve", "ensemble.sample"} <= recorded
+            "micro.deposit", "config.resolve", "ensemble.sample", "linsolve.bicgstab"} <= recorded
     # the micro hooks fire within a micro ensemble sample, as in the
     # benchmark's micro-laws workload
     def chain(span):
