@@ -19,6 +19,7 @@ ensemble sample exits with the code of its cause.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -33,6 +34,7 @@ from .ensemble import run_ensemble
 from .errors import (
     ConfigInvalid,
     EnsembleSampleError,
+    GridMismatch,
     InvariantViolation,
     LevyflowError,
     SolverDiverged,
@@ -246,6 +248,11 @@ def cmd_ensemble(sections, args, out: Path) -> Outcome:
 
 def cmd_report(sections, args, out: Path) -> Outcome:
     params = cfgmod.report_params_from(sections)
+    for flag, bound in (("--vmin", args.vmin), ("--vmax", args.vmax)):
+        if bound is not None and not math.isfinite(bound):
+            raise ConfigInvalid(f"{flag}: must be finite, got {bound}")
+    if args.vmin is not None and args.vmax is not None and args.vmin >= args.vmax:
+        raise ConfigInvalid(f"--vmin: must lie below --vmax, got {args.vmin} >= {args.vmax}")
     inputs = [Path(p) for p in args.snapshots]
     missing = [str(p) for p in inputs if not p.exists()]
     if not inputs or missing:
@@ -253,10 +260,13 @@ def cmd_report(sections, args, out: Path) -> Outcome:
     paths = []
     for snap in inputs:
         values, (mx, my) = read_grid_binary(snap)
-        if my > 1:
-            f = GridField(Grid((float(mx), float(my)), (mx, my)), values)
-        else:
-            f = GridField(Grid((float(mx),), (mx,)), values[:, 0])
+        try:  # 1D fields store My = 1
+            if my == 1:
+                f = GridField(Grid((float(mx),), (mx,)), values[:, 0])
+            else:
+                f = GridField(Grid((float(mx), float(my)), (mx, my)), values)
+        except GridMismatch as exc:
+            raise ConfigInvalid(f"{snap}: {exc}") from exc
         stem = snap.stem
         paths.append(write_pgm(out / f"{stem}.pgm", values, args.vmin, args.vmax))
         paths.append(write_contour_csv(out / f"{stem}_contours.csv", f, params["levels"]))
@@ -348,13 +358,18 @@ def main(argv=None) -> int:
     if args.workers is None:
         args.workers = os.cpu_count() or 1
     try:
+        if args.workers < 1:
+            raise ConfigInvalid(f"--workers: need at least one worker, got {args.workers}")
         sections = {} if args.config is None else cfgmod.load_config_file(args.config)
         for dest, value in vars(args).items():
             section, dot, key = dest.partition(".")
             if dot:
                 sections.setdefault(section, {})[key] = value
         out = Path(os.environ.get("LEVYFLOW_OUT") or args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigInvalid(f"output directory {out}: {exc.strerror}") from exc
         outcome = args.fn(sections, args, out)
         write_manifest(out / "manifest.json", cfgmod.render_config(outcome.echo),
                        args.seed, started_at, outcome.paths)

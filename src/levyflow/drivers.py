@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatch, NonpositiveDt, NyquistViolation
-from .grids import Grid, GridField, periodic_gaussian_blur
+from .grids import Grid, periodic_gaussian_blur
 
 
 # ---------------------------------------------------------------------------
@@ -39,27 +39,20 @@ class RngStream:
             np.random.Philox(key=[self.base_seed, self.stream_index])
         )
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
-    def normal(self, size=None):
+    def normal(self, size):
         return self._gen.standard_normal(size)
 
-    def uniform(self, size=None):
+    def uniform(self, size):
         return self._gen.random(size)
 
-    def laplace(self, size=None):
+    def laplace(self, size):
         return self._gen.laplace(0.0, 1.0, size)
 
-    def triangular(self, left, mode, right, size=None):
+    def triangular(self, left, mode, right, size):
         return self._gen.triangular(left, mode, right, size)
 
-    def cauchy(self, size=None):
+    def cauchy(self, size):
         return self._gen.standard_cauchy(size)
-
-    def integers(self, low, high, size=None):
-        return self._gen.integers(low, high, size=size)
 
 
 class StreamChunk(tuple):
@@ -127,8 +120,8 @@ def cauchy_modulated_increment(sigma, z, dt, amplitude=10.0):
     return amplitude * np.sin(sigma) * math.sqrt(dt) * np.asarray(z)
 
 
-def draw_noise(model, rng: RngStream, dt: float, size=None):
-    """One velocity-noise increment (or an array of them).
+def draw_noise(model, rng: RngStream, dt: float, size):
+    """An array of velocity-noise increments of shape ``size``.
 
     Every law is scaled by sqrt(dt) so the Gaussian case reproduces a
     Wiener increment and the laws stay comparable at any step size.  The
@@ -145,10 +138,7 @@ def draw_noise(model, rng: RngStream, dt: float, size=None):
         normal = rng.normal(size)
         laplace = rng.laplace(size)
         triangular = rng.triangular(*model.triangular, size)
-        picked = switching_pick(u, model.weights, normal, laplace, triangular)
-        if size is None:
-            return float(picked) * root_dt
-        return picked * root_dt
+        return switching_pick(u, model.weights, normal, laplace, triangular) * root_dt
     if isinstance(model, CauchyModulatedNoise):
         sigma = rng.cauchy(size)
         z = rng.normal(size)
@@ -206,66 +196,32 @@ def _basis_matrix(modes: int, length: float, points: int) -> np.ndarray:
     return out
 
 
-def _check_nyquist(spec: QWienerSpec, grid: Grid):
+def sample_qwiener_increment(spec: QWienerSpec, grid: Grid, dt: float, streams: StreamChunk,
+                             failures: dict) -> np.ndarray:
+    """A stack of increment fields ``sqrt(dt) * sum z_{m,n} lambda_m lambda_n
+    e_n(x) e_m(y)`` on the 2D ``grid``, shape ``(S, *grid.shape)``, one per
+    stream of ``streams`` in row order; a single draw is a stack of one.
+
+    Each stream draws its normals in row order and the whole stack is
+    projected in one matrix product, which gives each row the bits of a
+    matrix product of that row alone.  A row that is not finite is zeroed
+    and its GridMismatch noted in ``failures[row]``.
+    """
+    if dt <= 0:
+        raise NonpositiveDt(f"dt must be positive, got {dt}")
     for m in grid.shape:
         if 2 * spec.modes > m:
             raise NyquistViolation(
                 f"{spec.modes} modes exceed the Nyquist limit of a {m}-point axis"
             )
-
-
-def qwiener_pointwise_variance(spec: QWienerSpec, grid: Grid, dt: float) -> np.ndarray:
-    """Exact variance field ``dt * sum lambda^2 e^2 (x) e^2 (y)`` of one increment."""
-    _check_nyquist(spec, grid)
-    if grid.ndim == 1:
-        a = _basis_matrix(spec.modes, grid.lengths[0], grid.shape[0])
-        return dt * np.sum(a * a, axis=0)
+    z = np.empty((len(streams), spec.modes, spec.modes))  # z[s, m, n]
+    for row, stream in enumerate(streams):
+        z[row] = stream.normal(z.shape[1:])
     ax = _basis_matrix(spec.modes, grid.lengths[0], grid.shape[0])
     ay = _basis_matrix(spec.modes, grid.lengths[1], grid.shape[1])
-    return dt * (ax * ax).sum(axis=0)[:, None] * (ay * ay).sum(axis=0)[None, :]
-
-
-def sample_qwiener_increment(
-    spec: QWienerSpec, grid: Grid, dt: float, rng: RngStream | StreamChunk, gaussians=None,
-    failures: dict | None = None,
-) -> GridField | np.ndarray:
-    """One increment field ``sqrt(dt) * sum z_{m,n} lambda_m lambda_n e_n(x) e_m(y)``.
-
-    ``rng`` is one RngStream, for one increment as a GridField (which
-    refuses non-finite values), or a StreamChunk of S streams, for a stack
-    of increments of shape ``(S, *grid.shape)``, one per stream in row
-    order; a single draw is a stack of one.  Each stream draws its normals
-    in row order and the whole stack is projected in one matrix product,
-    which gives each row the bits of a matrix product of that row alone.
-    A stack row that is not finite is zeroed and its GridMismatch noted in
-    ``failures[row]``, a dict the caller passes with a chunk.
-
-    ``gaussians`` can inject a fixed (modes, modes) (or (modes,) in 1D)
-    array per stream in place of fresh standard normal draws.
-    """
-    if dt <= 0:
-        raise NonpositiveDt(f"dt must be positive, got {dt}")
-    _check_nyquist(spec, grid)
-    single = isinstance(rng, RngStream)
-    streams = (rng,) if single else rng
-    shape = (len(streams),) + (spec.modes,) * grid.ndim
-    if gaussians is None:
-        z = np.empty(shape)  # z[s, m, n]
-        for row, stream in enumerate(streams):
-            z[row] = stream.normal(shape[1:])
-    else:
-        z = np.asarray(gaussians, dtype=float).reshape(shape)
-    ax = _basis_matrix(spec.modes, grid.lengths[0], grid.shape[0])
-    if grid.ndim == 1:
-        # each row a (1, modes) matrix, whose product is a vector product
-        values = (z[:, None, :] @ ax)[:, 0]
-    else:
-        ay = _basis_matrix(spec.modes, grid.lengths[1], grid.shape[1])
-        # increment[k, j] = sum_{m,n} z[m,n] (lam_n e_n(x_k)) (lam_m e_m(y_j))
-        values = ax.T @ z.transpose(0, 2, 1) @ ay
+    # increment[k, j] = sum_{m,n} z[m,n] (lam_n e_n(x_k)) (lam_m e_m(y_j))
+    values = ax.T @ z.transpose(0, 2, 1) @ ay
     values *= math.sqrt(dt)
-    if single:
-        return GridField(grid, values[0])
     finite = np.isfinite(values.reshape(len(streams), -1)).all(axis=1)
     for row in np.flatnonzero(~finite):
         failures.setdefault(int(row), GridMismatch("increment contains non-finite values"))

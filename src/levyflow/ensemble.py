@@ -31,8 +31,6 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ConfigInvalid("need at least one sample")
-        if self.workers < 1:
-            raise ConfigInvalid("need at least one worker")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import struct
 import time
 from pathlib import Path
@@ -62,12 +63,20 @@ def write_grid_binary(path, f: GridField):
 
 
 def read_grid_binary(path):
-    """Returns (values array, (Mx, My)); 1D payloads come back as (Mx, 1)."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _LVF_MAGIC:
+    """Returns (values array, (Mx, My)); 1D payloads come back as (Mx, 1).
+    A file that cannot be read, or whose size is not its header's ``12 + 8
+    Mx My`` bytes, is refused."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigInvalid(f"{path}: cannot read ({exc.strerror})") from exc
+    if len(raw) < 12 or raw[:4] != _LVF_MAGIC:
         raise ConfigInvalid(f"{path}: not an LVF1 file")
     mx, my = struct.unpack("<II", raw[4:12])
-    values = np.frombuffer(raw[12:], dtype="<f8", count=mx * my).reshape(mx, my)
+    if len(raw) != 12 + 8 * mx * my:
+        raise ConfigInvalid(f"{path}: {len(raw)} bytes, but a {mx}x{my} LVF1 grid "
+                            f"takes {12 + 8 * mx * my}")
+    values = np.frombuffer(raw[12:], dtype="<f8").reshape(mx, my)
     return values.copy(), (mx, my)
 
 
@@ -83,8 +92,14 @@ def render_pgm(values: np.ndarray, lo=None, hi=None) -> bytes:
     if hi <= lo:
         gray = np.full(values.shape, 128, dtype=np.uint8)
     else:
-        scaled = np.clip((values - lo) / (hi - lo), 0.0, 1.0)
-        gray = np.floor(255.0 * scaled + 0.5).astype(np.uint8)
+        # a value far outside [lo, hi] overflows to an infinity, which the
+        # clip takes to 0 or 1; a range too wide for a double is halved
+        with np.errstate(over="ignore"):
+            if math.isinf(hi - lo):
+                scaled = (0.5 * values - 0.5 * lo) / (0.5 * hi - 0.5 * lo)
+            else:
+                scaled = (values - lo) / (hi - lo)
+        gray = np.floor(255.0 * np.clip(scaled, 0.0, 1.0) + 0.5).astype(np.uint8)
     h, w = gray.shape
     return b"P5\n%d %d\n255\n" % (w, h) + gray.tobytes(order="C")
 
@@ -112,8 +127,13 @@ def contour_points(f: GridField, levels):
             hi_side = np.maximum(vv, nxt)
             crossing = (lo_side <= level) & (level < hi_side)
             frac = np.zeros_like(vv)
-            span = nxt - vv
-            np.divide(level - vv, span, out=frac, where=span != 0)
+            # only a crossing's fraction is used, and it lies in [0, 1]; a
+            # step beyond the double range is halved
+            with np.errstate(over="ignore"):
+                span = nxt - vv
+                np.divide(level - vv, span, out=frac, where=span != 0)
+            wide = np.isinf(span)
+            frac[wide] = (0.5 * level - 0.5 * vv[wide]) / (0.5 * nxt[wide] - 0.5 * vv[wide])
             for k, j in zip(*np.nonzero(crossing)):
                 t = frac[k, j]
                 if axis == 0:

@@ -28,8 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ExponentOutOfRange
-from .grids import Grid, GridField, fourier_multiply, require_same_grid
-from .symbols import StableSymbol, SymbolSpec, TripleSymbol
+from .grids import Grid, fourier_multiply
+from .symbols import StableSymbol, SymbolSpec
 
 # Euler-Maclaurin for the Hurwitz zeta: this many leading terms summed
 # directly, then the corrections with the Bernoulli numbers B_2 .. B_16,
@@ -39,20 +39,17 @@ _BERNOULLI = tuple(b / math.factorial(2 * j) for j, b in enumerate(
     (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), start=1))
 
 
-def frac_constant(d: int, p: float) -> float:
-    """``|c_{d,p}| = 2^p Gamma((d+p)/2) / (pi^{d/2} |Gamma(-p/2)|)``.
+def frac_constant(p: float) -> float:
+    """``|c_{1,p}| = 2^p Gamma((1+p)/2) / (sqrt(pi) |Gamma(-p/2)|)``, the
+    constant of the 1D operator.
 
-    Continuous in p on (0, 2); ``frac_constant(1, p) / (2 - p) -> 1`` as
+    Continuous in p on (0, 2); ``frac_constant(p) / (2 - p) -> 1`` as
     p -> 2, which makes the singular stencil reproduce the classical
     3-point Laplacian weight in that limit.
     """
-    if d not in (1, 2):
-        raise ExponentOutOfRange(f"dimension must be 1 or 2, got {d}")
     if not 0.0 < p < 2.0:
         raise ExponentOutOfRange(f"exponent must lie in (0,2), got {p}")
-    return 2.0**p * math.gamma((d + p) / 2.0) / (
-        math.pi ** (d / 2.0) * abs(math.gamma(-p / 2.0))
-    )
+    return 2.0**p * math.gamma((1.0 + p) / 2.0) / (math.sqrt(math.pi) * abs(math.gamma(-p / 2.0)))
 
 
 def _expm1_ratio(s: np.ndarray, logs) -> np.ndarray:
@@ -145,7 +142,7 @@ def _axis_kernels(axis_points: int, spacing: float, exponents: list) -> np.ndarr
     kernels *= np.array([m ** (1.0 - q) for q in exponents])[:, None]
     # node 1's half-segment and the singular part, both at offset 1
     kernels[:, 1] += 1.0 + half + (p / (2.0 - p))[:, 0]
-    kernels *= np.array([frac_constant(1, q) / q * spacing**-q for q in exponents])[:, None]
+    kernels *= np.array([frac_constant(q) / q * spacing**-q for q in exponents])[:, None]
     # add each offset's mirror; offsets that wrap onto the centre contribute nothing
     kernels[:, 1:] = kernels[:, 1:] + kernels[:, :0:-1]
     kernels[:, 0] = 0.0
@@ -264,20 +261,14 @@ class FracLapOperator:
             return b.copy()
         return fourier_multiply(self.grid, b, 1.0 / (1.0 - shift * self._symbol))
 
-    def apply(self, f: GridField) -> GridField:
-        require_same_grid(f.grid, self.grid)
-        return GridField(self.grid, self.apply_values(f.values))
 
-
-def spectral_oracle(grid: Grid, p, f):
+def spectral_oracle(grid: Grid, p, f: np.ndarray) -> np.ndarray:
     """The exact generator ``-|xi|^p`` (0 at the zero mode) applied as a
     Fourier multiplier: ``-psi(D) f`` for the stable symbol ``psi(xi) =
-    |xi|^p``, and for p = 2 the diffusion symbol with ``Q = 2I``, the
-    spectral Laplacian.  Ground truth for the difference scheme.
+    |xi|^p``.  Ground truth for the difference scheme.
 
-    ``f`` is a ``GridField`` on ``grid`` (a ``GridField`` comes back) or an
-    array stack whose trailing axes are the grid (an array comes back).
-    ``p`` is a scalar or a sequence of P exponents; a sequence gives the
+    ``f`` is an array stack whose trailing axes are the grid.  ``p`` is a
+    scalar or a sequence of P exponents in (0, 2); a sequence gives the
     multiplier a leading axis of one row per exponent, which broadcasts
     against the stack's axis just before the grid axes, so a ``(K, P,
     *grid.shape)`` or ``(K, 1, *grid.shape)`` stack gets exponent ``p[j]``
@@ -285,20 +276,7 @@ def spectral_oracle(grid: Grid, p, f):
     bitwise the single-exponent result.
     """
     exponents = np.asarray(p, dtype=float)
-    if not all(0.0 < q <= 2.0 for q in exponents.ravel().tolist()):
-        raise ExponentOutOfRange(f"exponent must lie in (0,2], got {p}")
-    if isinstance(f, GridField):
-        require_same_grid(f.grid, grid)
-        return GridField(grid, spectral_oracle(grid, p, f.values))
-    rows = [-symbol_multiplier(grid, _power_symbol(q, grid.ndim)).real
+    rows = [-symbol_multiplier(grid, StableSymbol(q, dim=grid.ndim)).real
             for q in exponents.ravel().tolist()]
     mult = np.array(rows).reshape(exponents.shape + rows[0].shape)
     return fourier_multiply(grid, f, mult)
-
-
-def _power_symbol(p: float, d: int) -> SymbolSpec:
-    """``|xi|^p`` on d axes: the stable symbol, or for p = 2 (outside the
-    stable range) the diffusion symbol ``(xi, Q xi)/2`` with ``Q = 2I``."""
-    if p == 2.0:
-        return TripleSymbol(drift=(0.0,) * d, q_matrix=2.0 * np.eye(d))
-    return StableSymbol(p, dim=d)

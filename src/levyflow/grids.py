@@ -144,17 +144,6 @@ class GridField:
         if not np.all(np.isfinite(self.values)):
             raise GridMismatch("field contains non-finite values")
 
-    def copy(self) -> "GridField":
-        return GridField(self.grid, self.values.copy())
-
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
-def require_same_grid(a: Grid, b: Grid):
-    if a != b:
-        raise GridMismatch(f"grids differ: {a} vs {b}")
-
 
 # ---------------------------------------------------------------------------
 # periodic stencils and smoothers shared by the field solvers
@@ -177,16 +166,6 @@ def neighbours(values: np.ndarray, grid: Grid, axis: int | None = None) -> np.nd
     if axis is not None:
         table = table[2 * axis: 2 * axis + 2]
     return values.reshape(-1)[table].reshape(table.shape[:-1] + grid.shape)
-
-
-def laplacian5(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Classical second-difference Laplacian (the 5-point stencil in 2D)."""
-    nb = neighbours(values, grid)
-    out = np.zeros_like(values)
-    for axis in range(grid.ndim):
-        d = grid.spacings[axis]
-        out += (nb[2 * axis] + nb[2 * axis + 1] - 2.0 * values) / d**2
-    return out
 
 
 def centered_difference(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:

@@ -235,9 +235,9 @@ class HOperator:
     """The H-step's implicit operator for a stack of cell densities ``c``,
     assembled once as a variable-coefficient five-point stencil:
 
-        x - tau sigma_H laplacian5(x) - tau gamma_f f(c) sum_a slope_a(c) D_a x,
+        x - tau sigma_H L(x) - tau gamma_f f(c) sum_a slope_a(c) D_a x,
 
-    with ``f(c) = c / (1 + c)``, ``slope_a`` the centred difference of ``c``
+    with ``L`` the five-point Laplacian, ``f(c) = c / (1 + c)``, ``slope_a`` the centred difference of ``c``
     and ``D_a`` that of ``x``.  The centre weight is the scalar
     ``1 + tau sigma_H sum_a 2 / d_a^2``; each neighbour has one weight
     array, ``-tau sigma_H / d_a^2 -+ tau gamma_f f slope_a / (2 d_a)`` for

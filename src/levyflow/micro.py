@@ -246,7 +246,7 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream, *,
     clamps = state.clamp_events
 
     # drawn for every particle, so the stream does not depend on the deaths
-    noise = np.asarray(draw_noise(cfg.noise, rng, tau, size=(m, 2)))
+    noise = draw_noise(cfg.noise, rng, tau, size=(m, 2))
     kicks = cfg.noise_scale * noise.take(idx, axis=0)
 
     # the bilinear stencil of the alive positions before the move and after it

@@ -76,12 +76,6 @@ class SymbolSpec:
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def evaluate(self, xi) -> complex:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if xi.shape != (self.d,):
-            raise DimensionMismatch(f"expected xi of length {self.d}, got {xi.shape}")
-        return complex(self.evaluate_many(xi[None, :])[0])
-
 
 def _as_points(points, d):
     pts = np.asarray(points, dtype=float)

@@ -1,7 +1,9 @@
 """Test-side references for the operators: the classical Laplacian as a
-field map (AC-2, AC-4), the symmetric frequency probe grid (AC-9), and the
-multiplier bound checks of the driver- and exponent-indexed symbol families
-(AC-8).
+field map (AC-2, AC-4), the fractional operator and the spectral oracle on
+a ``GridField`` (AC-1, AC-2), one Q-Wiener increment as a ``GridField`` and
+its exact pointwise variance (AC-3), the symmetric frequency probe grid
+(AC-9), and the multiplier bound checks of the driver- and exponent-indexed
+symbol families (AC-8).
 
 Both families are built from the symbols that the package ships: a member
 of the driver-indexed family is the resolvent form ``(1 + max(beta psi(xi),
@@ -13,8 +15,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from levyflow.errors import DimensionMismatch, EmptyGrid, ExponentOutOfRange
-from levyflow.grids import GridField, laplacian5, require_same_grid
+from levyflow import drivers, fracops
+from levyflow.drivers import StreamChunk, _basis_matrix
+from levyflow.errors import DimensionMismatch, EmptyGrid, ExponentOutOfRange, GridMismatch
+from levyflow.grids import GridField, neighbours
 from levyflow.symbols import StableSymbol, TripleSymbol, _as_points
 
 # |xi|^2 on the line, the base of the resolvent weight (1 + |xi|^2)^(eta/2)
@@ -25,10 +29,61 @@ LipschitzReport = namedtuple("LipschitzReport", "pairs sup_ratio constant satisf
 HolderReport = namedtuple("HolderReport", "pairs sup_ratio all_finite")
 
 
+def require_same_grid(a, b):
+    if a != b:
+        raise GridMismatch(f"grids differ: {a} vs {b}")
+
+
+def laplacian5(values, grid):
+    """Classical second-difference Laplacian (the 5-point stencil in 2D) of a
+    field or a stack of fields."""
+    nb = neighbours(values, grid)
+    out = np.zeros_like(values)
+    for axis in range(grid.ndim):
+        d = grid.spacings[axis]
+        out += (nb[2 * axis] + nb[2 * axis + 1] - 2.0 * values) / d**2
+    return out
+
+
 def standard_laplacian(grid, f):
     """Classical second-difference Laplacian, for the p -> 2 consistency check."""
     require_same_grid(f.grid, grid)
     return GridField(grid, laplacian5(f.values, grid))
+
+
+class FracLapOperator(fracops.FracLapOperator):
+    """The package operator, applied to a ``GridField`` on its grid."""
+
+    def apply(self, f):
+        require_same_grid(f.grid, self.grid)
+        return GridField(self.grid, self.apply_values(f.values))
+
+
+def spectral_oracle(grid, p, f):
+    """``fracops.spectral_oracle`` of a ``GridField`` on ``grid`` (a
+    ``GridField`` comes back) or of an array stack (an array comes back)."""
+    if isinstance(f, GridField):
+        require_same_grid(f.grid, grid)
+        return GridField(grid, fracops.spectral_oracle(grid, p, f.values))
+    return fracops.spectral_oracle(grid, p, f)
+
+
+def sample_qwiener_increment(spec, grid, dt, rng):
+    """One increment of ``rng``'s stream as a ``GridField``: the package's
+    stacked draw for a stack of one."""
+    failures = {}
+    values = drivers.sample_qwiener_increment(spec, grid, dt, StreamChunk([rng]), failures)
+    if failures:
+        raise failures[0]
+    return GridField(grid, values[0])
+
+
+def qwiener_pointwise_variance(spec, grid, dt):
+    """Exact variance field ``dt * sum lambda^2 e^2 (x) e^2 (y)`` of one
+    increment on a 2D grid."""
+    ax = _basis_matrix(spec.modes, grid.lengths[0], grid.shape[0])
+    ay = _basis_matrix(spec.modes, grid.lengths[1], grid.shape[1])
+    return dt * (ax * ax).sum(axis=0)[:, None] * (ay * ay).sum(axis=0)[None, :]
 
 
 def default_probe_points(d: int, radius: float = 10.0, per_axis: int = 101) -> np.ndarray:

@@ -16,11 +16,8 @@ from levyflow.drivers import (
     QWienerSpec,
     RngStream,
     SwitchingNoise,
-    sample_qwiener_increment,
-    qwiener_pointwise_variance,
 )
 from levyflow.ensemble import EnsembleConfig, run_ensemble
-from levyflow.fracops import FracLapOperator, spectral_oracle
 from levyflow.grids import Grid, GridField
 from levyflow.linsolve import bicgstab
 from levyflow.macro import MacroConfig, MacroState, macro_init, run_macro
@@ -28,9 +25,13 @@ from levyflow.micro import MicroConfig
 from levyflow.symbols import TripleSymbol, generator_symbol_table, growth_bound_constant
 
 from operator_reference import (
+    FracLapOperator,
     alpha_resolvent_holder_check,
     default_probe_points,
     multiplier_lipschitz_check,
+    qwiener_pointwise_variance,
+    sample_qwiener_increment,
+    spectral_oracle,
     standard_laplacian,
 )
 from transport_reference import (

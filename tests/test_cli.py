@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -163,6 +164,84 @@ def test_report_constant_field_uniform_gray(tmp_path):
     body = raw.split(b"255\n", 1)[1]
     assert set(body) == {128}
     assert (out / "c_contours.csv").exists()
+
+
+def _lvf(mx, my, values):
+    """An LVF1 file's bytes: the header for ``mx`` x ``my`` and ``values``."""
+    return b"LVF1" + struct.pack("<II", mx, my) + np.asarray(values, "<f8").tobytes()
+
+
+@pytest.mark.parametrize("raw, problem", [
+    (_lvf(3, 3, np.zeros(8)), "76 bytes, but a 3x3 LVF1 grid takes 84"),
+    (_lvf(3, 3, np.zeros(10)), "92 bytes, but a 3x3 LVF1 grid takes 84"),
+    (_lvf(4, 1, np.zeros(4)) + b"x", "45 bytes, but a 4x1 LVF1 grid takes 44"),
+    (_lvf(1, 1, [2.0]), "need at least 2 nodes per axis"),
+    (_lvf(3, 0, []), "domain lengths must be positive"),
+    (_lvf(2, 2, [0.0, np.nan, 1.0, 2.0]), "field contains non-finite values"),
+    (_lvf(2, 1, [0.0, -np.inf]), "field contains non-finite values"),
+    (b"LVF1\x02\x00", "not an LVF1 file"),
+    (None, "cannot read"),
+], ids=["short", "long", "trailing-byte", "1x1", "empty-axis", "nan", "1d-inf", "header",
+        "directory"])
+def test_report_refuses_a_malformed_snapshot(tmp_path, capsys, raw, problem):
+    snap = tmp_path / "bad.lvf"
+    if raw is None:
+        snap.mkdir()
+    else:
+        snap.write_bytes(raw)
+    assert _run("--out", str(tmp_path / "o"), "report", str(snap)) == 2
+    assert f"config error: {snap}: {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds, problem", [
+    (["--vmin", "nan"], "--vmin: must be finite, got nan"),
+    (["--vmax", "inf"], "--vmax: must be finite, got inf"),
+    (["--vmin=-inf", "--vmax", "1"], "--vmin: must be finite, got -inf"),
+    (["--vmin", "5", "--vmax", "1"], "--vmin: must lie below --vmax, got 5.0 >= 1.0"),
+    (["--vmin", "1", "--vmax", "1"], "--vmin: must lie below --vmax, got 1.0 >= 1.0"),
+])
+def test_report_refuses_bad_bounds(tmp_path, capsys, bounds, problem):
+    snap = tmp_path / "c.lvf"
+    snap.write_bytes(_lvf(2, 2, [0.0, 1.0, 2.0, 3.0]))
+    assert _run("--out", str(tmp_path / "o"), "report", str(snap), *bounds) == 2
+    assert problem in capsys.readouterr().err
+
+
+def test_report_maps_values_beyond_a_double_range_without_overflow(tmp_path):
+    """A range wider than the largest double is halved, and a value far
+    outside the bounds takes the end gray, with no overflow warning."""
+    snap = tmp_path / "wide.lvf"
+    snap.write_bytes(_lvf(2, 2, [-1.7e308, 1.7e308, 0.0, 8.5e307]))
+    assert _run("--out", str(tmp_path / "o"), "report", str(snap)) == 0
+    assert (tmp_path / "o" / "wide.pgm").read_bytes().split(b"255\n", 1)[1] == bytes(
+        [0, 255, 128, 191])
+    # the level 0.5 crosses the first row's step from -1.7e308 to 1.7e308 halfway
+    assert ["0.5", "0", "0.5"] in _read_csv(tmp_path / "o" / "wide_contours.csv")[1:]
+    assert _run("--out", str(tmp_path / "p"), "report", str(snap), "--vmin", "1e308",
+                "--vmax", "1.5e308") == 0
+    assert set((tmp_path / "p" / "wide.pgm").read_bytes().split(b"255\n", 1)[1]) == {0, 255}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("by_env", [False, True], ids=["flag", "env"])
+def test_output_path_on_a_file_exits_2(tmp_path, capsys, monkeypatch, below, by_env):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    if by_env:
+        monkeypatch.setenv("LEVYFLOW_OUT", str(out))
+    assert _run("--out", str(out), "symbol") == 2
+    assert f"config error: output directory {out}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["symbol", "fracheck", "micro", "macro", "ensemble",
+                                     "report"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
+    assert _run("--workers", workers, "--out", str(tmp_path / "o"), command) == 2
+    assert f"config error: --workers: need at least one worker, got {workers}" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_golden_pgm_bytes_stable():
@@ -389,6 +468,78 @@ def test_cli_import_loads_every_module():
     """Importing the command line loads every module file of the package, so
     no module holds code that only the tests reach."""
     assert _run_probe(_MODULES_PROBE) == []
+
+
+_CALLS_PROBE = """
+import ast, importlib.util, json, struct, sys
+from pathlib import Path
+package = Path(importlib.util.find_spec("levyflow").submodule_search_locations[0])
+called = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(profile)
+from levyflow import cli
+out = Path(sys.argv[1])
+codes = []
+
+def run(*argv, config=""):
+    path = out / f"c{len(codes)}.cfg"
+    path.write_text(config)
+    codes.append(cli.main(["--config", str(path), "--workers", "1",
+                           "--out", str(out / f"o{len(codes)}"), *argv]))
+
+macro = "[macro]\\nN = 2\\nN_x1 = 9\\nN_x2 = 9\\nqwiener_modes = 2\\n"
+micro = "[micro]\\nM = 20\\nN = 2\\ngrid_points = 9\\n"
+for name in ("bm_drift", "poisson", "compound_poisson", "full_triple", "alpha_stable"):
+    run("symbol", "--name", name, config="[symbol]\\npoints = 5\\n")
+run("fracheck", config="[fracheck]\\nresolutions = 16, 32\\nexponents = 1.0\\nmodes = 1\\n")
+for law in ("gaussian", "switching", "cauchy_modulated"):
+    run("micro", config=micro + f"noise = {law}\\n")
+run("macro", config=macro)
+run("ensemble", "--kind", "micro", "--samples", "2", config=micro)
+run("ensemble", "--kind", "macro", "--samples", "2", config=macro)
+line = out / "line.lvf"
+line.write_bytes(b"LVF1" + struct.pack("<II4d", 4, 1, 0.0, 1.0, 0.5, 0.2))
+run("report", str(out / "o6" / "acid_final.lvf"), str(line))
+run("macro", config=macro + "h0_amp = -1\\n")
+run("ensemble", "--kind", "macro", "--samples", "2", config=macro + "h0_amp = -1\\n")
+run("macro", config="[macro]\\nN = 1\\ntau = 3\\ngamma_f = 0.5\\n")
+sys.setprofile(None)
+
+def defined(node, path, prefix):
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name + "."
+        if isinstance(child, ast.FunctionDef):
+            # a decorated function's code starts at its first decorator
+            first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+            yield (path, first), name[:-1]
+        yield from defined(child, path, name)
+
+names = dict(pair for path in package.glob("*.py")
+             for pair in defined(ast.parse(path.read_text()), str(path), path.stem + "."))
+print(json.dumps([codes, sorted(name for key, name in names.items() if key not in called)]))
+"""
+
+# functions no command calls that stay: the benchmark reads manifests back
+# and names a stack by its first stream; evaluate_many is the abstract base
+# method that every symbol class overrides
+_UNCALLED_BY_COMMANDS = ["drivers.StreamChunk.stream_index", "formats.read_manifest",
+                         "formats.verify_manifest", "symbols.SymbolSpec.evaluate_many"]
+
+
+def test_commands_call_every_package_function(tmp_path):
+    """Tiny runs of every command in a fresh interpreter, a 2D and a 1D
+    report, a clamping macro run and ensemble and an H-step breakdown call
+    every function and method defined in the package, but the listed ones."""
+    codes, uncalled = _run_probe(_CALLS_PROBE, str(tmp_path))
+    assert codes == [0] * 13 + [6, 6, 5]
+    only_tests = [name for name in uncalled if name not in _UNCALLED_BY_COMMANDS]
+    assert not only_tests, f"no command calls {only_tests}"
 
 
 def _manifest_digests(out):

@@ -11,6 +11,7 @@ since a size in between allocates a large array and a long run takes long.
 import concurrent.futures
 import contextlib
 import io
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -117,3 +118,45 @@ def test_no_config_value_escapes_as_an_exception(section, data, monkeypatch):
     if code == 2:
         assert stderr.getvalue().startswith("config error:")
         assert f"[{section}]" in stderr.getvalue(), stderr.getvalue()
+
+
+# LVF1 payload values, one of them at most not finite, and --vmin / --vmax
+# bounds: the largest and smallest doubles, plain values and the non-finite
+FINITE = (0.0, -0.0, 1.0, -2.5, 0.5, 1e308, -1.7e308, 5e-324)
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+BOUNDS = st.none() | st.sampled_from(
+    ("0", "1", "-1", "0.5", "1e308", "-1e308", "5e-324", "nan", "inf", "-inf"))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(mx=st.integers(2, 4) | st.integers(0, 1), my=st.integers(1, 4) | st.just(0),
+       data=st.data(),
+       extra=st.just(0) | st.integers(-9, 9),
+       vmin=BOUNDS, vmax=BOUNDS)
+def test_report_on_any_snapshot_and_bounds_ends_with_an_exit_code(mx, my, data, extra,
+                                                                 vmin, vmax):
+    """A drawn LVF1 file, whose payload may miss or exceed ``Mx*My`` values
+    by a few bytes, rendered with drawn bounds: every run ends with exit 0
+    or, naming the file or the flag, exit 2, and raises no RuntimeWarning."""
+    values = data.draw(st.lists(st.sampled_from(FINITE), min_size=mx * my,
+                                max_size=mx * my), label="values")
+    if values and data.draw(st.booleans(), label="one not finite"):
+        spot = data.draw(st.integers(0, len(values) - 1), label="at")
+        values[spot] = data.draw(st.sampled_from(NON_FINITE), label="value")
+    raw = b"LVF1" + struct.pack(f"<II{len(values)}d", mx, my, *values)
+    raw = raw[:len(raw) + extra] if extra < 0 else raw + bytes(extra)
+    flags = [f"--{name}={value}" for name, value in (("vmin", vmin), ("vmax", vmax))
+             if value is not None]
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        snap = Path(tmp) / "snap.lvf"
+        snap.write_bytes(raw)
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["--out", str(Path(tmp) / "out"), "report", str(snap), *flags])
+    assert code in (0, 2), (code, stderr.getvalue())
+    if code == 2:
+        message = stderr.getvalue()
+        assert message.startswith((f"config error: {snap}: ", "config error: --vmin: ",
+                                   "config error: --vmax: ")), message

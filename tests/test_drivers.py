@@ -15,13 +15,14 @@ from levyflow.drivers import (
     cauchy_modulated_increment,
     draw_noise,
     _basis_matrix,
-    qwiener_pointwise_variance,
     sample_qwiener_increment,
     switching_pick,
 )
 from levyflow.errors import ConfigInvalid, GridMismatch, NonpositiveDt, NyquistViolation
 from levyflow.grids import Grid
 from levyflow.macro import MacroConfig
+
+from operator_reference import qwiener_pointwise_variance
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,7 @@ def test_distinct_streams_decorrelated():
 def test_draw_noise_requires_positive_dt():
     rng = RngStream(1, 0)
     with pytest.raises(NonpositiveDt):
-        draw_noise(GaussianNoise(), rng, 0.0)
+        draw_noise(GaussianNoise(), rng, 0.0, size=3)
 
 
 def test_gaussian_variance_scales_with_dt():
@@ -118,8 +119,6 @@ def test_cauchy_modulated_kernel_zero_at_zero():
 
 def test_switching_draw_shapes():
     rng = RngStream(14, 0)
-    one = draw_noise(SwitchingNoise(), rng, 0.1)
-    assert isinstance(one, float)
     arr = draw_noise(SwitchingNoise(), rng, 0.1, size=(7, 2))
     assert arr.shape == (7, 2)
     arr2 = draw_noise(CauchyModulatedNoise(), rng, 0.1, size=(7, 2))
@@ -162,16 +161,30 @@ def test_alpha_of_h_needs_a_positive_sensitivity(a):
 GRID = Grid((2.1, 2.1), (21, 21))
 
 
+class FixedNormals:
+    """A stream stand-in whose every normal draw is ``z``."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+
+    def normal(self, size):
+        return self.z.reshape(size)
+
+
+def _draw(spec, grid, dt, *streams):
+    """A stacked draw of ``streams`` and the failures it noted."""
+    failures = {}
+    return sample_qwiener_increment(spec, grid, dt, StreamChunk(streams), failures), failures
+
+
 def test_qwiener_zero_gaussians_give_zero_field():
-    f = sample_qwiener_increment(QWienerSpec(3), GRID, 0.5, RngStream(1, 0),
-                                 gaussians=np.zeros((3, 3)))
-    assert np.all(f.values == 0.0)
+    stack, _ = _draw(QWienerSpec(3), GRID, 0.5, FixedNormals(np.zeros((3, 3))))
+    assert np.all(stack == 0.0)
 
 
 def test_qwiener_single_mode_exact():
     spec = QWienerSpec(1)
-    z = np.ones((1, 1))
-    f = sample_qwiener_increment(spec, GRID, 1.0, RngStream(1, 0), gaussians=z)
+    stack, _ = _draw(spec, GRID, 1.0, FixedNormals(np.ones((1, 1))))
     lam = 0.5  # 1 / (1 + 1)
     lx, ly = GRID.lengths
     x = GRID.axis_coords(0)
@@ -179,17 +192,17 @@ def test_qwiener_single_mode_exact():
     ex = math.sqrt(2 / lx) * np.cos(2 * np.pi * x / lx)
     ey = math.sqrt(2 / ly) * np.cos(2 * np.pi * y / ly)
     expected = lam * lam * np.outer(ex, ey)
-    assert np.allclose(f.values, expected, atol=1e-14)
+    assert np.allclose(stack[0], expected, atol=1e-14)
 
 
 def test_qwiener_nyquist_guard():
     with pytest.raises(NyquistViolation):
-        sample_qwiener_increment(QWienerSpec(11), GRID, 0.1, RngStream(1, 0))
+        _draw(QWienerSpec(11), GRID, 0.1, RngStream(1, 0))
 
 
 def test_qwiener_requires_positive_dt():
     with pytest.raises(NonpositiveDt):
-        sample_qwiener_increment(QWienerSpec(2), GRID, 0.0, RngStream(1, 0))
+        _draw(QWienerSpec(2), GRID, 0.0, RngStream(1, 0))
 
 
 def test_qwiener_trace_class():
@@ -215,9 +228,7 @@ def test_qwiener_variance_matches_truncated_series():
     dt = 0.1
     rng = RngStream(33, 0)
     n = 4000
-    samples = np.stack(
-        [sample_qwiener_increment(spec, GRID, dt, rng).values for _ in range(n)]
-    )
+    samples = np.stack([_draw(spec, GRID, dt, rng)[0][0] for _ in range(n)])
     exact = qwiener_pointwise_variance(spec, GRID, dt)
     probe = (10, 10)
     emp = float(samples[:, probe[0], probe[1]].var(ddof=1))
@@ -225,39 +236,20 @@ def test_qwiener_variance_matches_truncated_series():
     assert float(np.abs(samples.mean(axis=0)).max()) < 0.01
 
 
-def test_qwiener_1d_variant():
-    grid = Grid((1.0,), (32,))
-    spec = QWienerSpec(4)
-    f = sample_qwiener_increment(spec, grid, 0.2, RngStream(2, 0))
-    assert f.values.shape == (32,)
-    z = np.zeros(4)
-    z[1] = 1.0
-    g = sample_qwiener_increment(spec, grid, 1.0, RngStream(2, 0), gaussians=z)
-    x = grid.axis_coords(0)
-    lam2 = 1.0 / 3.0
-    expected = lam2 * math.sqrt(2.0) * np.cos(2 * np.pi * 2 * x)
-    assert np.allclose(g.values, expected, atol=1e-14)
-
-
-
 def _one_increment(spec, grid, dt, rng):
-    """One increment drawn and projected on its own: the vector product in
-    1D, the two matrix products in 2D."""
+    """One increment drawn and projected on its own, by two matrix products."""
     ax = _basis_matrix(spec.modes, grid.lengths[0], grid.shape[0])
-    if grid.ndim == 1:
-        return math.sqrt(dt) * (rng.normal(spec.modes) @ ax)
     ay = _basis_matrix(spec.modes, grid.lengths[1], grid.shape[1])
     return math.sqrt(dt) * (ax.T @ rng.normal((spec.modes, spec.modes)).T @ ay)
 
 
-@pytest.mark.parametrize("grid", [GRID, Grid((2.1, 1.5), (21, 15)), Grid((1.0,), (32,))],
-                         ids=["21x21", "21x15", "1d"])
+@pytest.mark.parametrize("grid", [GRID, Grid((2.1, 1.5), (21, 15))], ids=["21x21", "21x15"])
 @pytest.mark.parametrize("samples", [1, 3, 8])
 def test_stacked_qwiener_draw_matches_single_draws_bitwise(grid, samples):
     """Each row of a stacked draw, over several steps and after a row is
-    dropped, is bitwise the increment its stream draws alone, through the
-    single-stream call and through a projection of that stream's normals
-    alone; and each stream's next draw is the same either way."""
+    dropped, is bitwise the increment its stream draws alone, through a
+    stack of one and through a projection of that stream's normals alone;
+    and each stream's next draw is the same either way."""
     spec = QWienerSpec(4)
     chunk = StreamChunk(RngStream(41, i) for i in range(samples))
     single = [RngStream(41, i) for i in range(samples)]
@@ -267,11 +259,10 @@ def test_stacked_qwiener_draw_matches_single_draws_bitwise(grid, samples):
             keep = [k for k in range(len(chunk)) if k != len(chunk) // 2]
             chunk = StreamChunk(chunk[k] for k in keep)
             single, alone = [single[k] for k in keep], [alone[k] for k in keep]
-        failures = {}
-        stack = sample_qwiener_increment(spec, grid, 0.1, chunk, failures=failures)
+        stack, failures = _draw(spec, grid, 0.1, *chunk)
         assert failures == {} and stack.shape == (len(chunk),) + grid.shape
         for row in range(len(chunk)):
-            by_call = sample_qwiener_increment(spec, grid, 0.1, single[row]).values
+            by_call = _draw(spec, grid, 0.1, single[row])[0][0]
             assert stack[row].tobytes() == by_call.tobytes()
             assert stack[row].tobytes() == _one_increment(spec, grid, 0.1, alone[row]).tobytes()
     for drawn, by_call, own in zip(chunk, single, alone):
@@ -279,16 +270,11 @@ def test_stacked_qwiener_draw_matches_single_draws_bitwise(grid, samples):
 
 
 def test_stacked_qwiener_draw_notes_a_non_finite_row():
-    """A row that is not finite fails on its own and is zeroed; a single
-    non-finite increment raises."""
+    """A row that is not finite fails on its own and is zeroed."""
     spec = QWienerSpec(2)
     z = np.ones((3, 2, 2))
     z[1, 0, 1] = np.nan
-    failures = {}
-    stack = sample_qwiener_increment(spec, GRID, 0.1, StreamChunk(RngStream(1, i) for i in range(3)),
-                                     gaussians=z, failures=failures)
+    stack, failures = _draw(spec, GRID, 0.1, *map(FixedNormals, z))
     assert list(failures) == [1] and isinstance(failures[1], GridMismatch)
     assert np.all(stack[1] == 0.0)
     assert stack[0].tobytes() == stack[2].tobytes() and np.all(np.isfinite(stack))
-    with pytest.raises(GridMismatch):
-        sample_qwiener_increment(spec, GRID, 0.1, RngStream(1, 0), gaussians=z[1])

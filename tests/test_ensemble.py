@@ -66,8 +66,6 @@ def test_ensemble_config_validation():
     with pytest.raises(ConfigInvalid):
         EnsembleConfig(n_samples=0)
     with pytest.raises(ConfigInvalid):
-        EnsembleConfig(workers=0)
-    with pytest.raises(ConfigInvalid):
         run_ensemble("neither", SMALL_MACRO, EnsembleConfig(n_samples=1))
 
 

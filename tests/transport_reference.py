@@ -94,7 +94,9 @@ def simulate_velocity_jump(
     """Euler-thinned simulation of the velocity-jump process on the circle.
 
     Returns final positions (n,).  Initial positions are wrapped-Gaussian
-    around ``x_center``; initial velocity states are uniform.
+    around ``x_center``; initial velocity states are uniform.  The draws
+    come from a generator on ``rng``'s Philox key, so from the start of
+    its stream.
     """
     if dt <= 0 or t_end < 0:
         raise ConfigInvalid("need dt > 0 and t_end >= 0")
@@ -103,17 +105,18 @@ def simulate_velocity_jump(
     shift_probs = model.shift_distribution()
     shift_cdf = np.cumsum(shift_probs)
 
-    x = np.mod(x_center + x_sigma * rng.normal(n_particles), length)
-    s = rng.integers(0, m, n_particles)
+    gen = np.random.Generator(np.random.Philox(key=[rng.base_seed, rng.stream_index]))
+    x = np.mod(x_center + x_sigma * gen.standard_normal(n_particles), length)
+    s = gen.integers(0, m, n_particles)
     n_steps = int(round(t_end / dt))
     p_jump = model.jump_rate * dt
     if p_jump > 0.2:
         raise ConfigInvalid("jump_rate * dt too large for Euler thinning")
     for _ in range(n_steps):
         x = np.mod(x + vels[s] * dt, length)
-        jumping = rng.uniform(n_particles) < p_jump
+        jumping = gen.random(n_particles) < p_jump
         if np.any(jumping):
-            u = rng.uniform(int(jumping.sum()))
+            u = gen.random(int(jumping.sum()))
             shifts = np.searchsorted(shift_cdf, u)
             s[jumping] = (s[jumping] + shifts) % m
     return x
