@@ -316,10 +316,14 @@ def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, failures: 
     h_new = res.solution
     for row, error in res.failures.items():
         off = apply_op.off_diagonal_sums()[row]
+        if off < apply_op.centre < np.inf:
+            cause = ("the stencil is strictly diagonally dominant; the right-hand side is "
+                     "set by [macro] tau, gamma_1 and sigma_W")
+        else:
+            cause = "the stencil is set by [macro] tau, sigma_H and gamma_f"
         failures.setdefault(row, SolverDiverged(
             f"H-step at step {state.step + 1}: {error} (largest off-diagonal weight sum "
-            f"{off:.3g} against a centre of {apply_op.centre:.3g}; the stencil is "
-            f"set by [macro] tau, sigma_H and gamma_f)"))
+            f"{off:.3g} against a centre of {apply_op.centre:.3g}; {cause})"))
         h_new[row] = state.h[row]
     if stats is not None:
         stats.absorb_solve(res.residuals, res.iterations)

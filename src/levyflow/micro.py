@@ -66,15 +66,25 @@ class MicroConfig:
 
 @dataclass
 class MicroState:
+    """The living particles, in index order, and the grid fields.
+
+    ``alive`` is the (M,) mask over the population the run started with;
+    ``positions``, ``velocities`` and ``protons`` hold one row per True
+    entry.  ``stencil`` is the bilinear stencil of ``positions``, set only
+    on a state that ``micro_step`` returns; ``dataclasses.replace`` resets
+    it, so a replaced state builds its own."""
+
     grid: Grid
-    positions: np.ndarray  # (M, 2)
-    velocities: np.ndarray  # (M, 2)
-    protons: np.ndarray  # (M,) intracellular load per particle
+    positions: np.ndarray  # (n, 2)
+    velocities: np.ndarray  # (n, 2)
+    protons: np.ndarray  # (n,) intracellular load per particle
     alive: np.ndarray  # (M,) bool
     acid: np.ndarray  # extracellular field on the grid
     tissue: np.ndarray
     t: float = 0.0
     clamp_events: int = 0
+    stencil: BilinearStencil | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def alive_count(self) -> int:
         return int(self.alive.sum())
@@ -169,31 +179,6 @@ def wrap_positions(positions: np.ndarray, lengths) -> np.ndarray:
     return positions + shift * length
 
 
-class StencilCarry:
-    """The bilinear stencil of the alive positions of the state a step
-    returned, for the next step to use as its stencil before the move.
-
-    A survivor keeps its position and its order, so the surviving columns
-    of a step's stencil after the move are bitwise a fresh build for the
-    next step.  The stencil is used only with the very state object it was
-    made for."""
-
-    def __init__(self):
-        self.state = None
-        self.stencil = None
-
-
-# one particle's (x, y) pair of float64, moved as raw bytes
-_ROW = np.dtype((np.void, 16))
-
-
-def _set_rows(dst: np.ndarray, idx, rows: np.ndarray):
-    """``dst[idx] = rows`` for C-contiguous (n, 2) float arrays.  Moving each
-    row as one 16-byte item copies the same bits in a fraction of the time
-    a fancy row assignment takes."""
-    dst.view(_ROW)[:, 0][idx] = rows.view(_ROW)[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # initial conditions
 # ---------------------------------------------------------------------------
@@ -222,53 +207,46 @@ def micro_init(cfg: MicroConfig) -> MicroState:
 # ---------------------------------------------------------------------------
 
 
-def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream, *,
-               carry: StencilCarry | None = None) -> MicroState:
+def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroState:
     """One explicit Euler step of the coupled particle/field dynamics.
 
     Order: velocity (tissue-gradient drift + noise kick), position (periodic
     wrap), intracellular protons, acid and tissue at the particle
-    neighbourhoods, then the kill conditions.  Only the alive particles
-    move and act; a dead particle's fields are carried over unchanged.
-
-    With a ``carry``, the step takes its stencil before the move from it
-    when it was made for ``state``, and leaves there the stencil of the
-    state it returns.
+    neighbourhoods, then the kill conditions.  The returned state holds the
+    survivors and their stencil after the move: a survivor keeps its
+    position and its order, so that stencil is bitwise a fresh build for
+    the next step.  The step writes nothing into ``state``.
     """
     if state.grid != cfg.grid:
         raise ConfigInvalid("state grid does not match config grid")
     tau = cfg.tau
-    m = state.positions.shape[0]
     idx = np.flatnonzero(state.alive)
 
     acid = state.acid.copy()
     tissue = state.tissue.copy()
     clamps = state.clamp_events
 
-    # drawn for every particle, so the stream does not depend on the deaths
-    noise = draw_noise(cfg.noise, rng, tau, size=(m, 2))
+    # drawn for the whole starting population, so the stream does not depend
+    # on the deaths
+    noise = draw_noise(cfg.noise, rng, tau, size=(state.alive.size, 2))
     kicks = cfg.noise_scale * noise.take(idx, axis=0)
 
-    # the bilinear stencil of the alive positions before the move and after it
-    pos = state.positions.take(idx, axis=0)
-    if carry is not None and carry.state is state:
-        before = carry.stencil
-    else:
-        before = bilinear_stencil(state.grid, pos)
+    # the bilinear stencil of the positions before the move and after it
+    before = state.stencil
+    if before is None:
+        before = bilinear_stencil(state.grid, state.positions)
     grad = np.column_stack(
         [gather(centered_difference(tissue, state.grid, axis), before) for axis in (0, 1)]
     )
-    vel = state.velocities.take(idx, axis=0)
-    vel += cfg.taxis_sign * grad * tau + kicks
-    pos = wrap_positions(pos + vel * tau, state.grid.lengths)
+    vel = state.velocities + (cfg.taxis_sign * grad * tau + kicks)
+    pos = wrap_positions(state.positions + vel * tau, state.grid.lengths)
     after = bilinear_stencil(state.grid, pos)
 
     acid_at = gather(acid, after)
-    protons = state.protons.take(idx)
-    efflux = cfg.efflux_rate * protons / (1.0 + acid_at)
-    buffering = cfg.buffering_rate * protons
-    production = cfg.production_rate / (1.0 + protons)
-    protons += tau * (-efflux - buffering + production)
+    efflux = cfg.efflux_rate * state.protons / (1.0 + acid_at)
+    buffering = cfg.buffering_rate * state.protons
+    production = cfg.production_rate / (1.0 + state.protons)
+    protons = state.protons + tau * (-efflux - buffering + production)
     neg = protons < 0
     clamps += int(np.count_nonzero(neg))
     protons[neg] = 0.0
@@ -291,28 +269,24 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream, *,
         acid_now > cfg.kill_acid
     )
 
-    positions = state.positions.copy()
-    velocities = state.velocities.copy()
-    all_protons = state.protons.copy()
     alive = state.alive.copy()
-    _set_rows(positions, idx, pos)
-    _set_rows(velocities, idx, vel)
-    all_protons[idx] = protons
-    alive[idx[killed]] = False
+    if killed.any():
+        alive[idx[killed]] = False
+        keep = ~killed
+        pos, vel, protons = (a.compress(keep, axis=0) for a in (pos, vel, protons))
 
     out = MicroState(
         grid=state.grid,
-        positions=positions,
-        velocities=velocities,
-        protons=all_protons,
+        positions=pos,
+        velocities=vel,
+        protons=protons,
         alive=alive,
         acid=acid,
         tissue=tissue,
         t=state.t + tau,
         clamp_events=clamps,
     )
-    if carry is not None:
-        carry.state, carry.stencil = out, _survivors(after, killed)
+    out.stencil = _survivors(after, killed)
     return out
 
 
@@ -329,12 +303,11 @@ def run_micro(cfg: MicroConfig, rng: RngStream, initial_state: MicroState | None
 
     ``initial_state`` stands in for ``micro_init(cfg)``, so that samples
     of one config can share it; no step changes the state it is given.
-    Each step hands its stencil on to the next through a carry."""
+    The final state holds the living particles only."""
     state = micro_init(cfg) if initial_state is None else initial_state
     alive_series = [state.alive_count()]
-    carry = StencilCarry()
     for _ in range(cfg.n_steps):
-        state = micro_step(state, cfg, rng, carry=carry)
+        state = micro_step(state, cfg, rng)
         alive_series.append(state.alive_count())
     return state, alive_series
 

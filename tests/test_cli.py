@@ -133,6 +133,16 @@ def test_micro_survival_csv_monotone(tmp_path):
     assert (out / "acid_final.lvf").exists()
 
 
+def test_micro_with_everyone_dead_at_the_first_step_exits_0(tmp_path):
+    out = tmp_path / "o"
+    cfgfile = tmp_path / "micro.cfg"
+    cfgfile.write_text("[micro]\nM = 50\nN = 3\nh_3 = -1\n")
+    assert _run("--config", str(cfgfile), "--out", str(out), "micro") == 0
+    rows = _read_csv(out / "survival.csv")
+    assert [int(r[2]) for r in rows[1:]] == [50, 0, 0, 0]
+    assert (out / "acid_final.lvf").exists()
+
+
 def test_ensemble_single_sample_equals_single_run(tmp_path):
     cfgfile = tmp_path / "e.cfg"
     cfgfile.write_text("[macro]\nN = 5\n\n[ensemble]\nsnapshot_steps = 5\n")
@@ -422,6 +432,21 @@ def test_h_step_breakdown_names_the_step_and_its_keys(tmp_path, capsys):
     assert "solver diverged: H-step at step 1:" in err
     assert "off-diagonal weight sum" in err
     assert all(key in err for key in ("[macro] tau", "sigma_H", "gamma_f"))
+
+
+@pytest.mark.parametrize("key", ["sigma_W = 1e200", "gamma_1 = 1e300"])
+def test_h_step_breakdown_on_a_dominant_stencil_names_the_rhs_keys(tmp_path, capsys, key):
+    """When the stencil is strictly diagonally dominant, a failed H-step
+    solve names the keys of its right-hand side, not of its stencil."""
+    cfgfile = tmp_path / "rhs.cfg"
+    cfgfile.write_text(f"[macro]\nN = 3\n{key}\n")
+    assert _run("--config", str(cfgfile), "--seed", "7", "--out", str(tmp_path / "o"),
+                "macro") == 5
+    err = capsys.readouterr().err
+    assert "solver diverged: H-step at step 1:" in err
+    assert "strictly diagonally dominant" in err
+    assert all(name in err for name in ("[macro] tau", "gamma_1", "sigma_W"))
+    assert "sigma_H" not in err and "gamma_f" not in err
 
 
 _IMPORT_PROBE = """

@@ -10,7 +10,6 @@ from levyflow.grids import Grid, periodic_gaussian_blur
 from levyflow.micro import (
     MicroConfig,
     MicroState,
-    StencilCarry,
     bilinear_stencil,
     deposit_fields,
     gather,
@@ -25,12 +24,12 @@ from levyflow.micro import (
 GRID = Grid((1.0, 1.0), (41, 41))
 
 # SHA-256 of the final state of a default run (seed 20240901) per noise law:
-# positions, velocities, protons, alive, acid, tissue, the alive series as
-# int64 and clamp_events as int64
+# the living particles' positions, velocities and protons, alive, acid,
+# tissue, the alive series as int64 and clamp_events as int64
 GOLDEN_MICRO_SHA256 = {
-    "gaussian": "93bb5eb277f525fb3c87cba0a93a63947547bf969dd21ba3e7f985715e24eba8",
-    "switching": "7d67722806b52b8948f2500503a3bf3afb4eb45d2beaa276255dbeeab22d2d8c",
-    "cauchy_modulated": "d3a8aadbafd413057a0081fb71ad25e6985e8074dfaf92f4b09ffdfed29066b0",
+    "gaussian": "8b6d6f95e53ec0495fd1d28a1161e16dd8862117f45fde2c9721f621924ba571",
+    "switching": "51ec2592f4c4566a7126ba7c8fae7440836ca73e5fe50bb7d63da83c38066870",
+    "cauchy_modulated": "100a88c34077bb6e1192d49ffc51a26dffb6feee14da49a6f773f7c7f6d05949",
 }
 
 
@@ -185,28 +184,47 @@ def test_final_state_golden_digest(law, noise):
     assert digest.hexdigest() == GOLDEN_MICRO_SHA256[law]
 
 
-def test_dead_particle_neither_moves_nor_acts():
-    cfg = MicroConfig(n_particles=64)
-    base = micro_init(cfg)
-    base.alive[5] = False
-    changed = dataclasses.replace(base, positions=base.positions.copy(),
-                                  velocities=base.velocities.copy(),
-                                  protons=base.protons.copy())
-    changed.positions[5] = [0.91, 0.07]
-    changed.velocities[5] = [5.0, -3.0]
-    changed.protons[5] = -2.0
-    s1 = micro_step(base, cfg, RngStream(9, 0))
-    s2 = micro_step(changed, cfg, RngStream(9, 0))
-    for a, b in ((s1.acid, s2.acid), (s1.tissue, s2.tissue), (s1.alive, s2.alive)):
-        assert a.tobytes() == b.tobytes()
-    assert s1.clamp_events == s2.clamp_events
-    others = np.arange(64) != 5
+def test_dead_particle_neither_moves_nor_acts(monkeypatch):
+    """A killed particle leaves the arrays; the survivors then step like a
+    population that never had it, each kicked by its own row of the full
+    (M, 2) noise draw."""
+    m, dead = 64, 7
+    draw = np.random.Generator(np.random.Philox(key=[9, 0])).standard_normal((m, 2)) * 0.2
+    keep = np.arange(m) != dead
+    monkeypatch.setattr("levyflow.micro.draw_noise",
+                        lambda model, rng, dt, size: draw if size[0] == m else draw[keep])
+    cfg = MicroConfig(n_particles=m, kill_low=0.0, kill_high=2.0, kill_acid=np.inf, grid=GRID)
+    state = micro_init(cfg)
+    state.protons[dead] = 5.0  # outside the viability band
+    s1 = micro_step(state, cfg, RngStream(9, 0))
+    assert s1.alive.tolist() == keep.tolist()
+    assert (s1.positions.shape, s1.velocities.shape, s1.protons.shape) == \
+        ((m - 1, 2), (m - 1, 2), (m - 1,))
+    # without the kill the step keeps the dead particle's row and no other
+    full = micro_step(state, dataclasses.replace(cfg, kill_high=np.inf), RngStream(9, 0))
     for name in ("positions", "velocities", "protons"):
-        assert getattr(s1, name)[others].tobytes() == getattr(s2, name)[others].tobytes()
-        # the dead particle's own fields are carried over as they were
-        for before, after in ((base, s1), (changed, s2)):
-            assert getattr(after, name)[5].tobytes() == getattr(before, name)[5].tobytes()
-    assert not s1.alive[5]
+        assert getattr(s1, name).tobytes() == getattr(full, name)[keep].tobytes(), name
+    for name in ("acid", "tissue"):
+        assert getattr(s1, name).tobytes() == getattr(full, name).tobytes(), name
+
+    never = MicroState(GRID, s1.positions.copy(), s1.velocities.copy(), s1.protons.copy(),
+                       np.ones(m - 1, dtype=bool), s1.acid.copy(), s1.tissue.copy(),
+                       s1.t, s1.clamp_events)
+    s2 = micro_step(s1, cfg, RngStream(9, 1))
+    ref = micro_step(never, cfg, RngStream(9, 1))
+    assert s2.alive.tolist() == keep.tolist() and ref.alive.all()
+    for name in ("positions", "velocities", "protons", "acid", "tissue"):
+        assert getattr(s2, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def test_everyone_dead_at_the_first_step_leaves_empty_arrays():
+    cfg = MicroConfig(n_particles=100, n_steps=4, kill_acid=-1.0)
+    state, series = run_micro(cfg, RngStream(12, 0))
+    assert series == [100, 0, 0, 0, 0]
+    assert (state.positions.shape, state.velocities.shape, state.protons.shape) == \
+        ((0, 2), (0, 2), (0,))
+    assert not state.alive.any() and state.alive.shape == (100,)
+    assert survival_fraction(state, cfg.n_particles) == 0.0
 
 
 LAWS = [("gaussian", GaussianNoise()), ("switching", SwitchingNoise()),
@@ -215,8 +233,8 @@ LAWS = [("gaussian", GaussianNoise()), ("switching", SwitchingNoise()),
 
 @pytest.mark.parametrize("law, noise", LAWS, ids=[law for law, _ in LAWS])
 def test_run_micro_equals_chained_steps_without_a_carried_stencil(law, noise):
-    # run_micro hands each step's stencil on to the next; chaining the
-    # public micro_step builds every stencil afresh
+    # each state run_micro steps from holds the stencil its step left; a
+    # replaced state holds none, so every reference step builds it afresh
     cfg = MicroConfig(n_particles=900, n_steps=25, noise=noise)
     state, series = run_micro(cfg, RngStream(41, 3))
     ref = micro_init(cfg)
@@ -224,8 +242,11 @@ def test_run_micro_equals_chained_steps_without_a_carried_stencil(law, noise):
     ref_series = [ref.alive_count()]
     for _ in range(cfg.n_steps):
         ref = micro_step(ref, cfg, rng)
+        assert ref.stencil is not None
+        ref = dataclasses.replace(ref)
+        assert ref.stencil is None
         ref_series.append(ref.alive_count())
-    # particles die on more than one step, so the carry drops columns
+    # particles die on more than one step, so the kept stencil drops columns
     assert len(set(np.diff(series))) > 2
     assert series == ref_series
     for name in ("positions", "velocities", "protons", "alive", "acid", "tissue"):
@@ -233,17 +254,19 @@ def test_run_micro_equals_chained_steps_without_a_carried_stencil(law, noise):
     assert (state.t, state.clamp_events) == (ref.t, ref.clamp_events)
 
 
-def test_a_carry_serves_only_the_state_it_was_made_for():
+def test_a_replaced_state_steps_like_a_fresh_build():
     cfg = MicroConfig(n_particles=400)
-    carry = StencilCarry()
-    stepped = micro_step(micro_init(cfg), cfg, RngStream(8, 0), carry=carry)
-    assert carry.state is stepped
-    # the same values in another object, and that object edited in place
+    stepped = micro_step(micro_init(cfg), cfg, RngStream(8, 0))
+    assert stepped.stencil is not None
+    # the stepped state's stencil is of positions the replaced one lacks
     moved = dataclasses.replace(stepped, positions=stepped.positions[::-1].copy())
-    alone = micro_step(moved, cfg, RngStream(8, 1))
-    carried = micro_step(moved, cfg, RngStream(8, 1), carry=carry)
+    fresh = MicroState(moved.grid, moved.positions.copy(), moved.velocities.copy(),
+                       moved.protons.copy(), moved.alive.copy(), moved.acid.copy(),
+                       moved.tissue.copy(), moved.t, moved.clamp_events)
+    replaced = micro_step(moved, cfg, RngStream(8, 1))
+    built = micro_step(fresh, cfg, RngStream(8, 1))
     for name in ("positions", "velocities", "protons", "alive", "acid", "tissue"):
-        assert getattr(carried, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert getattr(replaced, name).tobytes() == getattr(built, name).tobytes(), name
 
 
 def test_survival_fraction_validation():
