@@ -9,12 +9,9 @@ Carlo ensembles.
 __version__ = "0.1.0"
 
 from .drivers import (
-    CauchyModulatedNoise,
-    GaussianNoise,
     QWienerSpec,
     RngStream,
     StreamChunk,
-    SwitchingNoise,
     draw_noise,
     sample_qwiener_increment,
 )

@@ -12,7 +12,7 @@ import dataclasses
 import math
 import sys
 
-from .drivers import CauchyModulatedNoise, GaussianNoise, SwitchingNoise
+from .drivers import NOISE_LAWS
 from .errors import ConfigInvalid
 from .grids import Grid
 from .macro import MacroConfig
@@ -110,12 +110,6 @@ def load_config_file(path) -> dict:
 # MicroConfig, the others live here; a config file overrides by key
 # ---------------------------------------------------------------------------
 
-_NOISE_LAWS = {
-    "gaussian": GaussianNoise,
-    "switching": SwitchingNoise,
-    "cauchy_modulated": CauchyModulatedNoise,
-}
-
 # published parameter-table name -> dataclass field, where the two differ
 _MACRO_ALIASES = {"N": "n_steps"}
 _MICRO_ALIASES = {
@@ -131,8 +125,8 @@ _MICRO_ALIASES = {
 def _file_defaults(cls, aliases, published) -> dict:
     """Published name -> default for every file key of the dataclass ``cls``.
 
-    ``published`` maps each field that is not a plain scalar (the grid, the
-    noise law) to a function turning its default into published entries.
+    ``published`` maps each field that is not a plain scalar (the grid) to
+    a function turning its default into published entries.
     """
     default = cls()
     names = {field_name: name for name, field_name in aliases.items()}
@@ -159,9 +153,6 @@ MACRO_DEFAULTS = _file_defaults(MacroConfig, _MACRO_ALIASES, {
 })
 
 MICRO_DEFAULTS = _file_defaults(MicroConfig, _MICRO_ALIASES, {
-    "noise": lambda law: {
-        "noise": {cls: name for name, cls in _NOISE_LAWS.items()}[type(law)],
-    },
     "grid": lambda g: {"grid_points": g.shape[0], "domain_length": g.lengths[0]},
 })
 
@@ -335,10 +326,10 @@ def micro_config_from(sections) -> tuple:
         _require(r[key] <= 0 or _gaussian_width_ok(r[key]), "micro", key,
                  f"must be <= 0 (no smoothing) or have 2 {key}^2 a positive finite "
                  f"float, got {r[key]}")
+    noise = str(r["noise"])
+    _require(noise in NOISE_LAWS, "micro", "noise",
+             f"unknown noise {noise!r}; choose from {sorted(NOISE_LAWS)}")
     scalars = dict(r)
-    noise_name = str(scalars.pop("noise"))
-    _require(noise_name in _NOISE_LAWS, "micro", "noise",
-             f"unknown noise {noise_name!r}; choose from {sorted(_NOISE_LAWS)}")
     n, length = scalars.pop("grid_points"), scalars.pop("domain_length")
     _require(n >= 2, "micro", "grid_points", f"need at least 2 nodes per axis, got {n}")
     _require(n <= _MAX_MICRO_POINTS, "micro", "grid_points",
@@ -350,8 +341,7 @@ def micro_config_from(sections) -> tuple:
     _require(lo <= hi <= length, "micro", "lattice_hi",
              f"need lattice_lo <= lattice_hi <= domain_length = {length}, got {hi}")
     grid = Grid((length,) * 2, (n, n))
-    cfg = _build(MicroConfig, scalars, _MICRO_ALIASES,
-                 noise=_NOISE_LAWS[noise_name](), grid=grid)
+    cfg = _build(MicroConfig, scalars, _MICRO_ALIASES, grid=grid)
     return cfg, r
 
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatch, NonpositiveDt, NyquistViolation
+from .errors import GridMismatch
 from .grids import Grid, periodic_gaussian_blur
 
 
@@ -29,8 +29,6 @@ class RngStream:
 
     A stream is single-owner mutable state; never share one across workers.
     """
-
-    algorithm = "philox4x64"
 
     def __init__(self, base_seed: int, stream_index: int = 0):
         self.base_seed = int(base_seed) & 0xFFFFFFFFFFFFFFFF
@@ -72,39 +70,13 @@ class StreamChunk(tuple):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianNoise:
-    mean: float = 0.0
-    sd: float = 1.0
-
-
-@dataclass(frozen=True)
-class SwitchingNoise:
-    """Mixture selected per draw by a uniform variable U and the weights
-    (w_0, w_1, w_2), by default (0.3, 0.2, 0.5):
-
-    U in [0, w_0)         -> standard normal,
-    U in [w_0, w_0 + w_1) -> Laplace(0, 1),
-    else                  -> Triangular(-4, 0, 8).
-    """
-
-    weights: tuple = (0.3, 0.2, 0.5)
-    triangular: tuple = (-4.0, 0.0, 8.0)
-
-    def __post_init__(self):
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("switching weights must sum to 1")
-        left, mode, right = self.triangular
-        if not left <= mode <= right:
-            raise ValueError("triangular parameters must satisfy left <= mode <= right")
-
-
-@dataclass(frozen=True)
-class CauchyModulatedNoise:
-    """``amplitude * sin(sigma) * N(0,1)`` with a fresh Cauchy modulator sigma
-    per draw; the sine keeps the output scale bounded by the amplitude."""
-
-    amplitude: float = 10.0
+# the micro model's noise laws, by the name that [micro] noise takes
+NOISE_LAWS = ("gaussian", "switching", "cauchy_modulated")
+# the switching law's weights (w_0, w_1, w_2) and its triangular law
+# (left, mode, right); the cauchy_modulated law's amplitude
+SWITCHING_WEIGHTS = (0.3, 0.2, 0.5)
+SWITCHING_TRIANGULAR = (-4.0, 0.0, 8.0)
+CAUCHY_AMPLITUDE = 10.0
 
 
 def switching_pick(u, weights, normal, laplace, triangular):
@@ -115,35 +87,38 @@ def switching_pick(u, weights, normal, laplace, triangular):
                     np.where(u < weights[0] + weights[1], laplace, triangular))
 
 
-def cauchy_modulated_increment(sigma, z, dt, amplitude=10.0):
-    """Deterministic kernel of the modulated law; zero when sigma is zero."""
-    return amplitude * np.sin(sigma) * math.sqrt(dt) * np.asarray(z)
+def cauchy_modulated_increment(sigma, z, dt):
+    """Deterministic kernel of the modulated law, ``CAUCHY_AMPLITUDE *
+    sin(sigma) * sqrt(dt) * z``; zero when sigma is zero, and the sine
+    bounds its scale by the amplitude."""
+    return CAUCHY_AMPLITUDE * np.sin(sigma) * math.sqrt(dt) * np.asarray(z)
 
 
-def draw_noise(model, rng: RngStream, dt: float, size):
-    """An array of velocity-noise increments of shape ``size``.
+def draw_noise(law: str, rng: RngStream, dt: float, size):
+    """An array of velocity-noise increments of shape ``size`` from the law
+    named ``law``, one of ``NOISE_LAWS``.
 
     Every law is scaled by sqrt(dt) so the Gaussian case reproduces a
     Wiener increment and the laws stay comparable at any step size.  The
-    switching law draws the uniform selector first, then candidate values
-    from all three laws, and keeps the selected one.
+    switching law draws the uniform selector U first, then candidate values
+    from all three of its laws, and keeps the one U selects by
+    ``SWITCHING_WEIGHTS``: a standard normal, a Laplace(0, 1) or a
+    triangular draw on ``SWITCHING_TRIANGULAR``.  The cauchy_modulated law
+    draws a Cauchy modulator sigma, then a normal z, per value.
     """
-    if dt <= 0:
-        raise NonpositiveDt(f"dt must be positive, got {dt}")
     root_dt = math.sqrt(dt)
-    if isinstance(model, GaussianNoise):
-        return (model.mean + model.sd * rng.normal(size)) * root_dt
-    if isinstance(model, SwitchingNoise):
+    if law == "gaussian":
+        # mean 0 plus sd 1 times z: the sum turns a -0.0 draw into +0.0
+        return (0.0 + rng.normal(size)) * root_dt
+    if law == "switching":
         u = rng.uniform(size)
         normal = rng.normal(size)
         laplace = rng.laplace(size)
-        triangular = rng.triangular(*model.triangular, size)
-        return switching_pick(u, model.weights, normal, laplace, triangular) * root_dt
-    if isinstance(model, CauchyModulatedNoise):
-        sigma = rng.cauchy(size)
-        z = rng.normal(size)
-        return cauchy_modulated_increment(sigma, z, dt, model.amplitude)
-    raise TypeError(f"unknown noise model {model!r}")
+        triangular = rng.triangular(*SWITCHING_TRIANGULAR, size)
+        return switching_pick(u, SWITCHING_WEIGHTS, normal, laplace, triangular) * root_dt
+    sigma = rng.cauchy(size)
+    z = rng.normal(size)
+    return cauchy_modulated_increment(sigma, z, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +151,6 @@ class QWienerSpec:
 
     modes: int
 
-    def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError("need at least one mode")
-
     def eigenvalues(self) -> np.ndarray:
         k = np.arange(1, self.modes + 1)
         return 1.0 / (1.0 + k)
@@ -207,13 +178,6 @@ def sample_qwiener_increment(spec: QWienerSpec, grid: Grid, dt: float, streams: 
     matrix product of that row alone.  A row that is not finite is zeroed
     and its GridMismatch noted in ``failures[row]``.
     """
-    if dt <= 0:
-        raise NonpositiveDt(f"dt must be positive, got {dt}")
-    for m in grid.shape:
-        if 2 * spec.modes > m:
-            raise NyquistViolation(
-                f"{spec.modes} modes exceed the Nyquist limit of a {m}-point axis"
-            )
     z = np.empty((len(streams), spec.modes, spec.modes))  # z[s, m, n]
     for row, stream in enumerate(streams):
         z[row] = stream.normal(z.shape[1:])

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import RngStream, StreamChunk
-from .errors import ConfigInvalid, EnsembleSampleError
-from .macro import MacroConfig, default_snapshot_steps, run_macro, snapshot_set, snapshot_stack
-from .micro import MicroConfig, micro_init, run_micro, survival_fraction
+from .errors import EnsembleSampleError
+from .macro import default_snapshot_steps, run_macro, snapshot_stack
+from .micro import micro_init, run_micro, survival_fraction
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,6 @@ class EnsembleConfig:
     snapshot_steps: tuple = ()
     export_sample_ids: tuple = ()
     workers: int = 1
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ConfigInvalid("need at least one sample")
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +168,20 @@ def _map_samples(fn, payloads, workers):
 def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
     """Run ``ens.n_samples`` independent simulations and stream the moments.
 
-    The inputs are checked before any sample starts.  Each worker runs one
-    contiguous chunk of sample ids at a time.  A failing sample aborts the
-    whole ensemble; the raised error names the lowest failing sample id and
-    the seed pair needed to replay it.  Accumulation order is fixed by
-    sample id, so results do not depend on worker count, chunking or
-    scheduling.
+    ``kind`` is "macro" with a MacroConfig ``cfg`` or "micro" with a
+    MicroConfig, and ``ens`` is as ``config.ensemble_config_from`` checks
+    it: export ids in [0, n_samples) and snapshot steps in [0, n_steps].
+    Each worker runs one contiguous chunk of sample ids at a time.  A
+    failing sample aborts the whole ensemble; the raised error names the
+    lowest failing sample id and the seed pair needed to replay it.
+    Accumulation order is fixed by sample id, so results do not depend on
+    worker count, chunking or scheduling.
     """
-    config_type = {"macro": MacroConfig, "micro": MicroConfig}.get(kind)
-    if config_type is None:
-        raise ConfigInvalid(f"unknown ensemble kind {kind!r}")
-    if not isinstance(cfg, config_type):
-        raise ConfigInvalid(f"{kind} ensemble needs a {config_type.__name__}")
     export = set(ens.export_sample_ids)
-    outside = sorted(i for i in export if not 0 <= i < ens.n_samples)
-    if outside:
-        raise ConfigInvalid(
-            f"export sample ids outside [0, {ens.n_samples}): {outside}"
-        )
     steps = tuple(ens.snapshot_steps)
     if kind == "macro":
         # run_macro keeps snapshots in step order, once per distinct step
-        steps = tuple(sorted(snapshot_set(cfg, steps or default_snapshot_steps(cfg.n_steps))))
+        steps = tuple(sorted(set(steps or default_snapshot_steps(cfg.n_steps))))
 
     acc = WelfordAccumulator()
     stats = EnsembleStats(

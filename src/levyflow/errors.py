@@ -25,14 +25,6 @@ class GridMismatch(LevyflowError):
     pass
 
 
-class NonpositiveDt(LevyflowError):
-    pass
-
-
-class NyquistViolation(LevyflowError):
-    pass
-
-
 class SolverDiverged(LevyflowError):
     pass
 

@@ -1,11 +1,11 @@
 """Fractional Laplacian on periodic grids, and symbols as Fourier multipliers.
 
-A symbol ``psi`` (``symbols.SymbolSpec``) is the operator ``psi(D)``: on a
-periodic grid it multiplies each Fourier mode ``e^{i(xi, x)}`` by
-``psi(xi)``.  ``symbol_multiplier`` evaluates any symbol on the grid's FFT
-lattice and ``grids.fourier_multiply`` applies such a multiplier to a real
-field or stack of fields; every Fourier multiplier here goes through that
-pair.
+A symbol ``psi`` (``symbols.StableSymbol`` or ``TripleSymbol``) is the
+operator ``psi(D)``: on a periodic grid it multiplies each Fourier mode
+``e^{i(xi, x)}`` by ``psi(xi)``.  ``symbol_multiplier`` evaluates any
+symbol on the grid's FFT lattice and ``grids.fourier_multiply`` applies such
+a multiplier to a real field or stack of fields; every Fourier multiplier
+here goes through that pair.
 
 The production operator is the splitting scheme: a singular second-difference
 part with coefficient ``c / ((2 - p) h^p)`` plus a quadrature of the integral
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ExponentOutOfRange
 from .grids import Grid, fourier_multiply
-from .symbols import StableSymbol, SymbolSpec
+from .symbols import StableSymbol
 
 # Euler-Maclaurin for the Hurwitz zeta: this many leading terms summed
 # directly, then the corrections with the Bernoulli numbers B_2 .. B_16,
@@ -47,8 +47,6 @@ def frac_constant(p: float) -> float:
     p -> 2, which makes the singular stencil reproduce the classical
     3-point Laplacian weight in that limit.
     """
-    if not 0.0 < p < 2.0:
-        raise ExponentOutOfRange(f"exponent must lie in (0,2), got {p}")
     return 2.0**p * math.gamma((1.0 + p) / 2.0) / (math.sqrt(math.pi) * abs(math.gamma(-p / 2.0)))
 
 
@@ -176,7 +174,7 @@ def _half_lattice(grid: Grid):
     return points, lattice[0].shape
 
 
-def symbol_multiplier(grid: Grid, spec: SymbolSpec) -> np.ndarray:
+def symbol_multiplier(grid: Grid, spec) -> np.ndarray:
     """``psi(xi)`` of ``spec`` on the half FFT lattice of ``grid``.
 
     The lattice has the angular frequencies ``2 pi fftfreq`` on the leading
@@ -222,8 +220,6 @@ class FracLapOperator:
         exponents = np.asarray(self.exponent, dtype=float)
         if not all(0.0 < p < 2.0 for p in exponents.ravel().tolist()):
             raise ExponentOutOfRange(f"exponent must lie in (0,2), got {self.exponent}")
-        if any(m < 3 for m in self.grid.shape):
-            raise ExponentOutOfRange("the operator needs at least 3 points per axis")
         symbols = self._eigenvalues(exponents.ravel().tolist())
         self._symbol = symbols.reshape(exponents.shape + symbols.shape[1:])
 

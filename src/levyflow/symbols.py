@@ -7,7 +7,8 @@ Conventions used throughout the package:
   ``phi_t(xi) = exp(-t * psi(xi))``, so every symbol ``psi`` here has
   nonnegative real part and the generator of the semigroup is ``-psi(D)``;
 * every drift + diffusion + compound Poisson symbol is one
-  ``TripleSymbol``;
+  ``TripleSymbol``; each symbol class has the dimension ``d`` and
+  ``evaluate_many``, its values on an (n, d) array of frequency points;
 * stable symbols store the *spectral* exponent ``p`` in (0, 2), i.e.
   ``psi(xi) = scale * |xi|**p``.  Callers working with a fractional power
   ``alpha`` of the (negative) Laplacian should pass ``p = 2 * alpha``.
@@ -67,16 +68,6 @@ class DiscreteJumpLaw:
 # ---------------------------------------------------------------------------
 
 
-class SymbolSpec:
-    """Base class of parametric symbols; subclasses set ``d`` and implement
-    ``evaluate_many`` on an (n, d) array of frequency points."""
-
-    d: int
-
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
 def _as_points(points, d):
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -87,7 +78,7 @@ def _as_points(points, d):
 
 
 @dataclass(frozen=True)
-class StableSymbol(SymbolSpec):
+class StableSymbol:
     """Rotation invariant stable symbol ``psi(xi) = scale * |xi|**p``.
 
     ``exponent`` is the spectral power p in (0, 2); the generator is
@@ -115,7 +106,7 @@ class StableSymbol(SymbolSpec):
 
 
 @dataclass(frozen=True)
-class TripleSymbol(SymbolSpec):
+class TripleSymbol:
     """Levy-Khintchine symbol of drift, diffusion and compound Poisson jumps,
 
     ``psi(xi) = -i(b, xi) + (xi, Q xi)/2 + rate * (1 - phi_jumps(xi))``
@@ -168,7 +159,7 @@ class TripleSymbol(SymbolSpec):
 # ---------------------------------------------------------------------------
 
 
-def growth_bound_constant(spec: SymbolSpec, probe_points) -> float:
+def growth_bound_constant(spec, probe_points) -> float:
     """``sup |psi(xi)| / (1 + |xi|^2)`` over the probe grid."""
     pts = _as_points(probe_points, spec.d)
     if pts.shape[0] == 0:

@@ -6,7 +6,7 @@ A quadruple ``(a, b, Q, nu)`` evaluates as
 ``psi(xi) = a + i(b, xi) + (xi, Q xi)/2
           + integral_{y != 0} (1 - e^{i(xi,y)} + i(xi,y)/(1+|y|^2)) nu(dy)``,
 
-a route independent of ``SymbolSpec.evaluate_many``: the stable symbol is
+a route independent of the symbols' ``evaluate_many``: the stable symbol is
 reached through its jump measure and adaptive quadrature, a triple symbol
 through its atoms and the compensator.  ``tests/test_symbols.py`` checks
 that both routes agree.

@@ -10,13 +10,7 @@ import time
 import numpy as np
 
 from levyflow.cli import main as cli_main
-from levyflow.drivers import (
-    CauchyModulatedNoise,
-    GaussianNoise,
-    QWienerSpec,
-    RngStream,
-    SwitchingNoise,
-)
+from levyflow.drivers import QWienerSpec, RngStream
 from levyflow.ensemble import EnsembleConfig, run_ensemble
 from levyflow.grids import Grid, GridField
 from levyflow.linsolve import bicgstab
@@ -163,9 +157,9 @@ def test_ac5_micro_survival_ordering():
     reps = 100
     stats = {}
     for name, noise in (
-        ("gauss", GaussianNoise()),
-        ("switch", SwitchingNoise()),
-        ("cauchy", CauchyModulatedNoise()),
+        ("gauss", "gaussian"),
+        ("switch", "switching"),
+        ("cauchy", "cauchy_modulated"),
     ):
         cfg = MicroConfig(noise=noise)  # shipped calibrated config, M=2500, N=25
         ens = run_ensemble("micro", cfg, EnsembleConfig(n_samples=reps, base_seed=777))

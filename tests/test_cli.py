@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -345,6 +346,13 @@ def test_config_parse_failure_exit_2(tmp_path):
      "[ensemble] snapshot_steps: snapshot steps out of range: [999]"),
     ("[ensemble]\nexport_samples = 0, 5\n", ["ensemble", "--samples", "2"],
      "[ensemble] export_samples: export sample ids outside [0, 2): [5]"),
+    ("[ensemble]\nexport_samples = -1\n", ["ensemble", "--kind", "micro", "--samples", "2"],
+     "[ensemble] export_samples: export sample ids outside [0, 2): [-1]"),
+    ("[macro]\nN = 2\n\n[ensemble]\nsnapshot_steps = -1\n", ["ensemble", "--samples", "2"],
+     "[ensemble] snapshot_steps: snapshot steps out of range: [-1]"),
+    # lines the parser cannot read, named by their number
+    ("[macro]\nN = 2\nnot a pair\n", ["macro"], "line 3: expected 'key = value'"),
+    ("[macro]\n = 2\n", ["macro"], "line 2: empty key"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     cfgfile = tmp_path / "bad.cfg"
@@ -551,10 +559,9 @@ print(json.dumps([codes, sorted(name for key, name in names.items() if key not i
 """
 
 # functions no command calls that stay: the benchmark reads manifests back
-# and names a stack by its first stream; evaluate_many is the abstract base
-# method that every symbol class overrides
+# and names a stack by its first stream
 _UNCALLED_BY_COMMANDS = ["drivers.StreamChunk.stream_index", "formats.read_manifest",
-                         "formats.verify_manifest", "symbols.SymbolSpec.evaluate_many"]
+                         "formats.verify_manifest"]
 
 
 def test_commands_call_every_package_function(tmp_path):
@@ -565,6 +572,26 @@ def test_commands_call_every_package_function(tmp_path):
     assert codes == [0] * 13 + [6, 6, 5]
     only_tests = [name for name in uncalled if name not in _UNCALLED_BY_COMMANDS]
     assert not only_tests, f"no command calls {only_tests}"
+
+
+# the modules that read outside input: the config file, the command line and
+# LVF1 snapshots
+_INPUT_MODULES = {"config.py", "cli.py", "formats.py"}
+
+
+def test_config_errors_are_raised_only_where_input_is_read():
+    """Each input rule is checked once, where the input is read; a
+    ConfigInvalid raised anywhere else re-checks a rule the library cannot
+    see input break."""
+    raisers = set()
+    for path in Path(levyflow.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "ConfigInvalid":
+                raisers.add(path.name)
+    assert {"config.py", "cli.py"} <= raisers  # the scan sees the raises there
+    assert sorted(raisers - _INPUT_MODULES) == []
 
 
 def _manifest_digests(out):

@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyflow.config import macro_config_from
 from levyflow.drivers import (
-    CauchyModulatedNoise,
-    GaussianNoise,
+    SWITCHING_WEIGHTS,
     QWienerSpec,
     RngStream,
     StreamChunk,
-    SwitchingNoise,
     cauchy_modulated_increment,
     draw_noise,
     _basis_matrix,
     sample_qwiener_increment,
     switching_pick,
 )
-from levyflow.errors import ConfigInvalid, GridMismatch, NonpositiveDt, NyquistViolation
+from levyflow.errors import ConfigInvalid, GridMismatch
 from levyflow.grids import Grid
 from levyflow.macro import MacroConfig
 
@@ -48,27 +47,21 @@ def test_distinct_streams_decorrelated():
 # ---------------------------------------------------------------------------
 
 
-def test_draw_noise_requires_positive_dt():
-    rng = RngStream(1, 0)
-    with pytest.raises(NonpositiveDt):
-        draw_noise(GaussianNoise(), rng, 0.0, size=3)
-
-
 def test_gaussian_variance_scales_with_dt():
     rng = RngStream(10, 0)
-    draws = draw_noise(GaussianNoise(), rng, 0.25, size=200_000)
+    draws = draw_noise("gaussian", rng, 0.25, size=200_000)
     assert float(np.var(draws)) == pytest.approx(0.25, rel=0.02)
 
 
 def test_gaussian_unit_variance_large_sample():
     rng = RngStream(11, 0)
-    draws = draw_noise(GaussianNoise(), rng, 1.0, size=1_000_000)
+    draws = draw_noise("gaussian", rng, 1.0, size=1_000_000)
     assert float(np.var(draws)) == pytest.approx(1.0, abs=0.01)
 
 
 def test_switching_selector_partition():
     # sentinel candidates name the law each forced uniform value picks
-    def picked(u, weights=SwitchingNoise.weights):
+    def picked(u, weights=SWITCHING_WEIGHTS):
         u = np.asarray(u, dtype=float)
         return switching_pick(u, weights, np.full(u.shape, 0.0), np.full(u.shape, 1.0),
                               np.full(u.shape, 2.0)).tolist()
@@ -87,25 +80,18 @@ def test_switching_selector_partition():
 
 def test_switching_frequencies():
     n = 100_000
-    for weights in ((0.3, 0.2, 0.5), (0.6, 0.2, 0.2)):
+    for weights in (SWITCHING_WEIGHTS, (0.6, 0.2, 0.2)):
         u = RngStream(12, 0).uniform(n)
         laws = switching_pick(u, weights, np.zeros(n), np.ones(n), np.full(n, 2.0))
         counts = np.bincount(laws.astype(int), minlength=3) / n
         assert np.all(np.abs(counts - weights) < 0.02), weights
-        # draw_noise picks by the law's own weights: replay its candidates
-        replay = RngStream(12, 0)
-        replay.uniform(n)
-        normal, laplace = replay.normal(n), replay.laplace(n)
-        draws = draw_noise(SwitchingNoise(weights=weights), RngStream(12, 0), 1.0, size=n)
-        assert abs(np.mean(draws == normal) - weights[0]) < 0.02, weights
-        assert abs(np.mean(draws == laplace) - weights[1]) < 0.02, weights
-
-
-def test_switching_weights_validated():
-    with pytest.raises(ValueError):
-        SwitchingNoise(weights=(0.5, 0.2, 0.5))
-    with pytest.raises(ValueError):
-        SwitchingNoise(triangular=(1.0, 0.0, 2.0))
+    # draw_noise picks by SWITCHING_WEIGHTS: replay its candidates
+    replay = RngStream(12, 0)
+    replay.uniform(n)
+    normal, laplace = replay.normal(n), replay.laplace(n)
+    draws = draw_noise("switching", RngStream(12, 0), 1.0, size=n)
+    assert abs(np.mean(draws == normal) - SWITCHING_WEIGHTS[0]) < 0.02
+    assert abs(np.mean(draws == laplace) - SWITCHING_WEIGHTS[1]) < 0.02
 
 
 def test_cauchy_modulated_kernel_zero_at_zero():
@@ -119,9 +105,9 @@ def test_cauchy_modulated_kernel_zero_at_zero():
 
 def test_switching_draw_shapes():
     rng = RngStream(14, 0)
-    arr = draw_noise(SwitchingNoise(), rng, 0.1, size=(7, 2))
+    arr = draw_noise("switching", rng, 0.1, size=(7, 2))
     assert arr.shape == (7, 2)
-    arr2 = draw_noise(CauchyModulatedNoise(), rng, 0.1, size=(7, 2))
+    arr2 = draw_noise("cauchy_modulated", rng, 0.1, size=(7, 2))
     assert arr2.shape == (7, 2)
 
 
@@ -150,8 +136,9 @@ def test_alpha_of_h_monotone_and_bounded(h1, h2):
 
 @pytest.mark.parametrize("a", [0.0, -1.0, float("nan")])
 def test_alpha_of_h_needs_a_positive_sensitivity(a):
-    with pytest.raises(ConfigInvalid, match="a > 0"):
-        MacroConfig(a=a)
+    # checked by the [macro] resolver, which names the key
+    with pytest.raises(ConfigInvalid, match=r"\[macro\] a:"):
+        macro_config_from({"macro": {"a": a}})
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +183,9 @@ def test_qwiener_single_mode_exact():
 
 
 def test_qwiener_nyquist_guard():
-    with pytest.raises(NyquistViolation):
-        _draw(QWienerSpec(11), GRID, 0.1, RngStream(1, 0))
-
-
-def test_qwiener_requires_positive_dt():
-    with pytest.raises(NonpositiveDt):
-        _draw(QWienerSpec(2), GRID, 0.0, RngStream(1, 0))
+    # checked by the [macro] resolver against each axis of the grid
+    with pytest.raises(ConfigInvalid, match="qwiener_modes: 11 modes exceed the Nyquist limit"):
+        macro_config_from({"macro": {"qwiener_modes": 11}})
 
 
 def test_qwiener_trace_class():

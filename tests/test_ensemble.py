@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from levyflow import ensemble, macro, micro
+from levyflow.cli import main
+from levyflow.config import ensemble_config_from, render_config
 from levyflow.drivers import RngStream
 from levyflow.ensemble import (
     EnsembleConfig,
@@ -63,10 +65,11 @@ def test_welford_elementwise_on_arrays():
 
 
 def test_ensemble_config_validation():
-    with pytest.raises(ConfigInvalid):
-        EnsembleConfig(n_samples=0)
-    with pytest.raises(ConfigInvalid):
-        run_ensemble("neither", SMALL_MACRO, EnsembleConfig(n_samples=1))
+    # checked by the [ensemble] resolver, which names the key
+    with pytest.raises(ConfigInvalid, match=r"\[ensemble\] M:"):
+        ensemble_config_from({"ensemble": {"M": 0}}, 1, 1)
+    with pytest.raises(ConfigInvalid, match=r"\[ensemble\] kind:"):
+        ensemble_config_from({"ensemble": {"kind": "neither"}}, 1, 1)
 
 
 def test_single_sample_equals_mean_with_zero_variance():
@@ -231,19 +234,25 @@ def test_micro_chunk_from_one_initial_state_gives_each_sample_its_own_run(monkey
     assert len({record.fields.tobytes() for record in records}) == 5
 
 
+# the model section's and the [ensemble] section's keys of each case
 @pytest.mark.parametrize("kind, cfg, ens", [
-    ("macro", SMALL_MACRO, EnsembleConfig(n_samples=2, snapshot_steps=(0, 200))),
-    ("macro", SMALL_MACRO, EnsembleConfig(n_samples=2, snapshot_steps=(-1,))),
-    ("macro", SMALL_MACRO, EnsembleConfig(n_samples=2, export_sample_ids=(2,))),
-    ("micro", SMALL_MICRO, EnsembleConfig(n_samples=2, export_sample_ids=(-1,))),
+    ("macro", {"N": 8}, {"snapshot_steps": (0, 200)}),
+    ("macro", {"N": 8}, {"snapshot_steps": (-1,)}),
+    ("macro", {"N": 8}, {"export_samples": (2,)}),
+    ("micro", {"M": 300, "N": 8}, {"export_samples": (-1,)}),
 ])
-def test_bad_input_rejected_before_any_sample(monkeypatch, kind, cfg, ens):
+def test_bad_input_rejected_before_any_sample(monkeypatch, tmp_path, capsys, kind, cfg, ens):
+    """The ensemble command refuses a bad [ensemble] key, naming it, before
+    any sample starts."""
     def no_samples(*args, **kwargs):
         raise AssertionError("a sample started")
 
     monkeypatch.setattr(ensemble, "_map_samples", no_samples)
-    with pytest.raises(ConfigInvalid):
-        run_ensemble(kind, cfg, ens)
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(render_config({kind: cfg, "ensemble": ens}))
+    assert main(["--config", str(cfgfile), "--workers", "1", "--out", str(tmp_path / "o"),
+                 "ensemble", "--kind", kind, "--samples", "2"]) == 2
+    assert f"[ensemble] {next(iter(ens))}:" in capsys.readouterr().err
 
 
 def test_unsorted_snapshot_steps_keep_their_labels():
@@ -252,13 +261,6 @@ def test_unsorted_snapshot_steps_keep_their_labels():
     assert stats.snapshot_steps == (0, 8)
     snapshots, _ = run_macro(SMALL_MACRO, RngStream(7, 0), snapshot_steps=(0,))
     assert np.array_equal(stats.mean[0, 1], snapshots[0].c)
-
-
-def test_kind_config_mismatch():
-    with pytest.raises(ConfigInvalid):
-        run_ensemble("macro", SMALL_MICRO, EnsembleConfig(n_samples=1))
-    with pytest.raises(ConfigInvalid):
-        run_ensemble("micro", SMALL_MACRO, EnsembleConfig(n_samples=1))
 
 
 def test_exported_samples_mean_matches_streamed_mean():

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from levyflow.config import ensemble_config_from, macro_config_from
 from levyflow.drivers import RngStream, StreamChunk
 from levyflow.errors import ConfigInvalid, SolverDiverged
 from levyflow.grids import Grid, centered_difference
@@ -53,14 +54,11 @@ def _step_c(state, cfg, stats=None):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigInvalid):
-        MacroConfig(gamma_1=-1.0)
-    with pytest.raises(ConfigInvalid):
-        MacroConfig(tau=0.0)
-    with pytest.raises(ConfigInvalid):
-        MacroConfig(a_1=0.4)
-    with pytest.raises(ConfigInvalid):
-        MacroConfig(a_1=0.8, a_2=0.7)
+    # the rules live in the [macro] resolver, whose message names the key
+    for overrides, key in (({"gamma_1": -1.0}, "gamma_1"), ({"tau": 0.0}, "tau"),
+                           ({"a_1": 0.4}, "a_1"), ({"a_1": 0.8, "a_2": 0.7}, "a_2")):
+        with pytest.raises(ConfigInvalid, match=rf"\[macro\] {key}:"):
+            macro_config_from({"macro": overrides})
 
 
 def test_step_n_trivials_and_hand_value():
@@ -308,9 +306,10 @@ def test_run_macro_zero_steps_returns_initial():
 
 
 def test_snapshot_step_validation():
-    cfg = MacroConfig(n_steps=10)
-    with pytest.raises(ConfigInvalid):
-        run_macro(cfg, RngStream(1, 0), snapshot_steps=[11])
+    # the [ensemble] resolver checks the steps against [macro] N
+    sections = {"macro": {"N": 10}, "ensemble": {"snapshot_steps": (0, 11)}}
+    with pytest.raises(ConfigInvalid, match=r"\[ensemble\] snapshot_steps: .*: \[11\]"):
+        ensemble_config_from(sections, 1, 1)
 
 
 def test_homogeneous_fields_stay_homogeneous():

@@ -4,7 +4,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from levyflow.drivers import CauchyModulatedNoise, GaussianNoise, RngStream, SwitchingNoise
+from levyflow.config import micro_config_from
+from levyflow.drivers import NOISE_LAWS, RngStream
 from levyflow.errors import ConfigInvalid
 from levyflow.grids import Grid, periodic_gaussian_blur
 from levyflow.micro import (
@@ -67,12 +68,11 @@ def _no_kill_config(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigInvalid):
-        MicroConfig(n_particles=0)
-    with pytest.raises(ConfigInvalid):
-        MicroConfig(tau=0.0)
-    with pytest.raises(ConfigInvalid):
-        MicroConfig(kill_low=2.0, kill_high=1.0)
+    # the rules live in the [micro] resolver, whose message names the key
+    for key, value, problem in (("M", 0, r"\[micro\] M:"), ("tau", 0.0, r"\[micro\] tau:"),
+                                ("h_1", 2.0, r"\[micro\] h_2: the viability band")):
+        with pytest.raises(ConfigInvalid, match=problem):
+            micro_config_from({"micro": {key: value}})
 
 
 def test_stationary_particle_on_flat_tissue():
@@ -166,13 +166,11 @@ def test_default_config_has_zero_clamps():
     assert state.clamp_events == 0
 
 
-@pytest.mark.parametrize("law, noise", [
-    ("gaussian", GaussianNoise()),
-    ("switching", SwitchingNoise()),
-    ("cauchy_modulated", CauchyModulatedNoise()),
-])
-def test_final_state_golden_digest(law, noise):
-    state, series = run_micro(MicroConfig(noise=noise), RngStream(20240901, 0))
+# ids of the form <law>-noise<i>, stable across versions of the suite
+@pytest.mark.parametrize("law", NOISE_LAWS,
+                         ids=[f"{law}-noise{i}" for i, law in enumerate(NOISE_LAWS)])
+def test_final_state_golden_digest(law):
+    state, series = run_micro(MicroConfig(noise=law), RngStream(20240901, 0))
     # the run must kill some particles, or the dead path goes untested
     assert 0 < series[-1] < series[0]
     digest = hashlib.sha256()
@@ -227,15 +225,11 @@ def test_everyone_dead_at_the_first_step_leaves_empty_arrays():
     assert survival_fraction(state, cfg.n_particles) == 0.0
 
 
-LAWS = [("gaussian", GaussianNoise()), ("switching", SwitchingNoise()),
-        ("cauchy_modulated", CauchyModulatedNoise())]
-
-
-@pytest.mark.parametrize("law, noise", LAWS, ids=[law for law, _ in LAWS])
-def test_run_micro_equals_chained_steps_without_a_carried_stencil(law, noise):
+@pytest.mark.parametrize("law", NOISE_LAWS)
+def test_run_micro_equals_chained_steps_without_a_carried_stencil(law):
     # each state run_micro steps from holds the stencil its step left; a
     # replaced state holds none, so every reference step builds it afresh
-    cfg = MicroConfig(n_particles=900, n_steps=25, noise=noise)
+    cfg = MicroConfig(n_particles=900, n_steps=25, noise=law)
     state, series = run_micro(cfg, RngStream(41, 3))
     ref = micro_init(cfg)
     rng = RngStream(41, 3)
@@ -267,13 +261,6 @@ def test_a_replaced_state_steps_like_a_fresh_build():
     built = micro_step(fresh, cfg, RngStream(8, 1))
     for name in ("positions", "velocities", "protons", "alive", "acid", "tissue"):
         assert getattr(replaced, name).tobytes() == getattr(built, name).tobytes(), name
-
-
-def test_survival_fraction_validation():
-    state = _quiet_state(np.array([[0.5, 0.5]]))
-    assert survival_fraction(state, 1) == 1.0
-    with pytest.raises(ConfigInvalid):
-        survival_fraction(state, 0)
 
 
 # ---------------------------------------------------------------------------
