@@ -3,8 +3,9 @@
 Sample ``i`` always draws from stream index ``i`` of the base seed, and the
 accumulator consumes results in sample-id order no matter how many workers
 ran them, so ensemble statistics are bit-identical across worker counts.
-Macro samples run in contiguous chunks, each advanced as one stack; a
-sample's bits do not depend on the chunk it ran in.
+Samples run in contiguous chunks.  A macro chunk advances as one stack; a
+micro chunk advances in stacks bounded by a particle budget.  A sample's
+bits do not depend on the chunk or the stack it ran in.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ class WelfordAccumulator:
 
 # Largest chunk of samples a worker runs as one stack.
 MAX_CHUNK = 64
+# Most particles a micro stack starts with.  A stack's step peaks at about
+# 280 traced bytes per starting particle.  At M = 2500 on a 2-vCPU host, the
+# three noise laws' process time per sample summed to 42.9, 38.3, 37.7 and
+# 38.1 ms in stacks of one to four samples.  Three runs each of the
+# benchmark's micro-laws workload read median items_per_s and peak RSS of
+# 40.5 at 40.46 MB one sample at a time, 47.0 at 40.22 MB in stacks of two
+# (this budget) and 47.5 at 41.03 MB in stacks of three: two samples take
+# almost all of the gain, and a third adds 0.8 MB.
+MICRO_STACK_PARTICLES = 5000
 
 
 @dataclass
@@ -86,9 +96,11 @@ def _run_chunk(args) -> list:
 
     Macro samples advance together as one stack; a failed sample is
     dropped from it and the others run to the end, since a later id may
-    fail first in time.  Micro samples run one after another from one
-    initial state, built once per chunk, so the chunk stops at its first
-    failure, which is also its lowest failing id.
+    fail first in time.  Micro samples advance in stacks of at most
+    ``MICRO_STACK_PARTICLES`` starting particles (one sample at the least),
+    all from one initial state built once per chunk.  A micro stack fails
+    as a whole, so its samples then run alone, in id order, and the chunk
+    stops at the first that fails: its lowest failing id.
     """
     kind, cfg, base_seed, first, count, snapshot_steps = args
     if kind == "macro":
@@ -104,21 +116,29 @@ def _run_chunk(args) -> list:
         initial = micro_init(cfg)  # the same for every sample, and no step changes it
     except Exception as exc:  # noqa: BLE001 - reported for the chunk's first id
         return [exc]
-    records = []
-    for sample_id in range(first, first + count):
+
+    def records(ids):
+        runs, _ = run_micro(cfg, StreamChunk(RngStream(base_seed, i) for i in ids),
+                            initial_state=initial)
+        return [SampleRecord(fields=np.stack([state.acid, state.tissue]),
+                             export=np.asarray(alive_series),
+                             clamp_events=state.clamp_events,
+                             survival=survival_fraction(state, cfg.n_particles))
+                for state, alive_series in runs]
+
+    per_stack = max(1, MICRO_STACK_PARTICLES // initial.positions.shape[0])
+    out = []
+    for start in range(first, first + count, per_stack):
+        ids = range(start, min(start + per_stack, first + count))
         try:
-            state, alive_series = run_micro(cfg, RngStream(base_seed, sample_id),
-                                            initial_state=initial)
-        except Exception as exc:  # noqa: BLE001 - reported for this id by run_ensemble
-            records.append(exc)
-            break
-        records.append(SampleRecord(
-            fields=np.stack([state.acid, state.tissue]),
-            export=np.asarray(alive_series),
-            clamp_events=state.clamp_events,
-            survival=survival_fraction(state, cfg.n_particles),
-        ))
-    return records
+            out += records(ids)
+        except Exception:  # noqa: BLE001 - its samples alone name the failing id
+            for sample_id in ids:
+                try:
+                    out += records([sample_id])
+                except Exception as exc:  # noqa: BLE001 - reported for this id by run_ensemble
+                    return out + [exc]
+    return out
 
 
 def _chunks(n_samples: int, workers: int) -> list:

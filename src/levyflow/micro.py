@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import RngStream, draw_noise, smoothed_uniform_field
+from .drivers import RngStream, StreamChunk, draw_noise, smoothed_uniform_field
 from .grids import (Grid, GridField, centered_difference, periodic_gaussian_blur,
                     wrapped_gaussian_bump)
 
@@ -57,25 +57,30 @@ class MicroConfig:
 
 @dataclass
 class MicroState:
-    """The living particles, in index order, and the grid fields.
+    """The living particles, in index order, and the grid fields of one run
+    or of a stack of S runs.
 
-    ``alive`` is the (M,) mask over the population the run started with;
-    ``positions``, ``velocities`` and ``protons`` hold one row per True
-    entry.  ``stencil`` is the bilinear stencil of ``positions``, set only
-    on a state that ``micro_step`` returns; ``dataclasses.replace`` resets
-    it, so a replaced state builds its own."""
+    A run's ``alive`` is the (M,) mask over the population it started with,
+    its fields have the grid's shape and ``clamp_events`` is an int; a
+    stack's ``alive`` is (S, M), its fields (S, *grid.shape) and its
+    ``clamp_events`` (S,).  ``positions``, ``velocities`` and ``protons``
+    hold one row per True entry of ``alive`` in its C order, so a stack
+    holds each sample's living rows in sample order.  ``gradient`` is the
+    (n, 2) tissue gradient at ``positions``, set only on a state that
+    ``micro_step`` returns; ``dataclasses.replace`` resets it, so a replaced
+    state gathers its own."""
 
     grid: Grid
     positions: np.ndarray  # (n, 2)
     velocities: np.ndarray  # (n, 2)
     protons: np.ndarray  # (n,) intracellular load per particle
-    alive: np.ndarray  # (M,) bool
+    alive: np.ndarray  # (M,) or (S, M) bool
     acid: np.ndarray  # extracellular field on the grid
     tissue: np.ndarray
     t: float = 0.0
-    clamp_events: int = 0
-    stencil: BilinearStencil | None = field(default=None, init=False, repr=False,
-                                            compare=False)
+    clamp_events: int | np.ndarray = 0
+    gradient: np.ndarray | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def alive_count(self) -> int:
         return int(self.alive.sum())
@@ -90,56 +95,67 @@ class MicroState:
 class BilinearStencil:
     """Bilinear stencil of n positions, laid out corner by corner: entry
     ``k * n + p`` holds corner k of position p as a flat node index
-    ``i * my + j`` and its weight.  Both arrays have shape (4n,)."""
+    ``i * my + j`` (plus the position's offset, if any) and its weight.
+    Both arrays have shape (4n,)."""
 
     flat: np.ndarray
     weights: np.ndarray
 
 
-def bilinear_stencil(grid: Grid, positions) -> BilinearStencil:
+def bilinear_stencil(grid: Grid, positions, offsets=None) -> BilinearStencil:
     """The stencil of ``positions`` (n, 2).  Each axis wraps its lower
     corner once through ``Grid.wrap_index`` and looks up the upper one as
-    its periodic successor; the four corners are written into one array."""
+    its periodic successor.  ``offsets`` (n,), if given, is added to every
+    node index of its position: in a stack, sample s's positions are offset
+    by s times the grid's node count, so that one flat index addresses the
+    stack of fields.
+
+    The build writes the weights into their output array and drops each
+    temporary once used, so that a step allocates less."""
     n = positions.shape[0]
     my = grid.shape[1]
-    frac = np.empty((2, n))
+    weights = np.empty((4, n))
+    ux, uy, wx, wy = weights
+    frac = weights[2:]
     np.divide(positions.T, np.array(grid.spacings)[:, None], out=frac)
     lower = np.floor(frac)
     cells = lower.astype(int)
     frac -= lower  # wx, wy
-    rest = 1 - frac  # ux, uy
+    del lower
+    np.subtract(1, frac, out=weights[:2])  # ux, uy
+    # each product keeps its operand order, which fixes a NaN's sign
+    corner2 = ux * wy
+    np.multiply(wx, wy, out=wy)
+    wx *= uy
+    ux *= uy
+    weights[1] = wx
+    weights[2] = corner2
+    del corner2
+
     i0 = grid.wrap_index(cells[0], 0)
     j0 = grid.wrap_index(cells[1], 1)
+    del cells
     i1 = grid.successor_index(i0, 0)
     j1 = grid.successor_index(j0, 1)
     i0 *= my
     i1 *= my
+    if offsets is not None:
+        i0 += offsets
+        i1 += offsets
     flat = np.empty((4, n), dtype=int)
     np.add(i0, j0, out=flat[0])
     np.add(i1, j0, out=flat[1])
     np.add(i0, j1, out=flat[2])
     np.add(i1, j1, out=flat[3])
-    weights = np.empty((4, n))
-    np.multiply(rest[0], rest[1], out=weights[0])
-    np.multiply(frac[0], rest[1], out=weights[1])
-    np.multiply(rest[0], frac[1], out=weights[2])
-    np.multiply(frac[0], frac[1], out=weights[3])
     return BilinearStencil(flat.reshape(-1), weights.reshape(-1))
-
-
-def _survivors(stencil: BilinearStencil, killed: np.ndarray) -> BilinearStencil:
-    """The stencil of the positions not ``killed``, in their order."""
-    if not killed.any():
-        return stencil
-    keep = np.concatenate((~killed,) * 4)
-    return BilinearStencil(stencil.flat[keep], stencil.weights[keep])
 
 
 def gather(field_values: np.ndarray, stencil: BilinearStencil) -> np.ndarray:
     n = stencil.flat.shape[0] // 4
-    terms = (stencil.weights * field_values.take(stencil.flat)).reshape(4, n)
+    terms = field_values.take(stencil.flat)
+    np.multiply(stencil.weights, terms, out=terms)
     out = np.zeros(n)
-    for term in terms:  # corners in order 0, 1, 2, 3
+    for term in terms.reshape(4, n):  # corners in order 0, 1, 2, 3
         out += term
     return out
 
@@ -198,54 +214,62 @@ def micro_init(cfg: MicroConfig) -> MicroState:
 # ---------------------------------------------------------------------------
 
 
-def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroState:
+def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk) -> MicroState:
     """One explicit Euler step of the coupled particle/field dynamics.
 
     Order: velocity (tissue-gradient drift + noise kick), position (periodic
     wrap), intracellular protons, acid and tissue at the particle
     neighbourhoods, then the kill conditions.  The returned state holds the
-    survivors and their stencil after the move: a survivor keeps its
-    position and its order, so that stencil is bitwise a fresh build for
-    the next step.  The step writes nothing into ``state``.
+    survivors and the tissue gradient at their positions, gathered through
+    the stencil after the move: that is bitwise the gradient a fresh build
+    of the next step would gather.
+
+    ``rng`` is a run's stream, or for a stack the StreamChunk of its
+    samples' streams in sample order.  Every particle of a stack reads and
+    writes its own sample's fields only, and each node sums its particles'
+    contributions in their order, so each sample's bits are those of its
+    run alone.  The step writes nothing into ``state``.
     """
     tau = cfg.tau
+    grid = state.grid
+    single = isinstance(rng, RngStream)
+    streams = (rng,) if single else rng
+    samples = len(streams)
+    m = state.alive.shape[-1]
     idx = np.flatnonzero(state.alive)
+
+    def stencil(positions):
+        # sample s of a stack addresses its fields from flat node s * nodes
+        return bilinear_stencil(grid, positions, None if single else idx // m * state.acid[0].size)
+
+    grad = state.gradient
+    if grad is None:
+        grad = _tissue_gradient(state.tissue, grid, stencil(state.positions))
+    vel = state.velocities + (cfg.taxis_sign * grad * tau + _kicks(cfg, streams, idx, m))
+    pos = wrap_positions(state.positions + vel * tau, grid.lengths)
+    after = stencil(pos)
 
     acid = state.acid.copy()
     tissue = state.tissue.copy()
-    clamps = state.clamp_events
+    clamps = np.zeros(samples, dtype=np.int64)
 
-    # drawn for the whole starting population, so the stream does not depend
-    # on the deaths
-    noise = draw_noise(cfg.noise, rng, tau, size=(state.alive.size, 2))
-    kicks = cfg.noise_scale * noise.take(idx, axis=0)
-
-    # the bilinear stencil of the positions before the move and after it
-    before = state.stencil
-    if before is None:
-        before = bilinear_stencil(state.grid, state.positions)
-    grad = np.column_stack(
-        [gather(centered_difference(tissue, state.grid, axis), before) for axis in (0, 1)]
-    )
-    vel = state.velocities + (cfg.taxis_sign * grad * tau + kicks)
-    pos = wrap_positions(state.positions + vel * tau, state.grid.lengths)
-    after = bilinear_stencil(state.grid, pos)
-
+    # efflux and buffering take protons out, production puts them in; the
+    # rates stay unnamed so that the step holds few per-particle arrays
     acid_at = gather(acid, after)
     efflux = cfg.efflux_rate * state.protons / (1.0 + acid_at)
-    buffering = cfg.buffering_rate * state.protons
-    production = cfg.production_rate / (1.0 + state.protons)
-    protons = state.protons + tau * (-efflux - buffering + production)
+    protons = state.protons + tau * (-efflux - cfg.buffering_rate * state.protons
+                                     + cfg.production_rate / (1.0 + state.protons))
     neg = protons < 0
-    clamps += int(np.count_nonzero(neg))
-    protons[neg] = 0.0
+    if neg.any():
+        clamps += np.bincount(idx[neg] // m, minlength=samples)
+        protons[neg] = 0.0
 
     # extracellular side: efflux arrives, the vasculature clears
-    acid_rate = cfg.field_coupling * (efflux - cfg.vascular_uptake * acid_at)
-    scatter_add(acid, after, tau * acid_rate)
+    scatter_add(acid, after, tau * (cfg.field_coupling * (efflux - cfg.vascular_uptake * acid_at)))
     neg = acid < 0
-    clamps += int(np.count_nonzero(neg))
-    acid[neg] = 0.0
+    if neg.any():
+        clamps += np.count_nonzero(neg.reshape(samples, -1), axis=1)
+        acid[neg] = 0.0
 
     # tissue decays where particles sit; the exact integrating factor keeps
     # it positive no matter how many particles share a cell
@@ -253,19 +277,19 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
     scatter_add(exposure, after, tau * cfg.tissue_decay * acid_at)
     tissue *= np.exp(-exposure)
 
-    acid_now = gather(acid, after)
     killed = (protons < cfg.kill_low) | (protons > cfg.kill_high) | (
-        acid_now > cfg.kill_acid
+        gather(acid, after) > cfg.kill_acid
     )
-
+    del acid_at, efflux  # held through the gradient gather, they would set the step's peak
+    grad = _tissue_gradient(tissue, grid, after)
     alive = state.alive.copy()
     if killed.any():
-        alive[idx[killed]] = False
+        alive.reshape(-1)[idx[killed]] = False
         keep = ~killed
-        pos, vel, protons = (a.compress(keep, axis=0) for a in (pos, vel, protons))
+        pos, vel, protons, grad = (a.compress(keep, axis=0) for a in (pos, vel, protons, grad))
 
     out = MicroState(
-        grid=state.grid,
+        grid=grid,
         positions=pos,
         velocities=vel,
         protons=protons,
@@ -273,10 +297,28 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream) -> MicroStat
         acid=acid,
         tissue=tissue,
         t=state.t + tau,
-        clamp_events=clamps,
+        clamp_events=state.clamp_events + (int(clamps[0]) if single else clamps),
     )
-    out.stencil = _survivors(after, killed)
+    out.gradient = grad
     return out
+
+
+def _tissue_gradient(tissue: np.ndarray, grid: Grid, stencil: BilinearStencil) -> np.ndarray:
+    """The centred tissue gradient gathered at each position of ``stencil``,
+    (n, 2)."""
+    return np.column_stack(
+        [gather(centered_difference(tissue, grid, axis), stencil) for axis in (0, 1)]
+    )
+
+
+def _kicks(cfg: MicroConfig, streams, idx: np.ndarray, m: int) -> np.ndarray:
+    """The noise kick of each living particle.  Each stream draws (m, 2) for
+    its sample's whole starting population, so that it does not depend on
+    the deaths; ``idx`` picks the living rows of the stacked draws."""
+    noise = np.empty((len(streams), m, 2))
+    for row, stream in zip(noise, streams):
+        row[...] = draw_noise(cfg.noise, stream, cfg.tau, size=(m, 2))
+    return cfg.noise_scale * noise.reshape(-1, 2).take(idx, axis=0)
 
 
 def survival_fraction(state: MicroState, m0: int) -> float:
@@ -284,19 +326,57 @@ def survival_fraction(state: MicroState, m0: int) -> float:
     return state.alive_count() / m0
 
 
-def run_micro(cfg: MicroConfig, rng: RngStream, initial_state: MicroState | None = None):
-    """Run the configured number of steps; returns the final state and the
-    per-step alive counts (the count before any step first).
+def run_micro(cfg: MicroConfig, rng: RngStream | StreamChunk,
+              initial_state: MicroState | None = None):
+    """Run the configured number of steps.
+
+    ``rng`` is one RngStream for a single run, which returns the final
+    state and the alive count before the first step and after each.  A
+    StreamChunk of S streams advances S samples as one stack, all from the
+    same initial state, and returns each sample's (final state, alive
+    counts) in stream order, each bit for bit its single run, and the
+    stack's total alive count per step.  Counts are Python ints.
 
     ``initial_state`` stands in for ``micro_init(cfg)``, so that samples
     of one config can share it; no step changes the state it is given.
-    The final state holds the living particles only."""
-    state = micro_init(cfg) if initial_state is None else initial_state
-    alive_series = [state.alive_count()]
+    Final states hold the living particles only."""
+    first = micro_init(cfg) if initial_state is None else initial_state
+    single = isinstance(rng, RngStream)
+    state = first if single else _stacked(first, len(rng))
+    counts = [np.count_nonzero(state.alive, axis=-1)]
     for _ in range(cfg.n_steps):
         state = micro_step(state, cfg, rng)
-        alive_series.append(state.alive_count())
-    return state, alive_series
+        counts.append(np.count_nonzero(state.alive, axis=-1))
+    counts = np.array(counts)
+    if single:
+        return state, counts.tolist()
+    return _unstacked(state, counts), counts.sum(axis=1).tolist()
+
+
+def _stacked(state: MicroState, samples: int) -> MicroState:
+    """A stack of ``samples`` copies of a run's state.  Its alive mask and
+    fields are read-only broadcasts: no step writes into a state."""
+    rows = (np.concatenate([a] * samples) for a in (state.positions, state.velocities,
+                                                     state.protons))
+    masks_and_fields = (np.broadcast_to(a, (samples,) + a.shape)
+                        for a in (state.alive, state.acid, state.tissue))
+    return MicroState(state.grid, *rows, *masks_and_fields, state.t,
+                      np.full(samples, state.clamp_events))
+
+
+def _unstacked(state: MicroState, counts: np.ndarray) -> list:
+    """Each sample's (state, alive counts) of a stack whose per-step alive
+    counts ``counts`` are (steps + 1, S); the states' arrays are views of
+    the stack's."""
+    ends = np.cumsum(counts[-1])
+    runs = []
+    for k, (start, end) in enumerate(zip(ends - counts[-1], ends)):
+        sample = MicroState(state.grid, state.positions[start:end],
+                            state.velocities[start:end], state.protons[start:end],
+                            state.alive[k], state.acid[k], state.tissue[k], state.t,
+                            int(state.clamp_events[k]))
+        runs.append((sample, counts[:, k].tolist()))
+    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -217,21 +217,83 @@ def test_chunk_size_does_not_change_a_bit():
 
 
 def test_micro_chunk_from_one_initial_state_gives_each_sample_its_own_run(monkeypatch):
-    """A micro chunk builds its initial state once and starts every sample
-    from it; each record equals the sample's own run_micro, bit for bit."""
+    """A micro chunk builds its initial state once and starts every stack
+    from it; each record equals the sample's own run_micro, bit for bit,
+    whether the chunk runs as stacks of one, of three or as one stack."""
     built = []
     counted = lambda cfg: built.append(1) or micro_init(cfg)  # noqa: E731
     monkeypatch.setattr(ensemble, "micro_init", counted)
     monkeypatch.setattr(micro, "micro_init", counted)
-    records = ensemble._run_chunk(("micro", SMALL_MICRO, 29, 4, 5, ()))
-    assert len(built) == 1
-    for sample_id, record in enumerate(records, start=4):
-        state, series = run_micro(SMALL_MICRO, RngStream(29, sample_id))
-        assert record.fields.tobytes() == np.stack([state.acid, state.tissue]).tobytes()
-        assert record.export.tolist() == series
-        assert record.clamp_events == state.clamp_events
-        assert record.survival == survival_fraction(state, SMALL_MICRO.n_particles)
-    assert len({record.fields.tobytes() for record in records}) == 5
+    alone = [run_micro(SMALL_MICRO, RngStream(29, sample_id)) for sample_id in range(4, 9)]
+    built.clear()
+    runs = []
+    for samples in (1, 3, 5):
+        monkeypatch.setattr(ensemble, "MICRO_STACK_PARTICLES", samples * SMALL_MICRO.n_particles)
+        records = ensemble._run_chunk(("micro", SMALL_MICRO, 29, 4, 5, ()))
+        assert len(built) == 1
+        built.clear()
+        for record, (state, series) in zip(records, alone, strict=True):
+            assert record.fields.tobytes() == np.stack([state.acid, state.tissue]).tobytes()
+            assert record.export.tolist() == series
+            assert record.clamp_events == state.clamp_events
+            assert record.survival == survival_fraction(state, SMALL_MICRO.n_particles)
+        runs.append([(r.fields.tobytes(), r.export.tobytes(), r.clamp_events, r.survival)
+                     for r in records])
+    assert runs[0] == runs[1] == runs[2]
+    assert len({fields for fields, *_ in runs[0]}) == 5
+
+
+def test_micro_stacks_keep_to_the_particle_budget(monkeypatch):
+    """No run_micro call of a chunk starts with more particles than the
+    budget, unless one sample alone has more."""
+    calls = []
+    run = ensemble.run_micro
+
+    def recording(cfg, streams, initial_state):
+        calls.append((len(streams), len(streams) * initial_state.positions.shape[0]))
+        return run(cfg, streams, initial_state=initial_state)
+
+    monkeypatch.setattr(ensemble, "run_micro", recording)
+    cfg = MicroConfig(n_particles=300, n_steps=2)
+    ensemble._run_chunk(("micro", cfg, 3, 0, 40, ()))
+    per_stack = ensemble.MICRO_STACK_PARTICLES // 300
+    assert [samples for samples, _ in calls] == [min(per_stack, 40 - first)
+                                                 for first in range(0, 40, per_stack)]
+    assert per_stack > 1
+    assert max(particles for _, particles in calls) <= ensemble.MICRO_STACK_PARTICLES
+    calls.clear()
+    over = MicroConfig(n_particles=ensemble.MICRO_STACK_PARTICLES + 1, n_steps=1)
+    ensemble._run_chunk(("micro", over, 3, 0, 2, ()))
+    assert [samples for samples, _ in calls] == [1, 1]
+
+
+def test_micro_stack_failure_names_the_lowest_failing_id(monkeypatch):
+    """The noise draw of stream 5 raises: the stack holding it fails as a
+    whole, its samples rerun alone in id order, and the ensemble names
+    sample 5 at 1 and at 2 workers.  The chunk's records before it are
+    each sample's own run."""
+    draw = micro.draw_noise
+
+    def failing_for_stream_5(law, rng, dt, size):
+        if rng.stream_index == 5:
+            raise FloatingPointError("stream 5")
+        return draw(law, rng, dt, size)
+
+    # the pool starts by fork, so its workers inherit the patch
+    monkeypatch.setattr(micro, "draw_noise", failing_for_stream_5)
+    for workers in (1, 2):
+        with pytest.raises(EnsembleSampleError) as err:
+            run_ensemble("micro", SMALL_MICRO,
+                         EnsembleConfig(n_samples=10, base_seed=37, workers=workers))
+        assert err.value.sample_index == 5
+        assert isinstance(err.value.__cause__, FloatingPointError)
+
+    monkeypatch.setattr(ensemble, "MICRO_STACK_PARTICLES", 4 * SMALL_MICRO.n_particles)
+    records = ensemble._run_chunk(("micro", SMALL_MICRO, 37, 0, 10, ()))
+    assert [isinstance(r, SampleRecord) for r in records] == [True] * 5 + [False]
+    for sample_id in (0, 4):
+        state, _ = run_micro(SMALL_MICRO, RngStream(37, sample_id))
+        assert records[sample_id].fields.tobytes() == np.stack([state.acid, state.tissue]).tobytes()
 
 
 # the model section's and the [ensemble] section's keys of each case

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from levyflow.config import micro_config_from
-from levyflow.drivers import NOISE_LAWS, RngStream
+from levyflow.drivers import NOISE_LAWS, RngStream, StreamChunk
+from levyflow.ensemble import MICRO_STACK_PARTICLES
 from levyflow.errors import ConfigInvalid
 from levyflow.grids import Grid, periodic_gaussian_blur
 from levyflow.micro import (
@@ -226,9 +228,10 @@ def test_everyone_dead_at_the_first_step_leaves_empty_arrays():
 
 
 @pytest.mark.parametrize("law", NOISE_LAWS)
-def test_run_micro_equals_chained_steps_without_a_carried_stencil(law):
-    # each state run_micro steps from holds the stencil its step left; a
-    # replaced state holds none, so every reference step builds it afresh
+def test_run_micro_equals_chained_steps_without_a_carried_gradient(law):
+    # each state run_micro steps from holds the tissue gradient its step
+    # left; a replaced state holds none, so every reference step builds its
+    # stencil and gathers the gradient afresh
     cfg = MicroConfig(n_particles=900, n_steps=25, noise=law)
     state, series = run_micro(cfg, RngStream(41, 3))
     ref = micro_init(cfg)
@@ -236,11 +239,11 @@ def test_run_micro_equals_chained_steps_without_a_carried_stencil(law):
     ref_series = [ref.alive_count()]
     for _ in range(cfg.n_steps):
         ref = micro_step(ref, cfg, rng)
-        assert ref.stencil is not None
+        assert ref.gradient is not None
         ref = dataclasses.replace(ref)
-        assert ref.stencil is None
+        assert ref.gradient is None
         ref_series.append(ref.alive_count())
-    # particles die on more than one step, so the kept stencil drops columns
+    # particles die on more than one step, so the kept gradient drops rows
     assert len(set(np.diff(series))) > 2
     assert series == ref_series
     for name in ("positions", "velocities", "protons", "alive", "acid", "tissue"):
@@ -248,11 +251,81 @@ def test_run_micro_equals_chained_steps_without_a_carried_stencil(law):
     assert (state.t, state.clamp_events) == (ref.t, ref.clamp_events)
 
 
+# configs whose stacks must reproduce each sample's run: the defaults; kills
+# on many steps with acid clamps; every proton clamped at the first step;
+# every particle dead at the first step
+STACK_CASES = {
+    "defaults": {},
+    "kill-heavy": dict(efflux_rate=30.0, vascular_uptake=400.0, kill_low=0.05, kill_acid=1.5),
+    "proton-clamps": dict(buffering_rate=24.0, kill_low=0.0, kill_acid=2.0),
+    "all-dead": dict(kill_acid=-1.0),
+}
+
+
+@pytest.mark.parametrize("case", STACK_CASES)
+@pytest.mark.parametrize("law", NOISE_LAWS)
+def test_a_stack_equals_each_sample_run_alone(law, case):
+    cfg = MicroConfig(n_particles=400, n_steps=12, noise=law, **STACK_CASES[case])
+    ids = (3, 4, 5)
+    initial = micro_init(cfg)
+    before = [getattr(initial, name).copy() for name in ("positions", "alive", "acid", "tissue")]
+    runs, totals = run_micro(cfg, StreamChunk(RngStream(31, i) for i in ids),
+                             initial_state=initial)
+    assert len(runs) == len(ids)
+    for (state, series), sample_id in zip(runs, ids):
+        ref, ref_series = run_micro(cfg, RngStream(31, sample_id))
+        assert series == ref_series
+        for name in ("positions", "velocities", "protons", "alive", "acid", "tissue"):
+            got, want = getattr(state, name), getattr(ref, name)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
+        assert (state.t, state.clamp_events) == (ref.t, ref.clamp_events)
+        assert type(state.clamp_events) is int
+    # the stack's alive counts are Python ints, its samples' sums
+    assert totals == [sum(counts) for counts in zip(*(series for _, series in runs))]
+    assert all(type(count) is int for count in totals)
+    for kept, name in zip(before, ("positions", "alive", "acid", "tissue")):
+        assert getattr(initial, name).tobytes() == kept.tobytes(), name
+    # each case reaches the path it is named for
+    clamps = [state.clamp_events for state, _ in runs]
+    if case == "all-dead":
+        assert totals[1:] == [0] * cfg.n_steps
+    elif case != "defaults":
+        assert min(clamps) > 0 and len(set(np.diff(totals))) > 2
+
+
+# Peak bytes traced by tracemalloc while a stack of the ensemble's budget
+# runs, per starting particle: 277-282 for each law at M = 2500 (Python
+# 3.11, NumPy 2.4), where a run of the per-sample step this replaced peaked
+# at 407-414.  The bound allows 10% over the measurement.
+STACK_PEAK_BYTES_PER_PARTICLE = 310
+
+
+@pytest.mark.parametrize("law", NOISE_LAWS)
+def test_a_stack_of_the_budget_keeps_its_peak_bytes_per_particle(law):
+    cfg = MicroConfig(noise=law)
+    samples = MICRO_STACK_PARTICLES // cfg.n_particles
+    initial = micro_init(cfg)
+
+    def stack(seed):
+        return StreamChunk(RngStream(seed, i) for i in range(samples))
+
+    run_micro(cfg, stack(1), initial_state=initial)  # fills the grid's cached tables
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_micro(cfg, stack(2), initial_state=initial)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert samples > 1
+    assert peak / (samples * cfg.n_particles) <= STACK_PEAK_BYTES_PER_PARTICLE
+
+
 def test_a_replaced_state_steps_like_a_fresh_build():
     cfg = MicroConfig(n_particles=400)
     stepped = micro_step(micro_init(cfg), cfg, RngStream(8, 0))
-    assert stepped.stencil is not None
-    # the stepped state's stencil is of positions the replaced one lacks
+    assert stepped.gradient is not None
+    # the stepped state's gradient is at positions the replaced one lacks
     moved = dataclasses.replace(stepped, positions=stepped.positions[::-1].copy())
     fresh = MicroState(moved.grid, moved.positions.copy(), moved.velocities.copy(),
                        moved.protons.copy(), moved.alive.copy(), moved.acid.copy(),
