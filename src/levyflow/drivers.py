@@ -37,11 +37,11 @@ class RngStream:
             np.random.Philox(key=[self.base_seed, self.stream_index])
         )
 
-    def normal(self, size):
-        return self._gen.standard_normal(size)
+    def normal(self, size=None, out=None):
+        return self._gen.standard_normal(size, out=out)
 
-    def uniform(self, size):
-        return self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        return self._gen.random(size, out=out)
 
     def laplace(self, size):
         return self._gen.laplace(0.0, 1.0, size)
@@ -79,46 +79,49 @@ SWITCHING_TRIANGULAR = (-4.0, 0.0, 8.0)
 CAUCHY_AMPLITUDE = 10.0
 
 
-def switching_pick(u, weights, normal, laplace, triangular):
-    """The switching law's value per draw, picked from the candidates by the
-    uniform selector ``u``: ``normal`` where U < w_0, ``laplace`` where
-    w_0 <= U < w_0 + w_1, else ``triangular``."""
-    return np.where(u < weights[0], normal,
-                    np.where(u < weights[0] + weights[1], laplace, triangular))
-
-
-def cauchy_modulated_increment(sigma, z, dt):
-    """Deterministic kernel of the modulated law, ``CAUCHY_AMPLITUDE *
-    sin(sigma) * sqrt(dt) * z``; zero when sigma is zero, and the sine
-    bounds its scale by the amplitude."""
-    return CAUCHY_AMPLITUDE * np.sin(sigma) * math.sqrt(dt) * np.asarray(z)
-
-
-def draw_noise(law: str, rng: RngStream, dt: float, size):
-    """An array of velocity-noise increments of shape ``size`` from the law
-    named ``law``, one of ``NOISE_LAWS``.
+def draw_noise(law: str, rng: RngStream, dt: float, size=None, out=None):
+    """Velocity-noise increments from the law named ``law``, one of
+    ``NOISE_LAWS``: a new array of shape ``size``, or ``out``, a C-contiguous
+    float array, filled in place.  Either way the result is returned.
 
     Every law is scaled by sqrt(dt) so the Gaussian case reproduces a
     Wiener increment and the laws stay comparable at any step size.  The
     switching law draws the uniform selector U first, then candidate values
-    from all three of its laws, and keeps the one U selects by
-    ``SWITCHING_WEIGHTS``: a standard normal, a Laplace(0, 1) or a
-    triangular draw on ``SWITCHING_TRIANGULAR``.  The cauchy_modulated law
-    draws a Cauchy modulator sigma, then a normal z, per value.
+    from all three of its laws, and keeps a standard normal where U < w_0,
+    a Laplace(0, 1) draw where w_0 <= U < w_0 + w_1 and else a triangular
+    draw on ``SWITCHING_TRIANGULAR``, by ``SWITCHING_WEIGHTS``.  The
+    cauchy_modulated law draws a Cauchy modulator sigma, then a normal z,
+    per value, and keeps ``CAUCHY_AMPLITUDE * sin(sigma) * sqrt(dt) * z``:
+    zero where sigma is zero, its scale bounded by the amplitude.
+
+    The fill draws into ``out`` where the generator can and allocates one
+    candidate array at a time where it cannot; the draw order and every
+    product are those of the plain formulas, so a fill gives their bits.
     """
+    if out is None:
+        out = np.empty(size)
     root_dt = math.sqrt(dt)
     if law == "gaussian":
-        # mean 0 plus sd 1 times z: the sum turns a -0.0 draw into +0.0
-        return (0.0 + rng.normal(size)) * root_dt
-    if law == "switching":
-        u = rng.uniform(size)
-        normal = rng.normal(size)
-        laplace = rng.laplace(size)
-        triangular = rng.triangular(*SWITCHING_TRIANGULAR, size)
-        return switching_pick(u, SWITCHING_WEIGHTS, normal, laplace, triangular) * root_dt
-    sigma = rng.cauchy(size)
-    z = rng.normal(size)
-    return cauchy_modulated_increment(sigma, z, dt)
+        rng.normal(out=out)
+        out += 0.0  # mean 0 plus sd 1 times z: the sum turns a -0.0 draw into +0.0
+        out *= root_dt
+    elif law == "switching":
+        rng.uniform(out=out)  # the selector U, kept as two masks: the normals replace it
+        w0, w1, _ = SWITCHING_WEIGHTS
+        not_normal = ~(out < w0)
+        triangular_at = ~(out < w0 + w1)
+        rng.normal(out=out)
+        np.copyto(out, rng.laplace(out.shape), where=not_normal)
+        np.copyto(out, rng.triangular(*SWITCHING_TRIANGULAR, out.shape), where=triangular_at)
+        out *= root_dt
+    else:
+        sigma = rng.cauchy(out.shape)
+        rng.normal(out=out)
+        np.sin(sigma, out=sigma)
+        sigma *= CAUCHY_AMPLITUDE
+        sigma *= root_dt
+        out *= sigma
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ bits do not depend on the chunk or the stack it ran in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -68,9 +69,11 @@ class WelfordAccumulator:
 # Largest chunk of samples a worker runs as one stack.
 MAX_CHUNK = 64
 # Most particles a micro stack starts with.  A stack's step peaks at about
-# 280 traced bytes per starting particle.  At M = 2500 on a 2-vCPU host, the
-# three noise laws' process time per sample summed to 42.9, 38.3, 37.7 and
-# 38.1 ms in stacks of one to four samples.  Three runs each of the
+# 280 traced bytes per starting particle with the noise drawn inline, and at
+# 293-307 with run_micro's helper thread and its (S, M, 2) noise buffer
+# (tests/test_micro.py).  With inline draws at M = 2500 on a 2-vCPU host,
+# the three noise laws' process time per sample summed to 42.9, 38.3, 37.7
+# and 38.1 ms in stacks of one to four samples.  Three runs each of the
 # benchmark's micro-laws workload read median items_per_s and peak RSS of
 # 40.5 at 40.46 MB one sample at a time, 47.0 at 40.22 MB in stacks of two
 # (this budget) and 47.5 at 41.03 MB in stacks of three: two samples take
@@ -90,7 +93,7 @@ class SampleRecord:
     survival: float | None = None
 
 
-def _run_chunk(args) -> list:
+def _run_chunk(args, processes: int = 1) -> list:
     """The record of each sample of a contiguous chunk of sample ids, or the
     error that stopped it, in id order.
 
@@ -100,7 +103,8 @@ def _run_chunk(args) -> list:
     ``MICRO_STACK_PARTICLES`` starting particles (one sample at the least),
     all from one initial state built once per chunk.  A micro stack fails
     as a whole, so its samples then run alone, in id order, and the chunk
-    stops at the first that fails: its lowest failing id.
+    stops at the first that fails: its lowest failing id.  ``processes``
+    is the number of chunks that run at once, for run_micro's helper rule.
     """
     kind, cfg, base_seed, first, count, snapshot_steps = args
     if kind == "macro":
@@ -119,7 +123,7 @@ def _run_chunk(args) -> list:
 
     def records(ids):
         runs, _ = run_micro(cfg, StreamChunk(RngStream(base_seed, i) for i in ids),
-                            initial_state=initial)
+                            initial_state=initial, processes=processes)
         return [SampleRecord(fields=np.stack([state.acid, state.tissue]),
                              export=np.asarray(alive_series),
                              clamp_events=state.clamp_events,
@@ -172,8 +176,8 @@ class EnsembleStats:
 
 
 def _map_samples(fn, payloads, workers):
-    """``fn`` over the payloads in order, on at most one process per payload."""
-    workers = min(workers, len(payloads))
+    """``fn`` over the payloads in order, on ``workers`` processes, at most
+    one per payload."""
     if workers == 1:
         for payload in payloads:
             yield fn(payload)
@@ -213,9 +217,10 @@ def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
     )
     payloads = [(kind, cfg, ens.base_seed, first, count, steps)
                 for first, count in _chunks(ens.n_samples, ens.workers)]
+    processes = min(ens.workers, len(payloads))
     try:
         # map yields chunks in submission order, so records arrive by sample id
-        chunks = _map_samples(_run_chunk, payloads, ens.workers)
+        chunks = _map_samples(partial(_run_chunk, processes=processes), payloads, processes)
         for sample_id, record in enumerate(r for chunk in chunks for r in chunk):
             if isinstance(record, Exception):
                 raise record

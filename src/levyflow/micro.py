@@ -11,6 +11,8 @@ acid exceeds a threshold.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,7 +216,8 @@ def micro_init(cfg: MicroConfig) -> MicroState:
 # ---------------------------------------------------------------------------
 
 
-def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk) -> MicroState:
+def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk,
+               noise: NoiseAhead | None = None) -> MicroState:
     """One explicit Euler step of the coupled particle/field dynamics.
 
     Order: velocity (tissue-gradient drift + noise kick), position (periodic
@@ -229,6 +232,9 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk
     writes its own sample's fields only, and each node sums its particles'
     contributions in their order, so each sample's bits are those of its
     run alone.  The step writes nothing into ``state``.
+
+    ``noise``, if given, holds this step's draws from ``rng``, made ahead
+    on run_micro's helper thread; otherwise the step draws them itself.
     """
     tau = cfg.tau
     grid = state.grid
@@ -245,7 +251,7 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk
     grad = state.gradient
     if grad is None:
         grad = _tissue_gradient(state.tissue, grid, stencil(state.positions))
-    vel = state.velocities + (cfg.taxis_sign * grad * tau + _kicks(cfg, streams, idx, m))
+    vel = state.velocities + (cfg.taxis_sign * grad * tau + _kicks(cfg, streams, idx, m, noise))
     pos = wrap_positions(state.positions + vel * tau, grid.lengths)
     after = stencil(pos)
 
@@ -311,14 +317,75 @@ def _tissue_gradient(tissue: np.ndarray, grid: Grid, stencil: BilinearStencil) -
     )
 
 
-def _kicks(cfg: MicroConfig, streams, idx: np.ndarray, m: int) -> np.ndarray:
-    """The noise kick of each living particle.  Each stream draws (m, 2) for
-    its sample's whole starting population, so that it does not depend on
-    the deaths; ``idx`` picks the living rows of the stacked draws."""
-    noise = np.empty((len(streams), m, 2))
-    for row, stream in zip(noise, streams):
-        row[...] = draw_noise(cfg.noise, stream, cfg.tau, size=(m, 2))
-    return cfg.noise_scale * noise.reshape(-1, 2).take(idx, axis=0)
+def _kicks(cfg: MicroConfig, streams, idx: np.ndarray, m: int,
+           noise: NoiseAhead | None) -> np.ndarray:
+    """The noise kick of each living particle: ``idx`` picks the living
+    rows of the step's stacked draws, taken from ``noise`` or drawn now."""
+    if noise is not None:
+        return cfg.noise_scale * noise.take(idx)
+    draws = np.empty((len(streams), m, 2))
+    _draw_step_noise(draws, cfg, streams)
+    return cfg.noise_scale * draws.reshape(-1, 2).take(idx, axis=0)
+
+
+def _draw_step_noise(draws: np.ndarray, cfg: MicroConfig, streams) -> None:
+    """Fill ``draws`` (S, M, 2) with one step's noise, each stream's row
+    for its sample's whole starting population, so that the draws do not
+    depend on the deaths; a step keeps the living particles' rows."""
+    for row, stream in zip(draws, streams):
+        draw_noise(cfg.noise, stream, cfg.tau, out=row)
+
+
+class NoiseAhead:
+    """A run's noise, drawn one step ahead on a helper thread into one
+    reused (S, M, 2) buffer.
+
+    The helper fills the buffer for the first step at once, and for each
+    later step once ``take`` has copied the rows of the step before out of
+    it, so every stream draws in the order and amounts of a run that draws
+    inline.  An exception raised by a fill is raised again by the next
+    ``take``.  ``close`` stops the helper and waits for it."""
+
+    def __init__(self, cfg: MicroConfig, streams, m: int):
+        import queue  # only a run with a helper needs it
+
+        self._draws = np.empty((len(streams), m, 2))
+        self._taken = queue.SimpleQueue()  # True: fill the next step; False: stop
+        self._filled = queue.SimpleQueue()  # None per fill, or the exception it raised
+        self._thread = threading.Thread(target=self._fill, args=(cfg, streams), daemon=True,
+                                        name="levyflow-noise")
+        self._thread.start()
+
+    def _fill(self, cfg: MicroConfig, streams) -> None:
+        try:
+            for step in range(cfg.n_steps):
+                if step and not self._taken.get():
+                    return
+                _draw_step_noise(self._draws, cfg, streams)
+                self._filled.put(None)
+        except BaseException as exc:  # noqa: BLE001 - raised again on the caller's thread
+            self._filled.put(exc)
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """The rows ``idx`` of this step's flat (S * M, 2) draws."""
+        failure = self._filled.get()
+        if failure is not None:
+            raise failure
+        rows = self._draws.reshape(-1, 2).take(idx, axis=0)
+        self._taken.put(True)
+        return rows
+
+    def close(self) -> None:
+        self._taken.put(False)
+        self._thread.join()
+
+
+def _spare_cpu(processes: int) -> bool:
+    """Whether ``processes`` busy processes leave a CPU free for a helper
+    thread: one of this process's affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return processes < len(os.sched_getaffinity(0))
+    return processes < (os.cpu_count() or 1)
 
 
 def survival_fraction(state: MicroState, m0: int) -> float:
@@ -327,7 +394,7 @@ def survival_fraction(state: MicroState, m0: int) -> float:
 
 
 def run_micro(cfg: MicroConfig, rng: RngStream | StreamChunk,
-              initial_state: MicroState | None = None):
+              initial_state: MicroState | None = None, processes: int = 1):
     """Run the configured number of steps.
 
     ``rng`` is one RngStream for a single run, which returns the final
@@ -339,14 +406,27 @@ def run_micro(cfg: MicroConfig, rng: RngStream | StreamChunk,
 
     ``initial_state`` stands in for ``micro_init(cfg)``, so that samples
     of one config can share it; no step changes the state it is given.
-    Final states hold the living particles only."""
+    Final states hold the living particles only.
+
+    ``processes`` counts the processes that run micro samples at once,
+    this one included.  Where they leave a CPU spare, a helper thread
+    (NoiseAhead) draws each step's noise while the step before runs; the
+    draws, and so every result, are the same either way.  No thread
+    outlives the call."""
     first = micro_init(cfg) if initial_state is None else initial_state
     single = isinstance(rng, RngStream)
     state = first if single else _stacked(first, len(rng))
     counts = [np.count_nonzero(state.alive, axis=-1)]
-    for _ in range(cfg.n_steps):
-        state = micro_step(state, cfg, rng)
-        counts.append(np.count_nonzero(state.alive, axis=-1))
+    noise = None
+    if cfg.n_steps and _spare_cpu(processes):
+        noise = NoiseAhead(cfg, (rng,) if single else rng, state.alive.shape[-1])
+    try:
+        for _ in range(cfg.n_steps):
+            state = micro_step(state, cfg, rng, noise)
+            counts.append(np.count_nonzero(state.alive, axis=-1))
+    finally:
+        if noise is not None:
+            noise.close()
     counts = np.array(counts)
     if single:
         return state, counts.tolist()

@@ -504,7 +504,7 @@ def test_cli_import_loads_every_module():
 
 
 _CALLS_PROBE = """
-import ast, importlib.util, json, struct, sys
+import ast, importlib.util, json, os, struct, sys, threading
 from pathlib import Path
 package = Path(importlib.util.find_spec("levyflow").submodule_search_locations[0])
 called = set()
@@ -513,6 +513,11 @@ def profile(frame, event, arg):
     if event == "call":
         called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
+# run_micro draws the noise on a helper thread where a CPU is spare: report
+# two CPUs, so that the one-worker runs reach it on any host, and profile
+# every thread
+os.sched_getaffinity = lambda pid: {0, 1}
+threading.setprofile(profile)
 sys.setprofile(profile)
 from levyflow import cli
 out = Path(sys.argv[1])
@@ -541,6 +546,7 @@ run("macro", config=macro + "h0_amp = -1\\n")
 run("ensemble", "--kind", "macro", "--samples", "2", config=macro + "h0_amp = -1\\n")
 run("macro", config="[macro]\\nN = 1\\ntau = 3\\ngamma_f = 0.5\\n")
 sys.setprofile(None)
+threading.setprofile(None)
 
 def defined(node, path, prefix):
     for child in ast.iter_child_nodes(node):

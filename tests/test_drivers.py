@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyflow import drivers
 from levyflow.config import macro_config_from
 from levyflow.drivers import (
     SWITCHING_WEIGHTS,
     QWienerSpec,
     RngStream,
     StreamChunk,
-    cauchy_modulated_increment,
     draw_noise,
     _basis_matrix,
     sample_qwiener_increment,
-    switching_pick,
 )
 from levyflow.errors import ConfigInvalid, GridMismatch
 from levyflow.grids import Grid
@@ -59,12 +58,49 @@ def test_gaussian_unit_variance_large_sample():
     assert float(np.var(draws)) == pytest.approx(1.0, abs=0.01)
 
 
-def test_switching_selector_partition():
+class _GivenDraws:
+    """A stream whose draws are given: each law's method returns its given
+    value broadcast to the requested shape, so that a test picks U, the
+    candidates, or sigma and z."""
+
+    def __init__(self, **draws):
+        self.draws = draws
+
+    def _draw(self, law, size=None, out=None):
+        value = np.broadcast_to(self.draws[law], size if out is None else out.shape)
+        if out is None:
+            return value.astype(float)
+        out[...] = value
+        return out
+
+    def uniform(self, size=None, out=None):
+        return self._draw("uniform", size, out)
+
+    def normal(self, size=None, out=None):
+        return self._draw("normal", size, out)
+
+    def laplace(self, size):
+        return self._draw("laplace", size)
+
+    def triangular(self, left, mode, right, size):
+        return self._draw("triangular", size)
+
+    def cauchy(self, size):
+        return self._draw("cauchy", size)
+
+
+def _picked_laws(monkeypatch, u, weights):
+    """The law draw_noise's switching law keeps at each selector value of
+    ``u`` under ``weights``: 0 normal, 1 Laplace, 2 triangular."""
+    monkeypatch.setattr(drivers, "SWITCHING_WEIGHTS", weights)
+    given = _GivenDraws(uniform=u, normal=0.0, laplace=1.0, triangular=2.0)
+    return draw_noise("switching", given, 1.0, size=np.shape(u))
+
+
+def test_switching_selector_partition(monkeypatch):
     # sentinel candidates name the law each forced uniform value picks
     def picked(u, weights=SWITCHING_WEIGHTS):
-        u = np.asarray(u, dtype=float)
-        return switching_pick(u, weights, np.full(u.shape, 0.0), np.full(u.shape, 1.0),
-                              np.full(u.shape, 2.0)).tolist()
+        return _picked_laws(monkeypatch, u, weights).tolist()
 
     below = np.nextafter(0.3, 0.0)
     assert picked([0.0, 0.1, below]) == [0, 0, 0]  # gaussian branch
@@ -75,16 +111,17 @@ def test_switching_selector_partition():
     assert picked([np.nextafter(0.6, 0.0), 0.6, np.nextafter(0.85, 0.0), 0.6 + 0.25],
                   weights) == [0, 1, 1, 2]
     # a scalar selector picks a scalar
-    assert float(switching_pick(0.1, weights, -1.0, 1.0, 2.0)) == -1.0
+    assert picked(0.1, weights) == 0
 
 
-def test_switching_frequencies():
+def test_switching_frequencies(monkeypatch):
     n = 100_000
     for weights in (SWITCHING_WEIGHTS, (0.6, 0.2, 0.2)):
         u = RngStream(12, 0).uniform(n)
-        laws = switching_pick(u, weights, np.zeros(n), np.ones(n), np.full(n, 2.0))
+        laws = _picked_laws(monkeypatch, u, weights)
         counts = np.bincount(laws.astype(int), minlength=3) / n
         assert np.all(np.abs(counts - weights) < 0.02), weights
+    monkeypatch.undo()
     # draw_noise picks by SWITCHING_WEIGHTS: replay its candidates
     replay = RngStream(12, 0)
     replay.uniform(n)
@@ -95,11 +132,11 @@ def test_switching_frequencies():
 
 
 def test_cauchy_modulated_kernel_zero_at_zero():
-    assert cauchy_modulated_increment(0.0, 1.7, 0.3) == 0.0
+    assert draw_noise("cauchy_modulated", _GivenDraws(cauchy=0.0, normal=1.7), 0.3,
+                      size=()) == 0.0
     # the sine bounds the scale by the amplitude
     sig = RngStream(13, 0).cauchy(1000)
-    z = np.ones(1000)
-    draws = cauchy_modulated_increment(sig, z, 1.0)
+    draws = draw_noise("cauchy_modulated", _GivenDraws(cauchy=sig, normal=1.0), 1.0, size=1000)
     assert np.max(np.abs(draws)) <= 10.0
 
 

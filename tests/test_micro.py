@@ -1,10 +1,14 @@
 import dataclasses
 import hashlib
+import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from levyflow import micro
 from levyflow.config import micro_config_from
 from levyflow.drivers import NOISE_LAWS, RngStream, StreamChunk
 from levyflow.ensemble import MICRO_STACK_PARTICLES
@@ -122,7 +126,11 @@ def test_forced_noise_sequence_trajectory(monkeypatch):
     the hand-computed explicit Euler trajectory."""
     kicks = [np.array([[0.1, -0.2]]), np.array([[0.05, 0.0]]), np.array([[-0.3, 0.1]])]
     seq = iter(kicks)
-    monkeypatch.setattr("levyflow.micro.draw_noise", lambda model, rng, dt, size: next(seq))
+
+    def fill(law, rng, dt, out):
+        out[...] = next(seq)
+
+    monkeypatch.setattr("levyflow.micro.draw_noise", fill)
     cfg = _no_kill_config(tau=0.1, noise_scale=1.0)
     state = _quiet_state(np.array([[0.5, 0.5]]))
     rng = RngStream(4, 0)
@@ -191,8 +199,11 @@ def test_dead_particle_neither_moves_nor_acts(monkeypatch):
     m, dead = 64, 7
     draw = np.random.Generator(np.random.Philox(key=[9, 0])).standard_normal((m, 2)) * 0.2
     keep = np.arange(m) != dead
-    monkeypatch.setattr("levyflow.micro.draw_noise",
-                        lambda model, rng, dt, size: draw if size[0] == m else draw[keep])
+
+    def fill(law, rng, dt, out):
+        out[...] = draw if len(out) == m else draw[keep]
+
+    monkeypatch.setattr("levyflow.micro.draw_noise", fill)
     cfg = MicroConfig(n_particles=m, kill_low=0.0, kill_high=2.0, kill_acid=np.inf, grid=GRID)
     state = micro_init(cfg)
     state.protons[dead] = 5.0  # outside the viability band
@@ -293,10 +304,90 @@ def test_a_stack_equals_each_sample_run_alone(law, case):
         assert min(clamps) > 0 and len(set(np.diff(totals))) > 2
 
 
+def _state_bytes(state):
+    return [(getattr(state, name).shape, getattr(state, name).tobytes())
+            for name in ("positions", "velocities", "protons", "alive", "acid", "tissue")
+            ] + [state.t, state.clamp_events]
+
+
+@pytest.mark.parametrize("case", ["defaults", "all-dead"])
+@pytest.mark.parametrize("law", NOISE_LAWS)
+def test_the_helper_thread_draws_the_inline_bits(noise_helpers, law, case):
+    """Drawn one step ahead on the helper thread or inline, the noise gives
+    byte-identical states and alive counts, for a run and a stack of two,
+    with the threads switching as often as the interpreter allows."""
+    cfg = MicroConfig(n_particles=400, n_steps=12, noise=law, **STACK_CASES[case])
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2):
+            noise_helpers.usable_cpus(cpus)
+            state, series = run_micro(cfg, RngStream(31, 3))
+            runs, totals = run_micro(cfg, StreamChunk(RngStream(31, i) for i in (3, 4)))
+            results.append([_state_bytes(state), series, totals]
+                           + [(_state_bytes(s), alive) for s, alive in runs])
+    finally:
+        sys.setswitchinterval(interval)
+    assert noise_helpers.started == 2  # both runs on two CPUs, none on one
+    assert results[0] == results[1]
+    if case == "all-dead":
+        assert totals[1:] == [0] * cfg.n_steps
+
+
+def test_no_thread_outlives_run_micro(monkeypatch, noise_helpers):
+    """run_micro joins its helper thread when it returns, when a step
+    raises on the calling thread and when a fill raises on the helper;
+    the caller raises the helper's exception."""
+    noise_helpers.usable_cpus(2)
+    cfg = MicroConfig(n_particles=200, n_steps=6)
+    stack = lambda: StreamChunk(RngStream(5, i) for i in range(2))  # noqa: E731
+    threads = threading.active_count()
+    run_micro(cfg, RngStream(5, 0))
+    run_micro(cfg, stack())
+    assert threading.active_count() == threads
+
+    scatters = itertools.count()
+    scatter = micro.scatter_add
+
+    def failing_scatter(*args):
+        if next(scatters) == 5:  # on the third step
+            raise FloatingPointError("step")
+        return scatter(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(micro, "scatter_add", failing_scatter)
+        with pytest.raises(FloatingPointError, match="step"):
+            run_micro(cfg, stack())
+    assert threading.active_count() == threads
+
+    fills = itertools.count()
+    filled_on = []
+    draw = micro.draw_noise
+
+    def failing_fill(law, rng, dt, out):
+        filled_on.append(threading.current_thread())
+        if next(fills) == 4:  # stream 0 of the third step
+            raise FloatingPointError("fill")
+        return draw(law, rng, dt, out=out)
+
+    monkeypatch.setattr(micro, "draw_noise", failing_fill)
+    with pytest.raises(FloatingPointError, match="fill"):
+        run_micro(cfg, stack())
+    assert threading.active_count() == threads
+    assert len(filled_on) == 5 and threading.main_thread() not in filled_on
+    assert noise_helpers.started == 4
+
+
 # Peak bytes traced by tracemalloc while a stack of the ensemble's budget
-# runs, per starting particle: 277-282 for each law at M = 2500 (Python
-# 3.11, NumPy 2.4), where a run of the per-sample step this replaced peaked
-# at 407-414.  The bound allows 10% over the measurement.
+# runs, per starting particle, at M = 2500 (Python 3.11, NumPy 2.4).  The
+# bound was set at 10% over the 277-282 of the inline draws (a run of the
+# per-sample step before stacks peaked at 407-414).  With the helper thread
+# drawing the noise ahead into its reused (S, M, 2) buffer, 176 runs per
+# law peaked at 293-294 (gaussian), 296.5-307 (switching) and 297-306
+# (cauchy_modulated): the buffer adds 16, and a fill that overlaps the
+# step's own peak adds its one candidate array, 8, and the switching
+# masks, 2.  A helper that drew into fresh arrays peaked at 326-331.
 STACK_PEAK_BYTES_PER_PARTICLE = 310
 
 
