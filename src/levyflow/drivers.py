@@ -170,16 +170,16 @@ def _basis_matrix(modes: int, length: float, points: int) -> np.ndarray:
     return out
 
 
-def sample_qwiener_increment(spec: QWienerSpec, grid: Grid, dt: float, streams: StreamChunk,
-                             failures: dict) -> np.ndarray:
+def sample_qwiener_increment(spec: QWienerSpec, grid: Grid, dt: float,
+                             streams: StreamChunk) -> np.ndarray:
     """A stack of increment fields ``sqrt(dt) * sum z_{m,n} lambda_m lambda_n
     e_n(x) e_m(y)`` on the 2D ``grid``, shape ``(S, *grid.shape)``, one per
     stream of ``streams`` in row order; a single draw is a stack of one.
 
     Each stream draws its normals in row order and the whole stack is
     projected in one matrix product, which gives each row the bits of a
-    matrix product of that row alone.  A row that is not finite is zeroed
-    and its GridMismatch noted in ``failures[row]``.
+    matrix product of that row alone.  A stack with a row that is not
+    finite raises GridMismatch.
     """
     z = np.empty((len(streams), spec.modes, spec.modes))  # z[s, m, n]
     for row, stream in enumerate(streams):
@@ -189,8 +189,6 @@ def sample_qwiener_increment(spec: QWienerSpec, grid: Grid, dt: float, streams: 
     # increment[k, j] = sum_{m,n} z[m,n] (lam_n e_n(x_k)) (lam_m e_m(y_j))
     values = ax.T @ z.transpose(0, 2, 1) @ ay
     values *= math.sqrt(dt)
-    finite = np.isfinite(values.reshape(len(streams), -1)).all(axis=1)
-    for row in np.flatnonzero(~finite):
-        failures.setdefault(int(row), GridMismatch("increment contains non-finite values"))
-        values[row] = 0.0
+    if not np.isfinite(values).all():
+        raise GridMismatch("increment contains non-finite values")
     return values

@@ -5,7 +5,8 @@ accumulator consumes results in sample-id order no matter how many workers
 ran them, so ensemble statistics are bit-identical across worker counts.
 Samples run in contiguous chunks.  A macro chunk advances as one stack; a
 micro chunk advances in stacks bounded by a particle budget.  A sample's
-bits do not depend on the chunk or the stack it ran in.
+bits do not depend on the chunk or the stack it ran in, and a stack that
+fails reruns its samples alone to find the lowest failing id.
 """
 
 from __future__ import annotations
@@ -97,40 +98,39 @@ def _run_chunk(args, processes: int = 1) -> list:
     """The record of each sample of a contiguous chunk of sample ids, or the
     error that stopped it, in id order.
 
-    Macro samples advance together as one stack; a failed sample is
-    dropped from it and the others run to the end, since a later id may
-    fail first in time.  Micro samples advance in stacks of at most
-    ``MICRO_STACK_PARTICLES`` starting particles (one sample at the least),
-    all from one initial state built once per chunk.  A micro stack fails
+    Macro samples advance as one stack.  Micro samples advance in stacks of
+    at most ``MICRO_STACK_PARTICLES`` starting particles (one sample at the
+    least), all from one initial state built once per chunk.  A stack fails
     as a whole, so its samples then run alone, in id order, and the chunk
-    stops at the first that fails: its lowest failing id.  ``processes``
-    is the number of chunks that run at once, for run_micro's helper rule.
+    stops at the first that fails: its lowest failing id.  ``processes`` is
+    the number of chunks that run at once, for run_micro's helper rule.
     """
     kind, cfg, base_seed, first, count, snapshot_steps = args
     if kind == "macro":
-        streams = StreamChunk(RngStream(base_seed, i) for i in range(first, first + count))
-        snapshots, stats = run_macro(cfg, streams, snapshot_steps=snapshot_steps)
-        if len(stats.errors) == count:
-            return [stats.errors[k] for k in range(count)]
-        per_sample = np.ascontiguousarray(np.moveaxis(snapshot_stack(snapshots), 2, 0))
-        return [stats.errors.get(k) or SampleRecord(per_sample[k], per_sample[k],
-                                                   int(stats.clamps[k]), float(stats.residuals[k]))
-                for k in range(count)]
-    try:
-        initial = micro_init(cfg)  # the same for every sample, and no step changes it
-    except Exception as exc:  # noqa: BLE001 - reported for the chunk's first id
-        return [exc]
+        per_stack = count
 
-    def records(ids):
-        runs, _ = run_micro(cfg, StreamChunk(RngStream(base_seed, i) for i in ids),
-                            initial_state=initial, processes=processes)
-        return [SampleRecord(fields=np.stack([state.acid, state.tissue]),
-                             export=np.asarray(alive_series),
-                             clamp_events=state.clamp_events,
-                             survival=survival_fraction(state, cfg.n_particles))
-                for state, alive_series in runs]
+        def records(ids):
+            snapshots, stats = run_macro(cfg, StreamChunk(RngStream(base_seed, i) for i in ids),
+                                         snapshot_steps=snapshot_steps)
+            per_sample = np.ascontiguousarray(np.moveaxis(snapshot_stack(snapshots), 2, 0))
+            return [SampleRecord(values, values, int(clamps), float(residual))
+                    for values, clamps, residual in zip(per_sample, stats.clamps, stats.residuals)]
+    else:
+        try:
+            initial = micro_init(cfg)  # the same for every sample, and no step changes it
+        except Exception as exc:  # noqa: BLE001 - reported for the chunk's first id
+            return [exc]
+        per_stack = max(1, MICRO_STACK_PARTICLES // initial.positions.shape[0])
 
-    per_stack = max(1, MICRO_STACK_PARTICLES // initial.positions.shape[0])
+        def records(ids):
+            runs, _ = run_micro(cfg, StreamChunk(RngStream(base_seed, i) for i in ids),
+                                initial_state=initial, processes=processes)
+            return [SampleRecord(fields=np.stack([state.acid, state.tissue]),
+                                 export=np.asarray(alive_series),
+                                 clamp_events=state.clamp_events,
+                                 survival=survival_fraction(state, cfg.n_particles))
+                    for state, alive_series in runs]
+
     out = []
     for start in range(first, first + count, per_stack):
         ids = range(start, min(start + per_stack, first + count))
@@ -218,9 +218,9 @@ def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
     payloads = [(kind, cfg, ens.base_seed, first, count, steps)
                 for first, count in _chunks(ens.n_samples, ens.workers)]
     processes = min(ens.workers, len(payloads))
+    # map yields chunks in submission order, so records arrive by sample id
+    chunks = _map_samples(partial(_run_chunk, processes=processes), payloads, processes)
     try:
-        # map yields chunks in submission order, so records arrive by sample id
-        chunks = _map_samples(partial(_run_chunk, processes=processes), payloads, processes)
         for sample_id, record in enumerate(r for chunk in chunks for r in chunk):
             if isinstance(record, Exception):
                 raise record
@@ -234,6 +234,10 @@ def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
     except Exception as exc:  # noqa: BLE001 - context added, then re-raised
         # every record before the failing one has been consumed
         raise EnsembleSampleError(ens.base_seed, acc.count, exc) from exc
+    finally:
+        # shut the pool down now: the error's traceback keeps this frame, and
+        # a pool closed only when the interpreter exits fails on closed pipes
+        chunks.close()
 
     stats.mean = acc.mean
     stats.variance = acc.variance()

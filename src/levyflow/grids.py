@@ -26,7 +26,8 @@ from .errors import GridMismatch
 @lru_cache(maxsize=4)
 def _neighbour_table(shape: tuple, lead: tuple) -> np.ndarray:
     """``Grid.neighbour_table(lead)`` for a grid of ``shape``.  Few stack
-    shapes are kept, since a stack shrinks as its samples drop."""
+    shapes are kept: a run uses its stack's, and a failed stack's reruns
+    that of a sample alone."""
     n = math.prod(shape)
     if lead:
         starts = np.arange(0, math.prod(lead) * n, n).reshape(lead + (1,))

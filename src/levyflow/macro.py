@@ -101,18 +101,11 @@ class MacroState:
 
 
 class MacroRunStats:
-    """Diagnostics of a run of S samples, kept per sample.
-
-    ``rows`` maps each row of the stack being advanced to its sample, so a
-    sample keeps its entries when a failed sample before it is dropped;
-    ``errors`` holds the error of each dropped sample.
-    """
+    """Diagnostics of a run of S samples, kept per sample."""
 
     def __init__(self, samples: int = 1):
         self.clamps = np.zeros(samples, dtype=np.int64)
         self.residuals = np.zeros(samples)
-        self.rows = np.arange(samples)
-        self.errors = {}
         self.total_iterations = 0
         self.alpha_min = float("inf")
         self.alpha_max = -float("inf")
@@ -126,24 +119,15 @@ class MacroRunStats:
         return float(self.residuals.max())
 
     def absorb_clamps(self, counts):
-        self.clamps[self.rows] += np.reshape(counts, -1)
+        self.clamps += np.reshape(counts, -1)
 
     def absorb_solve(self, residuals, iterations):
-        # fmax: a failed row's nan leaves its sample's earlier residual
-        self.residuals[self.rows] = np.fmax(self.residuals[self.rows], np.reshape(residuals, -1))
+        np.maximum(self.residuals, np.reshape(residuals, -1), out=self.residuals)
         self.total_iterations += int(iterations)
 
     def absorb_alpha(self, alpha):
         self.alpha_min = min(self.alpha_min, float(np.min(alpha)))
         self.alpha_max = max(self.alpha_max, float(np.max(alpha)))
-
-    def drop(self, failures: dict) -> np.ndarray:
-        """Record the errors of the failed rows and return the rows to keep."""
-        for row, error in failures.items():
-            self.errors[int(self.rows[row])] = error
-        keep = np.array([r for r in range(self.rows.size) if r not in failures], dtype=int)
-        self.rows = self.rows[keep]
-        return keep
 
 
 def _per_sample(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -204,9 +188,9 @@ def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Each substep advances a stack of S samples, fields (S, *grid.shape), one
-# stream of a StreamChunk per row.  A sample that fails does not raise: its
-# row and first error are noted in ``failures`` and the row is carried, on
-# finite values, to the end of the step, for the caller to drop.
+# stream of a StreamChunk per row.  A stack fails as a whole: the first
+# failing check raises, naming no row, and a caller that needs to know which
+# sample failed runs the samples alone.
 
 
 def step_n(state: MacroState, cfg: MacroConfig, stats: MacroRunStats | None = None):
@@ -285,39 +269,35 @@ class HOperator:
         return x
 
 
-def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, failures: dict,
+def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk,
            stats: MacroRunStats | None = None):
-    """Implicit advection-diffusion solve for the proton index.  A sample
-    whose solve fails keeps its previous H, so step_c still sees finite
-    values."""
+    """Implicit advection-diffusion solve for the proton index."""
     grid = cfg.grid
     tau = cfg.tau
-    noise = sample_qwiener_increment(QWienerSpec(cfg.qwiener_modes), grid, tau, streams,
-                                     failures=failures)
+    noise = sample_qwiener_increment(QWienerSpec(cfg.qwiener_modes), grid, tau, streams)
     apply_op = HOperator(state.c, cfg)
     rhs = (state.h
            + tau * cfg.gamma_1 * state.h * (1.0 - state.h)
            + cfg.sigma_W * state.h * noise)
     res = bicgstab(apply_op, rhs, cfg.solver_tol, x0=apply_op.jacobi(rhs, _H_SWEEPS))
-    h_new = res.solution
-    for row, error in res.failures.items():
+    if res.failures:
+        row = min(res.failures)
         off = apply_op.off_diagonal_sums()[row]
         if off < apply_op.centre < np.inf:
             cause = ("the stencil is strictly diagonally dominant; the right-hand side is "
                      "set by [macro] tau, gamma_1 and sigma_W")
         else:
             cause = "the stencil is set by [macro] tau, sigma_H and gamma_f"
-        failures.setdefault(row, SolverDiverged(
-            f"H-step at step {state.step + 1}: {error} (largest off-diagonal weight sum "
-            f"{off:.3g} against a centre of {apply_op.centre:.3g}; {cause})"))
-        h_new[row] = state.h[row]
+        raise SolverDiverged(
+            f"H-step at step {state.step + 1}: {res.failures[row]} (largest off-diagonal "
+            f"weight sum {off:.3g} against a centre of {apply_op.centre:.3g}; {cause})")
     if stats is not None:
         stats.absorb_solve(res.residuals, res.iterations)
-    return _clamp(h_new, grid, stats)
+    return _clamp(res.solution, grid, stats)
 
 
 def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.ndarray,
-           failures: dict, stats: MacroRunStats | None = None):
+           stats: MacroRunStats | None = None):
     """Implicit fractional-diffusion solve for the cancer density.
 
     The spectral exponent is p = 2 * alpha(mean H), refreshed every step
@@ -351,27 +331,25 @@ def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.nda
     rhs_norm = row_norm(_per_sample(rhs, grid))
     miss = row_norm(_per_sample(rhs - (c_new - shift * frac.apply_values(c_new)), grid))
     residual = np.divide(miss, rhs_norm, out=np.zeros_like(miss), where=rhs_norm != 0.0)
-    for row in np.flatnonzero(~(residual <= cfg.solver_tol)):
-        failures.setdefault(int(row), SolverDiverged(
-            f"C-step residual {residual[row]:.3e} above solver_tol {cfg.solver_tol:.3e}"))
+    missed = np.flatnonzero(~(residual <= cfg.solver_tol))
+    if missed.size:
+        raise SolverDiverged(f"C-step residual {residual[missed[0]]:.3e} above solver_tol "
+                             f"{cfg.solver_tol:.3e}")
     if stats is not None:
         stats.absorb_solve(residual, 0)
         stats.absorb_alpha(alpha)
     return _clamp(c_new, grid, stats), alpha
 
 
-def macro_step(state: MacroState, cfg: MacroConfig, streams: StreamChunk, failures: dict,
+def macro_step(state: MacroState, cfg: MacroConfig, streams: StreamChunk,
                stats: MacroRunStats | None = None) -> MacroState:
     n_new = step_n(state, cfg, stats)
-    h_new = step_h(state, cfg, streams, failures, stats)
-    c_new, alpha = step_c(state, cfg, h_new, n_new, failures, stats)
-    if not cfg.scheme_literal:
-        grew = np.any(_per_sample(n_new, cfg.grid) > _per_sample(state.n, cfg.grid) + 1e-12, axis=1)
-        for row in np.flatnonzero(grew):
-            failures.setdefault(int(row), InvariantViolation("tissue monotonicity: N increased"))
-    inside = (cfg.a_1 <= alpha) & (alpha <= cfg.a_2)
-    for row in np.flatnonzero(np.logical_not(inside)):
-        failures.setdefault(int(row), InvariantViolation("exponent left its configured window"))
+    h_new = step_h(state, cfg, streams, stats)
+    c_new, alpha = step_c(state, cfg, h_new, n_new, stats)
+    if not cfg.scheme_literal and np.any(n_new > state.n + 1e-12):
+        raise InvariantViolation("tissue monotonicity: N increased")
+    if not np.all((cfg.a_1 <= alpha) & (alpha <= cfg.a_2)):
+        raise InvariantViolation("exponent left its configured window")
     return MacroState(h_new, c_new, n_new, state.t + cfg.tau, state.step + 1, alpha)
 
 
@@ -391,12 +369,10 @@ def run_macro(cfg: MacroConfig, rng: RngStream | StreamChunk, snapshot_steps=Non
     states are kept.
 
     ``rng`` is one RngStream for a single run, whose snapshots hold fields
-    of the grid shape and whose failure raises.  A StreamChunk of S streams
-    runs S samples in lockstep, one per stack row, all from the same
-    initial state; a single run is a chunk of one.  A chunk's snapshots
-    hold ``(S, *grid.shape)`` fields, and a sample that fails is dropped
-    from the stack, its error kept in ``stats.errors`` and its later
-    snapshot rows NaN, while the others run to the end.
+    of the grid shape.  A StreamChunk of S streams runs S samples in
+    lockstep, one per stack row, all from the same initial state; a single
+    run is a chunk of one.  A chunk's snapshots hold ``(S, *grid.shape)``
+    fields.  A failure of any sample raises for the whole run.
     """
     if snapshot_steps is None:
         snapshot_steps = [0, cfg.n_steps]
@@ -411,33 +387,12 @@ def run_macro(cfg: MacroConfig, rng: RngStream | StreamChunk, snapshot_steps=Non
         first.t, first.step, np.broadcast_to(first.alpha_value, (samples,)).copy())
     stats = MacroRunStats(samples)
 
-    def snapshot():
-        """The state with one row per sample of the chunk."""
-        out = []
-        for values in (state.h, state.c, state.n, state.alpha_value):
-            full = np.full((samples,) + values.shape[1:], np.nan)
-            full[stats.rows] = values
-            out.append(full)
-        return MacroState(*out[:3], state.t, state.step, out[3])
-
-    snapshots = []
-    if 0 in wanted:
-        snapshots.append(snapshot())
+    snapshots = [state] if 0 in wanted else []
     for _ in range(cfg.n_steps):
-        failures = {}
-        state = macro_step(state, cfg, streams, failures, stats)
-        if failures:
-            keep = stats.drop(failures)
-            if keep.size == 0:
-                break
-            state = MacroState(state.h[keep], state.c[keep], state.n[keep],
-                               state.t, state.step, state.alpha_value[keep])
-            streams = StreamChunk(streams[k] for k in keep)
+        state = macro_step(state, cfg, streams, stats)
         if state.step in wanted:
-            snapshots.append(snapshot())
+            snapshots.append(state)
     if single:
-        if stats.errors:
-            raise stats.errors[0]
         snapshots = [MacroState(s.h[0], s.c[0], s.n[0], s.t, s.step, float(s.alpha_value[0]))
                      for s in snapshots]
     return snapshots, stats

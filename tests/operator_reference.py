@@ -71,10 +71,7 @@ def spectral_oracle(grid, p, f):
 def sample_qwiener_increment(spec, grid, dt, rng):
     """One increment of ``rng``'s stream as a ``GridField``: the package's
     stacked draw for a stack of one."""
-    failures = {}
-    values = drivers.sample_qwiener_increment(spec, grid, dt, StreamChunk([rng]), failures)
-    if failures:
-        raise failures[0]
+    values = drivers.sample_qwiener_increment(spec, grid, dt, StreamChunk([rng]))
     return GridField(grid, values[0])
 
 

@@ -457,6 +457,38 @@ def test_h_step_breakdown_on_a_dominant_stencil_names_the_rhs_keys(tmp_path, cap
     assert "sigma_H" not in err and "gamma_f" not in err
 
 
+def _package_env():
+    """This environment with the tested package first on PYTHONPATH."""
+    src = str(Path(levyflow.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+_FAILING_SAMPLE_PROBE = """
+import sys
+from levyflow import cli
+from levyflow.drivers import RngStream
+normal = RngStream.normal
+def nan_for_stream_2(self, size=None, out=None):
+    return normal(self, size, out) * (float("nan") if self.stream_index == 2 else 1.0)
+RngStream.normal = nan_for_stream_2  # the pool starts by fork: its workers inherit it
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_failed_two_worker_ensemble_prints_only_its_error(tmp_path):
+    """A macro ensemble whose sample 2 fails at step 1 exits with one line
+    on stderr at two workers: the process pool shuts down with the run, not
+    when the interpreter exits and its pipes are already closed."""
+    done = subprocess.run([sys.executable, "-c", _FAILING_SAMPLE_PROBE, "--seed", "7",
+                           "--workers", "2", "--out", str(tmp_path / "o"), "ensemble",
+                           "--kind", "macro", "--samples", "4"],
+                          env=_package_env(), capture_output=True, text=True)
+    assert done.returncode == 3
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: sample 2 failed (base_seed=7, stream_index=2): GridMismatch(")
+
+
 _IMPORT_PROBE = """
 import json, sys
 from levyflow import cli
@@ -473,10 +505,7 @@ print(json.dumps([codes, [name for name in heavy if name in sys.modules]]))
 
 def _run_probe(script, *args):
     """The last line ``script`` prints in a fresh interpreter, as JSON."""
-    src = str(Path(levyflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=_package_env(),
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 

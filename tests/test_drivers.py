@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from levyflow import drivers
 from levyflow.config import macro_config_from
 from levyflow.drivers import (
+    CAUCHY_AMPLITUDE,
+    NOISE_LAWS,
     SWITCHING_WEIGHTS,
     QWienerSpec,
     RngStream,
@@ -148,6 +150,58 @@ def test_switching_draw_shapes():
     assert arr2.shape == (7, 2)
 
 
+def _triangular_cf(s, left, mode, right):
+    """The characteristic function of Triangular(left, mode, right) at s != 0."""
+    edges = ((right - mode) * np.exp(1j * left * s) - (right - left) * np.exp(1j * mode * s)
+             + (mode - left) * np.exp(1j * right * s))
+    return -2.0 * edges / ((right - left) * (mode - left) * (right - mode) * s**2)
+
+
+def _cauchy_modulated_cf(s, amplitude, orders=30, terms=300):
+    """E[exp(-A^2 s^2 sin^2(sigma) / 2)] over a standard Cauchy sigma.  With
+    sin^2 = (1 - cos 2 sigma) / 2, Jacobi-Anger and E cos(2 k sigma) = e^-2k
+    it is e^-c (I_0(c) + 2 sum_k I_k(c) e^-2k), c = A^2 s^2 / 4, each
+    e^-c I_k(c) summed by its series (c / 2)^(2m+k) / (m! (m+k)!)."""
+    c = amplitude**2 * s**2 / 4.0
+    total = np.zeros_like(c)
+    first = np.exp(-c)  # the series' first term at order k, times e^-c
+    for k in range(orders):
+        term, bessel = first, np.zeros_like(c)
+        for m in range(terms):
+            bessel += term
+            term = term * (c / 2.0) ** 2 / ((m + 1) * (m + 1 + k))
+        total += bessel if k == 0 else 2.0 * math.exp(-2.0 * k) * bessel
+        first = first * (c / 2.0) / (k + 1)
+    return total
+
+
+# each law's characteristic function at s = xi sqrt(dt), from its definition
+# in draw_noise's docstring rather than from the package's constants, except
+# the modulated law's amplitude
+_CLOSED_FORMS = {
+    "gaussian": lambda s: np.exp(-s**2 / 2.0),
+    "switching": lambda s: (0.3 * np.exp(-s**2 / 2.0) + 0.2 / (1.0 + s**2)
+                            + 0.5 * _triangular_cf(s, -4.0, 0.0, 8.0)),
+    "cauchy_modulated": lambda s: _cauchy_modulated_cf(s, CAUCHY_AMPLITUDE),
+}
+
+
+@pytest.mark.parametrize("law", NOISE_LAWS)
+def test_noise_law_matches_its_characteristic_function(law):
+    """The empirical characteristic function of 2^20 draws, real and
+    imaginary parts, lies within 6 standard errors of the law's closed form
+    at each xi of a grid, where it is phi(xi sqrt(dt))."""
+    dt = 0.25
+    xi = np.array([0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    exact = _CLOSED_FORMS[law](xi * math.sqrt(dt))
+    draws = draw_noise(law, RngStream(15, 0), dt, size=2**20)
+    for x, phi in zip(xi, exact):
+        for part, values, want in (("real", np.cos(x * draws), phi.real),
+                                   ("imag", np.sin(x * draws), phi.imag)):
+            stderr = values.std() / math.sqrt(values.size)
+            assert abs(values.mean() - want) <= 6.0 * stderr, (law, x, part)
+
+
 # ---------------------------------------------------------------------------
 # the exponent driver
 # ---------------------------------------------------------------------------
@@ -196,19 +250,18 @@ class FixedNormals:
 
 
 def _draw(spec, grid, dt, *streams):
-    """A stacked draw of ``streams`` and the failures it noted."""
-    failures = {}
-    return sample_qwiener_increment(spec, grid, dt, StreamChunk(streams), failures), failures
+    """A stacked draw of ``streams``."""
+    return sample_qwiener_increment(spec, grid, dt, StreamChunk(streams))
 
 
 def test_qwiener_zero_gaussians_give_zero_field():
-    stack, _ = _draw(QWienerSpec(3), GRID, 0.5, FixedNormals(np.zeros((3, 3))))
+    stack = _draw(QWienerSpec(3), GRID, 0.5, FixedNormals(np.zeros((3, 3))))
     assert np.all(stack == 0.0)
 
 
 def test_qwiener_single_mode_exact():
     spec = QWienerSpec(1)
-    stack, _ = _draw(spec, GRID, 1.0, FixedNormals(np.ones((1, 1))))
+    stack = _draw(spec, GRID, 1.0, FixedNormals(np.ones((1, 1))))
     lam = 0.5  # 1 / (1 + 1)
     lx, ly = GRID.lengths
     x = GRID.axis_coords(0)
@@ -248,7 +301,7 @@ def test_qwiener_variance_matches_truncated_series():
     dt = 0.1
     rng = RngStream(33, 0)
     n = 4000
-    samples = np.stack([_draw(spec, GRID, dt, rng)[0][0] for _ in range(n)])
+    samples = np.stack([_draw(spec, GRID, dt, rng)[0] for _ in range(n)])
     exact = qwiener_pointwise_variance(spec, GRID, dt)
     probe = (10, 10)
     emp = float(samples[:, probe[0], probe[1]].var(ddof=1))
@@ -266,8 +319,8 @@ def _one_increment(spec, grid, dt, rng):
 @pytest.mark.parametrize("grid", [GRID, Grid((2.1, 1.5), (21, 15))], ids=["21x21", "21x15"])
 @pytest.mark.parametrize("samples", [1, 3, 8])
 def test_stacked_qwiener_draw_matches_single_draws_bitwise(grid, samples):
-    """Each row of a stacked draw, over several steps and after a row is
-    dropped, is bitwise the increment its stream draws alone, through a
+    """Each row of a stacked draw, over several steps and after a row has
+    left the stack, is bitwise the increment its stream draws alone, through a
     stack of one and through a projection of that stream's normals alone;
     and each stream's next draw is the same either way."""
     spec = QWienerSpec(4)
@@ -275,14 +328,14 @@ def test_stacked_qwiener_draw_matches_single_draws_bitwise(grid, samples):
     single = [RngStream(41, i) for i in range(samples)]
     alone = [RngStream(41, i) for i in range(samples)]
     for step in range(5):
-        if step == 3 and len(chunk) > 1:  # drop the middle row, as run_macro does
+        if step == 3 and len(chunk) > 1:  # the middle row leaves the stack
             keep = [k for k in range(len(chunk)) if k != len(chunk) // 2]
             chunk = StreamChunk(chunk[k] for k in keep)
             single, alone = [single[k] for k in keep], [alone[k] for k in keep]
-        stack, failures = _draw(spec, grid, 0.1, *chunk)
-        assert failures == {} and stack.shape == (len(chunk),) + grid.shape
+        stack = _draw(spec, grid, 0.1, *chunk)
+        assert stack.shape == (len(chunk),) + grid.shape
         for row in range(len(chunk)):
-            by_call = _draw(spec, grid, 0.1, single[row])[0][0]
+            by_call = _draw(spec, grid, 0.1, single[row])[0]
             assert stack[row].tobytes() == by_call.tobytes()
             assert stack[row].tobytes() == _one_increment(spec, grid, 0.1, alone[row]).tobytes()
     for drawn, by_call, own in zip(chunk, single, alone):
@@ -290,11 +343,12 @@ def test_stacked_qwiener_draw_matches_single_draws_bitwise(grid, samples):
 
 
 def test_stacked_qwiener_draw_notes_a_non_finite_row():
-    """A row that is not finite fails on its own and is zeroed."""
+    """A row that is not finite fails the whole stack, with a GridMismatch;
+    the same rows without it draw finite values."""
     spec = QWienerSpec(2)
     z = np.ones((3, 2, 2))
     z[1, 0, 1] = np.nan
-    stack, failures = _draw(spec, GRID, 0.1, *map(FixedNormals, z))
-    assert list(failures) == [1] and isinstance(failures[1], GridMismatch)
-    assert np.all(stack[1] == 0.0)
-    assert stack[0].tobytes() == stack[2].tobytes() and np.all(np.isfinite(stack))
+    with pytest.raises(GridMismatch, match="increment contains non-finite values"):
+        _draw(spec, GRID, 0.1, *map(FixedNormals, z))
+    stack = _draw(spec, GRID, 0.1, *map(FixedNormals, z[[0, 2]]))
+    assert stack[0].tobytes() == stack[1].tobytes() and np.all(np.isfinite(stack))

@@ -14,7 +14,7 @@ from levyflow.ensemble import (
     WelfordAccumulator,
     run_ensemble,
 )
-from levyflow.errors import ConfigInvalid, EnsembleSampleError, SolverDiverged
+from levyflow.errors import ConfigInvalid, EnsembleSampleError, GridMismatch, SolverDiverged
 from levyflow.macro import MacroConfig, run_macro
 from levyflow.micro import MicroConfig, micro_init, run_micro, survival_fraction
 
@@ -128,36 +128,55 @@ def test_sample_failure_aborts_with_seed(monkeypatch):
         assert "no convergence in 1 iterations" in str(err.value.cause)
 
 
-def test_lockstep_failure_names_the_failing_sample(monkeypatch):
-    """Sample 5 fails at its first step, in the middle of a chunk of 8:
-    the ensemble names sample 5, and the chunk runs the other samples to
-    the end, each bit for bit as it runs alone."""
+def _nan_normals_for(monkeypatch, failing):
+    """Make ``RngStream.normal`` return NaN on the draws ``failing`` maps
+    each stream index to, counted from 1 per stream object: the Q-Wiener
+    draw of that step then fails.  The pool starts by fork, so its workers
+    inherit the patch."""
     normal = RngStream.normal
 
-    def nan_for_stream_5(self, size=None):
-        draws = normal(self, size)
-        return np.full_like(draws, np.nan) if self.stream_index == 5 else draws
+    def patched(self, size=None, out=None):
+        draws = normal(self, size, out)
+        self.draws = getattr(self, "draws", 0) + 1
+        return draws * np.nan if failing.get(self.stream_index) == self.draws else draws
 
-    monkeypatch.setattr(RngStream, "normal", nan_for_stream_5)
+    monkeypatch.setattr(RngStream, "normal", patched)
+
+
+def _alone(cfg, seed, sample_id, steps):
+    """The record of one sample run as a chunk of its own."""
+    (record,) = ensemble._run_chunk(("macro", cfg, seed, sample_id, 1, steps))
+    return record
+
+
+def test_lockstep_failure_names_the_failing_sample(monkeypatch):
+    """Sample 5 fails at its first step, in the middle of a chunk of 8: the
+    stack fails as a whole, its samples rerun alone in id order, and the
+    ensemble names sample 5.  The chunk's records before it are each
+    sample's own run, bit for bit."""
+    _nan_normals_for(monkeypatch, {5: 1})
     with pytest.raises(EnsembleSampleError) as err:
         run_ensemble("macro", SMALL_MACRO, EnsembleConfig(n_samples=8, base_seed=13, workers=1))
     assert err.value.sample_index == 5
+    assert isinstance(err.value.__cause__, GridMismatch)
 
     steps = (0, 8)
     chunk = ensemble._run_chunk(("macro", SMALL_MACRO, 13, 0, 8, steps))
-    assert [isinstance(r, SampleRecord) for r in chunk] == [True] * 5 + [False] + [True] * 2
-    (alone,) = ensemble._run_chunk(("macro", SMALL_MACRO, 13, 6, 1, steps))
-    assert chunk[6].fields.tobytes() == alone.fields.tobytes()
+    assert [isinstance(r, SampleRecord) for r in chunk] == [True] * 5 + [False]
+    for sample_id in (0, 4):
+        assert chunk[sample_id].fields.tobytes() == _alone(SMALL_MACRO, 13, sample_id,
+                                                           steps).fields.tobytes()
 
 
 def test_lockstep_solver_failure_names_the_failing_sample(monkeypatch):
-    """Sample 5's H-solve fails on a non-finite right-hand side: the other
-    samples of its chunk still build their exponents and run to the end."""
+    """Sample 5's H-solve fails on a non-finite right-hand side: the
+    ensemble names sample 5 and the solver's error, and the samples before
+    it keep the records they get alone."""
     increment = macro.sample_qwiener_increment
 
-    def nan_for_stream_5(spec, grid, dt, streams, failures):
+    def nan_for_stream_5(spec, grid, dt, streams):
         """The stacked draw, past its own finite check, with stream 5's row NaN."""
-        values = increment(spec, grid, dt, streams, failures=failures)
+        values = increment(spec, grid, dt, streams)
         values[[stream.stream_index == 5 for stream in streams]] = np.nan
         return values
 
@@ -169,9 +188,30 @@ def test_lockstep_solver_failure_names_the_failing_sample(monkeypatch):
 
     steps = (0, 8)
     chunk = ensemble._run_chunk(("macro", SMALL_MACRO, 13, 0, 8, steps))
-    assert [isinstance(r, SampleRecord) for r in chunk] == [True] * 5 + [False] + [True] * 2
-    (alone,) = ensemble._run_chunk(("macro", SMALL_MACRO, 13, 6, 1, steps))
-    assert chunk[6].fields.tobytes() == alone.fields.tobytes()
+    assert [isinstance(r, SampleRecord) for r in chunk] == [True] * 5 + [False]
+    assert chunk[4].fields.tobytes() == _alone(SMALL_MACRO, 13, 4, steps).fields.tobytes()
+
+
+def test_a_later_id_that_fails_first_does_not_hide_a_lower_one(monkeypatch):
+    """Sample 6 fails at step 1 and sample 2 at step 3.  The stack of 8
+    fails at step 1 on sample 6, yet the reruns alone stop at sample 2,
+    the lowest failing id, which the ensemble names at 1 and at 2
+    workers."""
+    _nan_normals_for(monkeypatch, {6: 1, 2: 3})
+    for workers in (1, 2):
+        with pytest.raises(EnsembleSampleError) as err:
+            run_ensemble("macro", SMALL_MACRO,
+                         EnsembleConfig(n_samples=8, base_seed=13, workers=workers))
+        assert err.value.sample_index == 2
+        assert isinstance(err.value.__cause__, GridMismatch)
+
+    steps = (0, 8)
+    chunk = ensemble._run_chunk(("macro", SMALL_MACRO, 13, 0, 8, steps))
+    assert [isinstance(r, SampleRecord) for r in chunk] == [True, True, False]
+    assert isinstance(chunk[2], GridMismatch)
+    for sample_id in (0, 1):
+        assert chunk[sample_id].fields.tobytes() == _alone(SMALL_MACRO, 13, sample_id,
+                                                           steps).fields.tobytes()
 
 
 def test_pool_never_larger_than_the_chunk_count(monkeypatch):
@@ -300,8 +340,9 @@ def test_a_micro_ensemble_that_fills_the_cpus_starts_no_helper(monkeypatch, nois
     """A micro run draws its noise on a helper thread only where the
     ensemble's min(workers, chunks) processes leave a usable CPU spare."""
     # the chunks run in this process, as they would in the pool's, so that
-    # the helpers they start are counted here
-    monkeypatch.setattr(ensemble, "_map_samples", lambda fn, payloads, workers: map(fn, payloads))
+    # the helpers they start are counted here; a generator, as _map_samples
+    monkeypatch.setattr(ensemble, "_map_samples",
+                        lambda fn, payloads, workers: (fn(payload) for payload in payloads))
     cfg = MicroConfig(n_particles=200, n_steps=3)
     # (usable CPUs, workers, helpers): two samples make one chunk at one
     # worker and two at more, one run_micro call each

@@ -159,15 +159,15 @@ def test_edge_flux_divergence_equals_np_roll_bitwise(name, case):
 
 @pytest.mark.parametrize("name", list(STENCIL_GRIDS))
 def test_stack_rows_equal_fields_alone_bitwise(name):
-    """Every row of a stack of lead shape (S,) or (2, S), and of a stack
-    that shrank as its samples dropped, gets from each stencil bitwise what
-    the field gets alone (lead shape ())."""
+    """Every row of a stack of lead shape (S,) or (2, S), and of smaller
+    stacks of its rows, gets from each stencil bitwise what the field gets
+    alone (lead shape ())."""
     grid = STENCIL_GRIDS[name]
     rng = np.random.Generator(np.random.Philox(key=[5, 0]))
     u, coef = rng.standard_normal((2, 2, 6) + grid.shape)
     stacks = [(u, coef), (u[0], coef[0])]
     rows = list(range(6))
-    while len(rows) > 1:  # drop the middle row, as run_macro does, down to one
+    while len(rows) > 1:  # take out the middle row, down to one
         del rows[len(rows) // 2]
         stacks.append((u[0, rows], coef[0, rows]))
     for us, cs in stacks:

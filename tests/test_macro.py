@@ -3,9 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from levyflow import macro
+from levyflow.cli import main
 from levyflow.config import ensemble_config_from, macro_config_from
 from levyflow.drivers import RngStream, StreamChunk
-from levyflow.errors import ConfigInvalid, SolverDiverged
+from levyflow.errors import ConfigInvalid, InvariantViolation, SolverDiverged
 from levyflow.grids import Grid, centered_difference
 from levyflow.macro import (
     _clamp,
@@ -38,18 +40,13 @@ def _one(state):
 
 
 def _step_h(state, cfg):
-    """step_h on one sample, which must not fail."""
-    failures = {}
-    out = step_h(_one(state), cfg, StreamChunk([RngStream(1, 0)]), failures)
-    assert failures == {}
-    return out[0]
+    """step_h on one sample."""
+    return step_h(_one(state), cfg, StreamChunk([RngStream(1, 0)]))[0]
 
 
 def _step_c(state, cfg, stats=None):
-    """step_c on one sample, which must not fail."""
-    failures = {}
-    out, alpha = step_c(_one(state), cfg, state.h[None], state.n[None], failures, stats)
-    assert failures == {}
+    """step_c on one sample."""
+    out, alpha = step_c(_one(state), cfg, state.h[None], state.n[None], stats)
     return out[0], alpha[0]
 
 
@@ -124,9 +121,8 @@ def test_step_c_checks_its_residual_against_solver_tol():
     _step_c(state, cfg, stats)
     assert 0.0 < stats.max_residual <= 1e-13
     assert stats.total_iterations == 0
-    failures = {}
-    step_c(_one(state), MacroConfig(solver_tol=1e-300), state.h[None], state.n[None], failures)
-    assert isinstance(failures[0], SolverDiverged)
+    with pytest.raises(SolverDiverged, match="C-step residual .* above solver_tol 1.000e-300"):
+        step_c(_one(state), MacroConfig(solver_tol=1e-300), state.h[None], state.n[None])
 
 
 def test_step_c_zero_rhs_sample_has_zero_residual():
@@ -137,9 +133,7 @@ def test_step_c_zero_rhs_sample_has_zero_residual():
     state = MacroState(np.stack([one.h, one.h]), np.stack([one.c, 0.0 * one.c]),
                        np.stack([one.n, one.n]))
     stats = MacroRunStats(2)
-    failures = {}
-    c_new, alpha = step_c(state, cfg, state.h, state.n, failures, stats)
-    assert failures == {}
+    c_new, alpha = step_c(state, cfg, state.h, state.n, stats)
     assert np.all(c_new[1] == 0.0)
     assert stats.residuals[1] == 0.0
     assert 0.0 < stats.residuals[0] <= 1e-13
@@ -223,7 +217,6 @@ def test_default_h_steps_need_no_bicgstab_iteration():
     BiCGSTAB only checks the answer."""
     cfg = MacroConfig(n_steps=10)
     _, stats = run_macro(cfg, StreamChunk(RngStream(8, i) for i in range(3)))
-    assert stats.errors == {}
     assert stats.total_iterations == 0
     assert 0.0 < stats.max_residual <= cfg.solver_tol
 
@@ -235,18 +228,23 @@ def test_stiff_h_steps_still_converge(stiff):
     iterates to it: no sample fails."""
     cfg = MacroConfig(n_steps=10, **stiff)
     _, stats = run_macro(cfg, StreamChunk(RngStream(7, i) for i in range(4)))
-    assert stats.errors == {}
     assert stats.total_iterations > 0
     assert stats.max_residual <= cfg.solver_tol
 
 
-def test_a_failed_sample_leaves_the_others_max_residual():
-    """Sample 2's H-step breaks down at gamma_f = 5; its nan residual does
-    not hide the largest residual of the samples that were solved."""
+def test_a_failed_sample_fails_its_whole_stack():
+    """Sample 2's H-step breaks down at gamma_f = 5: the stack of four
+    raises that sample's own error, and the other samples solve alone."""
     cfg = MacroConfig(n_steps=10, gamma_f=5.0)
-    _, stats = run_macro(cfg, StreamChunk(RngStream(7, i) for i in range(4)))
-    assert list(stats.errors) == [2]
-    assert np.isfinite(stats.max_residual) and stats.max_residual <= cfg.solver_tol
+    with pytest.raises(SolverDiverged) as stacked:
+        run_macro(cfg, StreamChunk(RngStream(7, i) for i in range(4)))
+    with pytest.raises(SolverDiverged) as alone:
+        run_macro(cfg, RngStream(7, 2))
+    assert str(stacked.value) == str(alone.value)
+    assert str(alone.value).startswith("H-step at step ")
+    for sample_id in (0, 1, 3):
+        _, stats = run_macro(cfg, RngStream(7, sample_id))
+        assert stats.max_residual <= cfg.solver_tol
 
 
 def test_absurd_tau_fails_the_h_step_quietly():
@@ -254,46 +252,62 @@ def test_absurd_tau_fails_the_h_step_quietly():
     named SolverDiverged that names the H-step, its step and the keys that
     set the stencil; the sweeps before it raise no RuntimeWarning."""
     state = _one(macro_init(MacroConfig()))
-    failures = {}
-    h_new = step_h(state, MacroConfig(tau=1e308), StreamChunk([RngStream(1, 0)]), failures)
-    message = str(failures[0])
-    assert isinstance(failures[0], SolverDiverged)
+    with pytest.raises(SolverDiverged) as err:
+        step_h(state, MacroConfig(tau=1e308), StreamChunk([RngStream(1, 0)]))
+    message = str(err.value)
     assert message.startswith("H-step at step 1: BiCGSTAB breakdown: non-finite residual (")
     assert message.endswith("set by [macro] tau, sigma_H and gamma_f)")
-    assert h_new.tobytes() == state.h.tobytes()
+
+
+@pytest.mark.parametrize("name", ["tissue monotonicity: N increased",
+                                  "exponent left its configured window"])
+def test_a_broken_invariant_raises_and_exits_6(monkeypatch, tmp_path, capsys, name):
+    """A step that breaks an invariant raises InvariantViolation, named,
+    and the macro command exits 6 with that name.  Every step breaks it:
+    the tissue grows, or the exponent falls 0.1 below its window (and stays
+    a valid exponent)."""
+    if name == "tissue monotonicity: N increased":
+        monkeypatch.setattr(macro, "step_n", lambda state, cfg, stats=None: state.n + 1e-6)
+    else:
+        alpha_of_h = MacroConfig.alpha_of_h
+        monkeypatch.setattr(MacroConfig, "alpha_of_h", lambda cfg, h: alpha_of_h(cfg, h) - 0.1)
+    with pytest.raises(InvariantViolation) as err:
+        run_macro(MacroConfig(n_steps=2), RngStream(1, 0))
+    assert str(err.value) == name
+    cfgfile = tmp_path / "short.cfg"
+    cfgfile.write_text("[macro]\nN = 2\n")
+    assert main(["--config", str(cfgfile), "--out", str(tmp_path / "o"), "macro"]) == 6
+    assert f"invariant violated: {name}" in capsys.readouterr().err
 
 
 def test_clamp_zeroes_negatives_and_counts_them_per_sample():
     """Negatives become 0.0 in place while -0.0 and NaN stay, bitwise as a
-    masked assignment leaves them; values below -1e-12 count per sample,
-    into the right sample after a drop."""
+    masked assignment leaves them; values below -1e-12 count per sample."""
     grid = Grid((1.0, 1.0), (3, 3))
     values = np.linspace(-1.0, 1.0, 3 * 9).reshape(3, 3, 3)
     values[0, 0, :3] = [-0.0, np.nan, -1e-13]
     values[2] = np.abs(values[2])
     expected = values.copy()
     expected[expected < 0.0] = 0.0
-    stats = MacroRunStats(4)
-    stats.drop({2: SolverDiverged("dropped")})  # rows 0, 1, 2 are samples 0, 1, 3
+    stats = MacroRunStats(3)
     out = _clamp(values, grid, stats)
     assert out is values and out.tobytes() == expected.tobytes()
     assert np.signbit(out[0, 0, 0]) and np.isnan(out[0, 0, 1])
-    assert stats.clamps.tolist() == [6, 4, 0, 0]
+    assert stats.clamps.tolist() == [6, 4, 0]
     # a field without negatives is left as it is, and counts nothing
     assert _clamp(values, grid, stats).tobytes() == expected.tobytes()
     assert stats.clamp_events == 10
 
 
-def test_run_stats_follow_their_samples_through_drops():
+def test_run_stats_keep_each_samples_largest_residual_and_clamps():
     stats = MacroRunStats(3)
     stats.absorb_solve([1e-12, 2e-12, 3e-12], 4)
     stats.absorb_clamps([1, 0, 2])
-    assert stats.drop({0: SolverDiverged("x")}).tolist() == [1, 2]
-    stats.absorb_solve([5e-12, 1e-12], 2)
-    stats.absorb_clamps([3, 3])
-    assert stats.residuals.tolist() == [1e-12, 5e-12, 3e-12]
-    assert stats.clamps.tolist() == [1, 3, 5]
-    assert stats.total_iterations == 6 and list(stats.errors) == [0]
+    stats.absorb_solve([5e-12, 1e-12, 2e-12], 2)
+    stats.absorb_clamps([3, 3, 0])
+    assert stats.residuals.tolist() == [5e-12, 2e-12, 3e-12]
+    assert stats.clamps.tolist() == [4, 3, 2]
+    assert stats.total_iterations == 6 and stats.max_residual == 5e-12
 
 
 def test_run_macro_zero_steps_returns_initial():
