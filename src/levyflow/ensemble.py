@@ -69,17 +69,18 @@ class WelfordAccumulator:
 
 # Largest chunk of samples a worker runs as one stack.
 MAX_CHUNK = 64
-# Most particles a micro stack starts with.  A stack's step peaks at about
-# 280 traced bytes per starting particle with the noise drawn inline, and at
-# 293-307 with run_micro's helper thread and its (S, M, 2) noise buffer
-# (tests/test_micro.py).  With inline draws at M = 2500 on a 2-vCPU host,
-# the three noise laws' process time per sample summed to 42.9, 38.3, 37.7
-# and 38.1 ms in stacks of one to four samples.  Three runs each of the
-# benchmark's micro-laws workload read median items_per_s and peak RSS of
-# 40.5 at 40.46 MB one sample at a time, 47.0 at 40.22 MB in stacks of two
-# (this budget) and 47.5 at 41.03 MB in stacks of three: two samples take
-# almost all of the gain, and a third adds 0.8 MB.
-MICRO_STACK_PARTICLES = 5000
+# Most particles a micro stack starts with: four samples at M = 2500.  With
+# run_micro's helper thread drawing the noise, much of a stack's cost is
+# paid once per step rather than once per sample, so stacks of more than two
+# still gain.  On a 2-vCPU host, ten alternating 20 s runs each of the
+# benchmark's micro-laws workload read median items_per_s 59.5 in stacks of
+# two and 64.1 in stacks of four, at 3.5% more peak RSS.  In 8 s runs,
+# stacks of three gained 2.5% over two and stacks of five 7% over four, but
+# five raised peak RSS 5.4% over two: this is the largest budget within 5%.
+# A stack's step peaks at about 240 traced bytes per starting particle with
+# the noise drawn inline, and at 255-261 with the helper's (S, M, 2) noise
+# buffer (tests/test_micro.py).
+MICRO_STACK_PARTICLES = 10000
 
 
 @dataclass

@@ -256,14 +256,13 @@ class HOperator:
         with N the off-diagonal part, on the rows whose stencil is strictly
         diagonally dominant at every node, where each sweep contracts the
         error.  Any other row, where the sweeps may grow it, is left at rhs.
-        Under BiCGSTAB's errstate: a non-finite row fails in that solver's
-        first check."""
+        step_h calls it with overflow and invalid values silenced: a row that
+        is not finite then fails in BiCGSTAB's first check."""
         x = rhs
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in range(sweeps):
-                x = rhs - self._neighbour_sum(x)
-                x /= self.centre
-            loose = ~(self.off_diagonal_sums() < self.centre)
+        for _ in range(sweeps):
+            x = rhs - self._neighbour_sum(x)
+            x /= self.centre
+        loose = ~(self.off_diagonal_sums() < self.centre)
         if loose.any():
             _per_sample(x, self.grid)[loose] = _per_sample(rhs, self.grid)[loose]
         return x
@@ -276,14 +275,23 @@ def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk,
     tau = cfg.tau
     noise = sample_qwiener_increment(QWienerSpec(cfg.qwiener_modes), grid, tau, streams)
     apply_op = HOperator(state.c, cfg)
-    rhs = (state.h
-           + tau * cfg.gamma_1 * state.h * (1.0 - state.h)
-           + cfg.sigma_W * state.h * noise)
-    res = bicgstab(apply_op, rhs, cfg.solver_tol, x0=apply_op.jacobi(rhs, _H_SWEEPS))
+    # one errstate for the right-hand side and the sweeps: a row that is not
+    # finite fails in BiCGSTAB's first check, and the failure names its cause
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rhs = (state.h
+               + tau * cfg.gamma_1 * state.h * (1.0 - state.h)
+               + cfg.sigma_W * state.h * noise)
+        start = apply_op.jacobi(rhs, _H_SWEEPS)
+    res = bicgstab(apply_op, rhs, cfg.solver_tol, x0=start)
     if res.failures:
         row = min(res.failures)
         off = apply_op.off_diagonal_sums()[row]
-        if off < apply_op.centre < np.inf:
+        if not np.isfinite(_per_sample(rhs, grid)[row]).all():
+            h_from = ("the initial H of [macro] h0_amp and h0_sigma" if state.step == 0
+                      else f"the H that step {state.step} solved")
+            cause = (f"the right-hand side is not finite; it is set by the step's H, here "
+                     f"{h_from}, and by [macro] tau, gamma_1 and sigma_W")
+        elif off < apply_op.centre < np.inf:
             cause = ("the stencil is strictly diagonally dominant; the right-hand side is "
                      "set by [macro] tau, gamma_1 and sigma_W")
         else:

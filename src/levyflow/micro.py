@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -153,22 +154,30 @@ def bilinear_stencil(grid: Grid, positions, offsets=None) -> BilinearStencil:
 
 
 def gather(field_values: np.ndarray, stencil: BilinearStencil) -> np.ndarray:
-    n = stencil.flat.shape[0] // 4
-    terms = field_values.take(stencil.flat)
-    np.multiply(stencil.weights, terms, out=terms)
-    out = np.zeros(n)
-    for term in terms.reshape(4, n):  # corners in order 0, 1, 2, 3
+    """The weighted sum of ``field_values`` at each position's corners,
+    added in corner order 0, 1, 2, 3.  One corner's terms are made at a
+    time, so a gather holds two (n,) arrays, not five."""
+    out = np.zeros(stencil.flat.shape[0] // 4)
+    for flat, weights in _corners(stencil):
+        term = field_values.take(flat)
+        np.multiply(weights, term, out=term)
         out += term
     return out
 
 
 def scatter_add(field_values: np.ndarray, stencil: BilinearStencil, amounts):
     """Add ``amounts`` at the stencil in place, corner by corner and particle
-    by particle in index order."""
+    by particle in index order, one corner's (n,) products at a time."""
     if not field_values.flags.c_contiguous:
         raise ValueError("scatter_add needs a C-contiguous field to update in place")
-    np.add.at(field_values.reshape(-1), stencil.flat,
-              (stencil.weights.reshape(4, -1) * amounts).reshape(-1))
+    nodes = field_values.reshape(-1)
+    for flat, weights in _corners(stencil):
+        np.add.at(nodes, flat, weights * amounts)
+
+
+def _corners(stencil: BilinearStencil):
+    """(flat node indices, weights) of each corner in order, as (n,) views."""
+    return zip(stencil.flat.reshape(4, -1), stencil.weights.reshape(4, -1))
 
 
 def wrap_positions(positions: np.ndarray, lengths) -> np.ndarray:
@@ -292,7 +301,11 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk
     if killed.any():
         alive.reshape(-1)[idx[killed]] = False
         keep = ~killed
-        pos, vel, protons, grad = (a.compress(keep, axis=0) for a in (pos, vel, protons, grad))
+        # one at a time, so that each array's old rows are freed before the next copy
+        pos = pos.compress(keep, axis=0)
+        vel = vel.compress(keep, axis=0)
+        protons = protons.compress(keep, axis=0)
+        grad = grad.compress(keep, axis=0)
 
     out = MicroState(
         grid=grid,
@@ -382,10 +395,35 @@ class NoiseAhead:
 
 def _spare_cpu(processes: int) -> bool:
     """Whether ``processes`` busy processes leave a CPU free for a helper
-    thread: one of this process's affinity set where the platform has one."""
+    thread.  The usable CPUs are this process's affinity set where the
+    platform has one, and no more than the cgroup's CPU quota rounds up to."""
     if hasattr(os, "sched_getaffinity"):
-        return processes < len(os.sched_getaffinity(0))
-    return processes < (os.cpu_count() or 1)
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return processes < min(cpus, _cpu_quota() or cpus)
+
+
+# the cgroup files of a CPU quota and its period: v2's one file holds both
+CGROUP_CPU_FILES = (("/sys/fs/cgroup/cpu.max",),
+                    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
+
+
+def _cpu_quota() -> int | None:
+    """The CPUs the cgroup's quota allows, ceil(quota / period), from the
+    first of CGROUP_CPU_FILES that reads; None with no quota ("max" or -1)
+    or no readable file."""
+    for paths in CGROUP_CPU_FILES:
+        try:
+            words = " ".join(Path(path).read_text() for path in paths).split()
+        except OSError:
+            continue
+        try:
+            quota, period = (int(word) for word in words)
+        except ValueError:  # "max", or not two numbers
+            return None
+        return -(-quota // period) if quota > 0 and period > 0 else None
+    return None
 
 
 def survival_fraction(state: MicroState, m0: int) -> float:

@@ -457,6 +457,20 @@ def test_h_step_breakdown_on_a_dominant_stencil_names_the_rhs_keys(tmp_path, cap
     assert "sigma_H" not in err and "gamma_f" not in err
 
 
+def test_a_non_finite_h_step_rhs_names_the_initial_h_keys(tmp_path, capsys):
+    """An initial H whose right-hand side overflows exits 5, naming the
+    keys that set the initial H and the right-hand side; no overflow
+    RuntimeWarning escapes (the suite raises them as errors)."""
+    cfgfile = tmp_path / "h0.cfg"
+    cfgfile.write_text("[macro]\nN = 3\nh0_amp = 1e308\n")
+    assert _run("--config", str(cfgfile), "--out", str(tmp_path / "o"), "macro") == 5
+    err = capsys.readouterr().err
+    assert "solver diverged: H-step at step 1:" in err
+    assert "the right-hand side is not finite" in err
+    assert all(name in err for name in ("[macro] h0_amp", "h0_sigma", "tau", "gamma_1",
+                                        "sigma_W"))
+
+
 def _package_env():
     """This environment with the tested package first on PYTHONPATH."""
     src = str(Path(levyflow.__file__).resolve().parents[1])

@@ -259,28 +259,52 @@ def test_chunk_size_does_not_change_a_bit():
 def test_micro_chunk_from_one_initial_state_gives_each_sample_its_own_run(monkeypatch):
     """A micro chunk builds its initial state once and starts every stack
     from it; each record equals the sample's own run_micro, bit for bit,
-    whether the chunk runs as stacks of one, of three or as one stack."""
+    whether the chunk runs as stacks of one, of three or as one stack, and
+    a 10-sample chunk at M = 2500 in stacks of one or of the default
+    budget, whose stack sizes follow from MICRO_STACK_PARTICLES."""
     built = []
     counted = lambda cfg: built.append(1) or micro_init(cfg)  # noqa: E731
     monkeypatch.setattr(ensemble, "micro_init", counted)
     monkeypatch.setattr(micro, "micro_init", counted)
-    alone = [run_micro(SMALL_MICRO, RngStream(29, sample_id)) for sample_id in range(4, 9)]
-    built.clear()
-    runs = []
-    for samples in (1, 3, 5):
-        monkeypatch.setattr(ensemble, "MICRO_STACK_PARTICLES", samples * SMALL_MICRO.n_particles)
-        records = ensemble._run_chunk(("micro", SMALL_MICRO, 29, 4, 5, ()))
-        assert len(built) == 1
+    stacks = []
+    run = ensemble.run_micro
+
+    def recording(cfg, streams, initial_state, processes):
+        stacks.append(len(streams))
+        return run(cfg, streams, initial_state=initial_state, processes=processes)
+
+    monkeypatch.setattr(ensemble, "run_micro", recording)
+    default = MicroConfig()
+    per_stack = ensemble.MICRO_STACK_PARTICLES // default.n_particles
+    assert per_stack > 1
+    # (config, first id, [(budget, the stack sizes it gives)]); a chunk of
+    # 5 samples, then of 10
+    for cfg, first, budgets in (
+            (SMALL_MICRO, 4, [(300, [1] * 5), (900, [3, 2]), (1500, [5])]),
+            (default, 0, [(default.n_particles, [1] * 10),
+                          (ensemble.MICRO_STACK_PARTICLES,
+                           [min(per_stack, 10 - start) for start in range(0, 10, per_stack)])])):
+        count = len(budgets[0][1])
+        alone = [run_micro(cfg, RngStream(29, sample_id))
+                 for sample_id in range(first, first + count)]
         built.clear()
-        for record, (state, series) in zip(records, alone, strict=True):
-            assert record.fields.tobytes() == np.stack([state.acid, state.tissue]).tobytes()
-            assert record.export.tolist() == series
-            assert record.clamp_events == state.clamp_events
-            assert record.survival == survival_fraction(state, SMALL_MICRO.n_particles)
-        runs.append([(r.fields.tobytes(), r.export.tobytes(), r.clamp_events, r.survival)
-                     for r in records])
-    assert runs[0] == runs[1] == runs[2]
-    assert len({fields for fields, *_ in runs[0]}) == 5
+        runs = []
+        for budget, sizes in budgets:
+            monkeypatch.setattr(ensemble, "MICRO_STACK_PARTICLES", budget)
+            stacks.clear()
+            records = ensemble._run_chunk(("micro", cfg, 29, first, count, ()))
+            assert len(built) == 1
+            built.clear()
+            assert stacks == sizes
+            for record, (state, series) in zip(records, alone, strict=True):
+                assert record.fields.tobytes() == np.stack([state.acid, state.tissue]).tobytes()
+                assert record.export.tolist() == series
+                assert record.clamp_events == state.clamp_events
+                assert record.survival == survival_fraction(state, cfg.n_particles)
+            runs.append([(r.fields.tobytes(), r.export.tobytes(), r.clamp_events, r.survival)
+                         for r in records])
+        assert all(other == runs[0] for other in runs[1:])
+        assert len({fields for fields, *_ in runs[0]}) == count
 
 
 def test_micro_stacks_keep_to_the_particle_budget(monkeypatch):

@@ -259,6 +259,23 @@ def test_absurd_tau_fails_the_h_step_quietly():
     assert message.endswith("set by [macro] tau, sigma_H and gamma_f)")
 
 
+@pytest.mark.parametrize("step, source", [(0, "the initial H of [macro] h0_amp and h0_sigma"),
+                                          (4, "the H that step 4 solved")])
+def test_a_non_finite_h_step_rhs_names_where_its_h_came_from(step, source):
+    """An H whose right-hand side overflows fails the H-step with a
+    SolverDiverged that names where that H came from and the right-hand
+    side's keys, with no RuntimeWarning (the suite raises them as errors)."""
+    state = _one(macro_init(MacroConfig(h0_amp=1e308)))
+    state.step = step
+    with pytest.raises(SolverDiverged) as err:
+        step_h(state, MacroConfig(), StreamChunk([RngStream(1, 0)]))
+    message = str(err.value)
+    assert message.startswith(f"H-step at step {step + 1}: BiCGSTAB breakdown: non-finite ")
+    assert message.endswith(
+        f"; the right-hand side is not finite; it is set by the step's H, here {source}, "
+        "and by [macro] tau, gamma_1 and sigma_W)")
+
+
 @pytest.mark.parametrize("name", ["tissue monotonicity: N increased",
                                   "exponent left its configured window"])
 def test_a_broken_invariant_raises_and_exits_6(monkeypatch, tmp_path, capsys, name):

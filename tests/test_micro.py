@@ -314,8 +314,9 @@ def _state_bytes(state):
 @pytest.mark.parametrize("law", NOISE_LAWS)
 def test_the_helper_thread_draws_the_inline_bits(noise_helpers, law, case):
     """Drawn one step ahead on the helper thread or inline, the noise gives
-    byte-identical states and alive counts, for a run and a stack of two,
-    with the threads switching as often as the interpreter allows."""
+    byte-identical states and alive counts, for a run and stacks of two
+    and of four (the ensemble's stack at M = 2500), with the threads
+    switching as often as the interpreter allows."""
     cfg = MicroConfig(n_particles=400, n_steps=12, noise=law, **STACK_CASES[case])
     results = []
     interval = sys.getswitchinterval()
@@ -324,15 +325,35 @@ def test_the_helper_thread_draws_the_inline_bits(noise_helpers, law, case):
         for cpus in (1, 2):
             noise_helpers.usable_cpus(cpus)
             state, series = run_micro(cfg, RngStream(31, 3))
-            runs, totals = run_micro(cfg, StreamChunk(RngStream(31, i) for i in (3, 4)))
-            results.append([_state_bytes(state), series, totals]
-                           + [(_state_bytes(s), alive) for s, alive in runs])
+            result = [_state_bytes(state), series]
+            for ids in ((3, 4), (3, 4, 5, 6)):
+                runs, totals = run_micro(cfg, StreamChunk(RngStream(31, i) for i in ids))
+                result += [totals] + [(_state_bytes(s), alive) for s, alive in runs]
+            results.append(result)
     finally:
         sys.setswitchinterval(interval)
-    assert noise_helpers.started == 2  # both runs on two CPUs, none on one
+    assert noise_helpers.started == 3  # every run on two CPUs, none on one
     assert results[0] == results[1]
     if case == "all-dead":
         assert totals[1:] == [0] * cfg.n_steps
+
+
+@pytest.mark.parametrize("version", [2, 1])
+def test_a_cgroup_cpu_quota_bounds_the_usable_cpus(noise_helpers, version):
+    """With two CPUs in the affinity set, a one-process run starts a helper
+    only where the cgroup's CPU quota, rounded up to whole CPUs, leaves one
+    spare; no quota, or a file that does not parse, keeps the affinity
+    rule."""
+    noise_helpers.usable_cpus(2)
+    cfg = MicroConfig(n_particles=100, n_steps=2)
+    for quota, period, helpers in (("100000", "100000", 0), ("50000", "100000", 0),
+                                   ("150000", "100000", 1), ("400000", "100000", 1),
+                                   ("-1" if version == 1 else "max", "100000", 1),
+                                   ("one", "cpu", 1)):
+        noise_helpers.cpu_quota(quota, period, version)
+        noise_helpers.started = 0
+        run_micro(cfg, RngStream(5, 0))
+        assert noise_helpers.started == helpers, (quota, period)
 
 
 def test_no_thread_outlives_run_micro(monkeypatch, noise_helpers):
@@ -381,13 +402,16 @@ def test_no_thread_outlives_run_micro(monkeypatch, noise_helpers):
 
 # Peak bytes traced by tracemalloc while a stack of the ensemble's budget
 # runs, per starting particle, at M = 2500 (Python 3.11, NumPy 2.4).  The
-# bound was set at 10% over the 277-282 of the inline draws (a run of the
-# per-sample step before stacks peaked at 407-414).  With the helper thread
-# drawing the noise ahead into its reused (S, M, 2) buffer, 176 runs per
-# law peaked at 293-294 (gaussian), 296.5-307 (switching) and 297-306
-# (cauchy_modulated): the buffer adds 16, and a fill that overlaps the
-# step's own peak adds its one candidate array, 8, and the switching
-# masks, 2.  A helper that drew into fresh arrays peaked at 326-331.
+# bound was set at 10% over the 277-282 of the inline draws in stacks of
+# two (a run of the per-sample step before stacks peaked at 407-414).  The
+# helper thread's reused (S, M, 2) noise buffer adds 16, and a fill that
+# overlaps the step's own peak adds its one candidate array, 8, and the
+# switching masks, 2; a helper that drew into fresh arrays peaked at
+# 326-331.  Since gather and scatter_add make one corner's terms at a time
+# and a step drops its dead rows one array at a time, 20 runs per law of
+# the budget's stack of four peak at 255.1-255.4 (gaussian), 256.3-260.0
+# (switching) and 256.7-260.8 (cauchy_modulated) with the helper, against
+# 292.5-300.9 before, and at 239-240.4 with inline draws.
 STACK_PEAK_BYTES_PER_PARTICLE = 310
 
 
