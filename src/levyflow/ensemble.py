@@ -12,7 +12,6 @@ fails reruns its samples alone to find the lowest failing id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -95,7 +94,7 @@ class SampleRecord:
     survival: float | None = None
 
 
-def _run_chunk(args, processes: int = 1) -> list:
+def _run_chunk(args) -> list:
     """The record of each sample of a contiguous chunk of sample ids, or the
     error that stopped it, in id order.
 
@@ -103,8 +102,7 @@ def _run_chunk(args, processes: int = 1) -> list:
     at most ``MICRO_STACK_PARTICLES`` starting particles (one sample at the
     least), all from one initial state built once per chunk.  A stack fails
     as a whole, so its samples then run alone, in id order, and the chunk
-    stops at the first that fails: its lowest failing id.  ``processes`` is
-    the number of chunks that run at once, for run_micro's helper rule.
+    stops at the first that fails: its lowest failing id.
     """
     kind, cfg, base_seed, first, count, snapshot_steps = args
     if kind == "macro":
@@ -125,7 +123,7 @@ def _run_chunk(args, processes: int = 1) -> list:
 
         def records(ids):
             runs, _ = run_micro(cfg, StreamChunk(RngStream(base_seed, i) for i in ids),
-                                initial_state=initial, processes=processes)
+                                initial_state=initial)
             return [SampleRecord(fields=np.stack([state.acid, state.tissue]),
                                  export=np.asarray(alive_series),
                                  clamp_events=state.clamp_events,
@@ -218,9 +216,8 @@ def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
     )
     payloads = [(kind, cfg, ens.base_seed, first, count, steps)
                 for first, count in _chunks(ens.n_samples, ens.workers)]
-    processes = min(ens.workers, len(payloads))
     # map yields chunks in submission order, so records arrive by sample id
-    chunks = _map_samples(partial(_run_chunk, processes=processes), payloads, processes)
+    chunks = _map_samples(_run_chunk, payloads, min(ens.workers, len(payloads)))
     try:
         for sample_id, record in enumerate(r for chunk in chunks for r in chunk):
             if isinstance(record, Exception):

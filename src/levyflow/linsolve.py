@@ -45,7 +45,14 @@ def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def row_norm(u: np.ndarray) -> np.ndarray:
-    return np.sqrt(row_dot(u, u))
+    """The 2-norm of each row; a finite row whose squares overflow (entries
+    above about 1e154) is scaled by its largest magnitude first."""
+    norm = np.sqrt(row_dot(u, u))
+    if np.inf in norm.tolist():  # on a stack's few rows, a tenth of np.isinf(norm).any()
+        top = np.abs(u).max(axis=1, keepdims=True)  # finite on a finite row only
+        big = np.isinf(norm) & np.isfinite(top[:, 0])
+        norm[big] = top[big, 0] * row_norm(u[big] / top[big])
+    return norm
 
 
 def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResult:

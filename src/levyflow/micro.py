@@ -11,10 +11,9 @@ acid exceeds a threshold.
 
 from __future__ import annotations
 
-import os
 import threading
+import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -242,8 +241,8 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk
     contributions in their order, so each sample's bits are those of its
     run alone.  The step writes nothing into ``state``.
 
-    ``noise``, if given, holds this step's draws from ``rng``, made ahead
-    on run_micro's helper thread; otherwise the step draws them itself.
+    ``noise``, if given, is run_micro's NoiseAhead, which hands out this
+    step's draws from ``rng``; otherwise the step draws them itself.
     """
     tau = cfg.tau
     grid = state.grid
@@ -333,12 +332,14 @@ def _tissue_gradient(tissue: np.ndarray, grid: Grid, stencil: BilinearStencil) -
 def _kicks(cfg: MicroConfig, streams, idx: np.ndarray, m: int,
            noise: NoiseAhead | None) -> np.ndarray:
     """The noise kick of each living particle: ``idx`` picks the living
-    rows of the step's stacked draws, taken from ``noise`` or drawn now."""
-    if noise is not None:
-        return cfg.noise_scale * noise.take(idx)
-    draws = np.empty((len(streams), m, 2))
-    _draw_step_noise(draws, cfg, streams)
-    return cfg.noise_scale * draws.reshape(-1, 2).take(idx, axis=0)
+    rows of the step's stacked draws, taken from ``noise`` while its helper
+    runs or drawn now."""
+    rows = None if noise is None else noise.take(idx)
+    if rows is None:
+        draws = np.empty((len(streams), m, 2))
+        _draw_step_noise(draws, cfg, streams)
+        rows = draws.reshape(-1, 2).take(idx, axis=0)
+    return cfg.noise_scale * rows
 
 
 def _draw_step_noise(draws: np.ndarray, cfg: MicroConfig, streams) -> None:
@@ -349,22 +350,37 @@ def _draw_step_noise(draws: np.ndarray, cfg: MicroConfig, streams) -> None:
         draw_noise(cfg.noise, stream, cfg.tau, out=row)
 
 
+# The noise helper's trial.  Step 0 waits for the first fill, so the helper
+# is judged on steps 1..NOISE_TRIAL_STEPS: it stays only if, over them, the
+# process's CPU time ran ahead of its wall time by at least
+# NOISE_OVERLAP_FRACTION of the helper's own CPU time for their fills.  On
+# a 2-vCPU host the ensemble's micro stacks at M = 2500 read 0.72-0.96 with
+# a CPU free, and -0.52-0.005 pinned to one CPU, beside a busy process or
+# beside a second run, where a helper that stays costs 5-9.5% of the run;
+# on one CPU the trial itself costs about 1.5% of a stack of four's run.
+NOISE_TRIAL_STEPS = 3
+NOISE_OVERLAP_FRACTION = 0.5
+
+
 class NoiseAhead:
     """A run's noise, drawn one step ahead on a helper thread into one
     reused (S, M, 2) buffer.
 
     The helper fills the buffer for the first step at once, and for each
     later step once ``take`` has copied the rows of the step before out of
-    it, so every stream draws in the order and amounts of a run that draws
-    inline.  An exception raised by a fill is raised again by the next
-    ``take``.  ``close`` stops the helper and waits for it."""
+    it, until its trial finds no overlap (NOISE_OVERLAP_FRACTION).  Every
+    stream draws in the order and amounts of an inline run either way.  A
+    fill's exception is raised again by the next ``take``; ``close`` stops
+    the helper and waits for it."""
 
     def __init__(self, cfg: MicroConfig, streams, m: int):
-        import queue  # only a run with a helper needs it
+        import queue  # only a micro run needs it, not the command line's start
 
         self._draws = np.empty((len(streams), m, 2))
+        self._steps = 0  # taken so far
+        self._start = None  # at the trial's start: process CPU minus wall time, helper CPU
         self._taken = queue.SimpleQueue()  # True: fill the next step; False: stop
-        self._filled = queue.SimpleQueue()  # None per fill, or the exception it raised
+        self._filled = queue.SimpleQueue()  # the helper's CPU time after a fill, or its exception
         self._thread = threading.Thread(target=self._fill, args=(cfg, streams), daemon=True,
                                         name="levyflow-noise")
         self._thread.start()
@@ -375,55 +391,36 @@ class NoiseAhead:
                 if step and not self._taken.get():
                     return
                 _draw_step_noise(self._draws, cfg, streams)
-                self._filled.put(None)
+                self._filled.put(time.thread_time())
         except BaseException as exc:  # noqa: BLE001 - raised again on the caller's thread
             self._filled.put(exc)
 
-    def take(self, idx: np.ndarray) -> np.ndarray:
-        """The rows ``idx`` of this step's flat (S * M, 2) draws."""
-        failure = self._filled.get()
-        if failure is not None:
-            raise failure
+    def take(self, idx: np.ndarray) -> np.ndarray | None:
+        """The rows ``idx`` of this step's flat (S * M, 2) draws, or None
+        once the helper has stopped: the step then draws into a fresh
+        buffer, which measured 1.5-2% faster than reusing this one."""
+        if self._thread is None:
+            return None
+        filled = self._filled.get()
+        if isinstance(filled, BaseException):
+            raise filled
         rows = self._draws.reshape(-1, 2).take(idx, axis=0)
-        self._taken.put(True)
+        if self._steps == 0:  # the trial starts once the first fill is in
+            self._start = (time.process_time() - time.perf_counter(), filled)
+        self._steps += 1
+        if self._steps == NOISE_TRIAL_STEPS + 1 and (
+                time.process_time() - time.perf_counter() - self._start[0]
+                < NOISE_OVERLAP_FRACTION * (filled - self._start[1])):
+            self.close()
+        else:
+            self._taken.put(True)
         return rows
 
     def close(self) -> None:
-        self._taken.put(False)
-        self._thread.join()
-
-
-def _spare_cpu(processes: int) -> bool:
-    """Whether ``processes`` busy processes leave a CPU free for a helper
-    thread.  The usable CPUs are this process's affinity set where the
-    platform has one, and no more than the cgroup's CPU quota rounds up to."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return processes < min(cpus, _cpu_quota() or cpus)
-
-
-# the cgroup files of a CPU quota and its period: v2's one file holds both
-CGROUP_CPU_FILES = (("/sys/fs/cgroup/cpu.max",),
-                    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
-
-
-def _cpu_quota() -> int | None:
-    """The CPUs the cgroup's quota allows, ceil(quota / period), from the
-    first of CGROUP_CPU_FILES that reads; None with no quota ("max" or -1)
-    or no readable file."""
-    for paths in CGROUP_CPU_FILES:
-        try:
-            words = " ".join(Path(path).read_text() for path in paths).split()
-        except OSError:
-            continue
-        try:
-            quota, period = (int(word) for word in words)
-        except ValueError:  # "max", or not two numbers
-            return None
-        return -(-quota // period) if quota > 0 and period > 0 else None
-    return None
+        if self._thread is not None:
+            self._taken.put(False)
+            self._thread.join()
+            self._thread = None
 
 
 def survival_fraction(state: MicroState, m0: int) -> float:
@@ -432,7 +429,7 @@ def survival_fraction(state: MicroState, m0: int) -> float:
 
 
 def run_micro(cfg: MicroConfig, rng: RngStream | StreamChunk,
-              initial_state: MicroState | None = None, processes: int = 1):
+              initial_state: MicroState | None = None):
     """Run the configured number of steps.
 
     ``rng`` is one RngStream for a single run, which returns the final
@@ -446,25 +443,21 @@ def run_micro(cfg: MicroConfig, rng: RngStream | StreamChunk,
     of one config can share it; no step changes the state it is given.
     Final states hold the living particles only.
 
-    ``processes`` counts the processes that run micro samples at once,
-    this one included.  Where they leave a CPU spare, a helper thread
-    (NoiseAhead) draws each step's noise while the step before runs; the
-    draws, and so every result, are the same either way.  No thread
-    outlives the call."""
+    A helper thread (NoiseAhead) draws each step's noise while the step
+    before runs, for as long as its own timing shows that it overlaps the
+    steps; the draws, and so every result, are the same either way.  No
+    thread outlives the call."""
     first = micro_init(cfg) if initial_state is None else initial_state
     single = isinstance(rng, RngStream)
     state = first if single else _stacked(first, len(rng))
     counts = [np.count_nonzero(state.alive, axis=-1)]
-    noise = None
-    if cfg.n_steps and _spare_cpu(processes):
-        noise = NoiseAhead(cfg, (rng,) if single else rng, state.alive.shape[-1])
+    noise = NoiseAhead(cfg, (rng,) if single else rng, state.alive.shape[-1])
     try:
         for _ in range(cfg.n_steps):
             state = micro_step(state, cfg, rng, noise)
             counts.append(np.count_nonzero(state.alive, axis=-1))
     finally:
-        if noise is not None:
-            noise.close()
+        noise.close()
     counts = np.array(counts)
     if single:
         return state, counts.tolist()

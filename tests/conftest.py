@@ -1,4 +1,4 @@
-import os
+import math
 
 import pytest
 
@@ -6,13 +6,12 @@ from levyflow import micro
 
 
 class NoiseHelpers:
-    """The CPUs that run_micro sees and the helper threads it starts.  No
-    cgroup CPU quota is seen until ``cpu_quota`` fakes one."""
+    """The noise helpers that run_micro starts, counted, and how they draw:
+    as the helper's own trial decides until ``draw`` forces a mode."""
 
-    def __init__(self, monkeypatch, tmp_path):
+    def __init__(self, monkeypatch):
         self.started = 0
         self._monkeypatch = monkeypatch
-        self._cgroup = tmp_path / "cgroup"
         helpers = self
 
         class Counted(micro.NoiseAhead):
@@ -20,26 +19,31 @@ class NoiseHelpers:
                 super().__init__(*args)
                 helpers.started += 1
 
+        self._counted = Counted
         monkeypatch.setattr(micro, "NoiseAhead", Counted)
-        monkeypatch.setattr(micro, "CGROUP_CPU_FILES", tuple(
-            tuple(str(self._cgroup / name) for name in names)
-            for names in (("cpu.max",), ("cpu.cfs_quota_us", "cpu.cfs_period_us"))))
 
-    def usable_cpus(self, count: int) -> None:
-        self._monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    def draw(self, mode: str) -> None:
+        """Force how run_micro draws: "inline" starts no helper, and each
+        step draws its own noise; with "stays" or "stops" every helper stays
+        or stops after its trial, whatever it measured."""
+        patch = self._monkeypatch
+        patch.setattr(micro, "NoiseAhead", Inline if mode == "inline" else self._counted)
+        patch.setattr(micro, "NOISE_OVERLAP_FRACTION", -math.inf if mode == "stays" else math.inf)
 
-    def cpu_quota(self, quota: str, period: str = "100000", version: int = 2) -> None:
-        """A cgroup CPU quota in the form of cgroup ``version``: v2's
-        ``cpu.max`` line "<quota> <period>", or v1's two files."""
-        self._cgroup.mkdir(exist_ok=True)
-        if version == 2:
-            files = {"cpu.max": f"{quota} {period}\n"}
-        else:
-            files = {"cpu.cfs_quota_us": f"{quota}\n", "cpu.cfs_period_us": f"{period}\n"}
-        for name, text in files.items():
-            (self._cgroup / name).write_text(text)
+
+class Inline:
+    """A NoiseAhead that starts no thread and leaves every step to draw."""
+
+    def __init__(self, *args):
+        pass
+
+    def take(self, idx):
+        return None
+
+    def close(self):
+        pass
 
 
 @pytest.fixture
-def noise_helpers(monkeypatch, tmp_path):
-    return NoiseHelpers(monkeypatch, tmp_path)
+def noise_helpers(monkeypatch):
+    return NoiseHelpers(monkeypatch)

@@ -445,9 +445,11 @@ def test_h_step_breakdown_names_the_step_and_its_keys(tmp_path, capsys):
 @pytest.mark.parametrize("key", ["sigma_W = 1e200", "gamma_1 = 1e300"])
 def test_h_step_breakdown_on_a_dominant_stencil_names_the_rhs_keys(tmp_path, capsys, key):
     """When the stencil is strictly diagonally dominant, a failed H-step
-    solve names the keys of its right-hand side, not of its stencil."""
+    solve names the keys of its right-hand side, not of its stencil.  At
+    tau = 1 the Jacobi start does not meet solver_tol, and BiCGSTAB's dot
+    products of a residual this large overflow."""
     cfgfile = tmp_path / "rhs.cfg"
-    cfgfile.write_text(f"[macro]\nN = 3\n{key}\n")
+    cfgfile.write_text(f"[macro]\nN = 3\ntau = 1.0\n{key}\n")
     assert _run("--config", str(cfgfile), "--seed", "7", "--out", str(tmp_path / "o"),
                 "macro") == 5
     err = capsys.readouterr().err
@@ -547,7 +549,7 @@ def test_cli_import_loads_every_module():
 
 
 _CALLS_PROBE = """
-import ast, importlib.util, json, os, struct, sys, threading
+import ast, importlib.util, json, struct, sys, threading
 from pathlib import Path
 package = Path(importlib.util.find_spec("levyflow").submodule_search_locations[0])
 called = set()
@@ -556,10 +558,7 @@ def profile(frame, event, arg):
     if event == "call":
         called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-# run_micro draws the noise on a helper thread where a CPU is spare: report
-# two CPUs, so that the one-worker runs reach it on any host, and profile
-# every thread
-os.sched_getaffinity = lambda pid: {0, 1}
+# run_micro draws the noise on a helper thread: profile every thread
 threading.setprofile(profile)
 sys.setprofile(profile)
 from levyflow import cli

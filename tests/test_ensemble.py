@@ -269,9 +269,9 @@ def test_micro_chunk_from_one_initial_state_gives_each_sample_its_own_run(monkey
     stacks = []
     run = ensemble.run_micro
 
-    def recording(cfg, streams, initial_state, processes):
+    def recording(cfg, streams, initial_state):
         stacks.append(len(streams))
-        return run(cfg, streams, initial_state=initial_state, processes=processes)
+        return run(cfg, streams, initial_state=initial_state)
 
     monkeypatch.setattr(ensemble, "run_micro", recording)
     default = MicroConfig()
@@ -313,9 +313,9 @@ def test_micro_stacks_keep_to_the_particle_budget(monkeypatch):
     calls = []
     run = ensemble.run_micro
 
-    def recording(cfg, streams, initial_state, processes):
+    def recording(cfg, streams, initial_state):
         calls.append((len(streams), len(streams) * initial_state.positions.shape[0]))
-        return run(cfg, streams, initial_state=initial_state, processes=processes)
+        return run(cfg, streams, initial_state=initial_state)
 
     monkeypatch.setattr(ensemble, "run_micro", recording)
     cfg = MicroConfig(n_particles=300, n_steps=2)
@@ -358,23 +358,6 @@ def test_micro_stack_failure_names_the_lowest_failing_id(monkeypatch):
     for sample_id in (0, 4):
         state, _ = run_micro(SMALL_MICRO, RngStream(37, sample_id))
         assert records[sample_id].fields.tobytes() == np.stack([state.acid, state.tissue]).tobytes()
-
-
-def test_a_micro_ensemble_that_fills_the_cpus_starts_no_helper(monkeypatch, noise_helpers):
-    """A micro run draws its noise on a helper thread only where the
-    ensemble's min(workers, chunks) processes leave a usable CPU spare."""
-    # the chunks run in this process, as they would in the pool's, so that
-    # the helpers they start are counted here; a generator, as _map_samples
-    monkeypatch.setattr(ensemble, "_map_samples",
-                        lambda fn, payloads, workers: (fn(payload) for payload in payloads))
-    cfg = MicroConfig(n_particles=200, n_steps=3)
-    # (usable CPUs, workers, helpers): two samples make one chunk at one
-    # worker and two at more, one run_micro call each
-    for cpus, workers, helpers in ((1, 1, 0), (2, 1, 1), (2, 2, 0), (2, 8, 0), (3, 8, 2)):
-        noise_helpers.usable_cpus(cpus)
-        noise_helpers.started = 0
-        run_ensemble("micro", cfg, EnsembleConfig(n_samples=2, workers=workers))
-        assert noise_helpers.started == helpers, (cpus, workers)
 
 
 # the model section's and the [ensemble] section's keys of each case

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from levyflow.errors import SolverDiverged
-from levyflow.linsolve import bicgstab
+from levyflow.linsolve import bicgstab, row_dot, row_norm
 
 
 def _dense_system(seed, n=60):
@@ -144,3 +144,21 @@ def test_nan_start_still_fails_with_a_non_finite_residual():
     res = bicgstab(_mixed_op, np.ones((1, 6)), 1e-10, x0=x0)
     assert "non-finite residual" in str(res.failures[0])
     assert np.isnan(res.residuals[0]) and res.iteration_counts[0] == 0
+
+
+def test_a_finished_start_with_entries_above_1e154_returns_at_once():
+    """Squares of 1e300 overflow, so the norms of such rows are taken scaled
+    by their largest entry: a start whose residual is near 1e286 meets the
+    tolerance and returns with no failure and no iteration.  A row whose
+    squares stay finite keeps its plain norm, bit for bit."""
+    b = np.full((1, 6), 1e300)
+    x0 = b / 3.0
+    x0[0, 0] += 1e286 / 3.0
+    res = bicgstab(lambda x: 3.0 * x, b, 1e-10, x0=x0)
+    assert res.failures == {} and res.iterations == 0
+    assert res.solution.tobytes() == x0.tobytes()
+    assert res.residual == pytest.approx(1e286 / (1e300 * np.sqrt(6)), rel=1e-2)
+    small = np.random.Generator(np.random.Philox(key=[10, 0])).standard_normal((1, 6))
+    norms = row_norm(np.concatenate([small, b, np.array([[np.inf] * 6])]))
+    assert norms[0].tobytes() == np.sqrt(row_dot(small, small))[0].tobytes()
+    assert norms[1] == pytest.approx(1e300 * np.sqrt(6)) and norms[2] == np.inf

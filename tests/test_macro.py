@@ -259,6 +259,18 @@ def test_absurd_tau_fails_the_h_step_quietly():
     assert message.endswith("set by [macro] tau, sigma_H and gamma_f)")
 
 
+def test_a_finite_h_step_rhs_above_1e154_solves():
+    """At sigma_W = 1e200 and gamma_1 = 1e300 the right-hand side is finite
+    and the stencil strictly diagonally dominant: the Jacobi start meets
+    solver_tol, and step 1 returns a finite H."""
+    cfg = MacroConfig(sigma_W=1e200, gamma_1=1e300)
+    stats = MacroRunStats()
+    h = step_h(_one(macro_init(cfg)), cfg, StreamChunk([RngStream(1, 0)]), stats)
+    assert h.shape == (1, *cfg.grid.shape) and np.isfinite(h).all()
+    assert np.abs(h).max() > 1e200
+    assert stats.total_iterations == 0 and stats.max_residual <= cfg.solver_tol
+
+
 @pytest.mark.parametrize("step, source", [(0, "the initial H of [macro] h0_amp and h0_sigma"),
                                           (4, "the H that step 4 solved")])
 def test_a_non_finite_h_step_rhs_names_where_its_h_came_from(step, source):

@@ -4,6 +4,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -313,17 +314,18 @@ def _state_bytes(state):
 @pytest.mark.parametrize("case", ["defaults", "all-dead"])
 @pytest.mark.parametrize("law", NOISE_LAWS)
 def test_the_helper_thread_draws_the_inline_bits(noise_helpers, law, case):
-    """Drawn one step ahead on the helper thread or inline, the noise gives
-    byte-identical states and alive counts, for a run and stacks of two
-    and of four (the ensemble's stack at M = 2500), with the threads
+    """Drawn inline, or one step ahead on a helper thread that stays after
+    its trial or stops and leaves the later steps to draw inline, the noise
+    gives byte-identical states and alive counts, for a run and stacks of
+    two and of four (the ensemble's stack at M = 2500), with the threads
     switching as often as the interpreter allows."""
     cfg = MicroConfig(n_particles=400, n_steps=12, noise=law, **STACK_CASES[case])
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for cpus in (1, 2):
-            noise_helpers.usable_cpus(cpus)
+        for mode in ("inline", "stays", "stops"):
+            noise_helpers.draw(mode)
             state, series = run_micro(cfg, RngStream(31, 3))
             result = [_state_bytes(state), series]
             for ids in ((3, 4), (3, 4, 5, 6)):
@@ -332,72 +334,110 @@ def test_the_helper_thread_draws_the_inline_bits(noise_helpers, law, case):
             results.append(result)
     finally:
         sys.setswitchinterval(interval)
-    assert noise_helpers.started == 3  # every run on two CPUs, none on one
-    assert results[0] == results[1]
+    assert noise_helpers.started == 6  # every run that may start one
+    assert results[0] == results[1] == results[2]
     if case == "all-dead":
         assert totals[1:] == [0] * cfg.n_steps
 
 
-@pytest.mark.parametrize("version", [2, 1])
-def test_a_cgroup_cpu_quota_bounds_the_usable_cpus(noise_helpers, version):
-    """With two CPUs in the affinity set, a one-process run starts a helper
-    only where the cgroup's CPU quota, rounded up to whole CPUs, leaves one
-    spare; no quota, or a file that does not parse, keeps the affinity
-    rule."""
-    noise_helpers.usable_cpus(2)
-    cfg = MicroConfig(n_particles=100, n_steps=2)
-    for quota, period, helpers in (("100000", "100000", 0), ("50000", "100000", 0),
-                                   ("150000", "100000", 1), ("400000", "100000", 1),
-                                   ("-1" if version == 1 else "max", "100000", 1),
-                                   ("one", "cpu", 1)):
-        noise_helpers.cpu_quota(quota, period, version)
-        noise_helpers.started = 0
-        run_micro(cfg, RngStream(5, 0))
-        assert noise_helpers.started == helpers, (quota, period)
+@pytest.mark.parametrize("overlap, stays", [(0.0, False), (0.25, False), (0.5, True), (1.0, True)])
+def test_the_helper_stays_only_where_its_fills_overlapped_the_steps(monkeypatch, overlap, stays):
+    """With micro.time faked, each fill takes the helper 1 s of CPU time
+    and the trial 10 s of wall time, during which the process's CPU time
+    runs ahead of the wall time by ``overlap`` of the trial fills' 3 s.  The
+    helper stays where that is at least NOISE_OVERLAP_FRACTION (0.5).  One
+    that stops has drawn every step up to the trial's last, and the caller
+    draws each step after it."""
+    helper_cpu = itertools.count()
+    wall = iter([0.0, 10.0])
+    cpu = iter([0.0, 10.0 + overlap * micro.NOISE_TRIAL_STEPS])
+    monkeypatch.setattr(micro, "time", types.SimpleNamespace(
+        thread_time=lambda: float(next(helper_cpu)),
+        perf_counter=lambda: next(wall), process_time=lambda: next(cpu)))
+    inline = []
+    draw = micro.draw_noise
+
+    def recording(law, rng, dt, out):
+        inline.append(threading.current_thread() is threading.main_thread())
+        return draw(law, rng, dt, out=out)
+
+    monkeypatch.setattr(micro, "draw_noise", recording)
+    cfg = MicroConfig(n_particles=100, n_steps=8)
+    run_micro(cfg, RngStream(5, 0))
+    on_helper = cfg.n_steps if stays else micro.NOISE_TRIAL_STEPS + 1
+    assert inline == [False] * on_helper + [True] * (cfg.n_steps - on_helper)
+
+
+@pytest.mark.parametrize("mode", ["stays", "stops"])
+@pytest.mark.parametrize("law", NOISE_LAWS)
+def test_the_golden_digests_hold_whether_the_helper_stays_or_stops(noise_helpers, law, mode):
+    """The default run gives its golden digest on both forced paths."""
+    noise_helpers.draw(mode)
+    test_final_state_golden_digest(law)
+    assert noise_helpers.started == 1
+
+
+def _helper_running() -> bool:
+    return any(thread.name == "levyflow-noise" for thread in threading.enumerate())
 
 
 def test_no_thread_outlives_run_micro(monkeypatch, noise_helpers):
     """run_micro joins its helper thread when it returns, when a step
     raises on the calling thread and when a fill raises on the helper;
-    the caller raises the helper's exception."""
-    noise_helpers.usable_cpus(2)
+    the caller raises the helper's exception.  A helper that stops after
+    its trial has exited when the trial's last step returns; one that
+    stays is still there."""
     cfg = MicroConfig(n_particles=200, n_steps=6)
     stack = lambda: StreamChunk(RngStream(5, i) for i in range(2))  # noqa: E731
     threads = threading.active_count()
-    run_micro(cfg, RngStream(5, 0))
-    run_micro(cfg, stack())
-    assert threading.active_count() == threads
-
-    scatters = itertools.count()
+    running = []
+    step = micro.micro_step
+    monkeypatch.setattr(micro, "micro_step",
+                        lambda *args: (step(*args), running.append(_helper_running()))[0])
     scatter = micro.scatter_add
-
-    def failing_scatter(*args):
-        if next(scatters) == 5:  # on the third step
-            raise FloatingPointError("step")
-        return scatter(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(micro, "scatter_add", failing_scatter)
-        with pytest.raises(FloatingPointError, match="step"):
-            run_micro(cfg, stack())
-    assert threading.active_count() == threads
-
-    fills = itertools.count()
-    filled_on = []
     draw = micro.draw_noise
-
-    def failing_fill(law, rng, dt, out):
-        filled_on.append(threading.current_thread())
-        if next(fills) == 4:  # stream 0 of the third step
-            raise FloatingPointError("fill")
-        return draw(law, rng, dt, out=out)
-
-    monkeypatch.setattr(micro, "draw_noise", failing_fill)
-    with pytest.raises(FloatingPointError, match="fill"):
+    last = micro.NOISE_TRIAL_STEPS  # the step that ends the trial
+    for mode in ("stays", "stops"):
+        noise_helpers.draw(mode)
+        noise_helpers.started = 0
+        running.clear()
+        run_micro(cfg, RngStream(5, 0))
+        if mode == "stays":  # when step k returns, it awaits or fills step k + 2
+            assert running[:last + 1] == [True] * (last + 1)
+        else:
+            assert running == [True] * last + [False] * (cfg.n_steps - last)
         run_micro(cfg, stack())
-    assert threading.active_count() == threads
-    assert len(filled_on) == 5 and threading.main_thread() not in filled_on
-    assert noise_helpers.started == 4
+        assert threading.active_count() == threads
+
+        scatters = itertools.count()
+
+        def failing_scatter(*args):
+            if next(scatters) == 5:  # on the third step
+                raise FloatingPointError("step")
+            return scatter(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(micro, "scatter_add", failing_scatter)
+            with pytest.raises(FloatingPointError, match="step"):
+                run_micro(cfg, stack())
+        assert threading.active_count() == threads
+
+        fills = itertools.count()
+        filled_on = []
+
+        def failing_fill(law, rng, dt, out):
+            filled_on.append(threading.current_thread())
+            if next(fills) == 4:  # stream 0 of the third step
+                raise FloatingPointError("fill")
+            return draw(law, rng, dt, out=out)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(micro, "draw_noise", failing_fill)
+            with pytest.raises(FloatingPointError, match="fill"):
+                run_micro(cfg, stack())
+        assert threading.active_count() == threads
+        assert len(filled_on) == 5 and threading.main_thread() not in filled_on
+        assert noise_helpers.started == 4, mode
 
 
 # Peak bytes traced by tracemalloc while a stack of the ensemble's budget
