@@ -79,10 +79,10 @@ SWITCHING_TRIANGULAR = (-4.0, 0.0, 8.0)
 CAUCHY_AMPLITUDE = 10.0
 
 
-def draw_noise(law: str, rng: RngStream, dt: float, size=None, out=None):
-    """Velocity-noise increments from the law named ``law``, one of
-    ``NOISE_LAWS``: a new array of shape ``size``, or ``out``, a C-contiguous
-    float array, filled in place.  Either way the result is returned.
+def draw_noise(law: str, rng: RngStream, dt: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, a C-contiguous float array, in place with
+    velocity-noise increments from the law named ``law``, one of
+    ``NOISE_LAWS``, and return it.
 
     Every law is scaled by sqrt(dt) so the Gaussian case reproduces a
     Wiener increment and the laws stay comparable at any step size.  The
@@ -98,8 +98,6 @@ def draw_noise(law: str, rng: RngStream, dt: float, size=None, out=None):
     candidate array at a time where it cannot; the draw order and every
     product are those of the plain formulas, so a fill gives their bits.
     """
-    if out is None:
-        out = np.empty(size)
     root_dt = math.sqrt(dt)
     if law == "gaussian":
         rng.normal(out=out)

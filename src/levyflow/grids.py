@@ -91,11 +91,9 @@ class Grid:
         return np.arange(self.shape[axis]) * d
 
     def meshes(self):
-        """Coordinate arrays broadcast to the grid shape ('ij' indexing)."""
-        axes = [self.axis_coords(a) for a in range(self.ndim)]
-        if self.ndim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+        """The x and y coordinate arrays of a 2-D grid, each of the grid's
+        shape ('ij' indexing)."""
+        return tuple(np.meshgrid(self.axis_coords(0), self.axis_coords(1), indexing="ij"))
 
     def neighbour_table(self, lead: tuple = ()) -> np.ndarray:
         """Flat node indices of the periodic neighbours, shape ``(2 * ndim,
@@ -211,18 +209,16 @@ def fourier_multiply(grid: Grid, values: np.ndarray, multiplier: np.ndarray) -> 
 
 
 def periodic_gaussian_blur(values: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
-    """Convolve with a periodized Gaussian normalized to unit mass."""
+    """Convolve a field on a 2-D grid with a periodized Gaussian normalized
+    to unit mass."""
     if sigma <= 0:
         return values.copy()
     axes_kernels = []
-    for axis in range(grid.ndim):
+    for axis in range(2):
         x = grid.axis_coords(axis)
         lx = grid.lengths[axis]
         dist = np.minimum(x, lx - x)
         axes_kernels.append(np.exp(-(dist**2) / (2 * sigma**2)))
-    if grid.ndim == 1:
-        kern = axes_kernels[0]
-    else:
-        kern = np.outer(axes_kernels[0], axes_kernels[1])
+    kern = np.outer(*axes_kernels)
     kern /= kern.sum()
     return fourier_multiply(grid, values, np.fft.rfftn(kern))

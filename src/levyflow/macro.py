@@ -107,8 +107,6 @@ class MacroRunStats:
         self.clamps = np.zeros(samples, dtype=np.int64)
         self.residuals = np.zeros(samples)
         self.total_iterations = 0
-        self.alpha_min = float("inf")
-        self.alpha_max = -float("inf")
 
     @property
     def clamp_events(self) -> int:
@@ -124,10 +122,6 @@ class MacroRunStats:
     def absorb_solve(self, residuals, iterations):
         np.maximum(self.residuals, np.reshape(residuals, -1), out=self.residuals)
         self.total_iterations += int(iterations)
-
-    def absorb_alpha(self, alpha):
-        self.alpha_min = min(self.alpha_min, float(np.min(alpha)))
-        self.alpha_max = max(self.alpha_max, float(np.max(alpha)))
 
 
 def _per_sample(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -320,32 +314,40 @@ def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.nda
     alpha = cfg.alpha_of_h(h_mean)
     frac = FracLapOperator(grid, 2.0 * alpha)
 
-    hapto_coef = cfg.gamma_g * n_new * state.c / (1.0 + (state.c + state.n) ** 2)
-    ph_coef = cfg.gamma_h * h_new * state.c / (1.0 + (state.c + state.h) ** 2)
-    if cfg.scheme_literal:
-        taxis = (flux_divergence(hapto_coef, h_new, grid)
-                 + flux_divergence(ph_coef, n_new, grid))
-    else:
-        taxis = (flux_divergence(hapto_coef, n_new, grid)
-                 - flux_divergence(ph_coef, h_new, grid))
+    # one errstate for the right-hand side, the solve and the residual: a
+    # sample that is not finite misses solver_tol, and the failure names its cause
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hapto_coef = cfg.gamma_g * n_new * state.c / (1.0 + (state.c + state.n) ** 2)
+        ph_coef = cfg.gamma_h * h_new * state.c / (1.0 + (state.c + state.h) ** 2)
+        if cfg.scheme_literal:
+            taxis = (flux_divergence(hapto_coef, h_new, grid)
+                     + flux_divergence(ph_coef, n_new, grid))
+        else:
+            taxis = (flux_divergence(hapto_coef, n_new, grid)
+                     - flux_divergence(ph_coef, h_new, grid))
 
-    rhs = (state.c
-           + tau * cfg.gamma_2 * state.c * (1.0 - state.c)
-           + tau * taxis)
+        rhs = (state.c
+               + tau * cfg.gamma_2 * state.c * (1.0 - state.c)
+               + tau * taxis)
 
-    shift = tau * cfg.gamma_C
-    c_new = frac.solve_shifted(rhs, shift)
-    # the solve is exact up to rounding; its true residual is still measured
-    rhs_norm = row_norm(_per_sample(rhs, grid))
-    miss = row_norm(_per_sample(rhs - (c_new - shift * frac.apply_values(c_new)), grid))
-    residual = np.divide(miss, rhs_norm, out=np.zeros_like(miss), where=rhs_norm != 0.0)
+        shift = tau * cfg.gamma_C
+        c_new = frac.solve_shifted(rhs, shift)
+        # the solve is exact up to rounding; its true residual is still measured
+        rhs_norm = row_norm(_per_sample(rhs, grid))
+        miss = row_norm(_per_sample(rhs - (c_new - shift * frac.apply_values(c_new)), grid))
+        residual = np.divide(miss, rhs_norm, out=np.zeros_like(miss), where=rhs_norm != 0.0)
     missed = np.flatnonzero(~(residual <= cfg.solver_tol))
     if missed.size:
-        raise SolverDiverged(f"C-step residual {residual[missed[0]]:.3e} above solver_tol "
-                             f"{cfg.solver_tol:.3e}")
+        row = missed[0]
+        cause = ""
+        if not np.isfinite(_per_sample(rhs, grid)[row]).all():
+            cause = ("; the right-hand side is not finite; it is set by [macro] tau, gamma_2, "
+                     "gamma_g and gamma_h, and by the step's H, which [macro] tau, gamma_1 "
+                     "and sigma_W set")
+        raise SolverDiverged(f"C-step residual {residual[row]:.3e} above solver_tol "
+                             f"{cfg.solver_tol:.3e} at step {state.step + 1}{cause}")
     if stats is not None:
         stats.absorb_solve(residual, 0)
-        stats.absorb_alpha(alpha)
     return _clamp(c_new, grid, stats), alpha
 
 

@@ -63,16 +63,15 @@ class MicroState:
     or of a stack of S runs.
 
     A run's ``alive`` is the (M,) mask over the population it started with,
-    its fields have the grid's shape and ``clamp_events`` is an int; a
-    stack's ``alive`` is (S, M), its fields (S, *grid.shape) and its
-    ``clamp_events`` (S,).  ``positions``, ``velocities`` and ``protons``
+    its fields have the shape of its config's grid and ``clamp_events`` is
+    an int; a stack's ``alive`` is (S, M), its fields (S, *grid.shape) and
+    its ``clamp_events`` (S,).  ``positions``, ``velocities`` and ``protons``
     hold one row per True entry of ``alive`` in its C order, so a stack
     holds each sample's living rows in sample order.  ``gradient`` is the
     (n, 2) tissue gradient at ``positions``, set only on a state that
     ``micro_step`` returns; ``dataclasses.replace`` resets it, so a replaced
     state gathers its own."""
 
-    grid: Grid
     positions: np.ndarray  # (n, 2)
     velocities: np.ndarray  # (n, 2)
     protons: np.ndarray  # (n,) intracellular load per particle
@@ -95,10 +94,10 @@ class MicroState:
 
 @dataclass(frozen=True)
 class BilinearStencil:
-    """Bilinear stencil of n positions, laid out corner by corner: entry
-    ``k * n + p`` holds corner k of position p as a flat node index
-    ``i * my + j`` (plus the position's offset, if any) and its weight.
-    Both arrays have shape (4n,)."""
+    """Bilinear stencil of n positions: row k of ``flat`` and ``weights``,
+    both C-contiguous (4, n) arrays, holds corner k of each position as a
+    flat node index ``i * my + j`` (plus the position's offset, if any) and
+    its weight."""
 
     flat: np.ndarray
     weights: np.ndarray
@@ -149,15 +148,15 @@ def bilinear_stencil(grid: Grid, positions, offsets=None) -> BilinearStencil:
     np.add(i1, j0, out=flat[1])
     np.add(i0, j1, out=flat[2])
     np.add(i1, j1, out=flat[3])
-    return BilinearStencil(flat.reshape(-1), weights.reshape(-1))
+    return BilinearStencil(flat, weights)
 
 
 def gather(field_values: np.ndarray, stencil: BilinearStencil) -> np.ndarray:
     """The weighted sum of ``field_values`` at each position's corners,
     added in corner order 0, 1, 2, 3.  One corner's terms are made at a
     time, so a gather holds two (n,) arrays, not five."""
-    out = np.zeros(stencil.flat.shape[0] // 4)
-    for flat, weights in _corners(stencil):
+    out = np.zeros(stencil.flat.shape[1])
+    for flat, weights in zip(stencil.flat, stencil.weights):
         term = field_values.take(flat)
         np.multiply(weights, term, out=term)
         out += term
@@ -170,13 +169,8 @@ def scatter_add(field_values: np.ndarray, stencil: BilinearStencil, amounts):
     if not field_values.flags.c_contiguous:
         raise ValueError("scatter_add needs a C-contiguous field to update in place")
     nodes = field_values.reshape(-1)
-    for flat, weights in _corners(stencil):
+    for flat, weights in zip(stencil.flat, stencil.weights):
         np.add.at(nodes, flat, weights * amounts)
-
-
-def _corners(stencil: BilinearStencil):
-    """(flat node indices, weights) of each corner in order, as (n,) views."""
-    return zip(stencil.flat.reshape(4, -1), stencil.weights.reshape(4, -1))
 
 
 def wrap_positions(positions: np.ndarray, lengths) -> np.ndarray:
@@ -209,7 +203,6 @@ def micro_init(cfg: MicroConfig) -> MicroState:
     positions = np.column_stack([px.ravel()[:m], py.ravel()[:m]])
     tissue = smoothed_uniform_field(cfg.grid, cfg.ic_seed, cfg.tissue_smooth_sigma)
     return MicroState(
-        grid=cfg.grid,
         positions=positions,
         velocities=np.zeros((m, 2)),
         protons=np.full(m, cfg.proton_init),
@@ -245,7 +238,7 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk
     step's draws from ``rng``; otherwise the step draws them itself.
     """
     tau = cfg.tau
-    grid = state.grid
+    grid = cfg.grid
     single = isinstance(rng, RngStream)
     streams = (rng,) if single else rng
     samples = len(streams)
@@ -254,7 +247,7 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk
 
     def stencil(positions):
         # sample s of a stack addresses its fields from flat node s * nodes
-        return bilinear_stencil(grid, positions, None if single else idx // m * state.acid[0].size)
+        return bilinear_stencil(grid, positions, None if single else idx // m * grid.node_count)
 
     grad = state.gradient
     if grad is None:
@@ -307,7 +300,6 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk
         grad = grad.compress(keep, axis=0)
 
     out = MicroState(
-        grid=grid,
         positions=pos,
         velocities=vel,
         protons=protons,
@@ -471,8 +463,7 @@ def _stacked(state: MicroState, samples: int) -> MicroState:
                                                      state.protons))
     masks_and_fields = (np.broadcast_to(a, (samples,) + a.shape)
                         for a in (state.alive, state.acid, state.tissue))
-    return MicroState(state.grid, *rows, *masks_and_fields, state.t,
-                      np.full(samples, state.clamp_events))
+    return MicroState(*rows, *masks_and_fields, state.t, np.full(samples, state.clamp_events))
 
 
 def _unstacked(state: MicroState, counts: np.ndarray) -> list:
@@ -482,10 +473,9 @@ def _unstacked(state: MicroState, counts: np.ndarray) -> list:
     ends = np.cumsum(counts[-1])
     runs = []
     for k, (start, end) in enumerate(zip(ends - counts[-1], ends)):
-        sample = MicroState(state.grid, state.positions[start:end],
-                            state.velocities[start:end], state.protons[start:end],
-                            state.alive[k], state.acid[k], state.tissue[k], state.t,
-                            int(state.clamp_events[k]))
+        sample = MicroState(state.positions[start:end], state.velocities[start:end],
+                            state.protons[start:end], state.alive[k], state.acid[k],
+                            state.tissue[k], state.t, int(state.clamp_events[k]))
         runs.append((sample, counts[:, k].tolist()))
     return runs
 
@@ -501,7 +491,7 @@ def deposit_fields(state: MicroState, cfg: MicroConfig):
     The smoothing kernel integrates to one, so total mass is preserved; a
     vanishing bandwidth returns the fields unchanged.
     """
-    acid = periodic_gaussian_blur(state.acid, state.grid, cfg.deposit_bandwidth)
-    tissue = periodic_gaussian_blur(state.tissue, state.grid, cfg.deposit_bandwidth)
-    return GridField(state.grid, acid), GridField(state.grid, tissue)
+    acid = periodic_gaussian_blur(state.acid, cfg.grid, cfg.deposit_bandwidth)
+    tissue = periodic_gaussian_blur(state.tissue, cfg.grid, cfg.deposit_bandwidth)
+    return GridField(cfg.grid, acid), GridField(cfg.grid, tissue)
 

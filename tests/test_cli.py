@@ -473,6 +473,23 @@ def test_a_non_finite_h_step_rhs_names_the_initial_h_keys(tmp_path, capsys):
                                         "sigma_W"))
 
 
+@pytest.mark.parametrize("key", ["sigma_W = 1e200", "gamma_1 = 1e300"])
+def test_a_non_finite_c_step_rhs_names_its_keys_and_those_of_h(tmp_path, capsys, key):
+    """An H-step that solves to a finite H this large overflows the C-step's
+    taxis fluxes: the run exits 5, naming the C-step, its step and the keys
+    of its right-hand side and of H; no overflow RuntimeWarning escapes
+    (the suite raises them as errors)."""
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(f"[macro]\nN = 3\n{key}\n")
+    assert _run("--config", str(cfgfile), "--seed", "7", "--out", str(tmp_path / "o"),
+                "macro") == 5
+    err = capsys.readouterr().err
+    assert "solver diverged: C-step residual nan above solver_tol" in err
+    assert "at step 1; the right-hand side is not finite" in err
+    assert all(name in err for name in ("[macro] tau", "gamma_2", "gamma_g", "gamma_h",
+                                        "gamma_1", "sigma_W"))
+
+
 def _package_env():
     """This environment with the tested package first on PYTHONPATH."""
     src = str(Path(levyflow.__file__).resolve().parents[1])

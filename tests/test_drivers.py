@@ -50,13 +50,13 @@ def test_distinct_streams_decorrelated():
 
 def test_gaussian_variance_scales_with_dt():
     rng = RngStream(10, 0)
-    draws = draw_noise("gaussian", rng, 0.25, size=200_000)
+    draws = draw_noise("gaussian", rng, 0.25, out=np.empty(200_000))
     assert float(np.var(draws)) == pytest.approx(0.25, rel=0.02)
 
 
 def test_gaussian_unit_variance_large_sample():
     rng = RngStream(11, 0)
-    draws = draw_noise("gaussian", rng, 1.0, size=1_000_000)
+    draws = draw_noise("gaussian", rng, 1.0, out=np.empty(1_000_000))
     assert float(np.var(draws)) == pytest.approx(1.0, abs=0.01)
 
 
@@ -96,7 +96,7 @@ def _picked_laws(monkeypatch, u, weights):
     ``u`` under ``weights``: 0 normal, 1 Laplace, 2 triangular."""
     monkeypatch.setattr(drivers, "SWITCHING_WEIGHTS", weights)
     given = _GivenDraws(uniform=u, normal=0.0, laplace=1.0, triangular=2.0)
-    return draw_noise("switching", given, 1.0, size=np.shape(u))
+    return draw_noise("switching", given, 1.0, out=np.empty(np.shape(u)))
 
 
 def test_switching_selector_partition(monkeypatch):
@@ -128,25 +128,26 @@ def test_switching_frequencies(monkeypatch):
     replay = RngStream(12, 0)
     replay.uniform(n)
     normal, laplace = replay.normal(n), replay.laplace(n)
-    draws = draw_noise("switching", RngStream(12, 0), 1.0, size=n)
+    draws = draw_noise("switching", RngStream(12, 0), 1.0, out=np.empty(n))
     assert abs(np.mean(draws == normal) - SWITCHING_WEIGHTS[0]) < 0.02
     assert abs(np.mean(draws == laplace) - SWITCHING_WEIGHTS[1]) < 0.02
 
 
 def test_cauchy_modulated_kernel_zero_at_zero():
     assert draw_noise("cauchy_modulated", _GivenDraws(cauchy=0.0, normal=1.7), 0.3,
-                      size=()) == 0.0
+                      out=np.empty(())) == 0.0
     # the sine bounds the scale by the amplitude
     sig = RngStream(13, 0).cauchy(1000)
-    draws = draw_noise("cauchy_modulated", _GivenDraws(cauchy=sig, normal=1.0), 1.0, size=1000)
+    draws = draw_noise("cauchy_modulated", _GivenDraws(cauchy=sig, normal=1.0), 1.0,
+                       out=np.empty(1000))
     assert np.max(np.abs(draws)) <= 10.0
 
 
 def test_switching_draw_shapes():
     rng = RngStream(14, 0)
-    arr = draw_noise("switching", rng, 0.1, size=(7, 2))
+    arr = draw_noise("switching", rng, 0.1, out=np.empty((7, 2)))
     assert arr.shape == (7, 2)
-    arr2 = draw_noise("cauchy_modulated", rng, 0.1, size=(7, 2))
+    arr2 = draw_noise("cauchy_modulated", rng, 0.1, out=np.empty((7, 2)))
     assert arr2.shape == (7, 2)
 
 
@@ -194,7 +195,7 @@ def test_noise_law_matches_its_characteristic_function(law):
     dt = 0.25
     xi = np.array([0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
     exact = _CLOSED_FORMS[law](xi * math.sqrt(dt))
-    draws = draw_noise(law, RngStream(15, 0), dt, size=2**20)
+    draws = draw_noise(law, RngStream(15, 0), dt, out=np.empty(2**20))
     for x, phi in zip(xi, exact):
         for part, values, want in (("real", np.cos(x * draws), phi.real),
                                    ("imag", np.sin(x * draws), phi.imag)):

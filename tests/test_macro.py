@@ -380,11 +380,11 @@ def test_translation_equivariance_noise_off():
 
 def test_full_run_invariants_and_golden_hash():
     cfg = MacroConfig()
-    snaps, stats = run_macro(cfg, RngStream(20240901, 0), snapshot_steps=[150])
+    snaps, stats = run_macro(cfg, RngStream(20240901, 0), snapshot_steps=range(1, 151))
     final = snaps[-1]
     assert stats.clamp_events == 0
     assert stats.max_residual <= cfg.solver_tol
-    assert cfg.a_1 <= stats.alpha_min <= stats.alpha_max <= cfg.a_2
+    assert all(cfg.a_1 <= s.alpha_value <= cfg.a_2 for s in snaps)
     for arr in (final.h, final.c, final.n):
         assert np.all(np.isfinite(arr))
         assert arr.min() >= 0.0

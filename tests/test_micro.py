@@ -44,7 +44,6 @@ GOLDEN_MICRO_SHA256 = {
 def _quiet_state(positions, tissue=None, acid=None, protons=1.0):
     m = positions.shape[0]
     return MicroState(
-        grid=GRID,
         positions=np.asarray(positions, dtype=float),
         velocities=np.zeros((m, 2)),
         protons=np.full(m, float(protons)),
@@ -219,7 +218,7 @@ def test_dead_particle_neither_moves_nor_acts(monkeypatch):
     for name in ("acid", "tissue"):
         assert getattr(s1, name).tobytes() == getattr(full, name).tobytes(), name
 
-    never = MicroState(GRID, s1.positions.copy(), s1.velocities.copy(), s1.protons.copy(),
+    never = MicroState(s1.positions.copy(), s1.velocities.copy(), s1.protons.copy(),
                        np.ones(m - 1, dtype=bool), s1.acid.copy(), s1.tissue.copy(),
                        s1.t, s1.clamp_events)
     s2 = micro_step(s1, cfg, RngStream(9, 1))
@@ -482,9 +481,9 @@ def test_a_replaced_state_steps_like_a_fresh_build():
     assert stepped.gradient is not None
     # the stepped state's gradient is at positions the replaced one lacks
     moved = dataclasses.replace(stepped, positions=stepped.positions[::-1].copy())
-    fresh = MicroState(moved.grid, moved.positions.copy(), moved.velocities.copy(),
-                       moved.protons.copy(), moved.alive.copy(), moved.acid.copy(),
-                       moved.tissue.copy(), moved.t, moved.clamp_events)
+    fresh = MicroState(moved.positions.copy(), moved.velocities.copy(), moved.protons.copy(),
+                       moved.alive.copy(), moved.acid.copy(), moved.tissue.copy(), moved.t,
+                       moved.clamp_events)
     replaced = micro_step(moved, cfg, RngStream(8, 1))
     built = micro_step(fresh, cfg, RngStream(8, 1))
     for name in ("positions", "velocities", "protons", "alive", "acid", "tissue"):
@@ -590,6 +589,19 @@ def test_stencil_wraps_like_the_integer_modulo(grid):
         assert stencil.flat.tobytes() == flat.tobytes() == four_flat.tobytes()
         assert stencil.weights.tobytes() == np.concatenate(weights).tobytes() \
             == four_weights.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_stencil_rows_are_its_corners(n):
+    # flat and weights are C-contiguous (4, n) arrays, corner k in row k
+    pos = np.random.Generator(np.random.Philox(key=[19, 0])).random((n, 2))
+    stencil = bilinear_stencil(GRID, pos)
+    corners, weights = _reference_corners(GRID, pos)
+    for got in (stencil.flat, stencil.weights):
+        assert got.shape == (4, n) and got.flags.c_contiguous
+    for k, ((i, j), w) in enumerate(zip(corners, weights)):
+        assert stencil.flat[k].tolist() == (i * GRID.shape[1] + j).tolist()
+        assert stencil.weights[k].tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("length", [1.0, 0.7, 3.0])
