@@ -49,7 +49,7 @@ from .formats import (
 )
 from .fracops import FracLapOperator, spectral_oracle
 from .grids import Grid, GridField
-from .macro import default_snapshot_steps, run_macro, snapshot_stack
+from .macro import run_macro, snapshot_stack
 from .micro import deposit_fields, run_micro, survival_fraction
 from .symbols import generator_symbol_table, growth_bound_constant
 
@@ -191,8 +191,7 @@ def cmd_micro(sections, args, out: Path) -> Outcome:
 
 def cmd_macro(sections, args, out: Path) -> Outcome:
     cfg, echo = cfgmod.macro_config_from(sections)
-    snapshots, stats = run_macro(cfg, RngStream(args.seed, 0),
-                                 snapshot_steps=default_snapshot_steps(cfg.n_steps))
+    snapshots, stats = run_macro(cfg, RngStream(args.seed, 0))
     paths = _write_stacks(out, cfg.grid, _MACRO_FIELDS, [("", snapshot_stack(snapshots))],
                           [s.step for s in snapshots])
     series = [(s.step, s.t, s.alpha_value, float(s.h.sum()), float(s.c.sum()), float(s.n.sum()))

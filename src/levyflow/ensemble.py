@@ -100,7 +100,8 @@ def _run_chunk(args) -> list:
 
     Macro samples advance as one stack.  Micro samples advance in stacks of
     at most ``MICRO_STACK_PARTICLES`` starting particles (one sample at the
-    least), all from one initial state built once per chunk.  A stack fails
+    least), all from one initial state built once per chunk; an error there
+    propagates, and run_ensemble names the chunk's first id.  A stack fails
     as a whole, so its samples then run alone, in id order, and the chunk
     stops at the first that fails: its lowest failing id.
     """
@@ -115,10 +116,7 @@ def _run_chunk(args) -> list:
             return [SampleRecord(values, values, int(clamps), float(residual))
                     for values, clamps, residual in zip(per_sample, stats.clamps, stats.residuals)]
     else:
-        try:
-            initial = micro_init(cfg)  # the same for every sample, and no step changes it
-        except Exception as exc:  # noqa: BLE001 - reported for the chunk's first id
-            return [exc]
+        initial = micro_init(cfg)  # the same for every sample, and no step changes it
         per_stack = max(1, MICRO_STACK_PARTICLES // initial.positions.shape[0])
 
         def records(ids):
@@ -153,7 +151,6 @@ def _chunks(n_samples: int, workers: int) -> list:
 
 @dataclass
 class EnsembleStats:
-    kind: str
     n_samples: int
     snapshot_steps: tuple
     mean: np.ndarray
@@ -207,13 +204,7 @@ def run_ensemble(kind: str, cfg, ens: EnsembleConfig) -> EnsembleStats:
         steps = tuple(sorted(set(steps or default_snapshot_steps(cfg.n_steps))))
 
     acc = WelfordAccumulator()
-    stats = EnsembleStats(
-        kind=kind,
-        n_samples=ens.n_samples,
-        snapshot_steps=steps,
-        mean=None,
-        variance=None,
-    )
+    stats = EnsembleStats(n_samples=ens.n_samples, snapshot_steps=steps, mean=None, variance=None)
     payloads = [(kind, cfg, ens.base_seed, first, count, steps)
                 for first, count in _chunks(ens.n_samples, ens.workers)]
     # map yields chunks in submission order, so records arrive by sample id

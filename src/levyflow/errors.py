@@ -26,7 +26,12 @@ class GridMismatch(LevyflowError):
 
 
 class SolverDiverged(LevyflowError):
-    pass
+    """A solve failed; ``row`` is the failing system's row in its stack, 0
+    where the error names none."""
+
+    def __init__(self, message="", row=0):
+        super().__init__(message)
+        self.row = row
 
 
 class ConfigInvalid(LevyflowError):

@@ -14,9 +14,10 @@ The solver advances a stack of independent systems in lockstep, one
 system per row of the stack, each with its own scalars (rho, alpha,
 omega).  Every norm and dot product is a per-row reduction, so a
 system's bits do not depend on how many others share its stack; a single
-system is a stack of one.  Each breakdown and convergence test is made on
-the whole stack first, and the mask of active rows it applies to is built
-only when the test hits, which it rarely does.
+system is a stack of one, and the first row to fail fails the stack.  Each
+breakdown and convergence test is made on the whole stack first, and the
+mask of active rows it applies to is built only when the test hits, which
+it rarely does.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from .errors import SolverDiverged
 
 @dataclass
 class SolveResult:
+    """A solved stack: every system met the tolerance."""
+
     solution: np.ndarray
-    residual: float  # largest true relative residual over the solved systems
+    residual: float  # largest true relative residual over the systems
     iterations: int  # iterations summed over the systems
-    residuals: np.ndarray  # per system; nan where it failed
+    residuals: np.ndarray  # per system
     iteration_counts: np.ndarray  # per system
-    failures: dict  # row -> SolverDiverged
 
 
 def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -60,10 +62,10 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
 
     ``b`` stacks independent systems along its first axis (a single system
     is a stack of one), and ``apply_op`` must act on each row of a stack on
-    its own.  A system is frozen once it converges.  One that does not meet
-    the target within ``max_iterations`` (default 10 * system size), or
-    breaks down, keeps its initial guess and is listed in ``failures`` with
-    its :class:`SolverDiverged`; nothing is raised.
+    its own.  A system is frozen once it converges.  The first that breaks
+    down, or that does not meet the target within ``max_iterations``
+    (default 10 * system size), raises :class:`SolverDiverged` for the
+    whole stack, with its row; the lowest row where several fail at once.
     """
     b = np.asarray(b, dtype=float)
     shape = b.shape
@@ -90,28 +92,23 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
             active[done] = False
 
     def fail(hit, message):
-        """Fail the active systems where ``hit`` holds.  ``hit`` is tested on
+        """Raise for the first active system where ``hit`` holds, tested on
         the whole stack first, so the usual no-breakdown case builds no mask."""
-        if hit.any():
-            failed = active & hit
-            for row in np.flatnonzero(failed):
-                failures[int(row)] = SolverDiverged(message(row))
-                residuals[row] = np.nan
-            active[failed] = False
+        if hit.any() and (failed := np.flatnonzero(active & hit)).size:
+            raise SolverDiverged(message(failed[0]), int(failed[0]))
 
-    # frozen and failed rows keep being carried through the arithmetic,
-    # where they may divide by zero; only active rows are ever read
+    # frozen rows keep being carried through the arithmetic, where they may
+    # divide by zero; only active rows are ever read
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = rows - op(x)
         res = row_norm(r) / scale
         if (zero | (res <= tol)).all():  # a finished start: return it as it is
             residuals = np.where(zero, 0.0, res)
             return SolveResult(x.reshape(shape), float(residuals.max()), 0, residuals,
-                               np.zeros(n_sys, dtype=np.int64), {})
+                               np.zeros(n_sys, dtype=np.int64))
         solution = x.copy()
         residuals = np.zeros(n_sys)
         counts = np.zeros(n_sys, dtype=np.int64)
-        failures = {}
         active = ~zero
         finish(active & (res <= tol), x, res, 0)
         fail(~np.isfinite(res), lambda row: "BiCGSTAB breakdown: non-finite residual")
@@ -159,12 +156,5 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
             fail(active, lambda row: f"no convergence in {max_iterations} iterations "
                                      f"(residual {final[row]:.3e})")
 
-    solved = np.isfinite(residuals)
-    return SolveResult(
-        solution.reshape(shape),
-        float(residuals[solved].max()) if solved.any() else 0.0,
-        int(counts.sum()),
-        residuals,
-        counts,
-        failures,
-    )
+    return SolveResult(solution.reshape(shape), float(residuals.max()), int(counts.sum()),
+                       residuals, counts)

@@ -101,12 +101,11 @@ class MacroState:
 
 
 class MacroRunStats:
-    """Diagnostics of a run of S samples, kept per sample."""
+    """The run record of a stack: each sample's clamps and largest residual."""
 
     def __init__(self, samples: int = 1):
         self.clamps = np.zeros(samples, dtype=np.int64)
         self.residuals = np.zeros(samples)
-        self.total_iterations = 0
 
     @property
     def clamp_events(self) -> int:
@@ -119,9 +118,8 @@ class MacroRunStats:
     def absorb_clamps(self, counts):
         self.clamps += np.reshape(counts, -1)
 
-    def absorb_solve(self, residuals, iterations):
+    def absorb_solve(self, residuals):
         np.maximum(self.residuals, np.reshape(residuals, -1), out=self.residuals)
-        self.total_iterations += int(iterations)
 
 
 def _per_sample(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -129,14 +127,13 @@ def _per_sample(values: np.ndarray, grid: Grid) -> np.ndarray:
     return values.reshape(-1, grid.node_count)
 
 
-def _clamp(values: np.ndarray, grid: Grid, stats: MacroRunStats | None) -> np.ndarray:
+def _clamp(values: np.ndarray, grid: Grid, stats: MacroRunStats) -> np.ndarray:
     """Set the negative values to zero in place (-0.0 and NaN stay), and
     count those below -_CLAMP_TOL per sample.  A field with no negative
     value, the usual case, is left as it is after one test."""
     neg = values < 0.0
     if neg.any():
-        if stats is not None:
-            stats.absorb_clamps(np.count_nonzero(_per_sample(values, grid) < -_CLAMP_TOL, axis=1))
+        stats.absorb_clamps(np.count_nonzero(_per_sample(values, grid) < -_CLAMP_TOL, axis=1))
         values[neg] = 0.0
     return values
 
@@ -182,12 +179,12 @@ def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Each substep advances a stack of S samples, fields (S, *grid.shape), one
-# stream of a StreamChunk per row.  A stack fails as a whole: the first
-# failing check raises, naming no row, and a caller that needs to know which
-# sample failed runs the samples alone.
+# stream of a StreamChunk per row, and records into one MacroRunStats.  A
+# stack fails as a whole: the first failing check raises, naming no sample,
+# and a caller that needs to know which sample failed runs them alone.
 
 
-def step_n(state: MacroState, cfg: MacroConfig, stats: MacroRunStats | None = None):
+def step_n(state: MacroState, cfg: MacroConfig, stats: MacroRunStats):
     """Explicit tissue update; decay per the continuous model, growth only
     under ``scheme_literal``."""
     sign = 1.0 if cfg.scheme_literal else -1.0
@@ -262,8 +259,7 @@ class HOperator:
         return x
 
 
-def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk,
-           stats: MacroRunStats | None = None):
+def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, stats: MacroRunStats):
     """Implicit advection-diffusion solve for the proton index."""
     grid = cfg.grid
     tau = cfg.tau
@@ -276,9 +272,10 @@ def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk,
                + tau * cfg.gamma_1 * state.h * (1.0 - state.h)
                + cfg.sigma_W * state.h * noise)
         start = apply_op.jacobi(rhs, _H_SWEEPS)
-    res = bicgstab(apply_op, rhs, cfg.solver_tol, x0=start)
-    if res.failures:
-        row = min(res.failures)
+    try:
+        res = bicgstab(apply_op, rhs, cfg.solver_tol, x0=start)
+    except SolverDiverged as err:
+        row = err.row
         off = apply_op.off_diagonal_sums()[row]
         if not np.isfinite(_per_sample(rhs, grid)[row]).all():
             h_from = ("the initial H of [macro] h0_amp and h0_sigma" if state.step == 0
@@ -291,15 +288,14 @@ def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk,
         else:
             cause = "the stencil is set by [macro] tau, sigma_H and gamma_f"
         raise SolverDiverged(
-            f"H-step at step {state.step + 1}: {res.failures[row]} (largest off-diagonal "
-            f"weight sum {off:.3g} against a centre of {apply_op.centre:.3g}; {cause})")
-    if stats is not None:
-        stats.absorb_solve(res.residuals, res.iterations)
+            f"H-step at step {state.step + 1}: {err} (largest off-diagonal weight sum "
+            f"{off:.3g} against a centre of {apply_op.centre:.3g}; {cause})") from None
+    stats.absorb_solve(res.residuals)
     return _clamp(res.solution, grid, stats)
 
 
 def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.ndarray,
-           stats: MacroRunStats | None = None):
+           stats: MacroRunStats):
     """Implicit fractional-diffusion solve for the cancer density.
 
     The spectral exponent is p = 2 * alpha(mean H), refreshed every step
@@ -346,13 +342,12 @@ def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.nda
                      "and sigma_W set")
         raise SolverDiverged(f"C-step residual {residual[row]:.3e} above solver_tol "
                              f"{cfg.solver_tol:.3e} at step {state.step + 1}{cause}")
-    if stats is not None:
-        stats.absorb_solve(residual, 0)
+    stats.absorb_solve(residual)
     return _clamp(c_new, grid, stats), alpha
 
 
 def macro_step(state: MacroState, cfg: MacroConfig, streams: StreamChunk,
-               stats: MacroRunStats | None = None) -> MacroState:
+               stats: MacroRunStats) -> MacroState:
     n_new = step_n(state, cfg, stats)
     h_new = step_h(state, cfg, streams, stats)
     c_new, alpha = step_c(state, cfg, h_new, n_new, stats)
@@ -372,11 +367,10 @@ def default_snapshot_steps(n_steps: int) -> tuple:
 
 def run_macro(cfg: MacroConfig, rng: RngStream | StreamChunk, snapshot_steps=None,
               initial_state: MacroState | None = None):
-    """Run the full scheme; returns (snapshots, stats).
+    """Run the full scheme; returns (snapshots, the run's MacroRunStats).
 
     ``snapshot_steps`` lists the step indices to keep (0 = initial state),
-    each kept once, in step order; by default only the initial and final
-    states are kept.
+    each kept once, in step order; by default ``default_snapshot_steps``.
 
     ``rng`` is one RngStream for a single run, whose snapshots hold fields
     of the grid shape.  A StreamChunk of S streams runs S samples in
@@ -384,9 +378,8 @@ def run_macro(cfg: MacroConfig, rng: RngStream | StreamChunk, snapshot_steps=Non
     run is a chunk of one.  A chunk's snapshots hold ``(S, *grid.shape)``
     fields.  A failure of any sample raises for the whole run.
     """
-    if snapshot_steps is None:
-        snapshot_steps = [0, cfg.n_steps]
-    wanted = set(snapshot_steps)
+    wanted = set(default_snapshot_steps(cfg.n_steps) if snapshot_steps is None
+                 else snapshot_steps)
 
     single = isinstance(rng, RngStream)
     streams = StreamChunk([rng]) if single else rng

@@ -60,7 +60,8 @@ class MicroConfig:
 @dataclass
 class MicroState:
     """The living particles, in index order, and the grid fields of one run
-    or of a stack of S runs.
+    or of a stack of S runs.  ``micro_step`` steps stacks only; a run's
+    state is what ``micro_init`` builds and ``run_micro`` returns.
 
     A run's ``alive`` is the (M,) mask over the population it started with,
     its fields have the shape of its config's grid and ``clamp_events`` is
@@ -217,7 +218,7 @@ def micro_init(cfg: MicroConfig) -> MicroState:
 # ---------------------------------------------------------------------------
 
 
-def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk,
+def micro_step(state: MicroState, cfg: MicroConfig, streams: StreamChunk,
                noise: NoiseAhead | None = None) -> MicroState:
     """One explicit Euler step of the coupled particle/field dynamics.
 
@@ -228,26 +229,24 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk
     the stencil after the move: that is bitwise the gradient a fresh build
     of the next step would gather.
 
-    ``rng`` is a run's stream, or for a stack the StreamChunk of its
-    samples' streams in sample order.  Every particle of a stack reads and
-    writes its own sample's fields only, and each node sums its particles'
-    contributions in their order, so each sample's bits are those of its
-    run alone.  The step writes nothing into ``state``.
+    ``state`` is a stack (see MicroState) and ``streams`` the StreamChunk
+    of its samples' streams in sample order.  Every particle of a stack
+    reads and writes its own sample's fields only, and each node sums its
+    particles' contributions in their order, so each sample's bits are
+    those of its run alone.  The step writes nothing into ``state``.
 
     ``noise``, if given, is run_micro's NoiseAhead, which hands out this
-    step's draws from ``rng``; otherwise the step draws them itself.
+    step's draws from ``streams``; otherwise the step draws them itself.
     """
     tau = cfg.tau
     grid = cfg.grid
-    single = isinstance(rng, RngStream)
-    streams = (rng,) if single else rng
     samples = len(streams)
     m = state.alive.shape[-1]
     idx = np.flatnonzero(state.alive)
 
     def stencil(positions):
-        # sample s of a stack addresses its fields from flat node s * nodes
-        return bilinear_stencil(grid, positions, None if single else idx // m * grid.node_count)
+        # sample s addresses its fields from flat node s * nodes
+        return bilinear_stencil(grid, positions, idx // m * grid.node_count)
 
     grad = state.gradient
     if grad is None:
@@ -307,7 +306,7 @@ def micro_step(state: MicroState, cfg: MicroConfig, rng: RngStream | StreamChunk
         acid=acid,
         tissue=tissue,
         t=state.t + tau,
-        clamp_events=state.clamp_events + (int(clamps[0]) if single else clamps),
+        clamp_events=state.clamp_events + clamps,
     )
     out.gradient = grad
     return out
@@ -424,12 +423,12 @@ def run_micro(cfg: MicroConfig, rng: RngStream | StreamChunk,
               initial_state: MicroState | None = None):
     """Run the configured number of steps.
 
-    ``rng`` is one RngStream for a single run, which returns the final
-    state and the alive count before the first step and after each.  A
-    StreamChunk of S streams advances S samples as one stack, all from the
-    same initial state, and returns each sample's (final state, alive
-    counts) in stream order, each bit for bit its single run, and the
-    stack's total alive count per step.  Counts are Python ints.
+    A StreamChunk of S streams advances S samples as one stack, all from
+    the same initial state, and returns each sample's (final state, alive
+    counts before the first step and after each) in stream order, each bit
+    for bit its single run, and the stack's total alive count per step.
+    One RngStream runs a stack of one and returns its (final state, alive
+    counts).  Counts are Python ints.
 
     ``initial_state`` stands in for ``micro_init(cfg)``, so that samples
     of one config can share it; no step changes the state it is given.
@@ -441,19 +440,19 @@ def run_micro(cfg: MicroConfig, rng: RngStream | StreamChunk,
     thread outlives the call."""
     first = micro_init(cfg) if initial_state is None else initial_state
     single = isinstance(rng, RngStream)
-    state = first if single else _stacked(first, len(rng))
+    streams = StreamChunk([rng]) if single else rng
+    state = _stacked(first, len(streams))
     counts = [np.count_nonzero(state.alive, axis=-1)]
-    noise = NoiseAhead(cfg, (rng,) if single else rng, state.alive.shape[-1])
+    noise = NoiseAhead(cfg, streams, state.alive.shape[-1])
     try:
         for _ in range(cfg.n_steps):
-            state = micro_step(state, cfg, rng, noise)
+            state = micro_step(state, cfg, streams, noise)
             counts.append(np.count_nonzero(state.alive, axis=-1))
     finally:
         noise.close()
     counts = np.array(counts)
-    if single:
-        return state, counts.tolist()
-    return _unstacked(state, counts), counts.sum(axis=1).tolist()
+    runs = _unstacked(state, counts)
+    return runs[0] if single else (runs, counts.sum(axis=1).tolist())
 
 
 def _stacked(state: MicroState, samples: int) -> MicroState:

@@ -128,6 +128,26 @@ def test_sample_failure_aborts_with_seed(monkeypatch):
         assert "no convergence in 1 iterations" in str(err.value.cause)
 
 
+def test_a_chunk_whose_initial_state_fails_names_its_first_sample(monkeypatch):
+    """A micro chunk builds one initial state for all its samples; when that
+    raises, the ensemble names the chunk's first id, sample 0, with the
+    error as its cause.  The pool starts by fork, so its workers inherit the
+    patch."""
+
+    def failing_init(cfg):
+        raise FloatingPointError("initial state")
+
+    monkeypatch.setattr(ensemble, "micro_init", failing_init)
+    for workers in (1, 2):
+        ens = EnsembleConfig(n_samples=4, base_seed=17, workers=workers)
+        with pytest.raises(EnsembleSampleError) as err:
+            run_ensemble("micro", SMALL_MICRO, ens)
+        assert (err.value.base_seed, err.value.sample_index) == (17, 0)
+        assert isinstance(err.value.cause, FloatingPointError)
+        assert str(err.value.cause) == "initial state"
+        assert err.value.__cause__ is err.value.cause
+
+
 def _nan_normals_for(monkeypatch, failing):
     """Make ``RngStream.normal`` return NaN on the draws ``failing`` maps
     each stream index to, counted from 1 per stream object: the Q-Wiener

@@ -59,17 +59,29 @@ def test_done_at_the_half_step_applies_no_more():
 
     res = bicgstab(op, np.ones(4)[None], tol=1e-12)
     assert np.allclose(res.solution[0], 1.0 / 3.0)
-    assert res.iterations == 1 and res.failures == {}
+    assert res.iterations == 1
     assert len(calls) == 3
 
 
 def test_divergence_reported():
-    res = bicgstab(lambda x: 0.0 * x, np.ones(4)[None], max_iterations=5)
-    assert isinstance(res.failures[0], SolverDiverged)
+    with pytest.raises(SolverDiverged, match=r"^BiCGSTAB breakdown: \(r_hat, v\) = 0$") as err:
+        bicgstab(lambda x: 0.0 * x, np.ones(4)[None], max_iterations=5)
+    assert err.value.row == 0
     a, b = _dense_system(5)
-    res = bicgstab(lambda x: x @ a.T, (b + 1.0)[None], tol=1e-14, max_iterations=1,
-                   x0=np.zeros_like(b)[None])
-    assert isinstance(res.failures[0], SolverDiverged)
+    with pytest.raises(SolverDiverged, match=r"^no convergence in 1 iterations \(residual ") as err:
+        bicgstab(lambda x: x @ a.T, (b + 1.0)[None], tol=1e-14, max_iterations=1,
+                 x0=np.zeros_like(b)[None])
+    assert err.value.row == 0
+
+
+def test_a_failing_row_fails_its_stack_and_is_named():
+    """Row 0 is finished at its start and row 2 is solvable, but row 1's
+    operator is zero: it breaks down, and the whole stack raises with row 1."""
+    scale = np.array([1.0, 0.0, 2.0])[:, None]
+    b = np.ones((3, 4))
+    with pytest.raises(SolverDiverged, match=r"^BiCGSTAB breakdown: \(r_hat, v\) = 0$") as err:
+        bicgstab(lambda x: scale * x, b, x0=b.copy())
+    assert err.value.row == 1
 
 
 
@@ -114,7 +126,6 @@ def test_finished_start_rows_equal_rows_solved_alone():
         assert stacked.solution[row].tobytes() == alone.solution[0].tobytes()
         assert stacked.residuals[row].tobytes() == alone.residuals[0].tobytes()
         assert stacked.iteration_counts[row] == alone.iteration_counts[0]
-        assert (row in stacked.failures) == bool(alone.failures)
     assert stacked.iteration_counts[:2].tolist() == [0, 0]
     assert stacked.residuals[1] == 0.0 and np.all(stacked.solution[1] == 0.0)
 
@@ -133,7 +144,6 @@ def test_finished_start_applies_the_operator_once():
     res = bicgstab(op, b, 1e-10, x0=x0)
     assert len(calls) == 1
     assert res.iterations == 0 and res.iteration_counts.tolist() == [0, 0, 0]
-    assert res.failures == {}
     assert res.solution.tobytes() == x0.tobytes()
     assert res.residuals[2] == 0.0 and res.residual == res.residuals.max() <= 1e-10
 
@@ -141,9 +151,9 @@ def test_finished_start_applies_the_operator_once():
 def test_nan_start_still_fails_with_a_non_finite_residual():
     x0 = np.ones((1, 6))
     x0[0, 3] = np.nan
-    res = bicgstab(_mixed_op, np.ones((1, 6)), 1e-10, x0=x0)
-    assert "non-finite residual" in str(res.failures[0])
-    assert np.isnan(res.residuals[0]) and res.iteration_counts[0] == 0
+    with pytest.raises(SolverDiverged, match="^BiCGSTAB breakdown: non-finite residual$") as err:
+        bicgstab(_mixed_op, np.ones((1, 6)), 1e-10, x0=x0)
+    assert err.value.row == 0
 
 
 def test_a_finished_start_with_entries_above_1e154_returns_at_once():
@@ -155,7 +165,7 @@ def test_a_finished_start_with_entries_above_1e154_returns_at_once():
     x0 = b / 3.0
     x0[0, 0] += 1e286 / 3.0
     res = bicgstab(lambda x: 3.0 * x, b, 1e-10, x0=x0)
-    assert res.failures == {} and res.iterations == 0
+    assert res.iterations == 0
     assert res.solution.tobytes() == x0.tobytes()
     assert res.residual == pytest.approx(1e286 / (1e300 * np.sqrt(6)), rel=1e-2)
     small = np.random.Generator(np.random.Philox(key=[10, 0])).standard_normal((1, 6))

@@ -8,6 +8,7 @@ from levyflow.cli import main
 from levyflow.config import ensemble_config_from, macro_config_from
 from levyflow.drivers import RngStream, StreamChunk
 from levyflow.errors import ConfigInvalid, InvariantViolation, SolverDiverged
+from levyflow.fracops import FracLapOperator
 from levyflow.grids import Grid, centered_difference
 from levyflow.macro import (
     _clamp,
@@ -41,13 +42,27 @@ def _one(state):
 
 def _step_h(state, cfg):
     """step_h on one sample."""
-    return step_h(_one(state), cfg, StreamChunk([RngStream(1, 0)]))[0]
+    return step_h(_one(state), cfg, StreamChunk([RngStream(1, 0)]), MacroRunStats())[0]
 
 
-def _step_c(state, cfg, stats=None):
+def _step_c(state, cfg, stats):
     """step_c on one sample."""
     out, alpha = step_c(_one(state), cfg, state.h[None], state.n[None], stats)
     return out[0], alpha[0]
+
+
+def _bicgstab_iterations(monkeypatch) -> list:
+    """The iterations of each macro.bicgstab solve from here on, in order."""
+    iterations = []
+    solve = macro.bicgstab
+
+    def spy(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(macro, "bicgstab", spy)
+    return iterations
 
 
 def test_config_validation():
@@ -61,21 +76,21 @@ def test_config_validation():
 def test_step_n_trivials_and_hand_value():
     cfg = MacroConfig(gamma_3=0.0)
     state = _uniform_state(cfg, h=1.0, c=1.0, n=1.0)
-    assert np.allclose(step_n(state, cfg), 1.0)
+    assert np.allclose(step_n(state, cfg, MacroRunStats()), 1.0)
 
     cfg = MacroConfig()
     state = _uniform_state(cfg, h=0.0, c=0.0, n=0.6)
-    assert np.allclose(step_n(state, cfg), 0.6)
+    assert np.allclose(step_n(state, cfg, MacroRunStats()), 0.6)
 
     state = _uniform_state(cfg, h=1.0, c=1.0, n=1.0)
     # 1 - 0.1 * 0.015 * (1 + 1) * 1 = 0.997
-    assert np.allclose(step_n(state, cfg), 0.997)
+    assert np.allclose(step_n(state, cfg, MacroRunStats()), 0.997)
 
 
 def test_step_n_scheme_literal_flips_sign():
     cfg = MacroConfig(scheme_literal=True)
     state = _uniform_state(cfg, h=1.0, c=1.0, n=1.0)
-    assert np.allclose(step_n(state, cfg), 1.003)
+    assert np.allclose(step_n(state, cfg, MacroRunStats()), 1.003)
 
 
 def test_step_h_identity_when_all_rates_zero():
@@ -104,25 +119,27 @@ def test_step_h_pure_diffusion_conserves_mass():
 def test_step_c_trivials_and_conservation():
     cfg = MacroConfig(gamma_C=0.0, gamma_2=0.0, gamma_g=0.0, gamma_h=0.0)
     state = macro_init(cfg)
-    out, alpha = _step_c(state, cfg)
+    out, alpha = _step_c(state, cfg, MacroRunStats())
     assert np.array_equal(out, state.c)
     assert cfg.a_1 <= alpha <= cfg.a_2
 
     cfg = MacroConfig(gamma_2=0.0, gamma_g=0.0, gamma_h=0.0)
-    out, _ = _step_c(state, cfg)
+    out, _ = _step_c(state, cfg, MacroRunStats())
     assert out.sum() == pytest.approx(state.c.sum(), rel=1e-8)
     assert not np.allclose(out, state.c)
 
 
-def test_step_c_checks_its_residual_against_solver_tol():
+def test_step_c_checks_its_residual_against_solver_tol(monkeypatch):
     cfg = MacroConfig()
     state = macro_init(cfg)
     stats = MacroRunStats()
+    iterations = _bicgstab_iterations(monkeypatch)
     _step_c(state, cfg, stats)
     assert 0.0 < stats.max_residual <= 1e-13
-    assert stats.total_iterations == 0
+    assert iterations == []  # solved exactly, with no iteration
     with pytest.raises(SolverDiverged, match="C-step residual .* above solver_tol 1.000e-300"):
-        step_c(_one(state), MacroConfig(solver_tol=1e-300), state.h[None], state.n[None])
+        step_c(_one(state), MacroConfig(solver_tol=1e-300), state.h[None], state.n[None],
+               MacroRunStats())
 
 
 def test_step_c_zero_rhs_sample_has_zero_residual():
@@ -138,6 +155,30 @@ def test_step_c_zero_rhs_sample_has_zero_residual():
     assert stats.residuals[1] == 0.0
     assert 0.0 < stats.residuals[0] <= 1e-13
     assert alpha.shape == (2,)
+
+
+def test_scheme_literal_pairs_the_c_step_taxis_as_published():
+    """With N constant and gamma_h = 0, the continuous pairing's taxis is
+    exactly zero, while the published pairing couples the haptotaxis
+    coefficient with the differences of a non-constant H: its C-step is
+    the exact shifted solve of c + tau gamma_2 c (1 - c) + tau div(g grad H)."""
+    cfg = MacroConfig(gamma_h=0.0, scheme_literal=True)
+    first = _one(macro_init(cfg))
+    state = MacroState(first.h, first.c, np.full_like(first.n, 0.8), first.t, first.step)
+    h_new = state.h * 1.5
+    n_new = state.n * 0.99
+    literal, alpha = step_c(state, cfg, h_new, n_new, MacroRunStats())
+    continuous, _ = step_c(state, MacroConfig(gamma_h=0.0), h_new, n_new, MacroRunStats())
+
+    c, tau = state.c, cfg.tau
+    hapto_coef = cfg.gamma_g * n_new * c / (1.0 + (c + state.n) ** 2)
+    taxis = flux_divergence(hapto_coef, h_new, cfg.grid)
+    rhs = c + tau * cfg.gamma_2 * c * (1.0 - c) + tau * taxis
+    frac = FracLapOperator(cfg.grid, 2.0 * alpha)
+    assert literal.tobytes() == frac.solve_shifted(rhs, tau * cfg.gamma_C).tobytes()
+    no_taxis = frac.solve_shifted(c + tau * cfg.gamma_2 * c * (1.0 - c), tau * cfg.gamma_C)
+    assert continuous.tobytes() == no_taxis.tobytes()
+    assert np.max(np.abs(literal - continuous)) > 1e-6 * np.max(np.abs(continuous))
 
 
 def test_flux_divergence_telescopes():
@@ -212,23 +253,25 @@ def test_jacobi_start_sweeps_only_diagonally_dominant_rows():
     assert miss(start[0]) < 1e-3 * miss(rhs[0])
 
 
-def test_default_h_steps_need_no_bicgstab_iteration():
+def test_default_h_steps_need_no_bicgstab_iteration(monkeypatch):
     """At the published parameters the Jacobi sweeps meet solver_tol, so
     BiCGSTAB only checks the answer."""
     cfg = MacroConfig(n_steps=10)
+    iterations = _bicgstab_iterations(monkeypatch)
     _, stats = run_macro(cfg, StreamChunk(RngStream(8, i) for i in range(3)))
-    assert stats.total_iterations == 0
+    assert iterations == [0] * cfg.n_steps
     assert 0.0 < stats.max_residual <= cfg.solver_tol
 
 
 @pytest.mark.parametrize("stiff", [dict(tau=10.0), dict(sigma_H=1.0), dict(gamma_f=2.0)],
                          ids=["tau", "sigma_H", "gamma_f"])
-def test_stiff_h_steps_still_converge(stiff):
+def test_stiff_h_steps_still_converge(monkeypatch, stiff):
     """Where the sweeps do not reach solver_tol, or do not run, BiCGSTAB
     iterates to it: no sample fails."""
     cfg = MacroConfig(n_steps=10, **stiff)
+    iterations = _bicgstab_iterations(monkeypatch)
     _, stats = run_macro(cfg, StreamChunk(RngStream(7, i) for i in range(4)))
-    assert stats.total_iterations > 0
+    assert sum(iterations) > 0
     assert stats.max_residual <= cfg.solver_tol
 
 
@@ -253,22 +296,23 @@ def test_absurd_tau_fails_the_h_step_quietly():
     set the stencil; the sweeps before it raise no RuntimeWarning."""
     state = _one(macro_init(MacroConfig()))
     with pytest.raises(SolverDiverged) as err:
-        step_h(state, MacroConfig(tau=1e308), StreamChunk([RngStream(1, 0)]))
+        step_h(state, MacroConfig(tau=1e308), StreamChunk([RngStream(1, 0)]), MacroRunStats())
     message = str(err.value)
     assert message.startswith("H-step at step 1: BiCGSTAB breakdown: non-finite residual (")
     assert message.endswith("set by [macro] tau, sigma_H and gamma_f)")
 
 
-def test_a_finite_h_step_rhs_above_1e154_solves():
+def test_a_finite_h_step_rhs_above_1e154_solves(monkeypatch):
     """At sigma_W = 1e200 and gamma_1 = 1e300 the right-hand side is finite
     and the stencil strictly diagonally dominant: the Jacobi start meets
     solver_tol, and step 1 returns a finite H."""
     cfg = MacroConfig(sigma_W=1e200, gamma_1=1e300)
     stats = MacroRunStats()
+    iterations = _bicgstab_iterations(monkeypatch)
     h = step_h(_one(macro_init(cfg)), cfg, StreamChunk([RngStream(1, 0)]), stats)
     assert h.shape == (1, *cfg.grid.shape) and np.isfinite(h).all()
     assert np.abs(h).max() > 1e200
-    assert stats.total_iterations == 0 and stats.max_residual <= cfg.solver_tol
+    assert iterations == [0] and stats.max_residual <= cfg.solver_tol
 
 
 @pytest.mark.parametrize("step, source", [(0, "the initial H of [macro] h0_amp and h0_sigma"),
@@ -280,7 +324,7 @@ def test_a_non_finite_h_step_rhs_names_where_its_h_came_from(step, source):
     state = _one(macro_init(MacroConfig(h0_amp=1e308)))
     state.step = step
     with pytest.raises(SolverDiverged) as err:
-        step_h(state, MacroConfig(), StreamChunk([RngStream(1, 0)]))
+        step_h(state, MacroConfig(), StreamChunk([RngStream(1, 0)]), MacroRunStats())
     message = str(err.value)
     assert message.startswith(f"H-step at step {step + 1}: BiCGSTAB breakdown: non-finite ")
     assert message.endswith(
@@ -296,7 +340,7 @@ def test_a_broken_invariant_raises_and_exits_6(monkeypatch, tmp_path, capsys, na
     the tissue grows, or the exponent falls 0.1 below its window (and stays
     a valid exponent)."""
     if name == "tissue monotonicity: N increased":
-        monkeypatch.setattr(macro, "step_n", lambda state, cfg, stats=None: state.n + 1e-6)
+        monkeypatch.setattr(macro, "step_n", lambda state, cfg, stats: state.n + 1e-6)
     else:
         alpha_of_h = MacroConfig.alpha_of_h
         monkeypatch.setattr(MacroConfig, "alpha_of_h", lambda cfg, h: alpha_of_h(cfg, h) - 0.1)
@@ -330,13 +374,13 @@ def test_clamp_zeroes_negatives_and_counts_them_per_sample():
 
 def test_run_stats_keep_each_samples_largest_residual_and_clamps():
     stats = MacroRunStats(3)
-    stats.absorb_solve([1e-12, 2e-12, 3e-12], 4)
+    stats.absorb_solve([1e-12, 2e-12, 3e-12])
     stats.absorb_clamps([1, 0, 2])
-    stats.absorb_solve([5e-12, 1e-12, 2e-12], 2)
+    stats.absorb_solve([5e-12, 1e-12, 2e-12])
     stats.absorb_clamps([3, 3, 0])
     assert stats.residuals.tolist() == [5e-12, 2e-12, 3e-12]
     assert stats.clamps.tolist() == [4, 3, 2]
-    assert stats.total_iterations == 6 and stats.max_residual == 5e-12
+    assert stats.max_residual == 5e-12
 
 
 def test_run_macro_zero_steps_returns_initial():
