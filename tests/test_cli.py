@@ -263,6 +263,47 @@ def test_golden_pgm_bytes_stable():
     assert hashlib.sha256(raw).hexdigest() == GOLDEN_PGM_SHA256
 
 
+# symbol_<name>.csv at the default [symbol] keys
+GOLDEN_SYMBOL_CSV_SHA256 = {
+    "bm_drift": "6f36523b2c2a4298209097f96abe866be4a7e3e804ca6594589a39c8818a5a23",
+    "poisson": "0c109d6fc09076fa070b541b9688283342d9fab529de6a5edcc4ef7f256dd0a7",
+    "compound_poisson": "94dc662ca3f02760f7682e5ac91e8840e06c0dd4c5b704ff10ae2ead61bddc6d",
+    "full_triple": "91b2012db5ac51db00a49da5ce4e433214900d633877fa770378f7cf07d9b597",
+    "alpha_stable": "4f6a29288aef871d5106a832b687426abc339119ad9d982742423055957d0ccf",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SYMBOL_CSV_SHA256))
+def test_symbol_csv_golden_digest(tmp_path, name):
+    assert _run("--out", str(tmp_path), "symbol", "--name", name) == 0
+    digest = hashlib.sha256((tmp_path / f"symbol_{name}.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SYMBOL_CSV_SHA256[name]
+
+
+# report's <stem>_contours.csv at the default levels, with its row count: a
+# 12 x 9 plane, a 9-point line, and a 3 x 3 field whose +-1e308 neighbours
+# span more than a double
+GOLDEN_CONTOUR_CASES = {
+    "plane": (_lvf(12, 9, np.arange(108) * 0.37 % 1.0), 314,
+              "6e4bd4875523332c48a616461918e721f488f2b4e6c2970c3586b43c903098d6"),
+    "line": (_lvf(9, 1, np.arange(9) * 0.29 % 1.0), 12,
+             "ff4b15feecec3c1f34d085d4badbf3f0b087d45904ad35fb15e16f23326ffcd6"),
+    "wide": (_lvf(3, 3, [-1e308, 1e308, 0.0, 1e308, -1e308, 0.5, 0.3, 0.9, -1e308]), 32,
+             "a76916380a3abdeec88c8c96b4b95a7fa268578b2167d9f4682c1867662c881b"),
+}
+
+
+@pytest.mark.parametrize("stem", list(GOLDEN_CONTOUR_CASES))
+def test_contour_csv_golden_digest(tmp_path, stem):
+    raw, rows, golden = GOLDEN_CONTOUR_CASES[stem]
+    snap = tmp_path / f"{stem}.lvf"
+    snap.write_bytes(raw)
+    assert _run("--out", str(tmp_path / "o"), "report", str(snap)) == 0
+    data = (tmp_path / "o" / f"{stem}_contours.csv").read_bytes()
+    assert data.count(b"\r\n") - 1 == rows
+    assert hashlib.sha256(data).hexdigest() == golden
+
+
 def test_env_var_overrides_out(tmp_path, monkeypatch):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("LEVYFLOW_OUT", str(env_dir))
