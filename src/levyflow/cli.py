@@ -113,24 +113,15 @@ def _write_stacks(out: Path, grid: Grid, labels, named_stacks, steps=(None,)) ->
 
 def cmd_symbol(sections, args, out: Path) -> Outcome:
     params = cfgmod.symbol_params_from(sections)
-    table = dict(generator_symbol_table())
     name = params["name"]
-    if name not in table:
-        raise ConfigInvalid(f"[symbol] name: unknown symbol name {name!r}; "
-                            f"choose from {sorted(table)}")
-    spec = table[name]
+    spec = dict(generator_symbol_table())[name]
     radii = np.linspace(-float(params["xi_max"]), float(params["xi_max"]),
                         int(params["points"]))
     direction = np.ones(spec.d) / np.sqrt(spec.d)
     points = radii[:, None] * direction[None, :]
     values = spec.evaluate_many(points)
     ratio = np.abs(values) / (1.0 + radii * radii)
-    rows = []
-    for i, r in enumerate(radii):
-        rows.append(
-            tuple(points[i]) + (float(values[i].real), float(values[i].imag),
-                                float(ratio[i]))
-        )
+    rows = np.column_stack([points, values.real, values.imag, ratio]).tolist()
     header = [f"xi_{k+1}" for k in range(spec.d)] + ["re_psi", "im_psi", "growth_ratio"]
     csv_path = write_csv(out / f"symbol_{name}.csv", header, rows)
     bound = growth_bound_constant(spec, points)

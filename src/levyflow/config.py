@@ -17,6 +17,7 @@ from .errors import ConfigInvalid
 from .grids import Grid
 from .macro import MacroConfig
 from .micro import MicroConfig
+from .symbols import generator_symbol_table
 from .ensemble import EnsembleConfig
 
 
@@ -377,6 +378,12 @@ def symbol_params_from(sections) -> dict:
     _require(r["points"] <= _MAX_ITEMS, "symbol", "points",
              f"at most {_MAX_ITEMS} probe points fit NumPy's array size limit")
     _require(r["xi_max"] > 0, "symbol", "xi_max", f"must be positive, got {r['xi_max']}")
+    # the ray's |xi|^2 must be a float: the growth ratio divides by 1 + |xi|^2
+    _require(r["xi_max"] * r["xi_max"] < math.inf, "symbol", "xi_max",
+             f"xi_max^2 must be a finite float, got {r['xi_max']}")
+    names = sorted(name for name, _ in generator_symbol_table())
+    _require(r["name"] in names, "symbol", "name",
+             f"unknown symbol name {r['name']!r}; choose from {names}")
     return r
 
 

@@ -112,16 +112,16 @@ def write_pgm(path, values, lo=None, hi=None):
 def contour_points(f: GridField, levels):
     """Level-set crossing points on grid edges, linearly interpolated.
 
-    Yields (level, x, y) rows suitable for overlay plotting.
+    Returns (level, x, y) rows for overlay plotting: per level, the
+    crossings of the edges along axis 0, then along axis 1, each axis's in
+    row-major node order.  A 1-D field's rows have y = 0.
     """
     grid = f.grid
-    v = f.values
-    xs = grid.axis_coords(0)
-    ys = grid.axis_coords(1) if grid.ndim == 2 else np.zeros(1)
-    vv = v if grid.ndim == 2 else v[:, None]
+    vv = f.values if grid.ndim == 2 else f.values[:, None]
+    coords = (grid.axis_coords(0), grid.axis_coords(1) if grid.ndim == 2 else np.zeros(1))
     rows = []
     for level in levels:
-        for axis in range(vv.ndim):
+        for axis in range(grid.ndim):
             nxt = np.roll(vv, -1, axis=axis)
             lo_side = np.minimum(vv, nxt)
             hi_side = np.maximum(vv, nxt)
@@ -134,15 +134,10 @@ def contour_points(f: GridField, levels):
                 np.divide(level - vv, span, out=frac, where=span != 0)
             wide = np.isinf(span)
             frac[wide] = (0.5 * level - 0.5 * vv[wide]) / (0.5 * nxt[wide] - 0.5 * vv[wide])
-            for k, j in zip(*np.nonzero(crossing)):
-                t = frac[k, j]
-                if axis == 0:
-                    x = xs[k] + t * grid.spacings[0]
-                    y = ys[j]
-                else:
-                    x = xs[k]
-                    y = ys[j] + t * grid.spacings[1]
-                rows.append((float(level), float(x), float(y)))
+            nodes = np.nonzero(crossing)
+            point = [c[i] for c, i in zip(coords, nodes)]
+            point[axis] += frac[nodes] * grid.spacings[axis]
+            rows += np.column_stack([np.full(nodes[0].size, level), *point]).tolist()
     return rows
 
 

@@ -37,7 +37,6 @@ class SolveResult:
     residual: float  # largest true relative residual over the systems
     iterations: int  # iterations summed over the systems
     residuals: np.ndarray  # per system
-    iteration_counts: np.ndarray  # per system
 
 
 def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -104,8 +103,7 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
         res = row_norm(r) / scale
         if (zero | (res <= tol)).all():  # a finished start: return it as it is
             residuals = np.where(zero, 0.0, res)
-            return SolveResult(x.reshape(shape), float(residuals.max()), 0, residuals,
-                               np.zeros(n_sys, dtype=np.int64))
+            return SolveResult(x.reshape(shape), float(residuals.max()), 0, residuals)
         solution = x.copy()
         residuals = np.zeros(n_sys)
         counts = np.zeros(n_sys, dtype=np.int64)
@@ -157,4 +155,4 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
                                      f"(residual {final[row]:.3e})")
 
     return SolveResult(solution.reshape(shape), float(residuals.max()), int(counts.sum()),
-                       residuals, counts)
+                       residuals)

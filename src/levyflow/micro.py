@@ -71,7 +71,7 @@ class MicroState:
     holds each sample's living rows in sample order.  ``gradient`` is the
     (n, 2) tissue gradient at ``positions``, set only on a state that
     ``micro_step`` returns; ``dataclasses.replace`` resets it, so a replaced
-    state gathers its own."""
+    state gathers its own.  A state keeps no clock: step k ends at k * tau."""
 
     positions: np.ndarray  # (n, 2)
     velocities: np.ndarray  # (n, 2)
@@ -79,7 +79,6 @@ class MicroState:
     alive: np.ndarray  # (M,) or (S, M) bool
     acid: np.ndarray  # extracellular field on the grid
     tissue: np.ndarray
-    t: float = 0.0
     clamp_events: int | np.ndarray = 0
     gradient: np.ndarray | None = field(default=None, init=False, repr=False,
                                         compare=False)
@@ -97,20 +96,20 @@ class MicroState:
 class BilinearStencil:
     """Bilinear stencil of n positions: row k of ``flat`` and ``weights``,
     both C-contiguous (4, n) arrays, holds corner k of each position as a
-    flat node index ``i * my + j`` (plus the position's offset, if any) and
-    its weight."""
+    flat node index ``i * my + j`` plus the position's offset, and its
+    weight."""
 
     flat: np.ndarray
     weights: np.ndarray
 
 
-def bilinear_stencil(grid: Grid, positions, offsets=None) -> BilinearStencil:
+def bilinear_stencil(grid: Grid, positions, offsets) -> BilinearStencil:
     """The stencil of ``positions`` (n, 2).  Each axis wraps its lower
     corner once through ``Grid.wrap_index`` and looks up the upper one as
-    its periodic successor.  ``offsets`` (n,), if given, is added to every
-    node index of its position: in a stack, sample s's positions are offset
-    by s times the grid's node count, so that one flat index addresses the
-    stack of fields.
+    its periodic successor.  ``offsets`` (n,) is added to every node index
+    of its position: in a stack, sample s's positions are offset by s times
+    the grid's node count, so that one flat index addresses the stack of
+    fields.
 
     The build writes the weights into their output array and drops each
     temporary once used, so that a step allocates less."""
@@ -141,9 +140,8 @@ def bilinear_stencil(grid: Grid, positions, offsets=None) -> BilinearStencil:
     j1 = grid.successor_index(j0, 1)
     i0 *= my
     i1 *= my
-    if offsets is not None:
-        i0 += offsets
-        i1 += offsets
+    i0 += offsets
+    i1 += offsets
     flat = np.empty((4, n), dtype=int)
     np.add(i0, j0, out=flat[0])
     np.add(i1, j0, out=flat[1])
@@ -305,7 +303,6 @@ def micro_step(state: MicroState, cfg: MicroConfig, streams: StreamChunk,
         alive=alive,
         acid=acid,
         tissue=tissue,
-        t=state.t + tau,
         clamp_events=state.clamp_events + clamps,
     )
     out.gradient = grad
@@ -462,7 +459,7 @@ def _stacked(state: MicroState, samples: int) -> MicroState:
                                                      state.protons))
     masks_and_fields = (np.broadcast_to(a, (samples,) + a.shape)
                         for a in (state.alive, state.acid, state.tissue))
-    return MicroState(*rows, *masks_and_fields, state.t, np.full(samples, state.clamp_events))
+    return MicroState(*rows, *masks_and_fields, np.full(samples, state.clamp_events))
 
 
 def _unstacked(state: MicroState, counts: np.ndarray) -> list:
@@ -474,7 +471,7 @@ def _unstacked(state: MicroState, counts: np.ndarray) -> list:
     for k, (start, end) in enumerate(zip(ends - counts[-1], ends)):
         sample = MicroState(state.positions[start:end], state.velocities[start:end],
                             state.protons[start:end], state.alive[k], state.acid[k],
-                            state.tissue[k], state.t, int(state.clamp_events[k]))
+                            state.tissue[k], int(state.clamp_events[k]))
         runs.append((sample, counts[:, k].tolist()))
     return runs
 

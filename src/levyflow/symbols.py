@@ -35,15 +35,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class DiscreteJumpLaw:
-    """Probability law on finitely many jump vectors."""
+    """Probability law on n jump vectors: (n, d) ``points``, n ``probs``."""
 
     points: tuple
     probs: tuple
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[0] == 1 and pts.shape[1] > 1 and np.ndim(self.points) == 1:
-            pts = pts.T  # a flat list means scalar jumps
+        pts = np.asarray(self.points, dtype=float)
         pr = np.asarray(self.probs, dtype=float)
         if pts.shape[0] != pr.shape[0]:
             raise DimensionMismatch("one probability per jump point required")
@@ -70,8 +68,6 @@ class DiscreteJumpLaw:
 
 def _as_points(points, d):
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != d:
         raise DimensionMismatch(f"probe points must have shape (n, {d})")
     return pts
@@ -175,8 +171,8 @@ def generator_symbol_table():
     Names are stable identifiers: ``bm_drift``, ``poisson``,
     ``compound_poisson``, ``full_triple``, ``alpha_stable``.
     """
-    unit_jump = DiscreteJumpLaw(points=(1.0,), probs=(1.0,))
-    sym_jumps = DiscreteJumpLaw(points=(-1.0, 1.0), probs=(0.5, 0.5))
+    unit_jump = DiscreteJumpLaw(points=((1.0,),), probs=(1.0,))
+    sym_jumps = DiscreteJumpLaw(points=((-1.0,), (1.0,)), probs=(0.5, 0.5))
     return [
         ("bm_drift", TripleSymbol(drift=(1.0, -0.5), q_matrix=((1.0, 0.2), (0.2, 0.5)))),
         ("poisson", TripleSymbol(drift=(0.0,), q_matrix=((0.0,),), rate=2.0, jumps=unit_jump)),

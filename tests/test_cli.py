@@ -2,6 +2,7 @@ import ast
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -280,6 +281,19 @@ def test_symbol_csv_golden_digest(tmp_path, name):
     assert digest == GOLDEN_SYMBOL_CSV_SHA256[name]
 
 
+@pytest.mark.parametrize("name", list(GOLDEN_SYMBOL_CSV_SHA256))
+def test_symbol_at_the_largest_squarable_xi_max_writes_finite_rows(tmp_path, name, capsys):
+    """Just below sqrt(max double) ~ 1.34e154 every table symbol runs with no
+    overflow warning (the suite raises them as errors); the bad-key table
+    holds 1.35e154, which exits 2."""
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text("[symbol]\nxi_max = 1.3e154\npoints = 3\n")
+    assert _run("--config", str(cfgfile), "--out", str(tmp_path), "symbol", "--name", name) == 0
+    rows = _read_csv(tmp_path / f"symbol_{name}.csv")[1:]
+    assert len(rows) == 3 and all(math.isfinite(float(v)) for row in rows for v in row)
+    assert math.isfinite(float(capsys.readouterr().out.split()[4]))
+
+
 # report's <stem>_contours.csv at the default levels, with its row count: a
 # 12 x 9 plane, a 9-point line, and a 3 x 3 field whose +-1e308 neighbours
 # span more than a double
@@ -434,6 +448,7 @@ def test_fracheck_tiny_exponent_runs_to_a_verdict(tmp_path):
     ("[symbol]\npoints = -5\n", "symbol --name poisson", "points"),
     ("[symbol]\nxi_max = -1\n", "symbol", "xi_max"),
     ("[symbol]\nxi_max = 0\n", "symbol --name bm_drift", "xi_max"),
+    ("[symbol]\nxi_max = 1.35e154\n", "symbol", "xi_max"),
     ("[macro]\ntau = nan\n", "macro", "tau"),
     ("[macro]\ngamma_1 = nan\n", "macro", "gamma_1"),
     ("[macro]\nsigma_W = inf\n", "macro", "sigma_W"),

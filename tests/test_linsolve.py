@@ -98,12 +98,13 @@ def test_stack_with_a_zero_rhs_slice():
 
     res = bicgstab(op, b, 1e-12)
     assert np.all(res.solution[1] == 0.0)
-    assert res.residuals[1] == 0.0 and res.iteration_counts[1] == 0
+    assert res.residuals[1] == 0.0 and bicgstab(op, b[1:2], 1e-12).iterations == 0
     alone = bicgstab(op, b[2:], 1e-12)
     assert res.solution[2].tobytes() == alone.solution[0].tobytes()
-    assert res.residuals[2] == alone.residual and res.iteration_counts[2] == alone.iterations
+    assert res.residuals[2] == alone.residual
     assert res.residual == res.residuals.max() <= 1e-12
-    assert res.iterations == res.iteration_counts.sum()
+    # the stack's total is its rows' counts alone, the zero row's 0 included
+    assert res.iterations == bicgstab(op, b[:1], 1e-12).iterations + alone.iterations
 
 
 def _mixed_op(x):  # nonsymmetric, acting on the trailing axis of each row
@@ -120,13 +121,14 @@ def test_finished_start_rows_equal_rows_solved_alone():
     x0 = rng.standard_normal((3, 12))
     x0[0] = bicgstab(_mixed_op, b[:1], 1e-13).solution[0]  # a start that meets 1e-10
     stacked = bicgstab(_mixed_op, b, 1e-10, x0=x0)
-    assert stacked.iteration_counts[2] > 0
+    counts = []
     for row in range(3):
         alone = bicgstab(_mixed_op, b[row:row + 1], 1e-10, x0=x0[row:row + 1])
         assert stacked.solution[row].tobytes() == alone.solution[0].tobytes()
         assert stacked.residuals[row].tobytes() == alone.residuals[0].tobytes()
-        assert stacked.iteration_counts[row] == alone.iteration_counts[0]
-    assert stacked.iteration_counts[:2].tolist() == [0, 0]
+        counts.append(alone.iterations)
+    assert counts[:2] == [0, 0] and counts[2] > 0
+    assert stacked.iterations == sum(counts)
     assert stacked.residuals[1] == 0.0 and np.all(stacked.solution[1] == 0.0)
 
 
@@ -143,7 +145,7 @@ def test_finished_start_applies_the_operator_once():
 
     res = bicgstab(op, b, 1e-10, x0=x0)
     assert len(calls) == 1
-    assert res.iterations == 0 and res.iteration_counts.tolist() == [0, 0, 0]
+    assert res.iterations == 0
     assert res.solution.tobytes() == x0.tobytes()
     assert res.residuals[2] == 0.0 and res.residual == res.residuals.max() <= 1e-10
 

@@ -232,7 +232,7 @@ def test_dead_particle_neither_moves_nor_acts(monkeypatch):
 
     never = MicroState(s1.positions.copy(), s1.velocities.copy(), s1.protons.copy(),
                        np.ones((1, m - 1), dtype=bool), s1.acid.copy(), s1.tissue.copy(),
-                       s1.t, s1.clamp_events.copy())
+                       s1.clamp_events.copy())
     s2 = _step(s1, cfg, RngStream(9, 1))
     ref = _step(never, cfg, RngStream(9, 1))
     assert s2.alive[0].tolist() == keep.tolist() and ref.alive.all()
@@ -271,7 +271,7 @@ def test_run_micro_equals_chained_steps_without_a_carried_gradient(law):
     assert series == ref_series
     for name in ("positions", "velocities", "protons", "alive", "acid", "tissue"):
         assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert (state.t, state.clamp_events) == (ref.t, ref.clamp_events[0])
+    assert state.clamp_events == ref.clamp_events[0]
 
 
 # particles of the law test below, alone or over a stack of four, and its
@@ -346,7 +346,7 @@ def test_a_stack_equals_each_sample_run_alone(law, case):
         for name in ("positions", "velocities", "protons", "alive", "acid", "tissue"):
             got, want = getattr(state, name), getattr(ref, name)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
-        assert (state.t, state.clamp_events) == (ref.t, ref.clamp_events)
+        assert state.clamp_events == ref.clamp_events
         assert type(state.clamp_events) is int
     # the stack's alive counts are Python ints, its samples' sums
     assert totals == [sum(counts) for counts in zip(*(series for _, series in runs))]
@@ -364,7 +364,7 @@ def test_a_stack_equals_each_sample_run_alone(law, case):
 def _state_bytes(state):
     return [(getattr(state, name).shape, getattr(state, name).tobytes())
             for name in ("positions", "velocities", "protons", "alive", "acid", "tissue")
-            ] + [state.t, state.clamp_events]
+            ] + [state.clamp_events]
 
 
 @pytest.mark.parametrize("case", ["defaults", "all-dead"])
@@ -539,7 +539,7 @@ def test_a_replaced_state_steps_like_a_fresh_build():
     # the stepped state's gradient is at positions the replaced one lacks
     moved = dataclasses.replace(stepped, positions=stepped.positions[::-1].copy())
     fresh = MicroState(moved.positions.copy(), moved.velocities.copy(), moved.protons.copy(),
-                       moved.alive.copy(), moved.acid.copy(), moved.tissue.copy(), moved.t,
+                       moved.alive.copy(), moved.acid.copy(), moved.tissue.copy(),
                        moved.clamp_events.copy())
     replaced = _step(moved, cfg, RngStream(8, 1))
     built = _step(fresh, cfg, RngStream(8, 1))
@@ -604,7 +604,7 @@ def test_flat_gather_scatter_keep_corner_by_corner_order():
     amounts = rng.lognormal(0.0, 3.0, m)
     field0 = rng.lognormal(0.0, 3.0, GRID.shape)
     corners, weights = _reference_corners(GRID, pos)
-    stencil = bilinear_stencil(GRID, pos)
+    stencil = bilinear_stencil(GRID, pos, 0)
 
     expected = field0.copy()
     for (i, j), w in zip(corners, weights):
@@ -640,7 +640,7 @@ def test_stencil_wraps_like_the_integer_modulo(grid):
         with np.errstate(invalid="ignore"):
             corners, weights = _reference_corners(grid, pos)
             four_flat, four_weights = _four_wrap_stencil(grid, pos)
-            stencil = bilinear_stencil(grid, pos)
+            stencil = bilinear_stencil(grid, pos, 0)
         my = grid.shape[1]
         flat = np.concatenate([i * my + j for i, j in corners])
         assert stencil.flat.tobytes() == flat.tobytes() == four_flat.tobytes()
@@ -652,7 +652,7 @@ def test_stencil_wraps_like_the_integer_modulo(grid):
 def test_stencil_rows_are_its_corners(n):
     # flat and weights are C-contiguous (4, n) arrays, corner k in row k
     pos = np.random.Generator(np.random.Philox(key=[19, 0])).random((n, 2))
-    stencil = bilinear_stencil(GRID, pos)
+    stencil = bilinear_stencil(GRID, pos, 0)
     corners, weights = _reference_corners(GRID, pos)
     for got in (stencil.flat, stencil.weights):
         assert got.shape == (4, n) and got.flags.c_contiguous
@@ -692,7 +692,7 @@ def test_position_wrap_equals_np_mod(length, monkeypatch):
 
 
 def test_scatter_add_refuses_a_field_it_cannot_update_in_place():
-    stencil = bilinear_stencil(GRID, np.array([[0.5, 0.5]]))
+    stencil = bilinear_stencil(GRID, np.array([[0.5, 0.5]]), 0)
     with pytest.raises(ValueError):
         scatter_add(np.zeros((41, 82))[:, ::2], stencil, np.ones(1))
 
@@ -702,7 +702,7 @@ def test_gather_scatter_adjoint_mass():
     pos = rng.random((200, 2))
     amounts = rng.random(200)
     field = np.zeros(GRID.shape)
-    scatter_add(field, bilinear_stencil(GRID, pos), amounts)
+    scatter_add(field, bilinear_stencil(GRID, pos, 0), amounts)
     assert field.sum() == pytest.approx(amounts.sum(), rel=1e-12)
 
 
@@ -710,7 +710,7 @@ def test_gather_exact_on_nodes():
     field = np.zeros(GRID.shape)
     field[3, 7] = 2.5
     dx, dy = GRID.spacings
-    node = bilinear_stencil(GRID, np.array([[3 * dx, 7 * dy]]))
+    node = bilinear_stencil(GRID, np.array([[3 * dx, 7 * dy]]), 0)
     assert gather(field, node)[0] == pytest.approx(2.5)
 
 

@@ -22,7 +22,7 @@ from levyflow.symbols import (
 from levy_reference import AtomMeasure, LevyQuadruple, ZeroMeasure, quadruple
 from operator_reference import default_probe_points, resolvent_symbol
 
-UNIT_JUMP = DiscreteJumpLaw(points=(1.0,), probs=(1.0,))
+UNIT_JUMP = DiscreteJumpLaw(points=((1.0,),), probs=(1.0,))
 
 
 def diffusion(*q_diagonal):
@@ -173,6 +173,8 @@ def test_dimension_mismatch():
         TripleSymbol((0.0, 0.0), np.eye(2), rate=1.0, jumps=UNIT_JUMP)
     with pytest.raises(DimensionMismatch):
         psi(diffusion(1.0, 1.0), [1.0])
+    with pytest.raises(DimensionMismatch, match="one probability per jump point required"):
+        DiscreteJumpLaw(((1.0,), (2.0,)), (1.0,))
 
 
 @pytest.mark.parametrize("drift, q_matrix, error, message", [
@@ -257,7 +259,7 @@ def test_measure_validation():
     with pytest.raises(UnsupportedMeasure):
         AtomMeasure(((1.0,),), (-0.5,))
     with pytest.raises(UnsupportedMeasure):
-        DiscreteJumpLaw((1.0, 2.0), (0.7, 0.7))
+        DiscreteJumpLaw(((1.0,), (2.0,)), (0.7, 0.7))
     with pytest.raises(UnsupportedMeasure):
         TripleSymbol((0.0,), ((0.0,),), rate=1.0)
     with pytest.raises(ExponentOutOfRange):
