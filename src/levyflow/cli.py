@@ -5,10 +5,11 @@ Global flags: --config <path>, --seed <u64>, --workers <n>, --out <dir>;
 the LEVYFLOW_OUT environment variable overrides --out.  Command flags
 (--steps, --samples, --kind, --name) each set one config key.
 
-``main`` is the one pipeline: it loads the config, applies the command
-flags, runs the subcommand, writes ``manifest.json`` and maps a failure to
-its exit code.  A subcommand only resolves its sections, runs, writes its
-files and returns an ``Outcome``.
+``main`` is the one pipeline: it parses with ``PARSER``, built once at
+import, loads the config, applies the command flags, runs the subcommand,
+writes ``manifest.json`` and maps a failure to its exit code.  A subcommand
+only resolves its sections, runs, writes its files and returns an
+``Outcome``.
 
 Exit codes: 0 success; 2 config/parse/missing-input failure; 3 symbol
 evaluation error; 4 fracheck convergence failure; 5 solver divergence;
@@ -276,6 +277,10 @@ def _key_flag(parser, flag: str, section: str, key: str, **kwargs):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one definition of the command line.  The parser it returns holds
+    no per-call state: each parse returns a fresh namespace, the global and
+    key flags default to SUPPRESS and each subcommand binds its function
+    through ``set_defaults``, so one parser serves every call of ``main``."""
     # global flags are accepted before or after the subcommand; SUPPRESS
     # keeps a subparser from clobbering a value given up front
     common = argparse.ArgumentParser(add_help=False)
@@ -327,6 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
 _GLOBAL_DEFAULTS = {
     "config": None,
     "seed": 12345,
@@ -336,9 +343,10 @@ _GLOBAL_DEFAULTS = {
 
 
 def main(argv=None) -> int:
-    """Parse, load the config, apply the command flags as config keys, run
-    the subcommand, write its manifest and map any failure to its exit code."""
-    args = build_parser().parse_args(argv)
+    """Parse with ``PARSER``, load the config, apply the command flags as
+    config keys, run the subcommand, write its manifest and map any failure
+    to its exit code.  A base seed outside [0, 2^64) exits 2."""
+    args = PARSER.parse_args(argv)
     started_at = time.time()
     # global flags use SUPPRESS so they can sit before or after the
     # subcommand without one position clobbering the other
@@ -350,6 +358,8 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ConfigInvalid(f"--workers: need at least one worker, got {args.workers}")
+        if not 0 <= args.seed < cfgmod.SEED_LIMIT:
+            raise ConfigInvalid(f"--seed: must lie in [0, 2^64), got {args.seed}")
         sections = {} if args.config is None else cfgmod.load_config_file(args.config)
         for dest, value in vars(args).items():
             section, dot, key = dest.partition(".")

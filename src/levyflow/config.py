@@ -257,6 +257,9 @@ def _require(ok: bool, section: str, key: str, rule: str):
 # point of the symbol command (the complex phases of a two-atom jump law).
 _MAX_ITEMS = sys.maxsize // 32
 _MAX_MICRO_POINTS = math.isqrt(_MAX_ITEMS)
+# a seed keys a Philox stream as one unsigned 64-bit word: the base seed
+# (--seed) and ic_seed must lie in [0, SEED_LIMIT)
+SEED_LIMIT = 1 << 64
 
 
 def macro_config_from(sections) -> tuple:
@@ -282,6 +285,8 @@ def macro_config_from(sections) -> tuple:
              "macro", "n0_smooth_sigma",
              f"must be <= 0 (no smoothing) or have 2 n0_smooth_sigma^2 a positive finite "
              f"float, got {r['n0_smooth_sigma']}")
+    _require(0 <= r["ic_seed"] < SEED_LIMIT, "macro", "ic_seed",
+             f"must lie in [0, 2^64), got {r['ic_seed']}")
     nodes = 1
     for axis in ("x1", "x2"):
         n, h = r[f"N_{axis}"], r[f"h_{axis}"]
@@ -327,6 +332,8 @@ def micro_config_from(sections) -> tuple:
         _require(r[key] <= 0 or _gaussian_width_ok(r[key]), "micro", key,
                  f"must be <= 0 (no smoothing) or have 2 {key}^2 a positive finite "
                  f"float, got {r[key]}")
+    _require(0 <= r["ic_seed"] < SEED_LIMIT, "micro", "ic_seed",
+             f"must lie in [0, 2^64), got {r['ic_seed']}")
     noise = str(r["noise"])
     _require(noise in NOISE_LAWS, "micro", "noise",
              f"unknown noise {noise!r}; choose from {sorted(NOISE_LAWS)}")

@@ -33,9 +33,9 @@ class RngStream:
     def __init__(self, base_seed: int, stream_index: int = 0):
         self.base_seed = int(base_seed) & 0xFFFFFFFFFFFFFFFF
         self.stream_index = int(stream_index) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(
-            np.random.Philox(key=[self.base_seed, self.stream_index])
-        )
+        # a list key holding a value of 2^63 or more would become float64
+        key = np.array([self.base_seed, self.stream_index], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normal(self, size=None, out=None):
         return self._gen.standard_normal(size, out=out)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import hashlib
@@ -256,6 +257,96 @@ def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
     assert not (tmp_path / "o").exists()
 
 
+_TINY_MACRO = "[macro]\nN = 2\nN_x1 = 8\nN_x2 = 8\n"
+
+
+@pytest.mark.parametrize("by_key", [False, True], ids=["base-seed", "ic_seed"])
+def test_seeds_at_both_ends_of_the_u64_range_draw_their_own_streams(tmp_path, by_key):
+    """2^64 - 1 is a valid seed, as the base seed and as ic_seed, and draws
+    other numbers than seed 0 does."""
+    digests = []
+    for seed in (0, 2**64 - 1):
+        cfgfile = tmp_path / f"{seed}.cfg"
+        cfgfile.write_text(_TINY_MACRO + (f"ic_seed = {seed}\n" if by_key else ""))
+        flags = [] if by_key else ["--seed", str(seed)]
+        out = tmp_path / str(seed)
+        assert _run("--config", str(cfgfile), "--out", str(out), *flags, "macro") == 0
+        digests.append(_manifest_digests(out)["H_step0002.lvf"])
+    assert digests[0] != digests[1]
+
+
+def test_the_shared_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
+    """In one process, a macro run with every global flag and --steps, a
+    call that argparse refuses and a bare macro run: the bare run gets the
+    defaults, not the values of the calls before it."""
+    from levyflow import cli
+    from levyflow.config import parse_config_text
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LEVYFLOW_OUT", raising=False)
+    cfgfile = tmp_path / "m.cfg"
+    cfgfile.write_text(_TINY_MACRO)
+    given = tmp_path / "given"
+    assert _run("--config", str(cfgfile), "--seed", "5", "--workers", "1",
+                "--out", str(given), "macro", "--steps", "1") == 0
+    with pytest.raises(SystemExit) as refused:
+        _run("--seed", "6", "macro", "--steps", "two")
+    assert refused.value.code == 2
+    assert vars(cli.PARSER.parse_args(["macro"])) == {"command": "macro", "fn": cli.cmd_macro}
+    assert _run("macro") == 0
+    runs = [json.loads((out / "manifest.json").read_text()) for out in (given, tmp_path / "out")]
+    assert [run["base_seed"] for run in runs] == [5, 12345]
+    echoes = [parse_config_text(run["config"])["macro"] for run in runs]
+    assert [(echo["N"], echo["N_x1"]) for echo in echoes] == [(1, 8), (150, 21)]
+
+
+# one run of each command kind, small enough to run twice
+_REPEATED_RUNS = {
+    "symbol": ("", ["symbol", "--name", "poisson"]),
+    "fracheck": ("", ["fracheck"]),
+    "macro": (_TINY_MACRO, ["macro", "--steps", "2"]),
+    "ensemble": ("[micro]\nM = 50\nN = 2\n", ["ensemble", "--kind", "micro", "--samples", "2"]),
+}
+
+
+def test_commands_run_twice_in_one_process_write_the_same_bytes(tmp_path):
+    """Each command, run twice in one process with the others between,
+    writes byte-identical outputs both times."""
+    digests = {name: [] for name in _REPEATED_RUNS}
+    for round_ in range(2):
+        for name, (text, argv) in _REPEATED_RUNS.items():
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_text(text)
+            out = tmp_path / f"{name}{round_}"
+            assert _run("--config", str(cfgfile), "--seed", "7", "--workers", "1",
+                        "--out", str(out), *argv) == 0
+            digests[name].append(_manifest_digests(out))
+    for name, (first, second) in digests.items():
+        assert first and first == second, name
+
+
+def test_main_builds_no_parser_after_import(tmp_path, monkeypatch):
+    """``main`` parses with the parser built at import: no call, whether it
+    runs, fails its input checks or is refused by argparse, builds one."""
+    from levyflow import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert _run("--out", str(tmp_path / "s"), "symbol", "--name", "bm_drift") == 0
+    assert _run("--out", str(tmp_path / "r"), "report") == 2
+    with pytest.raises(SystemExit):
+        _run("nosuch")
+    assert built == []
+    cli.build_parser()  # the spy sees a build: the parser, `common` and six subparsers
+    assert len(built) == 8
+
+
 def test_golden_pgm_bytes_stable():
     grid = Grid((1.0, 1.0), (16, 16))
     xs, ys = grid.meshes()
@@ -408,6 +499,18 @@ def test_config_parse_failure_exit_2(tmp_path):
     # lines the parser cannot read, named by their number
     ("[macro]\nN = 2\nnot a pair\n", ["macro"], "line 3: expected 'key = value'"),
     ("[macro]\n = 2\n", ["macro"], "line 2: empty key"),
+    # a seed is one u64 word: the base seed and ic_seed are refused outside
+    # [0, 2^64), not wrapped into it
+    ("", ["--seed", "-1", "macro"], "config error: --seed: must lie in [0, 2^64), got -1"),
+    ("", ["--seed", "18446744073709551616", "ensemble"], "config error: --seed:"),
+    ("", ["micro", "--seed", "-18446744073709551616"], "config error: --seed:"),
+    ("[macro]\nic_seed = -1\n", ["macro"],
+     "[macro] ic_seed: must lie in [0, 2^64), got -1"),
+    ("[macro]\nic_seed = 18446744073709551616\n", ["ensemble", "--samples", "2"],
+     "[macro] ic_seed:"),
+    ("[micro]\nic_seed = -1\n", ["micro"], "[micro] ic_seed: must lie in [0, 2^64), got -1"),
+    ("[micro]\nic_seed = 1e308\n", ["ensemble", "--kind", "micro", "--samples", "2"],
+     "[micro] ic_seed:"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     cfgfile = tmp_path / "bad.cfg"

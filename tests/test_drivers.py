@@ -43,6 +43,20 @@ def test_distinct_streams_decorrelated():
     assert a.tobytes() != b.tobytes()
 
 
+@pytest.mark.parametrize("first, second", [
+    ((2**63, 0), (2**63 + 1, 0)),
+    ((2**63, 0), (2**63 + 1000, 0)),
+    ((2**64 - 1, 0), (0, 0)),
+    ((5, 2**63), (5, 2**63 + 1)),
+    ((5, 2**64 - 1), (5, 0)),
+])
+def test_keys_of_2_63_or_more_draw_their_own_streams(first, second):
+    """Base seeds and stream indices span the whole u64 range: keys of 2^63
+    or more neither alias each other nor wrap to 0, and build without a
+    cast warning (the suite turns a RuntimeWarning into an error)."""
+    assert RngStream(*first).normal(8).tobytes() != RngStream(*second).normal(8).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # noise laws
 # ---------------------------------------------------------------------------
