@@ -5,6 +5,7 @@ the smoothed random initial field, and the truncated Q-Wiener sampler.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,14 +26,16 @@ class RngStream:
     Built on the Philox4x64 counter-based generator with key
     ``(base_seed, stream_index)``: identical pairs replay bit-exactly and
     distinct stream indices give statistically independent streams, so a
-    Monte Carlo sample id can be used directly as the stream index.
+    Monte Carlo sample id can be used directly as the stream index.  Both
+    keys are integers in [0, 2^64): one outside raises OverflowError, and
+    one that is not an integer TypeError.
 
     A stream is single-owner mutable state; never share one across workers.
     """
 
     def __init__(self, base_seed: int, stream_index: int = 0):
-        self.base_seed = int(base_seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream_index = int(stream_index) & 0xFFFFFFFFFFFFFFFF
+        self.base_seed = operator.index(base_seed)
+        self.stream_index = operator.index(stream_index)
         # a list key holding a value of 2^63 or more would become float64
         key = np.array([self.base_seed, self.stream_index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))

@@ -11,7 +11,6 @@ acid exceeds a threshold.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -351,47 +350,39 @@ NOISE_OVERLAP_FRACTION = 0.5
 
 
 class NoiseAhead:
-    """A run's noise, drawn one step ahead on a helper thread into one
-    reused (S, M, 2) buffer.
+    """A run's noise, drawn one step ahead on a one-thread executor into
+    one reused (S, M, 2) buffer.
 
-    The helper fills the buffer for the first step at once, and for each
-    later step once ``take`` has copied the rows of the step before out of
-    it, until its trial finds no overlap (NOISE_OVERLAP_FRACTION).  Every
-    stream draws in the order and amounts of an inline run either way.  A
-    fill's exception is raised again by the next ``take``; ``close`` stops
-    the helper and waits for it."""
+    The first fill is submitted at once, and each later one when ``take``
+    has copied the rows of the step before out of the buffer, until every
+    step is filled or the trial finds no overlap (NOISE_OVERLAP_FRACTION).
+    Every stream draws in the order and amounts of an inline run either
+    way.  A fill's exception is raised by the next ``take``; ``close``
+    shuts the executor down and waits for its thread."""
 
     def __init__(self, cfg: MicroConfig, streams, m: int):
-        import queue  # only a micro run needs it, not the command line's start
+        # only a micro run needs it, not the command line's start
+        from concurrent.futures import ThreadPoolExecutor
 
         self._draws = np.empty((len(streams), m, 2))
+        self._cfg, self._streams = cfg, streams
         self._steps = 0  # taken so far
         self._start = None  # at the trial's start: process CPU minus wall time, helper CPU
-        self._taken = queue.SimpleQueue()  # True: fill the next step; False: stop
-        self._filled = queue.SimpleQueue()  # the helper's CPU time after a fill, or its exception
-        self._thread = threading.Thread(target=self._fill, args=(cfg, streams), daemon=True,
-                                        name="levyflow-noise")
-        self._thread.start()
+        self._pool = ThreadPoolExecutor(1, "levyflow-noise")
+        self._filled = self._pool.submit(self._fill) if cfg.n_steps else None
 
-    def _fill(self, cfg: MicroConfig, streams) -> None:
-        try:
-            for step in range(cfg.n_steps):
-                if step and not self._taken.get():
-                    return
-                _draw_step_noise(self._draws, cfg, streams)
-                self._filled.put(time.thread_time())
-        except BaseException as exc:  # noqa: BLE001 - raised again on the caller's thread
-            self._filled.put(exc)
+    def _fill(self) -> float:
+        """Draw the next step into the buffer; the helper's CPU time after."""
+        _draw_step_noise(self._draws, self._cfg, self._streams)
+        return time.thread_time()
 
     def take(self, idx: np.ndarray) -> np.ndarray | None:
         """The rows ``idx`` of this step's flat (S * M, 2) draws, or None
         once the helper has stopped: the step then draws into a fresh
         buffer, which measured 1.5-2% faster than reusing this one."""
-        if self._thread is None:
+        if self._pool is None:
             return None
-        filled = self._filled.get()
-        if isinstance(filled, BaseException):
-            raise filled
+        filled = self._filled.result()
         rows = self._draws.reshape(-1, 2).take(idx, axis=0)
         if self._steps == 0:  # the trial starts once the first fill is in
             self._start = (time.process_time() - time.perf_counter(), filled)
@@ -400,15 +391,14 @@ class NoiseAhead:
                 time.process_time() - time.perf_counter() - self._start[0]
                 < NOISE_OVERLAP_FRACTION * (filled - self._start[1])):
             self.close()
-        else:
-            self._taken.put(True)
+        elif self._steps < self._cfg.n_steps:
+            self._filled = self._pool.submit(self._fill)
         return rows
 
     def close(self) -> None:
-        if self._thread is not None:
-            self._taken.put(False)
-            self._thread.join()
-            self._thread = None
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
 
 def survival_fraction(state: MicroState, m0: int) -> float:

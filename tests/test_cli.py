@@ -724,6 +724,20 @@ def test_cli_import_loads_every_module():
     assert _run_probe(_MODULES_PROBE) == []
 
 
+_THREAD_POOL_PROBE = """
+import json, sys
+from levyflow import cli
+print(json.dumps("concurrent.futures" in sys.modules))
+"""
+
+
+def test_cli_import_loads_no_thread_pool():
+    """Importing the command line does not load concurrent.futures: only a
+    micro run's noise helper and a pool of workers import it, and the
+    benchmark's setup_s times this import."""
+    assert _run_probe(_THREAD_POOL_PROBE) is False
+
+
 _CALLS_PROBE = """
 import ast, importlib.util, json, struct, sys, threading
 from pathlib import Path

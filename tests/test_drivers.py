@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,27 @@ def test_keys_of_2_63_or_more_draw_their_own_streams(first, second):
     or more neither alias each other nor wrap to 0, and build without a
     cast warning (the suite turns a RuntimeWarning into an error)."""
     assert RngStream(*first).normal(8).tobytes() != RngStream(*second).normal(8).tobytes()
+
+
+@pytest.mark.parametrize("key", [(0, 0), (20240901, 5), (2**63, 2**40),
+                                 (2**64 - 1, 2**64 - 1)])
+def test_a_stream_draws_philox_keyed_by_its_two_words(key):
+    gen = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    assert RngStream(*key).normal(8).tobytes() == gen.standard_normal(8).tobytes()
+
+
+@pytest.mark.parametrize("key, error", [
+    ((-1, 0), OverflowError), ((0, -1), OverflowError),
+    ((2**64, 0), OverflowError), ((0, 2**64), OverflowError),
+    ((1.5, 0), TypeError), ((0, 1.5), TypeError),
+])
+def test_a_key_outside_u64_raises_and_never_wraps(key, error):
+    """A key outside [0, 2^64) or not an integer raises, without a warning,
+    and never draws the stream of another key."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            RngStream(*key)
 
 
 # ---------------------------------------------------------------------------

@@ -433,8 +433,26 @@ def test_the_golden_digests_hold_whether_the_helper_stays_or_stops(noise_helpers
     assert noise_helpers.started == 1
 
 
+@pytest.mark.parametrize("mode", ["stays", "stops"])
+@pytest.mark.parametrize("n_steps", [0, 1, 5])
+@pytest.mark.parametrize("law", NOISE_LAWS)
+def test_no_stream_draws_past_the_runs_last_step(noise_helpers, law, n_steps, mode):
+    """After a run of N steps, each stream of its stack is where N inline
+    fills leave a fresh one: the helper fills no step ahead of the last, and
+    none at all at N = 0."""
+    noise_helpers.draw(mode)
+    cfg = MicroConfig(n_particles=50, n_steps=n_steps, noise=law)
+    streams = StreamChunk(RngStream(9, i) for i in range(2))
+    run_micro(cfg, streams)
+    fresh = StreamChunk(RngStream(9, i) for i in range(2))
+    for _ in range(n_steps):
+        micro._draw_step_noise(np.empty((2, cfg.n_particles, 2)), cfg, fresh)
+    assert [repr(s._gen.bit_generator.state) for s in streams] == [
+        repr(s._gen.bit_generator.state) for s in fresh]
+
+
 def _helper_running() -> bool:
-    return any(thread.name == "levyflow-noise" for thread in threading.enumerate())
+    return any(thread.name == "levyflow-noise_0" for thread in threading.enumerate())
 
 
 def test_no_thread_outlives_run_micro(monkeypatch, noise_helpers):

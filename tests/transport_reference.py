@@ -105,7 +105,8 @@ def simulate_velocity_jump(
     shift_probs = model.shift_distribution()
     shift_cdf = np.cumsum(shift_probs)
 
-    gen = np.random.Generator(np.random.Philox(key=[rng.base_seed, rng.stream_index]))
+    key = np.array([rng.base_seed, rng.stream_index], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
     x = np.mod(x_center + x_sigma * gen.standard_normal(n_particles), length)
     s = gen.integers(0, m, n_particles)
     n_steps = int(round(t_end / dt))
