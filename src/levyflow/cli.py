@@ -186,8 +186,8 @@ def cmd_macro(sections, args, out: Path) -> Outcome:
     snapshots, stats = run_macro(cfg, RngStream(args.seed, 0))
     paths = _write_stacks(out, cfg.grid, _MACRO_FIELDS, [("", snapshot_stack(snapshots))],
                           [s.step for s in snapshots])
-    series = [(s.step, s.t, s.alpha_value, float(s.h.sum()), float(s.c.sum()), float(s.n.sum()))
-              for s in snapshots]
+    series = [(s.step, s.step * cfg.tau, s.alpha_value,
+               float(s.h.sum()), float(s.c.sum()), float(s.n.sum())) for s in snapshots]
     paths.append(write_csv(out / "series.csv",
                            ["step", "t", "alpha", "mass_H", "mass_C", "mass_N"], series))
     return Outcome(
@@ -337,7 +337,7 @@ PARSER = build_parser()
 _GLOBAL_DEFAULTS = {
     "config": None,
     "seed": 12345,
-    "workers": None,  # filled with the core count at parse time
+    "workers": None,  # filled at parse time with the CPUs this process may use
     "out": "out",
 }
 
@@ -354,7 +354,8 @@ def main(argv=None) -> int:
         if not hasattr(args, key):
             setattr(args, key, value)
     if args.workers is None:
-        args.workers = os.cpu_count() or 1
+        args.workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count() or 1)
     try:
         if args.workers < 1:
             raise ConfigInvalid(f"--workers: need at least one worker, got {args.workers}")

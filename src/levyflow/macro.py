@@ -90,12 +90,12 @@ class MacroConfig:
 @dataclass
 class MacroState:
     """The fields of one sample, shape ``grid.shape``, or of a stack of
-    samples, shape ``(S, *grid.shape)`` with one exponent per sample."""
+    samples, shape ``(S, *grid.shape)`` with one exponent per sample.  A
+    state keeps no clock: step k ends at k * tau."""
 
     h: np.ndarray
     c: np.ndarray
     n: np.ndarray
-    t: float = 0.0
     step: int = 0
     alpha_value: float | np.ndarray = float("nan")
 
@@ -355,7 +355,7 @@ def macro_step(state: MacroState, cfg: MacroConfig, streams: StreamChunk,
         raise InvariantViolation("tissue monotonicity: N increased")
     if not np.all((cfg.a_1 <= alpha) & (alpha <= cfg.a_2)):
         raise InvariantViolation("exponent left its configured window")
-    return MacroState(h_new, c_new, n_new, state.t + cfg.tau, state.step + 1, alpha)
+    return MacroState(h_new, c_new, n_new, state.step + 1, alpha)
 
 
 def default_snapshot_steps(n_steps: int) -> tuple:
@@ -387,7 +387,7 @@ def run_macro(cfg: MacroConfig, rng: RngStream | StreamChunk, snapshot_steps=Non
     first = macro_init(cfg) if initial_state is None else initial_state
     state = MacroState(
         *(np.broadcast_to(f, (samples,) + cfg.grid.shape).copy() for f in (first.h, first.c, first.n)),
-        first.t, first.step, np.broadcast_to(first.alpha_value, (samples,)).copy())
+        first.step, np.broadcast_to(first.alpha_value, (samples,)).copy())
     stats = MacroRunStats(samples)
 
     snapshots = [state] if 0 in wanted else []
@@ -396,7 +396,7 @@ def run_macro(cfg: MacroConfig, rng: RngStream | StreamChunk, snapshot_steps=Non
         if state.step in wanted:
             snapshots.append(state)
     if single:
-        snapshots = [MacroState(s.h[0], s.c[0], s.n[0], s.t, s.step, float(s.alpha_value[0]))
+        snapshots = [MacroState(s.h[0], s.c[0], s.n[0], s.step, float(s.alpha_value[0]))
                      for s in snapshots]
     return snapshots, stats
 

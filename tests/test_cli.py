@@ -16,8 +16,9 @@ import pytest
 
 import levyflow
 from levyflow.cli import main
-from levyflow.formats import read_grid_binary, render_pgm, write_grid_binary
+from levyflow.formats import fmt17, read_grid_binary, render_pgm, write_grid_binary
 from levyflow.grids import Grid, GridField
+from levyflow.macro import MacroConfig
 
 BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -123,6 +124,18 @@ def test_macro_steps_zero_initial_snapshot_only(tmp_path):
     assert _run("--out", str(out), "macro", "--steps", "0") == 0
     lvfs = sorted(p.name for p in out.glob("*.lvf"))
     assert lvfs == ["C_step0000.lvf", "H_step0000.lvf", "N_step0000.lvf"]
+
+
+def test_macro_series_times_are_step_times_tau(tmp_path):
+    """series.csv writes step k's time as k * tau, not as a sum of k taus."""
+    out = tmp_path / "o"
+    cfgfile = tmp_path / "macro.cfg"
+    cfgfile.write_text("[macro]\nN_x1 = 8\nN_x2 = 8\n")
+    assert _run("--config", str(cfgfile), "--out", str(out), "macro", "--steps", "30") == 0
+    rows = _read_csv(out / "series.csv")[1:]
+    tau = MacroConfig().tau
+    assert [int(r[0]) for r in rows] == [0, 10, 20, 30]
+    assert [r[1] for r in rows] == [fmt17(int(r[0]) * tau) for r in rows]
 
 
 def test_micro_survival_csv_monotone(tmp_path):
@@ -255,6 +268,18 @@ def test_workers_below_one_exit_2(tmp_path, capsys, command, workers):
     assert f"config error: --workers: need at least one worker, got {workers}" in (
         capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
+
+
+def test_the_default_worker_count_is_the_usable_cpus(tmp_path, capsys, monkeypatch):
+    """Without --workers an ensemble runs on as many workers as the process
+    may use CPUs, not on the host's count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    cfgfile = tmp_path / "micro.cfg"
+    cfgfile.write_text("[micro]\nM = 50\nN = 2\n")
+    assert _run("--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                "ensemble", "--kind", "micro", "--samples", "2") == 0
+    assert "ensemble: 2 micro samples with 1 worker(s)" in capsys.readouterr().out
 
 
 _TINY_MACRO = "[macro]\nN = 2\nN_x1 = 8\nN_x2 = 8\n"

@@ -37,7 +37,7 @@ def _uniform_state(cfg, h=0.5, c=0.5, n=0.8):
 
 def _one(state):
     """A single-sample state as a stack of one."""
-    return MacroState(state.h[None], state.c[None], state.n[None], state.t, state.step)
+    return MacroState(state.h[None], state.c[None], state.n[None], state.step)
 
 
 def _step_h(state, cfg):
@@ -164,7 +164,7 @@ def test_scheme_literal_pairs_the_c_step_taxis_as_published():
     the exact shifted solve of c + tau gamma_2 c (1 - c) + tau div(g grad H)."""
     cfg = MacroConfig(gamma_h=0.0, scheme_literal=True)
     first = _one(macro_init(cfg))
-    state = MacroState(first.h, first.c, np.full_like(first.n, 0.8), first.t, first.step)
+    state = MacroState(first.h, first.c, np.full_like(first.n, 0.8), first.step)
     h_new = state.h * 1.5
     n_new = state.n * 0.99
     literal, alpha = step_c(state, cfg, h_new, n_new, MacroRunStats())

@@ -29,6 +29,7 @@ from levyflow.micro import (
     wrap_positions,
 )
 
+from conftest import Inline
 from test_drivers import _CLOSED_FORMS
 
 GRID = Grid((1.0, 1.0), (41, 41))
@@ -61,8 +62,8 @@ def _one(state):
 
 
 def _step(stack, cfg, rng):
-    """micro_step on a stack of one, drawing from ``rng``."""
-    return micro_step(stack, cfg, StreamChunk([rng]))
+    """micro_step on a stack of one, drawing inline from ``rng``."""
+    return micro_step(stack, cfg, Inline(cfg, StreamChunk([rng]), stack.alive.shape[-1]))
 
 
 def _no_kill_config(**kw):
@@ -154,6 +155,37 @@ def test_forced_noise_sequence_trajectory(monkeypatch):
         x = (x + v * cfg.tau) % 1.0
     assert np.allclose(state.velocities[0], v, atol=1e-12)
     assert np.allclose(state.positions[0], x, atol=1e-12)
+
+
+def test_micro_step_reads_its_kicks_through_its_noise_source():
+    """Each step asks its noise source for the rows of its living particles,
+    by their flat indices in the stack, and adds noise_scale times the rows
+    it is given to their velocities; the flat tissue adds no drift."""
+
+    class Recording:
+        def __init__(self, kicks):
+            self.kicks, self.asked = iter(kicks), []
+
+        def take(self, idx):
+            self.asked.append(idx.copy())
+            return next(self.kicks)
+
+    cfg = _no_kill_config(tau=0.1, noise_scale=0.3, kill_high=2.0)
+    stack = micro._stacked(_quiet_state(np.array([[0.2, 0.3], [0.5, 0.5], [0.7, 0.1]])), 2)
+    draws = np.random.Generator(np.random.Philox(key=[8, 0]))
+    stack.velocities[:] = draws.standard_normal((6, 2))
+    stack.protons[4] = 5.0  # sample 1's particle 1 leaves the viability band
+    kicks = [draws.standard_normal((6, 2)), draws.standard_normal((5, 2))]
+    noise = Recording(kicks)
+    for kick in kicks:
+        idx = np.flatnonzero(stack.alive)
+        stepped = micro_step(stack, cfg, noise)
+        assert np.array_equal(noise.asked[-1], idx)
+        keep = np.isin(idx, np.flatnonzero(stepped.alive))
+        assert np.array_equal(stepped.velocities,
+                              (stack.velocities + cfg.noise_scale * kick)[keep])
+        stack = stepped
+    assert stack.alive.tolist() == [[True] * 3, [True, False, True]]
 
 
 def test_monotone_mortality_and_positivity():
