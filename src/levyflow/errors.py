@@ -51,5 +51,5 @@ class EnsembleSampleError(LevyflowError):
         self.cause = cause
         super().__init__(
             f"sample {sample_index} failed (base_seed={base_seed}, "
-            f"stream_index={sample_index}): {cause!r}"
+            f"stream_index={sample_index}): {type(cause).__name__}: {cause}"
         )

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigInvalid
-from .grids import GridField
+from .grids import GridField, neighbours
 
 
 def fmt17(value) -> str:
@@ -122,7 +122,7 @@ def contour_points(f: GridField, levels):
     rows = []
     for level in levels:
         for axis in range(grid.ndim):
-            nxt = np.roll(vv, -1, axis=axis)
+            nxt = neighbours(f.values, grid, axis)[0].reshape(vv.shape)
             lo_side = np.minimum(vv, nxt)
             hi_side = np.maximum(vv, nxt)
             crossing = (lo_side <= level) & (level < hi_side)

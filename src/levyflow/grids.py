@@ -167,11 +167,34 @@ def neighbours(values: np.ndarray, grid: Grid, axis: int | None = None) -> np.nd
     return values.reshape(-1)[table].reshape(table.shape[:-1] + grid.shape)
 
 
-def centered_difference(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    """Second-order centred first derivative along grid axis ``axis``."""
-    d = grid.spacings[axis]
-    up, down = neighbours(values, grid, axis)
-    return (up - down) / (2.0 * d)
+def centered_difference(up: np.ndarray, down: np.ndarray, spacing: float) -> np.ndarray:
+    """Second-order centred first derivative from a gathered successor and
+    predecessor pair along an axis of node spacing ``spacing``, such as
+    ``neighbours(values, grid, axis)``, into a new array."""
+    slope = up - down
+    slope /= 2.0 * spacing
+    return slope
+
+
+def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
+    """Conservative discretization of div(coef * grad u): per axis,
+    ``((coef_k+1 + coef_k)(u_k+1 - u_k) + (coef_k-1 + coef_k)(u_k-1 - u_k)) / (2 d^2)``.
+    Telescopes to zero total, so the coupling conserves mass exactly.
+
+    Each edge flux ``F_k = (u_k+1 - u_k)(coef_k+1 + coef_k)`` is computed
+    once: the predecessor term is ``-F_k-1`` bit for bit (negation and
+    commutation are exact), so an axis adds ``(F_k - F_k-1) / (2 d^2)``."""
+    table = grid.neighbour_table(u.shape[: u.ndim - grid.ndim])
+    flat_u, flat_coef = u.reshape(-1), coef.reshape(-1)
+    out = np.zeros(table.shape[1:])  # one row of nodes per field, as the table
+    for axis, d in enumerate(grid.spacings):
+        succ, pred = table[2 * axis], table[2 * axis + 1]
+        flux = flat_u[succ] - flat_u.reshape(out.shape)
+        flux *= flat_coef[succ] + flat_coef.reshape(out.shape)
+        flux -= flux.reshape(-1)[pred]
+        flux /= 2.0 * d**2
+        out += flux
+    return out.reshape(u.shape)
 
 
 def wrapped_gaussian_bump(grid: Grid, amp, sigma) -> np.ndarray:

@@ -32,7 +32,7 @@ from .drivers import (QWienerSpec, RngStream, StreamChunk, sample_qwiener_increm
                       smoothed_uniform_field)
 from .errors import InvariantViolation, SolverDiverged
 from .fracops import FracLapOperator
-from .grids import Grid, neighbours, wrapped_gaussian_bump
+from .grids import Grid, centered_difference, flux_divergence, neighbours, wrapped_gaussian_bump
 from .linsolve import bicgstab, row_norm
 
 _CLAMP_TOL = 1e-12
@@ -148,33 +148,6 @@ def macro_init(cfg: MacroConfig) -> MacroState:
 
 
 # ---------------------------------------------------------------------------
-# difference helpers
-# ---------------------------------------------------------------------------
-
-
-def flux_divergence(coef: np.ndarray, u: np.ndarray, grid: Grid) -> np.ndarray:
-    """Conservative discretization of div(coef * grad u): per axis,
-    ``((coef_k+1 + coef_k)(u_k+1 - u_k) + (coef_k-1 + coef_k)(u_k-1 - u_k)) / (2 d^2)``.
-    Telescopes to zero total, so the coupling conserves mass exactly.  Acts
-    on the trailing grid axes, like the stencils in ``grids``.
-
-    Each edge flux ``F_k = (u_k+1 - u_k)(coef_k+1 + coef_k)`` is computed
-    once: the predecessor term is ``-F_k-1`` bit for bit (negation and
-    commutation are exact), so an axis adds ``(F_k - F_k-1) / (2 d^2)``."""
-    table = grid.neighbour_table(u.shape[: u.ndim - grid.ndim])
-    flat_u, flat_coef = u.reshape(-1), coef.reshape(-1)
-    out = np.zeros(table.shape[1:])  # one row of nodes per field, as the table
-    for axis, d in enumerate(grid.spacings):
-        succ, pred = table[2 * axis], table[2 * axis + 1]
-        flux = flat_u[succ] - flat_u.reshape(out.shape)
-        flux *= flat_coef[succ] + flat_coef.reshape(out.shape)
-        flux -= flux.reshape(-1)[pred]
-        flux /= 2.0 * d**2
-        out += flux
-    return out.reshape(u.shape)
-
-
-# ---------------------------------------------------------------------------
 # the three substeps
 # ---------------------------------------------------------------------------
 #
@@ -217,8 +190,7 @@ class HOperator:
         for axis, d in enumerate(grid.spacings):
             up, down = weights[2 * axis], weights[2 * axis + 1]
             diffusion = -tau * cfg.sigma_H / d**2
-            slope = up - down  # as centered_difference
-            slope /= 2.0 * d
+            slope = centered_difference(up, down, d)
             advection = (tau * cfg.gamma_f / (2.0 * d)) * f_weight
             advection *= slope
             np.subtract(diffusion, advection, out=up)

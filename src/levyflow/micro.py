@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .drivers import RngStream, StreamChunk, draw_noise, smoothed_uniform_field
-from .grids import (Grid, GridField, centered_difference, periodic_gaussian_blur,
+from .grids import (Grid, GridField, centered_difference, neighbours, periodic_gaussian_blur,
                     wrapped_gaussian_bump)
 
 
@@ -310,7 +310,8 @@ def _tissue_gradient(tissue: np.ndarray, grid: Grid, stencil: BilinearStencil) -
     """The centred tissue gradient gathered at each position of ``stencil``,
     (n, 2)."""
     return np.column_stack(
-        [gather(centered_difference(tissue, grid, axis), stencil) for axis in (0, 1)]
+        [gather(centered_difference(*neighbours(tissue, grid, axis), grid.spacings[axis]),
+                stencil) for axis in (0, 1)]
     )
 
 

@@ -450,6 +450,8 @@ def test_config_parse_failure_exit_2(tmp_path):
     assert _run("--config", str(missing), "--out", str(tmp_path / "o"), "macro") == 2
 
 
+# each id carries its row's index (``argv<i>``): append new rows at the end,
+# so that the ids of the rows above keep their names
 @pytest.mark.parametrize("text, argv, problem", [
     ("[macr]\nN = 2\n", ["macro"], "unknown section [macr]"),
     ("[macro]\nN_x1 = 21.7\n", ["macro"], "N_x1"),
@@ -594,9 +596,9 @@ def test_bad_grid_keys_exit_2(tmp_path, capsys, text, command, key):
 
 @pytest.mark.parametrize("key, code, message", [
     ("tau = 1e308", 5, "solver diverged: sample 0 failed (base_seed=12345, stream_index=0): "
-                       "SolverDiverged("),
+                       "SolverDiverged: "),
     ("h0_amp = -1", 6, "invariant violated: sample 0 failed (base_seed=12345, stream_index=0): "
-                       "InvariantViolation("),
+                       "InvariantViolation: "),
 ], ids=["solver_diverged", "invariant_violated"])
 # the console script runs under Python's default warning filters, which
 # print the overflow's RuntimeWarning rather than raise it
@@ -703,7 +705,7 @@ def test_a_failed_two_worker_ensemble_prints_only_its_error(tmp_path):
                           env=_package_env(), capture_output=True, text=True)
     assert done.returncode == 3
     (line,) = done.stderr.splitlines()
-    assert line.startswith("error: sample 2 failed (base_seed=7, stream_index=2): GridMismatch(")
+    assert line.startswith("error: sample 2 failed (base_seed=7, stream_index=2): GridMismatch: ")
 
 
 _IMPORT_PROBE = """
@@ -720,9 +722,10 @@ print(json.dumps([codes, [name for name in heavy if name in sys.modules]]))
 """
 
 
-def _run_probe(script, *args):
-    """The last line ``script`` prints in a fresh interpreter, as JSON."""
-    done = subprocess.run([sys.executable, "-c", script, *args], env=_package_env(),
+def _run_probe(script, *args, **env):
+    """The last line ``script`` prints in a fresh interpreter, whose
+    environment also sets ``env``, as JSON."""
+    done = subprocess.run([sys.executable, "-c", script, *args], env=dict(_package_env(), **env),
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -731,6 +734,43 @@ def test_commands_import_no_process_pool_and_no_quadrature(tmp_path):
     """A fracheck and a one-worker ensemble in a fresh interpreter load
     neither the process pool nor numpy.polynomial."""
     assert _run_probe(_IMPORT_PROBE, str(tmp_path)) == [[0, 0], []]
+
+
+# The platform probe's two settings: NumPy dispatching as on a CPU without
+# AVX-512, and OpenBLAS's pre-AVX2 kernels.  NumPy warns at import about the
+# listed features its build does not dispatch, so that child ignores the
+# warning, whatever warning filters it would inherit.
+PLATFORM_SETTINGS = {
+    "npy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL AVX512_CNL "
+                                                  "AVX512_CLX AVX512_SKX AVX512F X86_V4",
+                      "PYTHONWARNINGS": "ignore::ImportWarning"},
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+}
+
+# in a fresh interpreter it prints the digests; executed in process, it only
+# defines them
+_DRAW_PROBE = """
+import hashlib, json
+import numpy as np
+from levyflow.drivers import NOISE_LAWS, RngStream, draw_noise
+def draw_digests():
+    return {law: hashlib.sha256(draw_noise(law, RngStream(11, 3), 0.05,
+                                           np.empty((2500, 2))).tobytes()).hexdigest()
+            for law in NOISE_LAWS}
+if __name__ == "__main__":
+    print(json.dumps(draw_digests()))
+"""
+
+
+@pytest.mark.parametrize("setting", list(PLATFORM_SETTINGS))
+def test_noise_draws_keep_their_bits_under_the_platform_probe(setting):
+    """Each noise law's fill of the micro workload's (M, 2) shape gives in a
+    fresh interpreter under each platform-probe setting the bytes it gives
+    in process, so the draw layer does not depend on the CPU's SIMD or BLAS
+    kernels."""
+    probe = {}
+    exec(_DRAW_PROBE, probe)
+    assert _run_probe(_DRAW_PROBE, **PLATFORM_SETTINGS[setting]) == probe["draw_digests"]()
 
 
 _MODULES_PROBE = """

@@ -15,8 +15,11 @@ from levyflow.ensemble import (
     run_ensemble,
 )
 from levyflow.errors import ConfigInvalid, EnsembleSampleError, GridMismatch, SolverDiverged
+from levyflow.grids import wrapped_gaussian_bump
 from levyflow.macro import MacroConfig, run_macro
 from levyflow.micro import MicroConfig, micro_init, run_micro, survival_fraction
+
+from operator_reference import laplacian5
 
 SMALL_MACRO = MacroConfig(n_steps=8)
 SMALL_MICRO = MicroConfig(n_particles=300, n_steps=8)
@@ -84,6 +87,29 @@ def test_noise_off_gives_identical_samples():
     ens = EnsembleConfig(n_samples=4, base_seed=7, snapshot_steps=(5,))
     stats = run_ensemble("macro", cfg, ens)
     assert float(np.abs(stats.variance).max()) <= 1e-12
+
+
+def test_linear_h_ensemble_mean_is_the_resolvent_power_of_h0():
+    """With gamma_1 = gamma_f = 0 each H-step solves
+    ``(I - tau sigma_H L) H' = H (1 + sigma_W dW)``, and the increment dW
+    has mean zero and is independent of H, so the ensemble mean after n
+    steps is exactly ``R^n H_0`` with ``R = (I - tau sigma_H L)^-1``.  At
+    the published sigma_W and sigma_H, every node's sample mean lies within
+    4.5 standard errors of it."""
+    steps, samples = 30, 256
+    cfg = MacroConfig(n_steps=steps, gamma_1=0.0, gamma_f=0.0)
+    stats = run_ensemble("macro", cfg, EnsembleConfig(n_samples=samples, base_seed=15,
+                                                      snapshot_steps=(steps,)))
+    grid, nodes = cfg.grid, cfg.grid.node_count
+    # column i of the dense Laplacian is L applied to the unit field at node i
+    lap = laplacian5(np.eye(nodes).reshape((nodes,) + grid.shape), grid).reshape(nodes, nodes).T
+    system = np.eye(nodes) - cfg.tau * cfg.sigma_H * lap
+    exact = wrapped_gaussian_bump(grid, cfg.h0_amp, cfg.h0_sigma).reshape(-1)
+    for _ in range(steps):
+        exact = np.linalg.solve(system, exact)
+    mean, variance = stats.mean[0, 0].reshape(-1), stats.variance[0, 0].reshape(-1)
+    assert stats.clamp_events == 0  # a clamp would bias the mean
+    assert np.all(np.abs(mean - exact) <= 4.5 * np.sqrt(variance / samples))
 
 
 def test_worker_counts_agree_bitwise():

@@ -1,14 +1,18 @@
+import ast
 import dataclasses
 import pickle
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import levyflow
 from levyflow.errors import GridMismatch
-from levyflow.grids import Grid, GridField, _neighbour_table, centered_difference, neighbours
-from levyflow.macro import flux_divergence
+from levyflow.grids import (Grid, GridField, _neighbour_table, centered_difference, flux_divergence,
+                            neighbours)
 
 from operator_reference import laplacian5
 
@@ -129,7 +133,7 @@ def test_stencils_through_neighbour_table_equal_np_roll(name, lead):
         assert np.array_equal(nb[2 * axis], np.roll(u, -1, a))
         assert np.array_equal(nb[2 * axis + 1], np.roll(u, 1, a))
         assert np.array_equal(neighbours(u, grid, axis), nb[2 * axis: 2 * axis + 2])
-        assert (centered_difference(u, grid, axis).tobytes()
+        assert (centered_difference(*nb[2 * axis: 2 * axis + 2], grid.spacings[axis]).tobytes()
                 == _roll_centered_difference(u, grid, axis).tobytes())
     assert laplacian5(u, grid).tobytes() == _roll_laplacian(u, grid).tobytes()
     assert (flux_divergence(coef, u, grid).tobytes()
@@ -181,9 +185,33 @@ def test_stack_rows_equal_fields_alone_bitwise(name):
             for axis in range(grid.ndim):
                 pair = neighbours(us, grid, axis)[(slice(None),) + index]
                 assert pair.tobytes() == neighbours(alone, grid, axis).tobytes()
-                assert (centered_difference(us, grid, axis)[index].tobytes()
-                        == centered_difference(alone, grid, axis).tobytes())
+                d = grid.spacings[axis]
+                assert (centered_difference(*neighbours(us, grid, axis), d)[index].tobytes()
+                        == centered_difference(*neighbours(alone, grid, axis), d).tobytes())
             assert flux[index].tobytes() == flux_divergence(cs[index], alone, grid).tobytes()
     # the cache keeps the tables of the last few stack shapes only
     info = _neighbour_table.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_only_grids_indexes_and_differences_periodic_neighbours():
+    """``grids`` is the one home of the periodic stencils: no other package
+    module rolls an array, reads the neighbour table or defines a stencil,
+    and the H-step's slopes and the micro tissue gradient come from its one
+    centred difference."""
+    names, defined, differencers = defaultdict(set), defaultdict(set), set()
+    for path in Path(levyflow.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names[node.attr].add(path.name)
+            elif isinstance(node, ast.FunctionDef):
+                defined[node.name].add(path.name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "centered_difference"):
+                    differencers.add(f"{path.stem}.{top.name}")
+    assert names["roll"] == names["neighbour_table"] == {"grids.py"}
+    assert defined["flux_divergence"] == defined["centered_difference"] == {"grids.py"}
+    assert differencers == {"macro.HOperator", "micro._tissue_gradient"}
