@@ -93,6 +93,14 @@ def _clamp_failure(clamp_events: int):
     return None
 
 
+def _refuse_shared_seed(seed: int, section: str, cfg):
+    """Sample 0 draws its noise from stream (seed, 0) and the initial fields
+    from stream (ic_seed, 0): equal seeds would draw both from one stream."""
+    if seed == cfg.ic_seed:
+        raise ConfigInvalid(f"--seed: must differ from [{section}] ic_seed, both {seed}: sample "
+                            f"0's noise would reuse the stream of the initial fields")
+
+
 def _write_stacks(out: Path, grid: Grid, labels, named_stacks, steps=(None,)) -> list:
     """One LVF1 file ``{prefix}{label}_step{step:04d}.lvf`` per step, label
     and (prefix, stack) pair, written in that loop order; a stack is indexed
@@ -164,6 +172,7 @@ def cmd_fracheck(sections, args, out: Path) -> Outcome:
 
 def cmd_micro(sections, args, out: Path) -> Outcome:
     cfg, echo = cfgmod.micro_config_from(sections)
+    _refuse_shared_seed(args.seed, "micro", cfg)
     state, alive_series = run_micro(cfg, RngStream(args.seed, 0))
     rows = [
         (step, step * cfg.tau, alive, alive / cfg.n_particles)
@@ -183,6 +192,7 @@ def cmd_micro(sections, args, out: Path) -> Outcome:
 
 def cmd_macro(sections, args, out: Path) -> Outcome:
     cfg, echo = cfgmod.macro_config_from(sections)
+    _refuse_shared_seed(args.seed, "macro", cfg)
     snapshots, stats = run_macro(cfg, RngStream(args.seed, 0))
     paths = _write_stacks(out, cfg.grid, _MACRO_FIELDS, [("", snapshot_stack(snapshots))],
                           [s.step for s in snapshots])
@@ -205,6 +215,7 @@ def cmd_ensemble(sections, args, out: Path) -> Outcome:
         cfg, echo_c = cfgmod.macro_config_from(sections)
     else:
         cfg, echo_c = cfgmod.micro_config_from(sections)
+    _refuse_shared_seed(args.seed, kind, cfg)
     stats = run_ensemble(kind, cfg, ens)
     echo_e["snapshot_steps"] = stats.snapshot_steps
     exported = [(f"sample{i:04d}_", values) for i, values in sorted(stats.exported.items())]

@@ -119,20 +119,20 @@ def contour_points(f: GridField, levels):
     grid = f.grid
     vv = f.values if grid.ndim == 2 else f.values[:, None]
     coords = (grid.axis_coords(0), grid.axis_coords(1) if grid.ndim == 2 else np.zeros(1))
-    rows = []
+    rows, edges = [], []  # edges: each axis's successors, sides and steps
+    for axis in range(grid.ndim):
+        nxt = neighbours(f.values, grid, axis)[0].reshape(vv.shape)
+        with np.errstate(over="ignore"):
+            span = nxt - vv
+        edges.append((axis, nxt, np.minimum(vv, nxt), np.maximum(vv, nxt), span, np.isinf(span)))
     for level in levels:
-        for axis in range(grid.ndim):
-            nxt = neighbours(f.values, grid, axis)[0].reshape(vv.shape)
-            lo_side = np.minimum(vv, nxt)
-            hi_side = np.maximum(vv, nxt)
+        for axis, nxt, lo_side, hi_side, span, wide in edges:
             crossing = (lo_side <= level) & (level < hi_side)
             frac = np.zeros_like(vv)
             # only a crossing's fraction is used, and it lies in [0, 1]; a
             # step beyond the double range is halved
             with np.errstate(over="ignore"):
-                span = nxt - vv
                 np.divide(level - vv, span, out=frac, where=span != 0)
-            wide = np.isinf(span)
             frac[wide] = (0.5 * level - 0.5 * vv[wide]) / (0.5 * nxt[wide] - 0.5 * vv[wide])
             nodes = np.nonzero(crossing)
             point = [c[i] for c, i in zip(coords, nodes)]

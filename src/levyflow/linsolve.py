@@ -14,10 +14,7 @@ The solver advances a stack of independent systems in lockstep, one
 system per row of the stack, each with its own scalars (rho, alpha,
 omega).  Every norm and dot product is a per-row reduction, so a
 system's bits do not depend on how many others share its stack; a single
-system is a stack of one, and the first row to fail fails the stack.  Each
-breakdown and convergence test is made on the whole stack first, and the
-mask of active rows it applies to is built only when the test hits, which
-it rarely does.
+system is a stack of one, and the first row to fail fails the stack.
 """
 
 from __future__ import annotations
@@ -91,10 +88,9 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
             active[done] = False
 
     def fail(hit, message):
-        """Raise for the first active system where ``hit`` holds, tested on
-        the whole stack first, so the usual no-breakdown case builds no mask."""
-        if hit.any() and (failed := np.flatnonzero(active & hit)).size:
-            raise SolverDiverged(message(failed[0]), int(failed[0]))
+        """Raise ``message`` for the first active system where ``hit`` holds."""
+        if (failed := np.flatnonzero(active & hit)).size:
+            raise SolverDiverged(message, int(failed[0]))
 
     # frozen rows keep being carried through the arithmetic, where they may
     # divide by zero; only active rows are ever read
@@ -109,14 +105,13 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
         counts = np.zeros(n_sys, dtype=np.int64)
         active = ~zero
         finish(active & (res <= tol), x, res, 0)
-        fail(~np.isfinite(res), lambda row: "BiCGSTAB breakdown: non-finite residual")
+        fail(~np.isfinite(res), "BiCGSTAB breakdown: non-finite residual")
         r_hat = r.copy()
 
+        # some row is active: the start is unfinished and every residual finite
         for k in range(1, max_iterations + 1):
-            if not active.any():
-                break
             rho_new = row_dot(r_hat, r)
-            fail(rho_new == 0.0, lambda row: "BiCGSTAB breakdown: rho = 0")
+            fail(rho_new == 0.0, "BiCGSTAB breakdown: rho = 0")
             if k == 1:  # rho, alpha, omega and v are first set in this iteration
                 p = r.copy()
             else:
@@ -125,11 +120,10 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
             rho = rho_new
             v = op(p)
             denom = row_dot(r_hat, v)
-            fail(denom == 0.0, lambda row: "BiCGSTAB breakdown: (r_hat, v) = 0")
+            fail(denom == 0.0, "BiCGSTAB breakdown: (r_hat, v) = 0")
             alpha = rho / denom
             s = r - alpha[:, None] * v
-            near = row_norm(s) / scale <= tol
-            if near.any() and (check := active & near).any():
+            if (check := active & (row_norm(s) / scale <= tol)).any():
                 x_try = x + alpha[:, None] * p
                 true_res = row_norm(rows - op(x_try)) / scale
                 finish(check & (true_res <= tol), x_try, true_res, k)
@@ -137,22 +131,22 @@ def bicgstab(apply_op, b, tol=1e-10, max_iterations=None, x0=None) -> SolveResul
                     break
             t = op(s)
             tt = row_dot(t, t)
-            fail(tt == 0.0, lambda row: "BiCGSTAB breakdown: t = 0")
+            fail(tt == 0.0, "BiCGSTAB breakdown: t = 0")
             omega = row_dot(t, s) / tt
             x = x + alpha[:, None] * p + omega[:, None] * s
             r = s - omega[:, None] * t
             res = row_norm(r) / scale
-            fail(~np.isfinite(res), lambda row: "BiCGSTAB breakdown: non-finite residual")
-            near = res <= tol
-            if near.any() and (check := active & near).any():
+            fail(~np.isfinite(res), "BiCGSTAB breakdown: non-finite residual")
+            if (check := active & (res <= tol)).any():
                 true_res = row_norm(rows - op(x)) / scale
                 finish(check & (true_res <= tol), x, true_res, k)
-            fail(omega == 0.0, lambda row: "BiCGSTAB breakdown: omega = 0")
-
-        if active.any():
+            fail(omega == 0.0, "BiCGSTAB breakdown: omega = 0")
+            if not active.any():
+                break
+        else:
             final = row_norm(rows - op(x)) / scale
-            fail(active, lambda row: f"no convergence in {max_iterations} iterations "
-                                     f"(residual {final[row]:.3e})")
+            fail(active, f"no convergence in {max_iterations} iterations "
+                         f"(residual {final[active.argmax()]:.3e})")
 
     return SolveResult(solution.reshape(shape), float(residuals.max()), int(counts.sum()),
                        residuals)

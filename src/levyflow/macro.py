@@ -195,6 +195,11 @@ class HOperator:
             advection *= slope
             np.subtract(diffusion, advection, out=up)
             np.add(diffusion, advection, out=down)
+        # each row's largest sum of absolute off-diagonal weights over its
+        # nodes: its stencil is strictly diagonally dominant where this is
+        # below ``centre``
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.off_diagonal = _per_sample(np.abs(weights).sum(axis=0), grid).max(axis=1)
 
     def _neighbour_sum(self, x: np.ndarray) -> np.ndarray:
         """The operator's off-diagonal part applied to ``x``."""
@@ -207,13 +212,6 @@ class HOperator:
         out += self.centre * x
         return out
 
-    def off_diagonal_sums(self) -> np.ndarray:
-        """Each row's largest sum of absolute off-diagonal weights over its
-        nodes; the row's stencil is strictly diagonally dominant where this
-        is below ``centre``."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _per_sample(np.abs(self.weights).sum(axis=0), self.grid).max(axis=1)
-
     def jacobi(self, rhs: np.ndarray, sweeps: int) -> np.ndarray:
         """``sweeps`` Jacobi sweeps from x = rhs, each x = (rhs - N x) / centre
         with N the off-diagonal part, on the rows whose stencil is strictly
@@ -225,7 +223,7 @@ class HOperator:
         for _ in range(sweeps):
             x = rhs - self._neighbour_sum(x)
             x /= self.centre
-        loose = ~(self.off_diagonal_sums() < self.centre)
+        loose = ~(self.off_diagonal < self.centre)
         if loose.any():
             _per_sample(x, self.grid)[loose] = _per_sample(rhs, self.grid)[loose]
         return x
@@ -248,7 +246,7 @@ def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, stats: Mac
         res = bicgstab(apply_op, rhs, cfg.solver_tol, x0=start)
     except SolverDiverged as err:
         row = err.row
-        off = apply_op.off_diagonal_sums()[row]
+        off = apply_op.off_diagonal[row]
         if not np.isfinite(_per_sample(rhs, grid)[row]).all():
             h_from = ("the initial H of [macro] h0_amp and h0_sigma" if state.step == 0
                       else f"the H that step {state.step} solved")

@@ -538,6 +538,16 @@ def test_config_parse_failure_exit_2(tmp_path):
     ("[micro]\nic_seed = -1\n", ["micro"], "[micro] ic_seed: must lie in [0, 2^64), got -1"),
     ("[micro]\nic_seed = 1e308\n", ["ensemble", "--kind", "micro", "--samples", "2"],
      "[micro] ic_seed:"),
+    # sample 0 draws its noise from stream (--seed, 0) and the initial fields
+    # from stream (ic_seed, 0), so the two seeds must differ
+    ("", ["--seed", "171717", "macro"],
+     "config error: --seed: must differ from [macro] ic_seed, both 171717"),
+    ("[micro]\nic_seed = 5\n", ["--seed", "5", "micro"],
+     "config error: --seed: must differ from [micro] ic_seed, both 5"),
+    ("[macro]\nic_seed = 5\n", ["--seed", "5", "ensemble", "--samples", "2"],
+     "config error: --seed: must differ from [macro] ic_seed"),
+    ("", ["ensemble", "--kind", "micro", "--samples", "2", "--seed", "424242"],
+     "config error: --seed: must differ from [micro] ic_seed"),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, text, argv, problem):
     cfgfile = tmp_path / "bad.cfg"
@@ -771,6 +781,27 @@ def test_noise_draws_keep_their_bits_under_the_platform_probe(setting):
     probe = {}
     exec(_DRAW_PROBE, probe)
     assert _run_probe(_DRAW_PROBE, **PLATFORM_SETTINGS[setting]) == probe["draw_digests"]()
+
+
+# runs one test in a fresh interpreter and prints pytest's exit code; NumPy
+# is imported before pytest, so its import warning meets only the
+# environment's filters
+_ONE_TEST_PROBE = """
+import json, sys
+import numpy, pytest
+code = pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]])
+print(json.dumps(int(code)))
+"""
+
+
+@pytest.mark.parametrize("setting", list(PLATFORM_SETTINGS))
+def test_a_failed_stack_fails_alike_under_the_platform_probe(setting):
+    """test_macro.py's stack-failure test passes in a fresh interpreter under
+    each platform-probe setting: its failing sample does not hinge on the
+    CPU's SIMD or BLAS kernels."""
+    test = Path(__file__).with_name("test_macro.py")
+    assert _run_probe(_ONE_TEST_PROBE, f"{test}::test_a_failed_sample_fails_its_whole_stack",
+                      **PLATFORM_SETTINGS[setting]) == 0
 
 
 _MODULES_PROBE = """

@@ -7,7 +7,7 @@ import pytest
 from levyflow import ensemble, macro, micro
 from levyflow.cli import main
 from levyflow.config import ensemble_config_from, render_config
-from levyflow.drivers import RngStream
+from levyflow.drivers import RngStream, StreamChunk, _basis_matrix
 from levyflow.ensemble import (
     EnsembleConfig,
     SampleRecord,
@@ -110,6 +110,44 @@ def test_linear_h_ensemble_mean_is_the_resolvent_power_of_h0():
     mean, variance = stats.mean[0, 0].reshape(-1), stats.variance[0, 0].reshape(-1)
     assert stats.clamp_events == 0  # a clamp would bias the mean
     assert np.all(np.abs(mean - exact) <= 4.5 * np.sqrt(variance / samples))
+
+
+def test_linear_h_second_moment_follows_the_exact_recursion():
+    """In the mean test's linear H-equation the second moment evolves
+    exactly as ``M' = R (M o (1 1^T + sigma_W^2 tau Q)) R^T`` from
+    ``M_0 = H_0 H_0^T``, with Q = kron(ax^T ax, ay^T ay) the increment's
+    covariance per unit time.  So the projections of H onto the noise's 16
+    cosine modes have an exact covariance C.  With S their sample
+    covariance over 256 samples, tr(C^-1 S) / 16 has mean 1 and, for
+    Gaussian projections, standard error sqrt(2 / (16 * 255)); it lies
+    within 4 of them."""
+    steps, samples, stack = 30, 256, 64
+    cfg = MacroConfig(n_steps=steps, gamma_1=0.0, gamma_f=0.0)
+    grid, nodes, modes = cfg.grid, cfg.grid.node_count, cfg.qwiener_modes
+    finals, clamps = [], 0
+    for first in range(0, samples, stack):
+        streams = StreamChunk(RngStream(21, i) for i in range(first, first + stack))
+        (final,), stats = run_macro(cfg, streams, (steps,))
+        finals.append(final.h.reshape(stack, nodes))
+        clamps += stats.clamp_events
+    assert clamps == 0  # a clamp would leave the linear equation
+    lap = laplacian5(np.eye(nodes).reshape((nodes,) + grid.shape), grid).reshape(nodes, nodes).T
+    resolvent = np.linalg.inv(np.eye(nodes) - cfg.tau * cfg.sigma_H * lap)
+    ax, ay = (_basis_matrix(modes, length, points)
+              for length, points in zip(grid.lengths, grid.shape))
+    factor = 1.0 + cfg.sigma_W**2 * cfg.tau * np.kron(ax.T @ ax, ay.T @ ay)
+    mean = wrapped_gaussian_bump(grid, cfg.h0_amp, cfg.h0_sigma).reshape(-1)
+    moment = np.outer(mean, mean)
+    for _ in range(steps):
+        mean = resolvent @ mean
+        moment = resolvent @ (moment * factor) @ resolvent.T
+    cosines = [np.cos(2 * np.pi * np.arange(1, modes + 1)[:, None] * np.arange(points) / points)
+               for points in grid.shape]
+    project = np.kron(*cosines)  # (modes^2, nodes): e_n(x) e_m(y), n, m = 1..modes
+    exact = project @ (moment - np.outer(mean, mean)) @ project.T
+    sample = np.cov(np.concatenate(finals) @ project.T, rowvar=False)
+    pooled = np.trace(np.linalg.solve(exact, sample)) / modes**2
+    assert abs(pooled - 1.0) <= 4.0 * np.sqrt(2.0 / (modes**2 * (samples - 1))), pooled
 
 
 def test_worker_counts_agree_bitwise():

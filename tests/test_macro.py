@@ -275,9 +275,18 @@ def test_stiff_h_steps_still_converge(monkeypatch, stiff):
     assert stats.max_residual <= cfg.solver_tol
 
 
-def test_a_failed_sample_fails_its_whole_stack():
-    """Sample 2's H-step breaks down at gamma_f = 5: the stack of four
+def test_a_failed_sample_fails_its_whole_stack(monkeypatch):
+    """Sample 2's noise increment is infinite, so its H-step fails in
+    BiCGSTAB's first check on any CPU: the stack of four at gamma_f = 5
     raises that sample's own error, and the other samples solve alone."""
+    draw = macro.sample_qwiener_increment
+
+    def infinite_for_sample_2(spec, grid, dt, streams):
+        values = draw(spec, grid, dt, streams)
+        values[[stream.stream_index == 2 for stream in streams]] = np.inf
+        return values
+
+    monkeypatch.setattr(macro, "sample_qwiener_increment", infinite_for_sample_2)
     cfg = MacroConfig(n_steps=10, gamma_f=5.0)
     with pytest.raises(SolverDiverged) as stacked:
         run_macro(cfg, StreamChunk(RngStream(7, i) for i in range(4)))
@@ -420,6 +429,35 @@ def test_translation_equivariance_noise_off():
     s2, _ = run_macro(cfg, RngStream(3, 0), snapshot_steps=[20], initial_state=shifted)
     for a, b in ((s1[0].h, s2[0].h), (s1[0].c, s2[0].c), (s1[0].n, s2[0].n)):
         assert np.max(np.abs(np.roll(a, 1, axis=0) - b)) <= 1e-8
+
+
+def test_linear_h_and_c_converge_at_first_order_to_their_semigroups():
+    """With the reactions, the taxis and the noise off and a fixed exponent
+    (a_1 = a_2), each step is implicit Euler for ``H' = sigma_H L H`` and
+    ``C' = gamma_C A C``.  Both operators are circulant, so the exact
+    semigroups at t = 1 come from their FFT eigenvalues: L's from its
+    five-point symbol, A's from the same FracLapOperator's.  Each halving
+    of tau halves each field's error."""
+    linear = dict(gamma_1=0.0, gamma_f=0.0, sigma_W=0.0, gamma_2=0.0, gamma_g=0.0, gamma_h=0.0,
+                  a_1=0.75, a_2=0.75)
+    cfg, end = MacroConfig(**linear), 1.0
+    grid, first = cfg.grid, macro_init(cfg)
+    waves = np.meshgrid(*(2 * np.pi * np.fft.fftfreq(m) for m in grid.shape), indexing="ij")
+    lap = sum((2 * np.cos(k) - 2) / d**2 for k, d in zip(waves, grid.spacings))
+    h = np.fft.ifft2(np.fft.fft2(first.h) * np.exp(end * cfg.sigma_H * lap)).real
+    symbol = FracLapOperator(grid, 2 * cfg.a_1)._symbol
+    c = np.fft.irfft2(np.fft.rfft2(first.c) * np.exp(end * cfg.gamma_C * symbol), grid.shape)
+    errors = {"H": [], "C": []}
+    for tau in (0.1, 0.05, 0.025, 0.0125):
+        steps = round(end / tau)
+        (final,), stats = run_macro(MacroConfig(tau=tau, n_steps=steps, **linear),
+                                    RngStream(1, 0), (steps,))
+        assert stats.clamp_events == 0  # a clamp would leave the linear scheme
+        errors["H"].append(np.abs(final.h - h).max())
+        errors["C"].append(np.abs(final.c - c).max())
+    for field_errors in errors.values():
+        ratios = np.array(field_errors[:-1]) / field_errors[1:]
+        assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios
 
 
 def test_full_run_invariants_and_golden_hash():
