@@ -161,7 +161,9 @@ def step_n(state: MacroState, cfg: MacroConfig, stats: MacroRunStats):
     """Explicit tissue update; decay per the continuous model, growth only
     under ``scheme_literal``."""
     sign = 1.0 if cfg.scheme_literal else -1.0
-    n_new = state.n + sign * cfg.tau * cfg.gamma_3 * (state.c + state.h) * state.n
+    # a field that is not finite fails in the H- or C-step, which names its cause
+    with np.errstate(invalid="ignore", over="ignore"):
+        n_new = state.n + sign * cfg.tau * cfg.gamma_3 * (state.c + state.h) * state.n
     return _clamp(n_new, cfg.grid, stats)
 
 
@@ -198,8 +200,7 @@ class HOperator:
         # each row's largest sum of absolute off-diagonal weights over its
         # nodes: its stencil is strictly diagonally dominant where this is
         # below ``centre``
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.off_diagonal = _per_sample(np.abs(weights).sum(axis=0), grid).max(axis=1)
+        self.off_diagonal = _per_sample(np.abs(weights).sum(axis=0), grid).max(axis=1)
 
     def _neighbour_sum(self, x: np.ndarray) -> np.ndarray:
         """The operator's off-diagonal part applied to ``x``."""
@@ -216,9 +217,7 @@ class HOperator:
         """``sweeps`` Jacobi sweeps from x = rhs, each x = (rhs - N x) / centre
         with N the off-diagonal part, on the rows whose stencil is strictly
         diagonally dominant at every node, where each sweep contracts the
-        error.  Any other row, where the sweeps may grow it, is left at rhs.
-        step_h calls it with overflow and invalid values silenced: a row that
-        is not finite then fails in BiCGSTAB's first check."""
+        error.  Any other row, where the sweeps may grow it, is left at rhs."""
         x = rhs
         for _ in range(sweeps):
             x = rhs - self._neighbour_sum(x)
@@ -229,15 +228,25 @@ class HOperator:
         return x
 
 
+def _origin(name: str, step: int) -> str:
+    """Where the H or C that enters step ``step + 1`` came from: the initial
+    field's keys, or the substep of step ``step`` that solved it."""
+    if step == 0:
+        return f"the initial {name} of [macro] {name.lower()}0_amp and {name.lower()}0_sigma"
+    keys = " with [macro] tau, gamma_2, gamma_C, gamma_g and gamma_h" if name == "C" else ""
+    return f"the {name} that step {step} solved{keys}"
+
+
 def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, stats: MacroRunStats):
     """Implicit advection-diffusion solve for the proton index."""
     grid = cfg.grid
     tau = cfg.tau
     noise = sample_qwiener_increment(QWienerSpec(cfg.qwiener_modes), grid, tau, streams)
-    apply_op = HOperator(state.c, cfg)
-    # one errstate for the right-hand side and the sweeps: a row that is not
-    # finite fails in BiCGSTAB's first check, and the failure names its cause
+    # one errstate for the operator, the right-hand side and the sweeps: a
+    # row that is not finite fails in BiCGSTAB's first check, and the
+    # failure names its cause
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        apply_op = HOperator(state.c, cfg)
         rhs = (state.h
                + tau * cfg.gamma_1 * state.h * (1.0 - state.h)
                + cfg.sigma_W * state.h * noise)
@@ -248,15 +257,14 @@ def step_h(state: MacroState, cfg: MacroConfig, streams: StreamChunk, stats: Mac
         row = err.row
         off = apply_op.off_diagonal[row]
         if not np.isfinite(_per_sample(rhs, grid)[row]).all():
-            h_from = ("the initial H of [macro] h0_amp and h0_sigma" if state.step == 0
-                      else f"the H that step {state.step} solved")
             cause = (f"the right-hand side is not finite; it is set by the step's H, here "
-                     f"{h_from}, and by [macro] tau, gamma_1 and sigma_W")
+                     f"{_origin('H', state.step)}, and by [macro] tau, gamma_1 and sigma_W")
         elif off < apply_op.centre < np.inf:
             cause = ("the stencil is strictly diagonally dominant; the right-hand side is "
                      "set by [macro] tau, gamma_1 and sigma_W")
         else:
-            cause = "the stencil is set by [macro] tau, sigma_H and gamma_f"
+            cause = (f"the stencil is set by the step's C, here {_origin('C', state.step)}, "
+                     "and otherwise set by [macro] tau, sigma_H and gamma_f")
         raise SolverDiverged(
             f"H-step at step {state.step + 1}: {err} (largest off-diagonal weight sum "
             f"{off:.3g} against a centre of {apply_op.centre:.3g}; {cause})") from None
@@ -305,11 +313,13 @@ def step_c(state: MacroState, cfg: MacroConfig, h_new: np.ndarray, n_new: np.nda
     missed = np.flatnonzero(~(residual <= cfg.solver_tol))
     if missed.size:
         row = missed[0]
-        cause = ""
         if not np.isfinite(_per_sample(rhs, grid)[row]).all():
             cause = ("; the right-hand side is not finite; it is set by [macro] tau, gamma_2, "
                      "gamma_g and gamma_h, and by the step's H, which [macro] tau, gamma_1 "
                      "and sigma_W set")
+        else:
+            cause = ("; the right-hand side is finite; the solve's shift is set by [macro] "
+                     "tau and gamma_C, and its tolerance by solver_tol")
         raise SolverDiverged(f"C-step residual {residual[row]:.3e} above solver_tol "
                              f"{cfg.solver_tol:.3e} at step {state.step + 1}{cause}")
     stats.absorb_solve(residual)

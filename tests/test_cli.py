@@ -610,9 +610,6 @@ def test_bad_grid_keys_exit_2(tmp_path, capsys, text, command, key):
     ("h0_amp = -1", 6, "invariant violated: sample 0 failed (base_seed=12345, stream_index=0): "
                        "InvariantViolation: "),
 ], ids=["solver_diverged", "invariant_violated"])
-# the console script runs under Python's default warning filters, which
-# print the overflow's RuntimeWarning rather than raise it
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_ensemble_sample_exits_as_its_cause(tmp_path, capsys, key, code, message):
     """An ensemble exits with the code its failing sample's own error gives
     a single run, and the message still names the seed and sample."""
@@ -667,6 +664,56 @@ def test_a_non_finite_h_step_rhs_names_the_initial_h_keys(tmp_path, capsys):
     assert "the right-hand side is not finite" in err
     assert all(name in err for name in ("[macro] h0_amp", "h0_sigma", "tau", "gamma_1",
                                         "sigma_W"))
+
+
+@pytest.mark.parametrize("keys, cause", [
+    ("c0_amp = 1e308", "the stencil is set by the step's C, here the initial C of [macro] "
+                       "c0_amp and c0_sigma, and otherwise set by [macro] tau, sigma_H and "
+                       "gamma_f)"),
+    ("h0_amp = 1e308\nc0_amp = 1e308", "the right-hand side is not finite; it is set by the "
+                                       "step's H, here the initial H of [macro] h0_amp"),
+], ids=["c0", "h0_and_c0"])
+def test_an_overflowing_initial_field_fails_step_1_quietly(tmp_path, capsys, keys, cause):
+    """On the default 21 x 21 grid an initial C or H this large overflows
+    the tissue update and the H-step's stencil: the run exits 5, naming the
+    initial field's keys, and no RuntimeWarning escapes (the suite raises
+    them as errors)."""
+    cfgfile = tmp_path / "ic.cfg"
+    cfgfile.write_text(f"[macro]\nN = 1\n{keys}\n")
+    assert _run("--config", str(cfgfile), "--seed", "7", "--out", str(tmp_path / "o"),
+                "macro") == 5
+    err = capsys.readouterr().err
+    assert "solver diverged: H-step at step 1:" in err
+    assert cause in err
+
+
+def test_an_h_step_stencil_failure_names_the_c_step_that_set_it(tmp_path, capsys):
+    """A C that step 1 solved from an absurd gamma_2 fails step 2's H-step
+    on its stencil; the message names that C and the C-step's keys before
+    the stencil's own."""
+    cfgfile = tmp_path / "gamma_2.cfg"
+    cfgfile.write_text("[macro]\nN = 3\ngamma_2 = 1e300\n")
+    assert _run("--config", str(cfgfile), "--seed", "7", "--out", str(tmp_path / "o"),
+                "macro") == 5
+    err = capsys.readouterr().err
+    assert "solver diverged: H-step at step 2:" in err
+    assert ("the stencil is set by the step's C, here the C that step 1 solved with [macro] "
+            "tau, gamma_2, gamma_C, gamma_g and gamma_h, and otherwise set by [macro] tau, "
+            "sigma_H and gamma_f)") in err
+
+
+def test_a_c_step_miss_with_a_finite_rhs_names_its_keys(tmp_path, capsys):
+    """A C-step whose right-hand side is finite but whose shift is absurd
+    misses solver_tol; the message names the keys of the shift and the
+    tolerance."""
+    cfgfile = tmp_path / "gamma_C.cfg"
+    cfgfile.write_text("[macro]\nN = 1\ngamma_C = 1e300\n")
+    assert _run("--config", str(cfgfile), "--seed", "7", "--out", str(tmp_path / "o"),
+                "macro") == 5
+    err = capsys.readouterr().err
+    assert "solver diverged: C-step residual " in err
+    assert ("above solver_tol 1.000e-10 at step 1; the right-hand side is finite; the solve's "
+            "shift is set by [macro] tau and gamma_C, and its tolerance by solver_tol") in err
 
 
 @pytest.mark.parametrize("key", ["sigma_W = 1e200", "gamma_1 = 1e300"])
@@ -832,6 +879,24 @@ def test_cli_import_loads_no_thread_pool():
     micro run's noise helper and a pool of workers import it, and the
     benchmark's setup_s times this import."""
     assert _run_probe(_THREAD_POOL_PROBE) is False
+
+
+_LOADED_PROBE = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "levyflow")))
+"""
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("levyflow", ["levyflow"]),
+    ("levyflow.grids", ["levyflow", "levyflow.errors", "levyflow.grids"]),
+])
+def test_a_module_import_loads_only_what_it_imports(module, loaded):
+    """The package root re-exports nothing: importing it loads no module of
+    the package, and importing a module loads only the modules it imports,
+    so test_cli_import_loads_every_module sees what the commands reach."""
+    assert _run_probe(_LOADED_PROBE, module) == loaded
 
 
 _CALLS_PROBE = """

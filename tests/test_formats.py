@@ -1,10 +1,12 @@
 import csv
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from levyflow import __version__
 from levyflow.errors import ConfigInvalid
 from levyflow.formats import (
     contour_points,
@@ -103,3 +105,13 @@ def test_manifest_round_trip_and_verification(tmp_path):
     assert verify_manifest(mpath)
     out.write_bytes(b"tampered")
     assert not verify_manifest(mpath)
+
+
+def test_manifest_version_is_the_project_version(tmp_path):
+    """The tool_version a manifest records is pyproject.toml's [project]
+    version: the package keeps no second copy of it."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    mpath = write_manifest(tmp_path / "manifest.json", "", 0, time.time(), [])
+    assert json.loads(mpath.read_text())["tool_version"] == __version__ == project["version"]

@@ -460,6 +460,25 @@ def test_linear_h_and_c_converge_at_first_order_to_their_semigroups():
         assert np.all((1.8 <= ratios) & (ratios <= 2.2)), ratios
 
 
+def test_the_coupled_scheme_converges_at_first_order_in_tau():
+    """With the noise off and the published rates, each halving of tau
+    halves the difference between successive runs to t = 1 in H, C and N:
+    the splitting of the three substeps is first order as a whole, so a
+    rate or a coupling applied with the wrong power of tau shows."""
+    end, finals = 1.0, []
+    for tau in (0.1, 0.05, 0.025, 0.0125):
+        steps = round(end / tau)
+        (final,), stats = run_macro(MacroConfig(tau=tau, n_steps=steps, sigma_W=0.0),
+                                    RngStream(1, 0), (steps,))
+        assert stats.clamp_events == 0
+        finals.append(final)
+    for name in ("h", "c", "n"):
+        fields = [getattr(final, name) for final in finals]
+        differences = [np.abs(a - b).max() for a, b in zip(fields, fields[1:])]
+        ratios = np.array(differences[:-1]) / differences[1:]
+        assert np.all((1.8 <= ratios) & (ratios <= 2.2)), (name, ratios)
+
+
 def test_full_run_invariants_and_golden_hash():
     cfg = MacroConfig()
     snaps, stats = run_macro(cfg, RngStream(20240901, 0), snapshot_steps=range(1, 151))
